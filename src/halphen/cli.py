@@ -6,8 +6,8 @@
     python -m halphen invariants
     python -m halphen code
 
-Exit status is 0 when every claim passes, 1 on any failure, 2 on a
-configuration error.  Output is deterministic for a fixed (config, seed);
+Exit status is 0 when every claim passes, 1 on any failure or when no
+claim was checked, 2 on a configuration error.  Output is deterministic for a fixed (config, seed);
 pass --no-timing to make it byte-identical across runs.
 """
 
@@ -25,6 +25,7 @@ from . import chilean, cubic, invariants, piclattice, torsion
 from .field import GF, QQ_EPS, to_text
 
 SUITE_ORDER = ("incidence", "pencil", "lattice", "torsion", "invariants", "code")
+TORSION_INDICES = (4, 5, 9)  # the orders with a stored locus or cubics
 
 
 @dataclass
@@ -38,11 +39,10 @@ class RunConfig:
     output: str = None
     fmt: str = "text"
     fail_fast: bool = False
-    jobs: int = 1
     d_max: int = 12
     with_quadratic_extension: bool = False
     include_timing: bool = True
-    m_values: tuple = (4, 5, 9)
+    m_values: tuple = TORSION_INDICES
 
 
 @dataclass
@@ -59,7 +59,9 @@ class VerificationLedger:
     entries: list = dataclass_field(default_factory=list)
 
     def passed(self):
-        return all(e.verdict == "pass" for e in self.entries)
+        """True iff some claim was checked and every claim passed."""
+        return bool(self.entries) and all(e.verdict == "pass"
+                                          for e in self.entries)
 
 
 def _good_parameter_over(p):
@@ -576,13 +578,12 @@ def _parse_args(argv):
                     " checks (rational)")
     pv.add_argument("--prime", type=int, default=None)
     pv.add_argument("--p-max", type=int, default=200)
-    pv.add_argument("--m", type=int, default=None,
+    pv.add_argument("--m", type=int, default=None, choices=TORSION_INDICES,
                     help="restrict the torsion suite to one index")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pv.add_argument("--output", default=None)
     pv.add_argument("--fail-fast", action="store_true")
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--d-max", type=int, default=12)
     pv.add_argument("--with-quadratic-extension", action="store_true")
     pv.add_argument("--no-timing", action="store_true",
@@ -635,12 +636,12 @@ def main(argv=None):
             except chilean.VerificationError as err:
                 print(f"bad specialization parameter: {err}", file=sys.stderr)
                 return 2
-        m_values = (4, 5, 9) if args.m is None else (args.m,)
+        m_values = TORSION_INDICES if args.m is None else (args.m,)
         config = RunConfig(mode=args.mode, a_value=a_value, prime=args.prime,
                            p_max=args.p_max, seed=args.seed,
                            suites=tuple(suites), output=args.output,
                            fmt=args.format, fail_fast=args.fail_fast,
-                           jobs=args.jobs, d_max=args.d_max,
+                           d_max=args.d_max,
                            with_quadratic_extension=args.with_quadratic_extension,
                            include_timing=not args.no_timing,
                            m_values=m_values)

@@ -5,6 +5,23 @@ The group law takes any point of the curve as zero (normally a flex, in
 which case three points are collinear iff they sum to zero).  All
 constructions run over any coefficient field containing a primitive cube
 root of unity, and every division is re-verified, so the law is exact.
+
+The third intersection of a line with the curve is taken first from the
+classical closed forms, which do not depend on t (Joye-Quisquater,
+"Hessian elliptic curves and side-channel attacks", CHES 2001;
+Bernstein-Kohel-Lange, "Twisted Hessian curves", LATINCRYPT 2015):
+
+    chord P != Q:  (x1^2 y2 z2 - x2^2 y1 z1 : y1^2 x2 z2 - y2^2 x1 z1
+                    : z1^2 x2 y2 - z2^2 x1 y1)
+    tangent at P:  (x (y^3 - z^3) : y (z^3 - x^3) : z (x^3 - y^3))
+
+Each result is certified before use: it is a projective point, differs
+from P and Q, lies on the curve, and lies on the line PQ (on the tangent
+at P when P = Q).  Those four facts make it the residual intersection.
+Where they fail -- the formula gives (0:0:0), or the residual point is P
+or Q itself, as for a line tangent at P or Q and for the tangent at a
+flex -- the generic path restricts the cubic to the line and divides out
+the known roots with verified divisions.
 """
 
 from .field import FieldError
@@ -29,7 +46,11 @@ class HesseCubic:
         return not (self.t**3 + 27).is_zero()
 
     def contains(self, P):
-        return self.poly.evaluate(P).is_zero()
+        # x^3 + y^3 + z^3 + t*xyz at the representative, as poly.evaluate
+        # would; coerce first, since GF(p) products do not check the field
+        coords = P.rep if isinstance(P, ProjPoint) else P
+        x, y, z = (self.field.coerce(c) for c in coords)
+        return (x * x * x + y * y * y + z * z * z + self.t * x * y * z).is_zero()
 
     def require_on_curve(self, P):
         if not self.contains(P):
@@ -125,12 +146,55 @@ class CubicGroup:
     def third_intersection(self, P, Q):
         """The residual intersection of the line through P and Q.
 
-        For P = Q the line is the tangent at P; a vanishing gradient means
-        the curve is singular there and is an error.
+        For P = Q the line is the tangent at P.  The certified closed form
+        (see the module docstring) is tried first; where it is degenerate
+        or fails its certificate the generic path decides.
         """
         curve = self.curve
         curve.require_on_curve(P)
         curve.require_on_curve(Q)
+        R = self.closed_form_third(P, Q)
+        return self.generic_third(P, Q) if R is None else R
+
+    def closed_form_third(self, P, Q):
+        """The Hesse chord or tangent formula's point once certified, else None.
+
+        P and Q must lie on the curve.  The certificate: the result is not
+        (0:0:0), differs from P and Q, lies on the curve, and lies on the
+        line PQ, or for P = Q on the tangent at P.
+        """
+        x1, y1, z1 = P.coords
+        x1x1, y1y1, z1z1 = x1 * x1, y1 * y1, z1 * z1
+        if P == Q:
+            x3, y3, z3 = x1x1 * x1, y1y1 * y1, z1z1 * z1
+            coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
+            t = self.curve.t
+            normal = (3 * x1x1 + t * y1 * z1, 3 * y1y1 + t * x1 * z1,
+                      3 * z1z1 + t * x1 * y1)  # the gradient at P
+        else:
+            x2, y2, z2 = Q.coords
+            coords = (x1x1 * y2 * z2 - x2 * x2 * y1 * z1,
+                      y1y1 * x2 * z2 - y2 * y2 * x1 * z1,
+                      z1z1 * x2 * y2 - z2 * z2 * x1 * y1)
+            normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                      x1 * y2 - y1 * x2)  # P x Q; det(P, Q, R) = normal . R
+        if all(c.is_zero() for c in coords) or all(n.is_zero() for n in normal):
+            return None
+        u, v, w = coords
+        if not (normal[0] * u + normal[1] * v + normal[2] * w).is_zero():
+            return None
+        R = ProjPoint(self.field, coords)
+        if R == P or R == Q or not self.curve.contains(R):
+            return None
+        return R
+
+    def generic_third(self, P, Q):
+        """The residual intersection by restricting the cubic to the line.
+
+        P and Q must lie on the curve.  A vanishing gradient at P = Q means
+        the curve is singular there and is an error.
+        """
+        curve = self.curve
         field = self.field
         if P == Q:
             g = curve.gradient_at(P)

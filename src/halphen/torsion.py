@@ -13,7 +13,6 @@ from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF
 from .linalg import kernel_basis
-from .piclattice import index3_section_check  # noqa: F401 - part of this surface
 from .plane import Poly3, gens, monomials_of_degree
 
 

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
-from halphen.cli import (RunConfig, default_specializations, emit_report, main,
-                         run)
+import pytest
+
+from halphen.cli import (RunConfig, VerificationLedger, default_specializations,
+                         emit_report, main, run)
 
 
 def test_default_specializations():
@@ -136,3 +138,18 @@ def test_torsion_m_restriction_and_quadratic_flag(capsys):
     assert rc == 0
     assert "m = 5 over the quadratic extension" in out
     assert "m = 4" not in out
+
+
+def test_torsion_index_without_stored_locus_is_a_configuration_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "torsion", "--m", "7"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
+def test_empty_ledger_does_not_pass(capsys, monkeypatch):
+    assert not VerificationLedger().passed()
+    import halphen.cli as cli
+    monkeypatch.setitem(cli.SUITES, "code", lambda config, ctx: [])
+    assert main(["verify", "code"]) == 1
+    assert "0/0 claims pass" in capsys.readouterr().out

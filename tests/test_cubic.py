@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from halphen.field import GF, QQ_EPS
+from halphen.field import GF, QQ_EPS, MixedContextError
 from halphen.plane import ProjPoint, gens
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
                            flex_line_incidence, hesse_collinear_triples,
@@ -68,9 +68,55 @@ def test_group_law_rejects_bad_input():
     with pytest.raises(CubicError):
         g.add(off, g.zero)
     with pytest.raises(CubicError):
+        g.add(g.zero, off)
+    with pytest.raises(CubicError):
+        g.third_intersection(off, off)
+    with pytest.raises(CubicError):
         CubicGroup(HesseCubic(F, 10), hesse_flexes(F)[6])  # 10^3 = -27 mod 13
     with pytest.raises(CubicError):
         g.torsion_order(g.zero, 0)
+
+
+def test_points_over_another_field_are_rejected():
+    # GF(p) products do not check the field, so contains must coerce
+    F, G = GF(13), GF(7)
+    curve = HesseCubic(F, 2)
+    g = CubicGroup(curve, hesse_flexes(F)[6])
+    foreign = hesse_flexes(G)[0]
+    with pytest.raises(MixedContextError):
+        curve.contains(foreign)
+    with pytest.raises(MixedContextError):
+        g.add(foreign, g.zero)
+    with pytest.raises(MixedContextError):
+        g.third_intersection(g.zero, foreign)
+
+
+def test_closed_form_matches_generic_path():
+    closed = {False: 0, True: 0}  # certified closed forms, by P == Q
+    fallback = 0
+    for p in (7, 13, 19):
+        F = GF(p)
+        flexes = hesse_flexes(F)
+        for t in range(p):
+            curve = HesseCubic(F, t)
+            if not curve.is_smooth():
+                continue
+            g = CubicGroup(curve, flexes[6])
+            pts = rational_points(curve)
+            for P in pts:
+                for Q in pts:
+                    R = g.closed_form_third(P, Q)
+                    expected = g.generic_third(P, Q)
+                    assert g.third_intersection(P, Q) == expected
+                    if R is None:
+                        fallback += 1
+                    else:
+                        assert R == expected
+                        closed[P == Q] += 1
+            for x in flexes:  # the tangent at a flex meets it three times
+                assert g.closed_form_third(x, x) is None
+                assert g.third_intersection(x, x) == x
+    assert closed[False] > 0 and closed[True] > 0 and fallback > 0
 
 
 def test_associativity_over_several_fields():
