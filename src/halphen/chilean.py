@@ -108,12 +108,6 @@ class ChileanData:
         self.incidence = incidence  # 9 x 12 matrix of 0/1
         self.fibers = FIBERS
 
-    def conics_through(self, point_index):
-        return [j for j in range(12) if self.incidence[point_index][j]]
-
-    def fiber_of(self, conic_index):
-        return conic_index // 3
-
 
 def build_chilean(field=None, a=None):
     """Construct the configuration and verify its incidence exactly.

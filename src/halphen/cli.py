@@ -7,8 +7,10 @@
     python -m halphen code
 
 Exit status is 0 when every claim passes, 1 on any failure or when no
-claim was checked, 2 on a configuration error.  Output is deterministic for a fixed (config, seed);
-pass --no-timing to make it byte-identical across runs.
+claim was checked, 2 on a configuration error.  A claim's verdict is
+"fail" when a domain check refuted it and "error" when the code crashed.
+Output is deterministic for a fixed (config, seed); pass --no-timing to
+make it byte-identical across runs.
 """
 
 import argparse
@@ -21,11 +23,17 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from . import chilean, cubic, invariants, piclattice, torsion
-from .field import GF, QQ_EPS, to_text
+from . import chilean, cubic, invariants, piclattice, plane, torsion
+from .field import GF, QQ_EPS, FieldError, to_text
 
 SUITE_ORDER = ("incidence", "pencil", "lattice", "torsion", "invariants", "code")
 TORSION_INDICES = (4, 5, 9)  # the orders with a stored locus or cubics
+MIN_D_MAX = 4  # the brute-force class search must reach the degree-4 classes
+
+# A claim that raises one of these was refuted; anything else is a crash.
+DOMAIN_ERRORS = (FieldError, chilean.VerificationError, piclattice.LatticeError,
+                 torsion.TorsionError, invariants.ArrangementError,
+                 cubic.CubicError, plane.GeometryError)
 
 
 @dataclass
@@ -471,12 +479,15 @@ def run(config):
                 verdict = "pass"
             except Exception as err:  # noqa: BLE001 - verdicts are the product
                 witness = f"{type(err).__name__}: {err}"
-                verdict = "fail"
+                verdict = "fail" if isinstance(err, DOMAIN_ERRORS) else "error"
+                if verdict == "error":
+                    import traceback  # only on a crash: keeps startup cheap
+                    traceback.print_exc(file=sys.stderr)
             ms = int((time.monotonic() - t0) * 1000)
             ledger.entries.append(
                 LedgerEntry(f"{suite}: {claim}", anchor, verdict, witness,
                             ms if config.include_timing else 0))
-            if verdict == "fail" and config.fail_fast:
+            if verdict != "pass" and config.fail_fast:
                 return ledger
     return ledger
 
@@ -560,6 +571,31 @@ def _emit_invariants(fmt, path=None):
     return text
 
 
+def _configuration_problem(args, suites, m_values):
+    """Why the verify options cannot give a meaningful run, or None."""
+    p = args.prime
+    if p is not None:
+        try:
+            if not GF(p).has_eps():
+                return (f"--prime {p}: GF({p}) has no primitive cube root of"
+                        " unity (the prime must be 1 mod 3)")
+            _good_parameter_over(p)
+        except (FieldError, chilean.VerificationError) as err:
+            return f"--prime {p}: {err}"
+    if args.d_max < MIN_D_MAX:
+        return (f"--d-max {args.d_max} is too small: the brute-force class"
+                f" search needs --d-max >= {MIN_D_MAX} to reach the degree-4"
+                " classes")
+    if "torsion" in suites:
+        for m in m_values:
+            p_min = torsion.min_prime_for_order(m)
+            if args.p_max < p_min:
+                return (f"--p-max {args.p_max} is too small for order {m}:"
+                        f" no Hesse cubic over GF(p) has a rational point of"
+                        f" order {m} unless p >= {p_min}")
+    return None
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="halphen", description="exact verification of the conic"
@@ -570,8 +606,6 @@ def _parse_args(argv):
     pv.add_argument("suite_list", nargs="*", default=["all"],
                     metavar="suite", help="incidence pencil lattice torsion"
                     " invariants code all")
-    pv.add_argument("--suites", default=None,
-                    help="comma-separated alternative to the positional list")
     pv.add_argument("--mode", choices=("symbolic", "specialized"),
                     default="symbolic")
     pv.add_argument("--a", default="2", help="parameter for specialized spot"
@@ -615,10 +649,7 @@ def main(argv=None):
         return 2
 
     if args.command == "verify":
-        suites = args.suite_list
-        if args.suites:
-            suites = args.suites.split(",")
-        suites = [s.strip() for s in suites if s.strip()]
+        suites = [s.strip() for s in args.suite_list if s.strip()]
         if suites == ["all"] or "all" in suites:
             suites = list(SUITE_ORDER)
         unknown = [s for s in suites if s not in SUITE_ORDER]
@@ -637,6 +668,10 @@ def main(argv=None):
                 print(f"bad specialization parameter: {err}", file=sys.stderr)
                 return 2
         m_values = TORSION_INDICES if args.m is None else (args.m,)
+        problem = _configuration_problem(args, suites, m_values)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
         config = RunConfig(mode=args.mode, a_value=a_value, prime=args.prime,
                            p_max=args.p_max, seed=args.seed,
                            suites=tuple(suites), output=args.output,

@@ -4,8 +4,8 @@ Every field element here is exact; no floating point is used anywhere.
 Supported fields:
 
  - Q(e), the rationals extended by a primitive cube root of unity e
-   (e^2 + e + 1 = 0), represented on the basis {1, e} with Fraction
-   coordinates.
+   (e^2 + e + 1 = 0), each element (n0 + n1*e)/d stored as a reduced
+   integer triple (n0, n1, d).
  - Q(e)(a), the rational function field in one indeterminate a over Q(e),
    represented as a reduced fraction of dense coefficient lists with a
    monic denominator.
@@ -22,6 +22,7 @@ with a parser for the same syntax.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(Exception):
@@ -96,7 +97,7 @@ def _is_prime(n):
 
 
 class QEpsField(Field):
-    """The field Q(e) with e^2 + e + 1 = 0, elements c0 + c1*e."""
+    """The field Q(e) with e^2 + e + 1 = 0, elements (n0 + n1*e)/d."""
 
     characteristic = 0
 
@@ -106,39 +107,68 @@ class QEpsField(Field):
         return super().coerce(x)
 
     def from_int(self, n):
-        return QEpsElem(self, Fraction(n), Fraction(0))
+        return QEpsElem(self, n, 0)
 
     def from_fraction(self, q):
-        return QEpsElem(self, Fraction(q), Fraction(0))
+        q = Fraction(q)
+        return QEpsElem(self, q.numerator, 0, q.denominator)
 
     def make(self, c0, c1=0):
-        return QEpsElem(self, Fraction(c0), Fraction(c1))
+        c0, c1 = Fraction(c0), Fraction(c1)
+        d = lcm(c0.denominator, c1.denominator)
+        return QEpsElem(self, c0.numerator * (d // c0.denominator),
+                        c1.numerator * (d // c1.denominator), d)
 
     def has_eps(self):
         return True
 
     def eps(self):
-        return QEpsElem(self, Fraction(0), Fraction(1))
+        return QEpsElem(self, 0, 1)
 
     def random_element(self, rng):
         def frac():
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        return QEpsElem(self, frac(), frac())
+        return self.make(frac(), frac())
 
     def __repr__(self):
         return "Q(e)"
 
 
 class QEpsElem:
-    __slots__ = ("field", "c0", "c1")
+    """The element (n0 + n1*e)/d of Q(e), stored as a reduced integer triple.
 
-    def __init__(self, field, c0, c1):
+    The constructor keeps the triple canonical (d > 0 and
+    gcd(n0, n1, d) == 1), so equal elements have equal triples and the
+    arithmetic below is integer-only.  `c0` and `c1` give the coordinates
+    on the basis {1, e} as Fractions, for printing.
+    """
+
+    __slots__ = ("field", "n0", "n1", "d")
+
+    def __init__(self, field, n0, n1, d=1):
+        if d != 1:
+            if d <= 0:
+                if d == 0:
+                    raise ZeroDivisionError("zero denominator in Q(e)")
+                n0, n1, d = -n0, -n1, -d
+            g = gcd(n0, n1, d)
+            if g != 1:
+                n0, n1, d = n0 // g, n1 // g, d // g
         self.field = field
-        self.c0 = c0
-        self.c1 = c1
+        self.n0 = n0
+        self.n1 = n1
+        self.d = d
+
+    @property
+    def c0(self):
+        return Fraction(self.n0, self.d)
+
+    @property
+    def c1(self):
+        return Fraction(self.n1, self.d)
 
     def is_zero(self):
-        return self.c0 == 0 and self.c1 == 0
+        return self.n0 == 0 and self.n1 == 0
 
     def _check(self, other):
         # defer to the reflected operation of richer algebras
@@ -152,7 +182,11 @@ class QEpsElem:
         o = other if isinstance(other, QEpsElem) else self._check(other)
         if o is None:
             return NotImplemented
-        return QEpsElem(self.field, self.c0 + o.c0, self.c1 + o.c1)
+        d, od = self.d, o.d
+        if d == od:
+            return QEpsElem(self.field, self.n0 + o.n0, self.n1 + o.n1, d)
+        return QEpsElem(self.field, self.n0 * od + o.n0 * d,
+                        self.n1 * od + o.n1 * d, d * od)
 
     __radd__ = __add__
 
@@ -160,7 +194,11 @@ class QEpsElem:
         o = other if isinstance(other, QEpsElem) else self._check(other)
         if o is None:
             return NotImplemented
-        return QEpsElem(self.field, self.c0 - o.c0, self.c1 - o.c1)
+        d, od = self.d, o.d
+        if d == od:
+            return QEpsElem(self.field, self.n0 - o.n0, self.n1 - o.n1, d)
+        return QEpsElem(self.field, self.n0 * od - o.n0 * d,
+                        self.n1 * od - o.n1 * d, d * od)
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -169,27 +207,28 @@ class QEpsElem:
         return o - self
 
     def __neg__(self):
-        return QEpsElem(self.field, -self.c0, -self.c1)
+        return QEpsElem(self.field, -self.n0, -self.n1, self.d)
 
     def __mul__(self, other):
         o = other if isinstance(other, QEpsElem) else self._check(other)
         if o is None:
             return NotImplemented
-        # (c0 + c1 e)(d0 + d1 e) with e^2 = -1 - e
-        a, b, c, d = self.c0, self.c1, o.c0, o.c1
-        if b == 0 and d == 0:
-            return QEpsElem(self.field, a * c, b)
-        return QEpsElem(self.field, a * c - b * d, a * d + b * c - b * d)
+        # (a + b e)(c + f e) with e^2 = -1 - e
+        a, b, c, f = self.n0, self.n1, o.n0, o.n1
+        if b == 0 and f == 0:
+            return QEpsElem(self.field, a * c, 0, self.d * o.d)
+        bf = b * f
+        return QEpsElem(self.field, a * c - bf, a * f + b * c - bf,
+                        self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(e)")
-        a, b = self.c0, self.c1
-        norm = a * a - a * b + b * b
-        # conjugate is (a - b) - b e
-        return QEpsElem(self.field, (a - b) / norm, -b / norm)
+        a, b, d = self.n0, self.n1, self.d
+        # d times the conjugate (a - b) - b e over the norm a^2 - ab + b^2 > 0
+        return QEpsElem(self.field, d * (a - b), -d * b, a * a - a * b + b * b)
 
     def __truediv__(self, other):
         o = self._check(other)
@@ -217,16 +256,17 @@ class QEpsElem:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.c0 == other and self.c1 == 0
+            return self.n0 == other and self.n1 == 0 and self.d == 1
         if not isinstance(other, QEpsElem):
             return NotImplemented
-        return self.c0 == other.c0 and self.c1 == other.c1
+        return (self.n0 == other.n0 and self.n1 == other.n1
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.c0, self.c1))
+        return hash((self.n0, self.n1, self.d))
 
     def conjugate(self):
-        return QEpsElem(self.field, self.c0 - self.c1, -self.c1)
+        return QEpsElem(self.field, self.n0 - self.n1, -self.n1, self.d)
 
     def __repr__(self):
         return to_text(self)
@@ -953,14 +993,18 @@ def specialize_scalar(x, target, eps_image=None, a_image=None):
     if isinstance(x, int):
         return target.from_int(x)
     if isinstance(x, QEpsElem):
-        if x.c1 != 0:
+        num = target.from_int(x.n0)
+        if x.n1 != 0:
             if eps_image is None:
                 raise BadSpecializationError("an eps image is required")
             _check_eps_image(eps_image, target)
-        c0 = rational_to_field(x.c0, target)
-        if x.c1 == 0:
-            return c0
-        return c0 + rational_to_field(x.c1, target) * eps_image
+            num = num + target.from_int(x.n1) * eps_image
+        if x.d == 1:
+            return num
+        den = target.from_int(x.d)
+        if den.is_zero():
+            raise BadSpecializationError(f"denominator {x.d} vanishes in {target}")
+        return num / den
     if isinstance(x, RatFuncElem):
         if a_image is None and pdeg(list(x.num)) < 1 and pdeg(list(x.den)) < 1:
             a_image = target.zero()  # constant: the image of a is irrelevant

@@ -158,7 +158,3 @@ def invariant_factors(A):
         if D[i][i] != 0:
             out.append(D[i][i])
     return out
-
-
-def mat_mul_vec(M, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in M]

@@ -767,7 +767,6 @@ def realize_low_degree_classes(classes, points):
         rows = []
         for i in support:
             P = points[i]
-            pows = [[field.one()]] * 0
             row = []
             for (ei, ej, ek) in monos:
                 row.append(P.coords[0] ** ei * P.coords[1] ** ej * P.coords[2] ** ek)

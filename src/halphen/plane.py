@@ -208,9 +208,6 @@ class Poly3:
             out = out + term
         return out
 
-    def coefficient_vector(self, monomials):
-        return [self.terms.get(m, self.field.zero()) for m in monomials]
-
     def specialize(self, target, eps_image=None, a_image=None):
         terms = {}
         for exp, c in self.terms.items():
@@ -356,20 +353,6 @@ def _bf_mul(p, q, field):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
-
-
-def bf_is_zero(form):
-    return all(c.is_zero() for c in form)
-
-
-def bf_eval(form, u, v, field):
-    d = len(form) - 1
-    up = _power_table(u, d, field)
-    vp = _power_table(v, d, field)
-    acc = field.zero()
-    for i, c in enumerate(form):
-        acc = acc + c * up[i] * vp[d - i]
-    return acc
 
 
 def bf_divide_linear(form, root, field):

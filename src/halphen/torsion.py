@@ -9,6 +9,8 @@ points.  The same instances support the existence check for plane curves
 of degree m with prescribed multiplicities at the translated base points.
 """
 
+from math import isqrt
+
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF
@@ -76,6 +78,21 @@ def good_primes(p_max):
             out.append(p)
         p += 2
     return out
+
+
+# Over GF(p), p = 1 mod 3, the nine flexes are rational, so E[3] is, and a
+# rational point of order m makes #E a multiple of these.
+TORSION_GROUP_ORDER = {4: 36, 5: 45, 9: 27}
+
+
+def min_prime_for_order(m):
+    """Smallest good prime over which a Hesse cubic can have a point of order m.
+
+    By the Hasse bound #E <= p + 1 + 2*sqrt(p), so #E reaches
+    TORSION_GROUP_ORDER[m] only from this prime on; no curve is scanned.
+    """
+    need = TORSION_GROUP_ORDER[m]
+    return next(p for p in good_primes(need) if p + 1 + isqrt(4 * p) >= need)
 
 
 def find_specialization(m, p_max=500):

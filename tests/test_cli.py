@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from halphen.chilean import VerificationError
 from halphen.cli import (RunConfig, VerificationLedger, default_specializations,
                          emit_report, main, run)
 
@@ -31,11 +32,15 @@ def test_verify_lattice_suite_passes_and_reports():
     assert len(rows) == len(ledger.entries) + 1
 
 
+def _refuted():
+    raise VerificationError("claim refuted")
+
+
 def test_failures_are_fail_soft(monkeypatch):
     import halphen.cli as cli
 
     def broken(config, ctx):
-        return [("always fails", "nothing", lambda: 1 / 0),
+        return [("always fails", "nothing", _refuted),
                 ("still runs", "after a failure", lambda: "ok")]
 
     monkeypatch.setitem(cli.SUITES, "lattice", broken)
@@ -44,6 +49,59 @@ def test_failures_are_fail_soft(monkeypatch):
     assert not ledger.passed()
     fast = run(RunConfig(suites=("lattice",), fail_fast=True))
     assert [e.verdict for e in fast.entries] == ["fail"]
+
+
+def test_crash_is_an_error_not_a_failure(capsys, monkeypatch):
+    import halphen.cli as cli
+
+    def crashing():
+        raise TypeError("unsupported operand")
+
+    def suite(config, ctx):
+        return [("crashes", "a bug in the code", crashing),
+                ("refuted", "a claim that does not hold", _refuted),
+                ("still runs", "after a crash", lambda: "ok")]
+
+    monkeypatch.setitem(cli.SUITES, "lattice", suite)
+    ledger = run(RunConfig(suites=("lattice",)))
+    assert [e.verdict for e in ledger.entries] == ["error", "fail", "pass"]
+    assert ledger.entries[0].witness == "TypeError: unsupported operand"
+    assert not ledger.passed()
+    assert "Traceback" in capsys.readouterr().err  # a crash shows where it happened
+    fast = run(RunConfig(suites=("lattice",), fail_fast=True))
+    assert [e.verdict for e in fast.entries] == ["error"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--prime", "4"], "not prime"),
+    (["--prime", "3"], "characteristic 3"),
+    (["--prime", "11"], "no primitive cube root of unity"),
+    (["--prime", "7"], "no good parameter over GF(7)"),
+    (["--d-max", "2"], "--d-max >= 4"),
+    (["--d-max", "3"], "--d-max >= 4"),
+    (["torsion", "--m", "4", "--p-max", "5"], "too small for order 4"),
+])
+def test_bad_options_are_configuration_errors(capsys, monkeypatch, args, message):
+    import halphen.cli as cli
+
+    def no_run(config):
+        raise AssertionError("a configuration error must stop before run()")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_p_max_bound_is_the_first_usable_prime(capsys, monkeypatch):
+    import halphen.cli as cli
+    monkeypatch.setattr(cli, "run", lambda config: VerificationLedger())
+    for m, p in ((4, 31), (5, 37), (9, 19)):
+        assert main(["verify", "torsion", "--m", str(m), "--p-max", str(p - 1)]) == 2
+        assert main(["verify", "torsion", "--m", str(m), "--p-max", str(p)]) == 1
+    assert main(["verify", "lattice", "--p-max", "5"]) == 1  # torsion not run
+    capsys.readouterr()
 
 
 def test_exit_codes(capsys, monkeypatch):

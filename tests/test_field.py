@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
-                           FieldError, MixedContextError, find_irreducible,
+                           FieldError, MixedContextError, QEpsElem, find_irreducible,
                            parse_element, pexact_div, pgcd,
                            proots_in_field, specialize_scalar, to_text)
 
@@ -194,3 +195,114 @@ def test_random_elements_are_valid():
         for _ in range(20):
             x = field.random_element(rng)
             assert (x - x).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of Q(e)
+
+
+def _assert_canonical(x):
+    assert all(type(v) is int for v in (x.n0, x.n1, x.d))
+    assert x.d > 0 and math.gcd(x.n0, x.n1, x.d) == 1
+
+
+_any_fraction = st.fractions(max_denominator=10**6)
+
+
+@st.composite
+def wide_qeps_elems(draw):
+    return QQ_EPS.make(draw(_any_fraction), draw(_any_fraction))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_qeps_elems(), wide_qeps_elems())
+def test_qeps_results_are_canonical(x, y):
+    results = [x, y, x + y, x - y, x * y, -x, x + 1, 2 - x, 3 * y,
+               x.conjugate(), x ** 3]
+    if not y.is_zero():
+        results += [x / y, y.inverse(), 1 / y, y ** -2]
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_qeps_constructor_reduces():
+    x = QEpsElem(QQ_EPS, 2, 4, -6)
+    assert (x.n0, x.n1, x.d) == (-1, -2, 3)
+    assert x == QQ_EPS.make(Fraction(-1, 3), Fraction(-2, 3))
+    z = QEpsElem(QQ_EPS, 0, 0, 7)
+    assert (z.n0, z.n1, z.d) == (0, 0, 1) and z == 0
+    with pytest.raises(ZeroDivisionError):
+        QEpsElem(QQ_EPS, 1, 0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_qeps_elems(), wide_qeps_elems(), st.integers(-5, 5))
+def test_qeps_equal_values_hash_equal(x, y, n):
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    rebuilt = QQ_EPS.make(x.c0, x.c1)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    assert (x == n) == (x == QQ_EPS.from_int(n))
+    k = QQ_EPS.make(Fraction(3 * n, 3))
+    assert k == n and k == QQ_EPS.from_int(n) and hash(k) == hash(QQ_EPS.from_int(n))
+    for y in (QQ_EPS.make(Fraction(n, 2)), QQ_EPS.make(n, 1), QQ_EPS.make(n, Fraction(1, 2))):
+        assert (y == n) == (y == QQ_EPS.from_int(n)) == (y.c0 == n and y.c1 == 0)
+
+
+def _fraction_pair_ops(x, y):
+    """+, -, * and / on the {1, e} coordinates with Fraction arithmetic."""
+    a, b, c, d = x.c0, x.c1, y.c0, y.c1
+    out = {"+": (a + c, b + d), "-": (a - c, b - d),
+           "*": (a * c - b * d, a * d + b * c - b * d)}
+    if c or d:
+        norm = c * c - c * d + d * d
+        inv = ((c - d) / norm, -d / norm)
+        out["/"] = (a * inv[0] - b * inv[1],
+                    a * inv[1] + b * inv[0] - b * inv[1])
+    return out
+
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_qeps_elems(), wide_qeps_elems())
+def test_qeps_matches_fraction_pair_formulas(x, y):
+    for op, expected in _fraction_pair_ops(x, y).items():
+        got = _OPS[op](x, y)
+        assert (got.c0, got.c1) == expected
+
+
+def test_qeps_matches_sympy_algebraic_field():
+    sympy = pytest.importorskip("sympy")
+    root = (-1 + sympy.sqrt(3) * sympy.I) / 2
+    K = sympy.QQ.algebraic_field(root)
+    assert K.mod.to_list() == [1, 1, 1]  # the primitive element is e itself
+    e = K.from_sympy(root)
+
+    def to_k(x):
+        c0, c1 = (sympy.Rational(c.numerator, c.denominator) for c in (x.c0, x.c1))
+        return K.from_sympy(c0) + K.from_sympy(c1) * e
+
+    def from_k(v):
+        coeffs = [Fraction(int(q.numerator), int(q.denominator))
+                  for q in v.to_list()]
+        coeffs = [Fraction(0)] * (2 - len(coeffs)) + coeffs
+        return QQ_EPS.make(coeffs[1], coeffs[0])
+
+    rng = random.Random(11)
+
+    def sample():
+        return QQ_EPS.make(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+                           Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)))
+
+    for _ in range(300):
+        x, y = sample(), sample()
+        kx, ky = to_k(x), to_k(y)
+        assert from_k(kx) == x
+        assert x + y == from_k(kx + ky)
+        assert x - y == from_k(kx - ky)
+        assert x * y == from_k(kx * ky)
+        assert x / y == from_k(kx / ky)
+        assert y.inverse() == from_k(ky ** -1)

@@ -1,7 +1,9 @@
-"""Golden tests: canonical text of key polynomials is frozen on disk."""
+"""Golden tests: canonical text of key polynomials and the claim ledger are
+frozen on disk."""
 
 from pathlib import Path
 
+from halphen.cli import main
 from halphen.field import parse_expression
 from halphen.plane import Poly3, gens
 
@@ -38,3 +40,9 @@ def test_cuspidal_sextic(symbolic_data, pencil):
     from halphen.chilean import special_members
     sp = special_members(symbolic_data, pencil)
     _check("cuspidal_sextic.txt", sp["cuspidal_sextic"])
+
+
+def test_verify_all_ledger_is_byte_identical(capsys):
+    assert main(["verify", "all", "--no-timing", "--format", "json"]) == 0
+    golden = (FIXTURES / "verify_all_no_timing.json").read_text()
+    assert capsys.readouterr().out == golden

@@ -6,7 +6,8 @@ from halphen.plane import ProjPoint
 from halphen.torsion import (TorsionError, conic_recovery_check,
                              find_specialization, good_primes,
                              hesse_collinear_curves, index_multiplicities,
-                             locus_degree_check, nine_torsion_cubics,
+                             locus_degree_check, min_prime_for_order,
+                             nine_torsion_cubics,
                              torsion_locus, two_torsion_translation,
                              verify_nine_torsion_cubics, verify_torsion_locus)
 
@@ -25,6 +26,13 @@ def test_find_specialization_is_deterministic():
     assert (spec["p"], spec["t"]) == SPEC9
     spec = find_specialization(2, p_max=100)
     assert (spec["p"], spec["t"]) == (13, 1)
+
+
+def test_hasse_bound_prime_is_where_the_scan_succeeds():
+    for m, spec in ((4, SPEC4), (5, SPEC5), (9, SPEC9)):
+        assert min_prime_for_order(m) == spec[0]
+        with pytest.raises(TorsionError):
+            find_specialization(m, p_max=spec[0] - 1)
 
 
 def test_specialization_not_found_is_explicit():
