@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from . import chilean, cubic, invariants, piclattice, plane, torsion
-from .field import GF, QQ_EPS, FieldError, to_text
+from .field import (GF, QQ_EPS, BadSpecializationError, FieldError,
+                    rational_to_field, to_text)
 
 SUITE_ORDER = ("incidence", "pencil", "lattice", "torsion", "invariants", "code")
 TORSION_INDICES = (4, 5, 9)  # the orders with a stored locus or cubics
@@ -44,8 +45,6 @@ class RunConfig:
     p_max: int = 200
     seed: int = 0
     suites: tuple = SUITE_ORDER
-    output: str = None
-    fmt: str = "text"
     fail_fast: bool = False
     d_max: int = 12
     with_quadratic_extension: bool = False
@@ -96,6 +95,27 @@ def default_specializations(count=3, p_max=200):
         if len(out) == count:
             break
     return out
+
+
+def _census_prime(mode, a_value, p_max):
+    """(p, a): the first good prime up to p_max with a good parameter a.
+
+    In specialized mode a is the image of `a_value`, which must stay good
+    over GF(p); otherwise it is the smallest good parameter.  Returns None
+    when no prime up to p_max qualifies.
+    """
+    for p in torsion.good_primes(p_max):
+        F = GF(p)
+        try:
+            if mode == "specialized":
+                a = rational_to_field(a_value, F)
+            else:
+                a = _good_parameter_over(p)
+            chilean.check_good_parameter(F, a)
+        except (chilean.VerificationError, BadSpecializationError):
+            continue
+        return p, a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +188,10 @@ def _suite_pencil(config, ctx):
 
     def cusp_census():
         sp = chilean.special_members(ctx.data(), ctx.pencil())
-        # the census prime must keep the (possibly baked-in) parameter good
-        from .field import BadSpecializationError, rational_to_field
-        p = a = None
-        for q in torsion.good_primes(config.p_max):
-            F = GF(q)
-            try:
-                if config.mode == "specialized":
-                    cand = rational_to_field(config.a_value, F)
-                else:
-                    cand = _good_parameter_over(q)
-                chilean.check_good_parameter(F, cand)
-            except (chilean.VerificationError, BadSpecializationError):
-                continue
-            p, a = q, cand
-            break
-        if p is None:
+        found = _census_prime(config.mode, config.a_value, config.p_max)
+        if found is None:
             raise chilean.VerificationError("no census prime available")
+        p, a = found
         F = GF(p)
         sext = sp["cuspidal_sextic"].specialize(F, eps_image=F.eps(), a_image=a)
         cen = chilean.singular_census(sext)
@@ -496,34 +503,29 @@ def run(config):
 # report emission
 
 
-def emit_report(ledger, fmt="text", path=None):
+def emit_report(ledger, fmt="text"):
     if fmt == "json":
         doc = [{"claim": e.claim, "anchor": e.anchor, "verdict": e.verdict,
                 "witness": e.witness, "ms": e.ms} for e in ledger.entries]
-        text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["claim", "anchor", "verdict", "witness", "ms"])
         for e in ledger.entries:
             writer.writerow([e.claim, e.anchor, e.verdict, e.witness, e.ms])
-        text = buf.getvalue()
-    else:
-        lines = []
-        width = max((len(e.claim) for e in ledger.entries), default=20)
-        for e in ledger.entries:
-            lines.append(f"[{e.verdict.upper():4}] {e.claim:<{width}}  {e.witness}")
-        lines.append("")
-        n_pass = sum(1 for e in ledger.entries if e.verdict == "pass")
-        lines.append(f"{n_pass}/{len(ledger.entries)} claims pass")
-        text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return buf.getvalue()
+    lines = []
+    width = max((len(e.claim) for e in ledger.entries), default=20)
+    for e in ledger.entries:
+        lines.append(f"[{e.verdict.upper():4}] {e.claim:<{width}}  {e.witness}")
+    lines.append("")
+    n_pass = sum(1 for e in ledger.entries if e.verdict == "pass")
+    lines.append(f"{n_pass}/{len(ledger.entries)} claims pass")
+    return "\n".join(lines) + "\n"
 
 
-def _emit_minus1(fmt, d_max, path=None):
+def _emit_minus1(fmt, d_max):
     L = piclattice.chilean_lattice()
     classes = piclattice.enumerate_minus1_bruteforce(L, d_max=d_max)
     rows = piclattice.table144(classes, L)
@@ -531,22 +533,17 @@ def _emit_minus1(fmt, d_max, path=None):
         orbits = piclattice.mw_orbits(classes)
         doc = {"classes": [{**r, "class": list(r["class"])} for r in rows],
                "orbits": [[list(D) for D in orbit] for orbit in orbits]}
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["deg", "n", "v_C", "split", "class"])
-        for r in rows:
-            writer.writerow([r["deg"], r["n"], r["v_C"], r["split"],
-                             " ".join(map(str, r["class"]))])
-        text = buf.getvalue()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["deg", "n", "v_C", "split", "class"])
+    for r in rows:
+        writer.writerow([r["deg"], r["n"], r["v_C"], r["split"],
+                         " ".join(map(str, r["class"]))])
+    return buf.getvalue()
 
 
-def _emit_invariants(fmt, path=None):
+def _emit_invariants(fmt):
     rows = invariants.reference_report()
     if fmt == "json":
         doc = [{"arrangement": r["name"],
@@ -556,22 +553,26 @@ def _emit_invariants(fmt, path=None):
                 "geometric_t": r["geometric_t"],
                 "geometric_log_chern": [str(x) for x in r["geometric_log_chern"]],
                 "geometry_matches_published": r["match"]} for r in rows]
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        lines = [f"{'arrangement':<12} {'c1^2':>6} {'c2':>5} {'slope':>7}   geometry"]
-        for r in rows:
-            c1, c2 = r["published_log_chern"]
-            note = "matches" if r["match"] else f"differs: {r['geometric_t']}"
-            lines.append(f"{r['name']:<12} {str(c1):>6} {str(c2):>5}"
-                         f" {str(r['slope']):>7}   {note}")
-        text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"{'arrangement':<12} {'c1^2':>6} {'c2':>5} {'slope':>7}   geometry"]
+    for r in rows:
+        c1, c2 = r["published_log_chern"]
+        note = "matches" if r["match"] else f"differs: {r['geometric_t']}"
+        lines.append(f"{r['name']:<12} {str(c1):>6} {str(c2):>5}"
+                     f" {str(r['slope']):>7}   {note}")
+    return "\n".join(lines) + "\n"
 
 
-def _configuration_problem(args, suites, m_values):
+def _d_max_problem(d_max):
+    """Why --d-max cannot reach every class, or None."""
+    if d_max < MIN_D_MAX:
+        return (f"--d-max {d_max} is too small: the brute-force class"
+                f" search needs --d-max >= {MIN_D_MAX} to reach the degree-4"
+                " classes")
+    return None
+
+
+def _configuration_problem(args, a_value, suites, m_values):
     """Why the verify options cannot give a meaningful run, or None."""
     p = args.prime
     if p is not None:
@@ -582,10 +583,14 @@ def _configuration_problem(args, suites, m_values):
             _good_parameter_over(p)
         except (FieldError, chilean.VerificationError) as err:
             return f"--prime {p}: {err}"
-    if args.d_max < MIN_D_MAX:
-        return (f"--d-max {args.d_max} is too small: the brute-force class"
-                f" search needs --d-max >= {MIN_D_MAX} to reach the degree-4"
-                " classes")
+    problem = _d_max_problem(args.d_max)
+    if problem:
+        return problem
+    if "pencil" in suites and _census_prime(args.mode, a_value,
+                                            args.p_max) is None:
+        return (f"--p-max {args.p_max} is too small for the cusp census: no"
+                f" good prime p <= {args.p_max} keeps the family parameter"
+                " good")
     if "torsion" in suites:
         for m in m_values:
             p_min = torsion.min_prime_for_order(m)
@@ -644,10 +649,7 @@ def _parse_args(argv):
 
 def main(argv=None):
     parser, args = _parse_args(sys.argv[1:] if argv is None else argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-
+    rc = 0
     if args.command == "verify":
         suites = [s.strip() for s in args.suite_list if s.strip()]
         if suites == ["all"] or "all" in suites:
@@ -668,37 +670,29 @@ def main(argv=None):
                 print(f"bad specialization parameter: {err}", file=sys.stderr)
                 return 2
         m_values = TORSION_INDICES if args.m is None else (args.m,)
-        problem = _configuration_problem(args, suites, m_values)
+        problem = _configuration_problem(args, a_value, suites, m_values)
         if problem:
             print(problem, file=sys.stderr)
             return 2
         config = RunConfig(mode=args.mode, a_value=a_value, prime=args.prime,
                            p_max=args.p_max, seed=args.seed,
-                           suites=tuple(suites), output=args.output,
-                           fmt=args.format, fail_fast=args.fail_fast,
+                           suites=tuple(suites), fail_fast=args.fail_fast,
                            d_max=args.d_max,
                            with_quadratic_extension=args.with_quadratic_extension,
                            include_timing=not args.no_timing,
                            m_values=m_values)
         ledger = run(config)
-        text = emit_report(ledger, config.fmt, config.output)
-        if not config.output:
-            sys.stdout.write(text)
-        return 0 if ledger.passed() else 1
-
-    if args.command == "enumerate":
-        text = _emit_minus1(args.format, args.d_max, args.output)
-        if not args.output:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "invariants":
-        text = _emit_invariants(args.format, args.output)
-        if not args.output:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "code":
+        text = emit_report(ledger, args.format)
+        rc = 0 if ledger.passed() else 1
+    elif args.command == "enumerate":
+        problem = _d_max_problem(args.d_max)
+        if problem:
+            print(problem, file=sys.stderr)
+            return 2
+        text = _emit_minus1(args.format, args.d_max)
+    elif args.command == "invariants":
+        text = _emit_invariants(args.format)
+    elif args.command == "code":
         rep = invariants.char2_code()
         if args.format == "json":
             text = json.dumps({"dimension": rep["dimension"],
@@ -709,24 +703,23 @@ def main(argv=None):
             text = ("W(t) = "
                     + invariants.weight_enumerator_string(rep["enumerator"])
                     + "\n")
-        sys.stdout.write(text)
-        return 0
-
-    if args.command == "config":
+    elif args.command == "config":
         data = chilean.build_chilean()
         nodes = chilean.fiber_nodes(data)
         lines, _ = chilean.dual_hesse_lines(data, nodes)
         doc = chilean.export_configuration(data, nodes, lines)
         text = json.dumps(doc, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+    else:
+        parser.print_help()
+        return 2
 
-    parser.print_help()
-    return 2
+    output = getattr(args, "output", None)  # `code` has no --output
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return rc
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ the known roots with verified divisions.
 """
 
 from .field import FieldError
-from .plane import GeometryError, ProjPoint, bf_divide_linear, gens
+from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, gens,
+                    line_basis)
 
 
 class CubicError(Exception):
@@ -200,10 +201,10 @@ class CubicGroup:
             g = curve.gradient_at(P)
             if all(c.is_zero() for c in g):
                 raise CubicError("singular point: no tangent line")
-            A, B = _line_basis(field, g)
+            A, B = line_basis(field, g)
             form = curve.poly.restrict_to_line(A, B)
             # P is a double root of the restriction
-            uv = _coordinates_on_line(P, A, B, field)
+            uv = coordinates_on_line(P, A, B)
             form = bf_divide_linear(form, uv, field)
             form = bf_divide_linear(form, uv, field)
         else:
@@ -274,33 +275,6 @@ def _prime_divisors(m):
     if m > 1:
         out.append(m)
     return out
-
-
-def _line_basis(field, g):
-    """Two independent points spanning the line g0 x + g1 y + g2 z = 0."""
-    zero, one = field.zero(), field.one()
-    if not g[0].is_zero():
-        A = (-g[1], g[0], zero)
-        B = (-g[2], zero, g[0])
-    elif not g[1].is_zero():
-        A = (one, zero, zero)
-        B = (zero, -g[2], g[1])
-    else:
-        A = (one, zero, zero)
-        B = (zero, one, zero)
-    return ProjPoint(field, A), ProjPoint(field, B)
-
-
-def _coordinates_on_line(P, A, B, field):
-    """(u, v) with P = u*A + v*B projectively."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
-        if not det.is_zero():
-            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
-            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
-            uv = ProjPoint(field, (u, v, field.zero()))  # normalizes the pair
-            return (uv.coords[0], uv.coords[1])
-    raise GeometryError("degenerate line basis")
 
 
 def rational_points(curve):

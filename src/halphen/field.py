@@ -60,7 +60,7 @@ class Field:
         """Coerce an int or element of this field; raise otherwise."""
         if isinstance(x, int):
             return self.from_int(x)
-        if getattr(x, "field", None) is self:
+        if isinstance(x, FieldElem) and x.field is self:
             return x
         raise MixedContextError(f"cannot coerce {x!r} into {self}")
 
@@ -94,6 +94,64 @@ def _is_prime(n):
             return False
         i += 1
     return True
+
+
+class FieldElem:
+    """The operations shared by the element classes below.
+
+    Each subclass holds its `field` and defines `_coercible`, the types
+    (its own among them) that its field's `coerce` accepts, along with
+    `__add__`, `__sub__`, `__neg__`, `__mul__`, `inverse`, `__eq__` and
+    `__hash__`.
+    """
+
+    __slots__ = ()
+
+    def _check(self, other):
+        """`other` as an element of this field, or NotImplemented.
+
+        An element of a field that accepts this one gets NotImplemented,
+        so Python defers to that field's reflected operation; an element
+        of any other field, or of another field of the same kind, raises.
+        """
+        if isinstance(other, self._coercible):
+            return self.field.coerce(other)
+        if isinstance(other, FieldElem) and not isinstance(self, other._coercible):
+            raise MixedContextError(f"cannot mix {self.field} with {other.field}")
+        return NotImplemented
+
+    def __rsub__(self, other):
+        o = self._check(other)
+        if o is NotImplemented:
+            return o
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._check(other)
+        if o is NotImplemented:
+            return o
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._check(other)
+        if o is NotImplemented:
+            return o
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __repr__(self):
+        return to_text(self)
 
 
 class QEpsField(Field):
@@ -134,7 +192,7 @@ class QEpsField(Field):
         return "Q(e)"
 
 
-class QEpsElem:
+class QEpsElem(FieldElem):
     """The element (n0 + n1*e)/d of Q(e), stored as a reduced integer triple.
 
     The constructor keeps the triple canonical (d > 0 and
@@ -170,18 +228,11 @@ class QEpsElem:
     def is_zero(self):
         return self.n0 == 0 and self.n1 == 0
 
-    def _check(self, other):
-        # defer to the reflected operation of richer algebras
-        if isinstance(other, (int, Fraction, QEpsElem)):
-            return self.field.coerce(other)
-        if isinstance(other, (GFpElem, GFpkElem)):
-            raise MixedContextError("cannot mix Q(e) with finite-field elements")
-        return None
-
     def __add__(self, other):
-        o = other if isinstance(other, QEpsElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, QEpsElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         d, od = self.d, o.d
         if d == od:
             return QEpsElem(self.field, self.n0 + o.n0, self.n1 + o.n1, d)
@@ -191,28 +242,24 @@ class QEpsElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if isinstance(other, QEpsElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, QEpsElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         d, od = self.d, o.d
         if d == od:
             return QEpsElem(self.field, self.n0 - o.n0, self.n1 - o.n1, d)
         return QEpsElem(self.field, self.n0 * od - o.n0 * d,
                         self.n1 * od - o.n1 * d, d * od)
 
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return QEpsElem(self.field, -self.n0, -self.n1, self.d)
 
     def __mul__(self, other):
-        o = other if isinstance(other, QEpsElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, QEpsElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         # (a + b e)(c + f e) with e^2 = -1 - e
         a, b, c, f = self.n0, self.n1, o.n0, o.n1
         if b == 0 and f == 0:
@@ -230,30 +277,6 @@ class QEpsElem:
         # d times the conjugate (a - b) - b e over the norm a^2 - ab + b^2 > 0
         return QEpsElem(self.field, d * (a - b), -d * b, a * a - a * b + b * b)
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.n0 == other and self.n1 == 0 and self.d == 1
@@ -268,8 +291,8 @@ class QEpsElem:
     def conjugate(self):
         return QEpsElem(self.field, self.n0 - self.n1, -self.n1, self.d)
 
-    def __repr__(self):
-        return to_text(self)
+
+QEpsElem._coercible = (int, Fraction, QEpsElem)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +334,10 @@ def psub(p, q):
 def pmul(p, q, field):
     if not p or not q:
         return []
-    out = [field.zero() for _ in range(len(p) + len(q) - 1)]
+    out = [field.zero()] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
+        if a.is_zero():
+            continue
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return pnormalize(out)
@@ -442,7 +467,7 @@ class RatFuncField(Field):
         return "Q(e)(a)"
 
 
-class RatFuncElem:
+class RatFuncElem(FieldElem):
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den):
@@ -457,7 +482,7 @@ class RatFuncElem:
                 num = pexact_div(num, g, base)
                 den = pexact_div(den, g, base)
         lead = den[-1]
-        if not (lead.c0 == 1 and lead.c1 == 0):
+        if not lead == 1:
             inv = lead.inverse()
             num = pscale(num, inv)
             den = pscale(den, inv)
@@ -471,17 +496,11 @@ class RatFuncElem:
     def is_polynomial(self):
         return len(self.den) == 1
 
-    def _check(self, other):
-        if isinstance(other, (int, Fraction, QEpsElem, RatFuncElem)):
-            return self.field.coerce(other)
-        if isinstance(other, (GFpElem, GFpkElem)):
-            raise MixedContextError("cannot mix Q(e)(a) with finite-field elements")
-        return None
-
     def __add__(self, other):
-        o = other if isinstance(other, RatFuncElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, RatFuncElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         base = self.field.base
         if self.den == o.den:
             return RatFuncElem(self.field,
@@ -498,20 +517,15 @@ class RatFuncElem:
 
     def __sub__(self, other):
         o = self._check(other)
-        if o is None:
-            return NotImplemented
+        if o is NotImplemented:
+            return o
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
-        o = other if isinstance(other, RatFuncElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, RatFuncElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         base = self.field.base
         num = pmul(list(self.num), list(o.num), base)
         den = pmul(list(self.den), list(o.den), base)
@@ -524,30 +538,6 @@ class RatFuncElem:
             raise ZeroDivisionError("inverse of zero in Q(e)(a)")
         return RatFuncElem(self.field, list(self.den), list(self.num))
 
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QEpsElem)):
             other = self.field.coerce(other)
@@ -558,8 +548,8 @@ class RatFuncElem:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __repr__(self):
-        return to_text(self)
+
+RatFuncElem._coercible = (int, Fraction, QEpsElem, RatFuncElem)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +595,7 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
-class GFpElem:
+class GFpElem(FieldElem):
     __slots__ = ("field", "v")
 
     def __init__(self, field, v):
@@ -615,40 +605,30 @@ class GFpElem:
     def is_zero(self):
         return self.v == 0
 
-    def _check(self, other):
-        if isinstance(other, (int, GFpElem)):
-            return self.field.coerce(other)
-        if isinstance(other, (QEpsElem, RatFuncElem, GFpkElem)):
-            raise MixedContextError("cannot mix prime-field elements with other scalars")
-        return None
-
     def __add__(self, other):
-        o = other if isinstance(other, GFpElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         return GFpElem(self.field, self.v + o.v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if isinstance(other, GFpElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         return GFpElem(self.field, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return GFpElem(self.field, -self.v)
 
     def __mul__(self, other):
-        o = other if isinstance(other, GFpElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         return GFpElem(self.field, self.v * o.v)
 
     __rmul__ = __mul__
@@ -657,30 +637,6 @@ class GFpElem:
         if self.v == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
         return GFpElem(self.field, pow(self.v, self.field.p - 2, self.field.p))
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -694,8 +650,8 @@ class GFpElem:
     def __hash__(self):
         return hash((self.field.p, self.v))
 
-    def __repr__(self):
-        return str(self.v)
+
+GFpElem._coercible = (int, GFpElem)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +682,7 @@ def _gfp_poly_is_irreducible(poly, p):
     d = len(poly) - 1
     if d < 1:
         return False
-    field = PrimeField(p, allow_char2=True) if p == 2 else PrimeField(p)
+    field = GF(p, allow_char2=True)
     fp = [field.from_int(c) for c in poly]
     for ddeg in range(1, d // 2 + 1):
         for code in range(p ** ddeg):
@@ -824,7 +780,7 @@ class PrimeExtField(Field):
         return f"GF({self.p}^{self.k})"
 
 
-class GFpkElem:
+class GFpkElem(FieldElem):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -834,17 +790,11 @@ class GFpkElem:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def _check(self, other):
-        if isinstance(other, (int, GFpkElem)):
-            return self.field.coerce(other)
-        if isinstance(other, (QEpsElem, RatFuncElem, GFpElem)):
-            raise MixedContextError("cannot mix extension-field elements with other scalars")
-        return None
-
     def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpkElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         p = self.field.p
         return GFpkElem(self.field,
                         tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
@@ -852,27 +802,23 @@ class GFpkElem:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpkElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         p = self.field.p
         return GFpkElem(self.field,
                         tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         p = self.field.p
         return GFpkElem(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        o = other if isinstance(other, GFpkElem) else self._check(other)
-        if o is None:
-            return NotImplemented
+        o = (other if isinstance(other, GFpkElem) and other.field is self.field
+             else self._check(other))
+        if o is NotImplemented:
+            return o
         field = self.field
         if field.k == 2:
             # g^2 = -m0 - m1*g for the monic modulus (m0, m1, 1)
@@ -893,7 +839,7 @@ class GFpkElem:
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
         # extended Euclid in GF(p)[X] against the modulus
         p = self.field.p
-        fp = PrimeField(p, allow_char2=True)
+        fp = GF(p, allow_char2=True)
         a = pnormalize([fp.from_int(c) for c in self.coeffs])
         m = [fp.from_int(c) for c in self.field.modulus]
         r0, r1 = m, a
@@ -905,30 +851,6 @@ class GFpkElem:
         inv_lead = r0[-1].inverse()
         s0 = pscale(s0, inv_lead)
         return self.field.from_coeffs([c.v for c in s0])
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -942,8 +864,8 @@ class GFpkElem:
     def __hash__(self):
         return hash((self.field.p, self.field.modulus, self.coeffs))
 
-    def __repr__(self):
-        return to_text(self)
+
+GFpkElem._coercible = (int, GFpkElem)
 
 
 # shared context instances; Q(e) and Q(e)(a) are canonical singletons
@@ -954,7 +876,7 @@ _prime_field_cache = {}
 
 
 def GF(p, allow_char2=False):
-    key = (p, allow_char2)
+    key = (p, allow_char2 and p == 2)  # the flag matters only for p = 2
     if key not in _prime_field_cache:
         _prime_field_cache[key] = PrimeField(p, allow_char2=allow_char2)
     return _prime_field_cache[key]
@@ -964,7 +886,7 @@ _ext_field_cache = {}
 
 
 def GFext(p, k, allow_char2=False):
-    key = (p, k, allow_char2)
+    key = (p, k, allow_char2 and p == 2)
     if key not in _ext_field_cache:
         _ext_field_cache[key] = PrimeExtField(p, k=k, allow_char2=allow_char2)
     return _ext_field_cache[key]
@@ -1016,7 +938,7 @@ def specialize_scalar(x, target, eps_image=None, a_image=None):
             raise BadSpecializationError(
                 f"denominator {to_text(x)} vanishes at the chosen a")
         return num / den
-    if getattr(x, "field", None) is target:
+    if isinstance(x, FieldElem) and x.field is target:
         return x
     raise MixedContextError(f"cannot specialize {x!r}")
 

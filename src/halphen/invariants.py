@@ -12,7 +12,8 @@ census over finite fields, certified complete by the Bezout identity.
 from fractions import Fraction
 
 from .field import GFext
-from .plane import ProjPoint, plane_points
+from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
+                    line_basis, plane_points)
 from .chilean import (VerificationError, build_chilean, conic_is_line_pair,
                       degenerate_configuration, dual_hesse_lines, fiber_nodes,
                       fourth_intersection)
@@ -41,35 +42,6 @@ class ArrangementCombinatorics:
             raise ArrangementError(
                 f"census {self.t_counts} misses intersections: {lhs} != {rhs}")
         return True
-
-
-def _restriction_basis(line):
-    """Two independent points spanning a line given by a linear form."""
-    field = line.field
-    zero, one = field.zero(), field.one()
-    g = [line.terms.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    if not g[0].is_zero():
-        A, B = (-g[1], g[0], zero), (-g[2], zero, g[0])
-    elif not g[1].is_zero():
-        A, B = (one, zero, zero), (zero, -g[2], g[1])
-    else:
-        A, B = (one, zero, zero), (zero, one, zero)
-    return ProjPoint(field, A), ProjPoint(field, B)
-
-
-def _point_on_line_coords(P, A, B, field):
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
-        if not det.is_zero():
-            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
-            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
-            return (u, v)
-    raise ArrangementError("degenerate line basis")
-
-
-def _bf_strip_root(form, root, field):
-    from .plane import bf_divide_linear
-    return bf_divide_linear(form, root, field)
 
 
 def _bf_share_root(p, q, field):
@@ -152,7 +124,7 @@ def extract_combinatorics(points, curves):
     lines = [k for k, C in enumerate(curves) if C.degree == 1]
     line_forms = {}
     for k in lines:
-        A, B = _restriction_basis(curves[k])
+        A, B = line_basis(field, _line_coefficients(curves[k]))
         forms = {}
         for j, C in enumerate(curves):
             if j == k:
@@ -163,14 +135,14 @@ def extract_combinatorics(points, curves):
     residuals = {}
     for k in lines:
         A, B, forms = line_forms[k]
-        cand_on_line = [(pi, _point_on_line_coords(candidates[pi], A, B, field))
+        cand_on_line = [(pi, coordinates_on_line(candidates[pi], A, B))
                         for pi in range(len(candidates))
                         if curves[k].evaluate(candidates[pi]).is_zero()]
         for j, form in forms.items():
             stripped = list(form)
             for pi, (u, v) in cand_on_line:
                 if on_curve[pi][j]:
-                    stripped = _bf_strip_root(stripped, (u, v), field)
+                    stripped = bf_divide_linear(stripped, (u, v), field)
             residuals[(k, j)] = stripped
 
     for k in lines:
@@ -335,11 +307,15 @@ def _degenerate_nodes_and_vertices(cfg):
     return nodes, vertices
 
 
+def _line_coefficients(L):
+    """(g0, g1, g2) of the linear form g0 x + g1 y + g2 z."""
+    zero = L.field.zero()
+    return [L.terms.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+
 def _line_line_point(L1, L2):
     field = L1.field
-    zero = field.zero()
-    a = [L1.terms.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    b = [L2.terms.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    a, b = _line_coefficients(L1), _line_coefficients(L2)
     return ProjPoint(field, (a[1] * b[2] - a[2] * b[1],
                              a[2] * b[0] - a[0] * b[2],
                              a[0] * b[1] - a[1] * b[0]))

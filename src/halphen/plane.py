@@ -15,7 +15,8 @@ elimination resultants, and exact division of binary forms by linear
 factors -- the primitives behind intersection-point extraction.
 """
 
-from .field import MixedContextError, specialize_scalar, to_text
+from .field import (MixedContextError, pmul, pnormalize, specialize_scalar,
+                    to_text)
 
 
 class GeometryError(Exception):
@@ -184,7 +185,7 @@ class Poly3:
             for v in range(3):
                 lin = [B[v], A[v]]  # index = u-degree
                 for _ in range(exp[v]):
-                    form = _bf_mul(form, lin, F)
+                    form = pmul(form, lin, F)
             for i, coef in enumerate(form):
                 out[i] = out[i] + c * coef
         return out
@@ -341,18 +342,31 @@ def are_collinear(points):
     return True
 
 
+def line_basis(field, g):
+    """Two independent points spanning the line g0 x + g1 y + g2 z = 0."""
+    zero, one = field.zero(), field.one()
+    if not g[0].is_zero():
+        A, B = (-g[1], g[0], zero), (-g[2], zero, g[0])
+    elif not g[1].is_zero():
+        A, B = (one, zero, zero), (zero, -g[2], g[1])
+    else:
+        A, B = (one, zero, zero), (zero, one, zero)
+    return ProjPoint(field, A), ProjPoint(field, B)
+
+
+def coordinates_on_line(P, A, B):
+    """(u, v) with P = u*A + v*B projectively, for P on the line AB."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
+        if not det.is_zero():
+            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
+            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
+            return (u, v)
+    raise GeometryError("degenerate line basis")
+
+
 # ---------------------------------------------------------------------------
 # binary forms: dense lists [c_0..c_d] meaning sum c_i U^i V^(d-i)
-
-
-def _bf_mul(p, q, field):
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 def bf_divide_linear(form, root, field):
@@ -381,9 +395,8 @@ def bf_divide_linear(form, root, field):
             raise GeometryError("inexact division of binary form")
         inv = (-u0).inverse()
         q = [c * inv for c in form[:-1]]
-    # verify: (v0 U - u0 V) * q == form
-    check = _bf_mul([-u0, v0], q, field)
-    if any(not (a == b) for a, b in zip(check, form)):
+    # verify: (v0 U - u0 V) * q == form, every coefficient
+    if pmul([-u0, v0], q, field) != pnormalize(list(form)):
         raise GeometryError("division verification failed")
     return q
 

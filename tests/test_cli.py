@@ -80,6 +80,7 @@ def test_crash_is_an_error_not_a_failure(capsys, monkeypatch):
     (["--d-max", "2"], "--d-max >= 4"),
     (["--d-max", "3"], "--d-max >= 4"),
     (["torsion", "--m", "4", "--p-max", "5"], "too small for order 4"),
+    (["pencil", "--p-max", "5"], "too small for the cusp census"),
 ])
 def test_bad_options_are_configuration_errors(capsys, monkeypatch, args, message):
     import halphen.cli as cli
@@ -135,6 +136,13 @@ def test_enumerate_minus1_csv(capsys):
     assert degrees == ["0", "1", "2", "3", "4"]
 
 
+def test_enumerate_rejects_a_d_max_below_the_degree_4_classes(capsys):
+    assert main(["enumerate", "minus1", "--d-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "--d-max >= 4" in captured.err
+    assert captured.out == ""
+
+
 def test_enumerate_minus1_json(capsys):
     assert main(["enumerate", "minus1", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -173,6 +181,19 @@ def test_output_file(tmp_path):
                  "--output", str(path)]) == 0
     doc = json.loads(path.read_text())
     assert doc[0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "minus1", "--d-max", "4"],
+    ["config"],
+])
+def test_output_file_holds_what_stdout_would(capsys, tmp_path, args):
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out"
+    assert main([*args, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
 
 
 def test_specialized_mode(capsys):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -45,9 +46,59 @@ def test_specialize_pole_is_an_error():
         specialize_scalar(t, g7, eps_image=g7.from_int(2), a_image=g7.zero())
 
 
-def test_mixed_contexts_rejected():
+# The outcome of `row op column` for every op in + - * /: the field of the
+# result, "mixed" for MixedContextError or "type" for TypeError.  Q(e)
+# defers to Q(e)(a), which accepts it; two different fields never mix.
+MIXED_OUTCOMES = """
+          int      Fraction Q(e)     Q(e)(a)  GF(7)    GF(13)   GF(7^2)  GF(13^2)
+int       .        .        Q(e)     Q(e)(a)  GF(7)    GF(13)   GF(7^2)  GF(13^2)
+Fraction  .        .        Q(e)     Q(e)(a)  type     type     type     type
+Q(e)      Q(e)     Q(e)     Q(e)     Q(e)(a)  mixed    mixed    mixed    mixed
+Q(e)(a)   Q(e)(a)  Q(e)(a)  Q(e)(a)  Q(e)(a)  mixed    mixed    mixed    mixed
+GF(7)     GF(7)    type     mixed    mixed    GF(7)    mixed    mixed    mixed
+GF(13)    GF(13)   type     mixed    mixed    mixed    GF(13)   mixed    mixed
+GF(7^2)   GF(7^2)  type     mixed    mixed    mixed    mixed    GF(7^2)  mixed
+GF(13^2)  GF(13^2) type     mixed    mixed    mixed    mixed    mixed    GF(13^2)
+"""
+
+
+def _mixed_cases():
+    header, *rows = [line.split() for line in MIXED_OUTCOMES.strip().splitlines()]
+    return [(row[0], col, outcome) for row in rows
+            for col, outcome in zip(header, row[1:]) if outcome != "."]
+
+
+def _mixed_operand(kind):
+    return {"int": 3, "Fraction": Fraction(1, 2), "Q(e)": QQ_EPS.eps(),
+            "Q(e)(a)": QQ_EPS_A.gen(), "GF(7)": GF(7).from_int(3),
+            "GF(13)": GF(13).from_int(5), "GF(7^2)": GFext(7, 2).gen(),
+            "GF(13^2)": GFext(13, 2).gen()}[kind]
+
+
+@pytest.mark.parametrize("left, right, outcome", _mixed_cases())
+def test_mixed_contexts_rejected(left, right, outcome):
+    x, y = _mixed_operand(left), _mixed_operand(right)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if outcome == "mixed":
+            with pytest.raises(MixedContextError):
+                op(x, y)
+        elif outcome == "type":
+            with pytest.raises(TypeError):
+                op(x, y)
+        else:
+            assert repr(op(x, y).field) == outcome, op.__name__
+
+
+def test_coerce_rejects_a_polynomial_over_the_same_field():
+    from halphen.plane import gens
+    x, _, _ = gens(GF(7))
     with pytest.raises(MixedContextError):
-        QQ_EPS.one() + GF(7).one()
+        GF(7).coerce(x)
+
+
+def test_elements_have_no_instance_dict():
+    for kind in ("Q(e)", "Q(e)(a)", "GF(7)", "GF(7^2)"):
+        assert not hasattr(_mixed_operand(kind), "__dict__")
 
 
 def test_division_by_zero():
@@ -65,6 +116,7 @@ def test_characteristic_guards():
     with pytest.raises(FieldError):
         GF(2)
     assert GF(2, allow_char2=True).characteristic == 2
+    assert GF(7, allow_char2=True) is GF(7)  # one field, whatever the flag
     with pytest.raises(FieldError):
         GFext(3, 2)
     assert GFext(2, 4, allow_char2=True).size == 16
