@@ -22,9 +22,18 @@ Where they fail -- the formula gives (0:0:0), or the residual point is P
 or Q itself, as for a line tangent at P or Q and for the tangent at a
 flex -- the generic path restricts the cubic to the line and divides out
 the known roots with verified divisions.
+
+Over a prime field `rational_points` walks the chart on plain residues
+mod p and certifies each hit with `HesseCubic.contains`; over GF(p^k) it
+walks field elements.  `CubicGroup.orders` gives the exact order of every
+point from one walk P, 2P, ... per cyclic subgroup it meets: a walk that
+reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 """
 
-from .field import FieldError
+from functools import cached_property
+from math import gcd
+
+from .field import FieldError, PrimeField
 from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, gens,
                     line_basis)
 
@@ -39,18 +48,30 @@ class HesseCubic:
             raise CubicError("the cubic machinery needs characteristic > 3")
         self.field = field
         self.t = field.coerce(t)
-        X, Y, Z = gens(field)
-        self.poly = X**3 + Y**3 + Z**3 + self.t * X * Y * Z
-        self._grads = self.poly.gradient()
+
+    # the Poly3 form and its gradient serve only the generic path, so they
+    # are built on first use rather than for every curve of a scan
+    @cached_property
+    def poly(self):
+        X, Y, Z = gens(self.field)
+        return X**3 + Y**3 + Z**3 + self.t * X * Y * Z
+
+    @cached_property
+    def _grads(self):
+        return self.poly.gradient()
 
     def is_smooth(self):
         return not (self.t**3 + 27).is_zero()
 
     def contains(self, P):
         # x^3 + y^3 + z^3 + t*xyz at the representative, as poly.evaluate
-        # would; coerce first, since GF(p) products do not check the field
-        coords = P.rep if isinstance(P, ProjPoint) else P
-        x, y, z = (self.field.coerce(c) for c in coords)
+        # would; a point's rep already holds elements of its field, and
+        # anything else is coerced (which rejects other fields)
+        if isinstance(P, ProjPoint) and P.field is self.field:
+            x, y, z = P.rep
+        else:
+            coords = P.rep if isinstance(P, ProjPoint) else P
+            x, y, z = (self.field.coerce(c) for c in coords)
         return (x * x * x + y * y * y + z * z * z + self.t * x * y * z).is_zero()
 
     def require_on_curve(self, P):
@@ -254,6 +275,29 @@ class CubicGroup:
             acc = self.add(acc, P)
         return None
 
+    def orders(self, points):
+        """{P: exact order of P} for every point of `points` (the group).
+
+        Each walk P, 2P, ..., nP = zero starts at a point not yet reached
+        and sets ord(kP) = n / gcd(n, k) for every multiple it passes.  A
+        walk longer than len(points) steps is an error: then `points` is
+        not the whole group, or P is not on the curve.
+        """
+        bound = len(points)
+        out = {}
+        for P in points:
+            if P in out:
+                continue
+            multiples = [P]
+            while multiples[-1] != self.zero:
+                if len(multiples) >= bound:
+                    raise CubicError(f"{P} has no order <= {bound}")
+                multiples.append(self.add(multiples[-1], P))
+            n = len(multiples)
+            for k, Q in enumerate(multiples, 1):
+                out.setdefault(Q, n // gcd(n, k))
+        return out
+
     def has_exact_order(self, P, m):
         if not self.scalar_mul(m, P) == self.zero:
             return False
@@ -281,11 +325,20 @@ def rational_points(curve):
     """All points of the cubic over its finite coefficient field.
 
     Walks the affine chart x = 1 with precomputed cubes (the Hesse form
-    needs one multiplication per point), then the line x = 0.
+    needs one multiplication per point), then the line x = 0: y ascending,
+    then z ascending, in the order of `field.elements()`.
     """
     field = curve.field
     if not field.is_finite:
         raise CubicError("point enumeration needs a finite field")
+    if isinstance(field, PrimeField):
+        return _prime_field_points(curve)
+    return _element_points(curve)
+
+
+def _element_points(curve):
+    """`rational_points` by field-element arithmetic, over any finite field."""
+    field = curve.field
     elems = list(field.elements())
     cubes = [v * v * v for v in elems]
     one, zero = field.one(), field.zero()
@@ -300,4 +353,25 @@ def rational_points(curve):
     for iz, z in enumerate(elems):
         if (one + cubes[iz]).is_zero():
             pts.append(ProjPoint(field, (zero, one, z)))
+    return pts
+
+
+def _prime_field_points(curve):
+    """`rational_points` over GF(p), walking plain residues mod p.
+
+    Only the hits become points, and each is certified on the curve by
+    `HesseCubic.contains`, the field-element test.
+    """
+    field = curve.field
+    p, t = field.p, curve.t.v
+    cubes = [v * v * v % p for v in range(p)]
+    hits = []
+    for y in range(p):
+        base, ty = 1 + cubes[y], t * y
+        hits.extend((1, y, z) for z in range(p)
+                    if (base + cubes[z] + ty * z) % p == 0)
+    hits.extend((0, 1, z) for z in range(p) if (1 + cubes[z]) % p == 0)
+    pts = [ProjPoint(field, [field.from_int(c) for c in h]) for h in hits]
+    for P in pts:
+        curve.require_on_curve(P)
     return pts

@@ -147,8 +147,11 @@ class Poly3:
         return all(self.terms[e] == ratio * other.terms[e] for e in other.terms)
 
     def evaluate(self, point):
-        coords = point.rep if isinstance(point, ProjPoint) else tuple(point)
-        coords = tuple(self.field.coerce(c) for c in coords)
+        if isinstance(point, ProjPoint) and point.field is self.field:
+            coords = point.rep  # already elements of this field
+        else:
+            coords = point.rep if isinstance(point, ProjPoint) else point
+            coords = tuple(self.field.coerce(c) for c in coords)
         acc = self.field.zero()
         pows = [_power_table(c, self.degree, self.field) for c in coords]
         for (i, j, k), c in self.terms.items():

@@ -7,9 +7,16 @@ parameter t carrying a rational point of exact order m, and the locus is
 then compared point-by-point with the order census of the rational
 points.  The same instances support the existence check for plane curves
 of degree m with prescribed multiplicities at the translated base points.
+
+Each checked curve's census -- its rational points and their exact orders
+with x_7 as zero, from `CubicGroup.orders` -- is built once and kept in a
+small cache keyed on (field, t), which the locus, nine-torsion and
+collinear-curve checks of one curve share.
 """
 
+from functools import lru_cache
 from math import isqrt
+from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
@@ -95,12 +102,26 @@ def min_prime_for_order(m):
     return next(p for p in good_primes(need) if p + 1 + isqrt(4 * p) >= need)
 
 
+@lru_cache(maxsize=8)
+def _census(field, t):
+    """(points, {P: exact order}) of the smooth Hesse cubic t over `field`.
+
+    The orders are taken with x_7 as zero; the table is read-only, since
+    every caller of the same (field, t) shares it.
+    """
+    curve = HesseCubic(field, t)
+    group = CubicGroup(curve, hesse_flexes(field)[6])
+    points = tuple(rational_points(curve))
+    return points, MappingProxyType(group.orders(points))
+
+
 def find_specialization(m, p_max=500):
     """Smallest (p, t) with a rational point of exact order m, plus witness.
 
     Scans p = 1 mod 3 ascending, then t in 0..p-1 ascending, then the
     canonical point order; raises with scan statistics when the range is
-    exhausted.
+    exhausted.  A curve whose point count m does not divide has no point
+    of order m (Lagrange) and is passed over.
     """
     scanned = 0
     for p in good_primes(p_max):
@@ -111,8 +132,11 @@ def find_specialization(m, p_max=500):
             if not curve.is_smooth():
                 continue
             scanned += 1
+            points = rational_points(curve)
+            if len(points) % m:
+                continue
             group = CubicGroup(curve, flexes[6])  # zero = x_7
-            for P in rational_points(curve):
+            for P in points:
                 if group.has_exact_order(P, m):
                     return {"p": p, "t": t_int, "eps": field.eps(),
                             "witness": P, "curve": curve, "group": group}
@@ -133,17 +157,17 @@ def verify_torsion_locus(m, p, t, quadratic_extension=False):
     curve = HesseCubic(field, t)
     if not curve.is_smooth():
         raise TorsionError(f"t = {t} is singular over {field}")
-    group = CubicGroup(curve, hesse_flexes(field)[6])
+    points, orders = _census(field, t)
     locus = torsion_locus(field, m, t)
     census = {}
     on_locus = set()
     exact_m = set()
-    for P in rational_points(curve):
+    for P in points:
+        order = orders[P]
         on = locus.evaluate(P).is_zero()
-        exact = group.has_exact_order(P, m)
+        exact = order == m
         if on:
             on_locus.add(P)
-            order = group.torsion_order(P, 2 * m * m)
             census[order] = census.get(order, 0) + 1
         if exact:
             exact_m.add(P)
@@ -199,13 +223,13 @@ def verify_nine_torsion_cubics(p, t):
     on_union = set()
     exact9 = set()
     per_cubic = []
-    points = rational_points(curve)
+    points, orders = _census(field, t)
     for C in cubics:
         hits = {P for P in points if C.evaluate(P).is_zero()}
         per_cubic.append(len(hits))
         on_union |= hits
     for P in points:
-        if group.has_exact_order(P, 9):
+        if orders[P] == 9:
             exact9.add(P)
     for P in on_union:
         if P not in exact9:
@@ -291,20 +315,23 @@ def hesse_collinear_curves(m, p, t, eta=None):
     # the order of a point depends on the zero (flexes differ by 3-torsion),
     # so eta must be m-torsion in this group; rescan if the supplied one isn't
     if eta is None or not group.has_exact_order(eta, m):
-        eta = next((P for P in rational_points(curve)
+        eta = next((P for P in _census(field, t)[0]
                     if group.has_exact_order(P, m)), None)
         if eta is None:
             raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")
     pts = translated_points(group, eta)
     alpha, beta = index_multiplicities(m)
     triples = hesse_collinear_triples(field)
+    point_rows = {}  # (index, multiplicity) -> rows; shared by the triples
     results = []
     for triple in triples:
         mults = [alpha if i in triple else beta for i in range(9)]
         rows = []
-        for P, r in zip(pts, mults):
+        for i, (P, r) in enumerate(zip(pts, mults)):
             if r > 0:
-                rows.extend(multiplicity_rows(P, m, r, field))
+                if (i, r) not in point_rows:
+                    point_rows[i, r] = multiplicity_rows(P, m, r, field)
+                rows.extend(point_rows[i, r])
         kern = kernel_basis(rows, field)
         if len(kern) < 1:
             raise TorsionError(

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from halphen.field import GF, QQ_EPS, MixedContextError
+from halphen.field import GF, QQ_EPS, GFext, MixedContextError
 from halphen.plane import ProjPoint, gens
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
-                           flex_line_incidence, hesse_collinear_triples,
-                           hesse_flexes, hesse_singular_fibers, rational_points)
+                           _element_points, flex_line_incidence,
+                           hesse_collinear_triples, hesse_flexes,
+                           hesse_singular_fibers, rational_points)
 
 
 def test_flex_coordinates():
@@ -78,7 +79,7 @@ def test_group_law_rejects_bad_input():
 
 
 def test_points_over_another_field_are_rejected():
-    # GF(p) products do not check the field, so contains must coerce
+    # contains and the group law reject a point over another field
     F, G = GF(13), GF(7)
     curve = HesseCubic(F, 2)
     g = CubicGroup(curve, hesse_flexes(F)[6])
@@ -230,6 +231,51 @@ def test_scalar_multiple_order():
             Q = g.scalar_mul(n, P)
             oq = g.torsion_order(Q, len(pts))
             assert oq == o // gcd(n, o)
+
+
+def test_integer_point_walk_matches_the_field_element_walk():
+    # every t, the singular ones included: the same points in the same order
+    for p in (7, 13, 19, 31):
+        F = GF(p)
+        for t in range(p):
+            curve = HesseCubic(F, t)
+            pts = rational_points(curve)
+            assert pts == _element_points(curve)
+            assert all(P.rep == P.coords for P in pts)
+
+
+def test_orders_match_the_repeated_addition_oracles():
+    # has_exact_order certifies every order; torsion_order, which walks
+    # the multiples one add at a time, re-derives those on GF(13)
+    cases = [(GF(13), range(13)), (GF(19), range(19)), (GFext(7, 2), range(3))]
+    checked = 0
+    for F, t_values in cases:
+        flexes = hesse_flexes(F)
+        for t in t_values:
+            curve = HesseCubic(F, t)
+            if not curve.is_smooth():
+                continue
+            pts = rational_points(curve)
+            for zero in (flexes[0], flexes[6]):  # x_1 and x_7
+                g = CubicGroup(curve, zero)
+                orders = g.orders(pts)
+                assert set(orders) == set(pts)
+                for P in pts:
+                    assert g.has_exact_order(P, orders[P])
+                    if F.size == 13:
+                        assert g.torsion_order(P, len(pts)) == orders[P]
+                    checked += 1
+    assert checked > 1000
+
+
+def test_orders_needs_the_whole_group():
+    F = GF(13)
+    curve = HesseCubic(F, 2)
+    g = CubicGroup(curve, hesse_flexes(F)[6])
+    P = next(P for P in rational_points(curve) if P != g.zero)
+    assert g.orders([g.zero]) == {g.zero: 1}
+    with pytest.raises(CubicError):
+        g.orders([P])  # P, 2P, ... outruns a one-point "group"
 
 
 def test_point_enumeration_requires_finite_field():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halphen.field import GF, QQ_EPS, QQ_EPS_A
+from halphen.field import GF, QQ_EPS, QQ_EPS_A, MixedContextError
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                            bf_divide_linear, gens, line_through,
                            monomials_of_degree, plane_points,
@@ -16,6 +16,25 @@ def test_evaluate_at_flex():
     hesse = X**3 + Y**3 + Z**3 + t * X * Y * Z
     flex = ProjPoint(A, (A.zero(), A.one(), A.from_int(-1)))
     assert hesse.evaluate(flex).is_zero()
+
+
+def test_evaluate_rejects_points_over_another_field():
+    F, G = GF(13), GF(7)
+    X, Y, Z = gens(F)
+    hesse = X**3 + Y**3 + Z**3 + 2 * X * Y * Z
+    with pytest.raises(MixedContextError):
+        hesse.evaluate(ProjPoint(G, (G.zero(), G.one(), -G.one())))
+    with pytest.raises(MixedContextError):
+        hesse.evaluate((G.zero(), G.one(), -G.one()))
+    # a constant multiplies no coordinate, so only the coercion can object
+    with pytest.raises(MixedContextError):
+        Poly3(F, 0, {(0, 0, 0): F.one()}).evaluate(ProjPoint(G, (1, 2, 3)))
+    # tuples of ints and points over a subfield are still coerced
+    assert hesse.evaluate((0, 1, -1)).is_zero()
+    assert hesse.evaluate((1, 2, 3)) == F.from_int(1 + 8 + 27 + 2 * 6)
+    U, V, _ = gens(QQ_EPS_A)
+    point = ProjPoint(QQ_EPS, (QQ_EPS.zero(), QQ_EPS.one(), -QQ_EPS.one()))
+    assert (U**3 + V**3).evaluate(point) == QQ_EPS_A.one()
 
 
 def test_product_degree_and_terms():

@@ -28,6 +28,16 @@ def test_find_specialization_is_deterministic():
     assert (spec["p"], spec["t"]) == (13, 1)
 
 
+def test_find_specialization_witnesses_are_pinned():
+    # the first point of exact order m, x_7 as zero, in the canonical order
+    for m, (p, t), witness in ((4, SPEC4, (1, 10, 15)), (5, SPEC5, (1, 7, 11)),
+                               (9, SPEC9, (1, 4, 5))):
+        spec = find_specialization(m, p_max=100)
+        F = GF(p)
+        assert spec["witness"] == ProjPoint(F, [F.from_int(c) for c in witness])
+        assert spec["group"].has_exact_order(spec["witness"], m)
+
+
 def test_hasse_bound_prime_is_where_the_scan_succeeds():
     for m, spec in ((4, SPEC4), (5, SPEC5), (9, SPEC9)):
         assert min_prime_for_order(m) == spec[0]
@@ -94,6 +104,34 @@ def test_nine_torsion_cubics():
     assert sym[6].terms[(1, 1, 1)] == e + 2
     assert sym[7].terms[(1, 1, 1)] == -e + 1
     assert all((1, 1, 1) not in C.terms for C in sym[:6])
+
+
+def test_census_cache_is_keyed_on_the_field_and_shared_safely():
+    from halphen.field import GFext
+    from halphen.torsion import _census
+    t = 1
+    base, ext = _census(GF(13), t), _census(GFext(13, 2), t)
+    assert list(base[0]) == rational_points(HesseCubic(GF(13), t))
+    assert list(ext[0]) == rational_points(HesseCubic(GFext(13, 2), t))
+    assert len(base[0]) < len(ext[0])
+    plain = verify_torsion_locus(5, 13, t)
+    quad = verify_torsion_locus(5, 13, t, quadratic_extension=True)
+    assert (plain["field"], quad["field"]) == ("GF(13)", "GF(13^2)")
+    assert plain["points_of_exact_order"] == 0
+    assert quad["points_of_exact_order"] > 0
+    # a caller's edits to a report reach neither the cache nor the next call
+    rep = verify_torsion_locus(4, *SPEC4)
+    again = verify_torsion_locus(4, *SPEC4)
+    assert rep == again and rep is not again
+    rep["order_census"][4] = -1
+    rep["points_on_locus"] = -1
+    assert verify_torsion_locus(4, *SPEC4) == again
+    nine = verify_nine_torsion_cubics(*SPEC9)
+    nine["per_cubic_counts"].append(-1)
+    assert verify_nine_torsion_cubics(*SPEC9)["per_cubic_counts"] \
+        == nine["per_cubic_counts"][:-1]
+    with pytest.raises(TypeError):
+        _census(GF(13), t)[1][base[0][0]] = 7  # the order table is read-only
 
 
 def test_index_multiplicity_identity():
