@@ -9,7 +9,13 @@ configuration, the distinguished pencil members, and the degenerations.
 The default coefficient field is Q(e)(a), which certifies every claim for
 the whole family at once; finite-field specializations are used where a
 claim is about singularity types (see ``singular_census``).
+
+``Configuration`` ties the chain together: it builds the data, the pencil,
+the nodes, the dual lines and the degeneration once each, on first use,
+and is what the suites and the invariants take.
 """
+
+from functools import cached_property
 
 from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
                     to_text)
@@ -622,6 +628,57 @@ def degenerate_configuration():
         raise VerificationError("degenerate fiber is not the triangle line pairs")
     return {"field": field, "points": points,
             "conics": [conics[j] for j in keep], "lines": lines}
+
+
+# ---------------------------------------------------------------------------
+# the configuration and what is built on it, each part once
+
+
+class Configuration:
+    """The configuration at one parameter and the objects derived from it.
+
+    `Configuration()` is the symbolic family over Q(e)(a); pass a field and
+    a good parameter value for a specialized instance (see `build_chilean`).
+    Each part is built on first access and kept.  `censuses` holds the
+    arrangement censuses of `invariants.geometric_census`, by name.
+    """
+
+    def __init__(self, field=None, a=None):
+        self._field = field
+        self._a = a
+        self.censuses = {}
+
+    @cached_property
+    def data(self):
+        return build_chilean(self._field, self._a)
+
+    @cached_property
+    def pencil(self):
+        return PencilPair(self.data)
+
+    @cached_property
+    def lambdas(self):
+        return fiber_product_lambdas(self.data, self.pencil)
+
+    @cached_property
+    def nodes(self):
+        return fiber_nodes(self.data)
+
+    @cached_property
+    def node_points(self):
+        return [n for _, n in self.nodes]
+
+    @cached_property
+    def lines_and_incidence(self):
+        return dual_hesse_lines(self.data, self.nodes)
+
+    @property
+    def lines(self):
+        return self.lines_and_incidence[0]
+
+    @cached_property
+    def degenerate(self):
+        return degenerate_configuration()
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ make it byte-identical across runs.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -119,12 +120,13 @@ def _census_prime(mode, a_value, p_max):
 
 
 # ---------------------------------------------------------------------------
-# suites: lists of (claim, anchor, thunk) where the thunk returns witness text
+# suites: lists of (claim, anchor, thunk) where the thunk returns witness
+# text; `ctx` is the run's shared chilean.Configuration
 
 
 def _suite_incidence(config, ctx):
     def build_symbolic():
-        data = ctx.data()
+        data = ctx.data
         rows = [sum(r) for r in data.incidence]
         cols = [sum(data.incidence[i][j] for i in range(9)) for j in range(12)]
         return f"row sums {sorted(set(rows))}, column sums {sorted(set(cols))}"
@@ -140,12 +142,11 @@ def _suite_incidence(config, ctx):
         return f"a = {config.a_value} over Q(e) and {[(p, a.v) for p, a in specs]}"
 
     def symmetries():
-        reports = chilean.verify_symmetries(ctx.data())
+        reports = chilean.verify_symmetries(ctx.data)
         return f"group of order {len(reports)} permutes points and conics fiberwise"
 
     def nodes_and_lines():
-        nodes = ctx.nodes()
-        lines, inc = ctx.lines_and_incidence()
+        _, inc = ctx.lines_and_incidence
         return (f"12 nodes, 9 lines; line degrees "
                 f"{sorted(set(sum(r) for r in inc))}, node degrees "
                 f"{sorted(set(sum(inc[i][j] for i in range(9)) for j in range(12)))}")
@@ -178,16 +179,15 @@ def _suite_incidence(config, ctx):
 
 def _suite_pencil(config, ctx):
     def lambdas():
-        lams = ctx.lambdas()
-        return "; ".join(to_text(l) for l in lams)
+        return "; ".join(to_text(l) for l in ctx.lambdas)
 
     def members():
-        sp = chilean.special_members(ctx.data(), ctx.pencil())
+        sp = chilean.special_members(ctx.data, ctx.pencil)
         return (f"nine-cusped sextic at lambda = {to_text(sp['lambda'])};"
                 " double member proportional to the Caylean cubic")
 
     def cusp_census():
-        sp = chilean.special_members(ctx.data(), ctx.pencil())
+        sp = chilean.special_members(ctx.data, ctx.pencil)
         found = _census_prime(config.mode, config.a_value, config.p_max)
         if found is None:
             raise chilean.VerificationError("no census prime available")
@@ -216,7 +216,7 @@ def _suite_pencil(config, ctx):
                 " the simple-root parameter; triple-point pencil at a = 1")
 
     def probe():
-        rep = chilean.cross_ratio_probe(ctx.data(), ctx.pencil())
+        rep = chilean.cross_ratio_probe(ctx.data, ctx.pencil)
         hits = [r for r in rep["subsets"] if r["equianharmonic"]]
         return (f"{len(hits)} of 5 subsets equianharmonic: "
                 + "; ".join(f"{{{', '.join(r['subset'])}}} with R = {r['ratio']}"
@@ -240,8 +240,12 @@ def _suite_pencil(config, ctx):
 def _suite_lattice(config, ctx):
     L = piclattice.chilean_lattice()
 
+    @functools.cache
+    def classes144():
+        return piclattice.enumerate_minus1_generative(L)
+
     def enumerations():
-        gen = piclattice.enumerate_minus1_generative(L)
+        gen = classes144()
         bf = piclattice.enumerate_minus1_bruteforce(L, d_max=config.d_max)
         if gen != bf:
             raise piclattice.LatticeError("the two enumerations disagree")
@@ -253,14 +257,14 @@ def _suite_lattice(config, ctx):
         return f"{len(reps)} representatives matching both printed matrices"
 
     def orbits():
-        orb = piclattice.verify_mw_action(ctx.classes144())
-        cosets, pairing = piclattice.res_partition(ctx.classes144(), L)
+        orb = piclattice.verify_mw_action(classes144())
+        cosets, pairing = piclattice.res_partition(classes144(), L)
         fac_lam, fac_full = piclattice.kperp_quotients(L)
         return (f"16 orbits of 9; 18 cosets of 8; quotients {fac_lam} and"
                 f" {fac_full}")
 
     def pairing():
-        piclattice.bertini_involution(ctx.classes144(), L)
+        piclattice.bertini_involution(classes144(), L)
         return "involution pairs degrees 0<->4, 1<->3, 2<->2 with product 3"
 
     def nine_class():
@@ -269,7 +273,7 @@ def _suite_lattice(config, ctx):
                 f" H^2 = {rep['H^2']}")
 
     def uniqueness():
-        rep = piclattice.chilean_set_uniqueness(ctx.classes144(), L)
+        rep = piclattice.chilean_set_uniqueness(classes144(), L)
         return (f"{rep['total_cliques']} orthogonal nine-sets,"
                 f" {len(rep['qualifying'])} with all conic degrees 2")
 
@@ -280,7 +284,7 @@ def _suite_lattice(config, ctx):
         return "12 classes in 4 triples summing to -3K; section matrix checks"
 
     def geometry():
-        n = piclattice.realize_low_degree_classes(ctx.classes144(), ctx.data().points)
+        n = piclattice.realize_low_degree_classes(classes144(), ctx.data.points)
         return f"{n} line and conic classes realized by actual curves"
 
     return [
@@ -358,12 +362,12 @@ def _suite_torsion(config, ctx):
 
 def _suite_invariants(config, ctx):
     def values():
-        rows = invariants.reference_report(ctx.invariant_context())
+        rows = invariants.reference_report(ctx)
         return "; ".join(f"{r['name']}: {tuple(map(str, r['published_log_chern']))}"
                          f" slope {r['slope']}" for r in rows)
 
     def geometry():
-        rows = invariants.reference_report(ctx.invariant_context())
+        rows = invariants.reference_report(ctx)
         mismatches = [r["name"] for r in rows if not r["match"]]
         if sorted(mismatches) != ["A1", "A2"]:
             raise invariants.ArrangementError(
@@ -410,71 +414,16 @@ SUITES = {
 }
 
 
-class _SharedContext:
-    """Lazily built shared objects so suites do not recompute them.
-
-    In specialized mode the incidence and pencil suites run over Q(e) at
-    the requested parameter value instead of symbolically; the lattice,
-    invariant and code suites are parameter-free or build what they need.
-    """
-
-    def __init__(self, config=None):
-        self._cache = {}
-        self._config = config
-
-    def data(self):
-        if "data" not in self._cache:
-            if self._config is not None and self._config.mode == "specialized":
-                a = QQ_EPS.from_fraction(self._config.a_value)
-                self._cache["data"] = chilean.build_chilean(QQ_EPS, a)
-            else:
-                self._cache["data"] = chilean.build_chilean()
-        return self._cache["data"]
-
-    def pencil(self):
-        if "pencil" not in self._cache:
-            self._cache["pencil"] = chilean.PencilPair(self.data())
-        return self._cache["pencil"]
-
-    def lambdas(self):
-        if "lambdas" not in self._cache:
-            self._cache["lambdas"] = chilean.fiber_product_lambdas(
-                self.data(), self.pencil())
-        return self._cache["lambdas"]
-
-    def nodes(self):
-        if "nodes" not in self._cache:
-            self._cache["nodes"] = chilean.fiber_nodes(self.data())
-        return self._cache["nodes"]
-
-    def lines_and_incidence(self):
-        if "lines" not in self._cache:
-            self._cache["lines"] = chilean.dual_hesse_lines(self.data(),
-                                                            self.nodes())
-        return self._cache["lines"]
-
-    def classes144(self):
-        if "classes" not in self._cache:
-            L = piclattice.chilean_lattice()
-            self._cache["classes"] = piclattice.enumerate_minus1_generative(L)
-        return self._cache["classes"]
-
-    def invariant_context(self):
-        if "invctx" not in self._cache:
-            lines, _ = self.lines_and_incidence()
-            self._cache["invctx"] = {
-                "data": self.data(),
-                "nodes": self.nodes(),
-                "node_points": [n for _, n in self.nodes()],
-                "lines": lines,
-                "degenerate": chilean.degenerate_configuration(),
-            }
-        return self._cache["invctx"]
-
-
 def run(config):
-    """Execute the selected suites in order; returns the ledger."""
-    ctx = _SharedContext(config)
+    """Execute the selected suites in order; returns the ledger.
+
+    The suites share one `chilean.Configuration`: symbolic over Q(e)(a),
+    or in specialized mode over Q(e) at the requested parameter value.
+    """
+    if config.mode == "specialized":
+        ctx = chilean.Configuration(QQ_EPS, QQ_EPS.from_fraction(config.a_value))
+    else:
+        ctx = chilean.Configuration()
     ledger = VerificationLedger()
     for suite in SUITE_ORDER:
         if suite not in config.suites:
@@ -544,7 +493,7 @@ def _emit_minus1(fmt, d_max):
 
 
 def _emit_invariants(fmt):
-    rows = invariants.reference_report()
+    rows = invariants.reference_report(chilean.Configuration())
     if fmt == "json":
         doc = [{"arrangement": r["name"],
                 "published_t": r["published_t"],
@@ -704,10 +653,8 @@ def main(argv=None):
                     + invariants.weight_enumerator_string(rep["enumerator"])
                     + "\n")
     elif args.command == "config":
-        data = chilean.build_chilean()
-        nodes = chilean.fiber_nodes(data)
-        lines, _ = chilean.dual_hesse_lines(data, nodes)
-        doc = chilean.export_configuration(data, nodes, lines)
+        cfg = chilean.Configuration()
+        doc = chilean.export_configuration(cfg.data, cfg.nodes, cfg.lines)
         text = json.dumps(doc, indent=2) + "\n"
     else:
         parser.print_help()

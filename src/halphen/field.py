@@ -10,7 +10,7 @@ Supported fields:
    represented as a reduced fraction of dense coefficient lists with a
    monic denominator.
  - GF(p) for a prime p, and GF(p^k) as residue polynomials modulo an
-   irreducible modulus.
+   irreducible modulus (inverses by Fermat, x^(p^k - 2)).
 
 Characteristic 3 is always rejected.  Characteristic 2 is rejected unless
 requested explicitly (it is needed only for the binary incidence code).
@@ -325,10 +325,6 @@ def padd(p, q):
 
 def pneg(p):
     return [-c for c in p]
-
-
-def psub(p, q):
-    return padd(p, pneg(q))
 
 
 def pmul(p, q, field):
@@ -837,20 +833,7 @@ class GFpkElem(FieldElem):
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        # extended Euclid in GF(p)[X] against the modulus
-        p = self.field.p
-        fp = GF(p, allow_char2=True)
-        a = pnormalize([fp.from_int(c) for c in self.coeffs])
-        m = [fp.from_int(c) for c in self.field.modulus]
-        r0, r1 = m, a
-        s0, s1 = [], [fp.one()]
-        while r1:
-            q, r = pdivmod(r0, r1, fp)
-            r0, r1 = r1, r
-            s0, s1 = s1, psub(s0, pmul(q, s1, fp))
-        inv_lead = r0[-1].inverse()
-        s0 = pscale(s0, inv_lead)
-        return self.field.from_coeffs([c.v for c in s0])
+        return self ** (self.field.size - 2)  # Fermat: x^(q-1) = 1
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -7,15 +7,18 @@ where residual intersections are certified simple and private by
 discriminant and resultant tests (they may be irrational; only their
 count enters the census).  A full projective-plane scan provides the same
 census over finite fields, certified complete by the Bezout identity.
+
+The five reference arrangements are built on a `chilean.Configuration`,
+which `geometric_census` and `reference_report` take; each census is
+computed once per configuration.
 """
 
 from fractions import Fraction
 
-from .field import GFext
+from .field import QQ_EPS, GFext
 from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
                     line_basis, plane_points)
-from .chilean import (VerificationError, build_chilean, conic_is_line_pair,
-                      degenerate_configuration, dual_hesse_lines, fiber_nodes,
+from .chilean import (Configuration, VerificationError, conic_is_line_pair,
                       fourth_intersection)
 
 
@@ -136,8 +139,7 @@ def extract_combinatorics(points, curves):
     for k in lines:
         A, B, forms = line_forms[k]
         cand_on_line = [(pi, coordinates_on_line(candidates[pi], A, B))
-                        for pi in range(len(candidates))
-                        if curves[k].evaluate(candidates[pi]).is_zero()]
+                        for pi in range(len(candidates)) if on_curve[pi][k]]
         for j, form in forms.items():
             stripped = list(form)
             for pi, (u, v) in cand_on_line:
@@ -321,49 +323,47 @@ def _line_line_point(L1, L2):
                              a[0] * b[1] - a[1] * b[0]))
 
 
-def geometric_census(name, context=None):
-    """The census of each reference arrangement from exact geometry.
+def geometric_census(name, config):
+    """The census of one reference arrangement of `config`, from exact geometry.
 
-    `context` may carry a prebuilt symbolic configuration (with nodes and
-    lines) to avoid recomputation; see `build_context`.
+    Each census is computed once per configuration and kept in
+    `config.censuses`; every call returns a copy of its own.
     """
-    ctx = context or build_context()
-    if name == "chilean":
-        curves = ctx["data"].conics
-        pts = list(ctx["data"].points) + ctx["node_points"]
-        return extract_combinatorics(pts, curves)
-    if name == "A0":
-        cfg = ctx["degenerate"]
+    census = config.censuses.get(name)
+    if census is None:
+        census = config.censuses[name] = _census_from_geometry(name, config)
+    return ArrangementCombinatorics(census.curves, census.t_counts)
+
+
+def _census_from_geometry(name, config):
+    if name in ("chilean", "A1"):
+        data = config.data
+        curves = list(data.conics) + (config.lines if name == "A1" else [])
+        return extract_combinatorics(list(data.points) + config.node_points,
+                                     curves)
+    if name in ("A0", "A2"):
+        cfg = config.degenerate
         nodes, vertices = _degenerate_nodes_and_vertices(cfg)
         curves = cfg["conics"] + cfg["lines"]
-        return extract_combinatorics(cfg["points"] + nodes + vertices, curves)
-    if name == "A1":
-        curves = list(ctx["data"].conics) + ctx["lines"]
-        pts = list(ctx["data"].points) + ctx["node_points"]
-        return extract_combinatorics(pts, curves)
-    if name == "A2":
-        cfg = ctx["degenerate"]
-        nodes, vertices = _degenerate_nodes_and_vertices(cfg)
-        polars = [L.specialize(cfg["field"], eps_image=cfg["field"].eps(),
-                               a_image=cfg["field"].from_int(-2))
-                  for L in ctx["lines"]]
-        curves = cfg["conics"] + cfg["lines"] + polars
+        if name == "A2":
+            curves += _harmonic_polars(config)
         return extract_combinatorics(cfg["points"] + nodes + vertices, curves)
     if name == "A3":
-        return _a3_census(ctx)
+        return _a3_census(config)
     raise ArrangementError(f"unknown arrangement {name!r}")
 
 
-def _a3_census(ctx):
+def _harmonic_polars(config):
+    """The nine dual lines at a = -2, over Q(e)."""
+    return [L.specialize(QQ_EPS, eps_image=QQ_EPS.eps(),
+                         a_image=QQ_EPS.from_int(-2)) for L in config.lines]
+
+
+def _a3_census(config):
     """Hesse triangle lines plus harmonic polars, all over Q(e)."""
     from .cubic import hesse_singular_fibers
-    from .field import QQ_EPS
-    field = QQ_EPS
-    fibers = hesse_singular_fibers(field)
-    hesse_lines = [L for triple in fibers for L in triple]
-    polars = [L.specialize(field, eps_image=field.eps(),
-                           a_image=field.from_int(-2)) for L in ctx["lines"]]
-    curves = hesse_lines + polars
+    fibers = hesse_singular_fibers(QQ_EPS)
+    curves = [L for triple in fibers for L in triple] + _harmonic_polars(config)
     pts = []
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -373,26 +373,7 @@ def _a3_census(ctx):
     return extract_combinatorics(pts, curves)
 
 
-_CONTEXT_CACHE = {}
-
-
-def build_context():
-    """Symbolic configuration, nodes and dual-Hesse lines, built once."""
-    if "ctx" not in _CONTEXT_CACHE:
-        data = build_chilean()
-        nodes = fiber_nodes(data)
-        lines, _ = dual_hesse_lines(data, nodes)
-        _CONTEXT_CACHE["ctx"] = {
-            "data": data,
-            "nodes": nodes,
-            "node_points": [n for _, n in nodes],
-            "lines": lines,
-            "degenerate": degenerate_configuration(),
-        }
-    return _CONTEXT_CACHE["ctx"]
-
-
-def reference_report(context=None):
+def reference_report(config):
     """Published values versus exact geometry for all five arrangements.
 
     The base points lie on their harmonic polar lines, so the geometric
@@ -400,12 +381,11 @@ def reference_report(context=None):
     than the published tables; everything else agrees.  Both versions are
     reported, with log Chern numbers for each.
     """
-    ctx = context or build_context()
     rows = []
     for name in ("chilean", "A0", "A1", "A2", "A3"):
         pub = published_arrangement(name)
         pub_pair = log_chern(pub)
-        geo = geometric_census(name, ctx)
+        geo = geometric_census(name, config)
         geo_pair = log_chern(geo)
         if pub_pair != tuple(map(Fraction, PUBLISHED_VALUES[name])):
             raise ArrangementError(f"published census of {name} gives {pub_pair}")
@@ -453,22 +433,6 @@ def harbourne_report(lattice=None):
 # the binary incidence code over GF(4^k), characteristic 2
 
 
-def char2_configuration(k=2):
-    """The 21 points, 12 conics and 9 lines over GF(4^k) = GF(2^(2k))."""
-    if k < 1:
-        raise ArrangementError("need GF(4^k) with k >= 1")
-    field = GFext(2, 2 * k, allow_char2=True)
-    a = field.gen()
-    data = build_chilean(field, a)
-    nodes = fiber_nodes(data)
-    lines, _ = dual_hesse_lines(data, nodes)
-    points = list(data.points) + [n for _, n in nodes]
-    if len(set(points)) != 21:
-        raise ArrangementError("the 21 configuration points are not distinct")
-    return {"field": field, "data": data, "nodes": nodes, "lines": lines,
-            "points": points}
-
-
 def _point_sort_key(P):
     return tuple(tuple(c.coeffs) for c in P.coords)
 
@@ -481,8 +445,14 @@ def char2_code(k=2):
     enumerator is returned as a coefficient map, and the twelve conic
     vectors (weight 8) lie in the code.
     """
-    cfg = char2_configuration(k)
-    points = sorted(cfg["points"], key=_point_sort_key)
+    if k < 1:
+        raise ArrangementError("need GF(4^k) with k >= 1")
+    field = GFext(2, 2 * k, allow_char2=True)
+    config = Configuration(field, field.gen())
+    points = list(config.data.points) + config.node_points
+    if len(set(points)) != 21:
+        raise ArrangementError("the 21 configuration points are not distinct")
+    points.sort(key=_point_sort_key)
 
     def incidence_word(curve):
         word = 0
@@ -491,11 +461,11 @@ def char2_code(k=2):
                 word |= 1 << idx
         return word
 
-    line_words = [incidence_word(L) for L in cfg["lines"]]
+    line_words = [incidence_word(L) for L in config.lines]
     for w in line_words:
         if bin(w).count("1") != 5:
             raise ArrangementError("a line word does not have weight 5")
-    conic_words = [incidence_word(C) for C in cfg["data"].conics]
+    conic_words = [incidence_word(C) for C in config.data.conics]
     for w in conic_words:
         if bin(w).count("1") != 8:
             raise ArrangementError("a conic word does not have weight 8")

@@ -10,8 +10,10 @@ structures, pairings and uniqueness statements built on them.
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
-from .linalg import invariant_factors, smith_normal_form
+from .field import QQ_EPS
+from .linalg import invariant_factors, smith_normal_form, solve
 
 
 class LatticeError(Exception):
@@ -194,17 +196,6 @@ def enumerate_minus1_generative(lattice):
     return sorted(classes)
 
 
-def _isqrt(n):
-    if n < 0:
-        return -1
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
-
-
 def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
     """All integer solutions of D^2 = D.K = -1 with d <= d_max.
 
@@ -220,7 +211,7 @@ def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
             if s == 0 and q == 0:
                 found.append(tuple(prefix))
             return
-        bound = _isqrt(q)
+        bound = isqrt(q)
         for m in range(-bound, bound + 1):
             q2 = q - m * m
             s2 = s - m
@@ -581,10 +572,6 @@ def third_divisor(pattern, labels, lattice):
     return tuple(acc)
 
 
-def q_inner(u, v):
-    return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
-
-
 def verify_nine_class_theorem(lattice, E_index=1):
     """The two third-integer divisors and the nine derived classes."""
     E = basis_e(E_index)
@@ -592,9 +579,9 @@ def verify_nine_class_theorem(lattice, E_index=1):
     d0111 = third_divisor((0, 1, 1, 1), labels, lattice)
     d1012 = third_divisor((1, 0, 1, 2), labels, lattice)
     report = {}
-    report["D0111.D1012"] = q_inner(d0111, d1012)
-    report["D0111^2"] = q_inner(d0111, d0111)
-    report["D1012^2"] = q_inner(d1012, d1012)
+    report["D0111.D1012"] = inner(d0111, d1012)
+    report["D0111^2"] = inner(d0111, d0111)
+    report["D1012^2"] = inner(d1012, d1012)
     if report["D0111.D1012"] != -1:
         raise LatticeError("D_0111 . D_1012 != -1")
     if report["D0111^2"] != -2 or report["D1012^2"] != -2:
@@ -806,16 +793,18 @@ def galois_permutation(lattice):
         images.extend([lattice.minus2[j] for j in (r0, r2, r1)])
     # solve for each e_i in terms of the basis over Q, then map
     perm = {0: 0, 1: 1}
-    import itertools
     cols = list(range(len(basis)))
     # build matrix M with columns = basis vectors, solve M x = e_i
-    M = [[Fraction(basis[c][r]) for c in cols] for r in range(10)]
+    M = [[QQ_EPS.from_int(basis[c][r]) for c in cols] for r in range(10)]
     for i in range(2, 10):
-        x = _solve_rational(M, [Fraction(v) for v in basis_e(i)])
-        img = [sum(x[c] * images[c][r] for c in cols) for r in range(10)]
-        if any(v.denominator != 1 for v in img):
+        x = solve(M, [QQ_EPS.from_int(v) for v in basis_e(i)], QQ_EPS)
+        if x is None:
+            raise LatticeError("inconsistent rational system")
+        img = [sum((x[c] * images[c][r] for c in cols), QQ_EPS.zero())
+               for r in range(10)]
+        if any(v.c1 or v.c0.denominator != 1 for v in img):
             raise LatticeError("involution image is not integral")
-        img = tuple(int(v) for v in img)
+        img = tuple(int(v.c0) for v in img)
         j = next((k for k in range(2, 10) if img == basis_e(k)), None)
         if j is None:
             raise LatticeError(f"involution does not permute e_{i}")
@@ -826,34 +815,6 @@ def galois_permutation(lattice):
     if sum(1 for i in range(2, 10) if perm[i] != i) != 8:
         raise LatticeError("deck permutation must move all of e_2..e_9")
     return perm
-
-
-def _solve_rational(M, b):
-    n = len(M)
-    m = len(M[0])
-    aug = [row[:] + [b[i]] for i, row in enumerate(M)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            raise LatticeError("inconsistent rational system")
-    x = [Fraction(0)] * m
-    for row_i, c in enumerate(pivots):
-        x[c] = aug[row_i][m]
-    return x
 
 
 def table144(classes, lattice):

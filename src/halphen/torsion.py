@@ -81,7 +81,7 @@ def good_primes(p_max):
     out = []
     p = 5
     while p <= p_max:
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)) and p % 3 == 1:
+        if all(p % q for q in range(2, isqrt(p) + 1)) and p % 3 == 1:
             out.append(p)
         p += 2
     return out

@@ -4,23 +4,29 @@ from halphen import chilean, piclattice
 
 
 @pytest.fixture(scope="session")
-def symbolic_data():
-    return chilean.build_chilean()
+def configuration():
+    """The symbolic configuration, shared by the whole session."""
+    return chilean.Configuration()
 
 
 @pytest.fixture(scope="session")
-def pencil(symbolic_data):
-    return chilean.PencilPair(symbolic_data)
+def symbolic_data(configuration):
+    return configuration.data
 
 
 @pytest.fixture(scope="session")
-def nodes(symbolic_data):
-    return chilean.fiber_nodes(symbolic_data)
+def pencil(configuration):
+    return configuration.pencil
 
 
 @pytest.fixture(scope="session")
-def dual_lines(symbolic_data, nodes):
-    return chilean.dual_hesse_lines(symbolic_data, nodes)
+def nodes(configuration):
+    return configuration.nodes
+
+
+@pytest.fixture(scope="session")
+def dual_lines(configuration):
+    return configuration.lines_and_incidence
 
 
 @pytest.fixture(scope="session")

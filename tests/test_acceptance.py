@@ -115,9 +115,7 @@ def test_criterion_08_unique_nine_set(lattice, classes144):
 
 def test_criterion_09_dual_hesse():
     def check():
-        data = chilean.build_chilean()
-        nodes = chilean.fiber_nodes(data)
-        lines, incidence = chilean.dual_hesse_lines(data, nodes)
+        lines, incidence = chilean.Configuration().lines_and_incidence
         assert all(sum(r) == 4 for r in incidence)
         assert all(sum(incidence[i][j] for i in range(9)) == 3
                    for j in range(12))
@@ -125,13 +123,9 @@ def test_criterion_09_dual_hesse():
     _criterion(9, 10.0, "(9_4, 12_3) dual configuration over Q(e)(a)", check)
 
 
-def test_criterion_10_log_chern(symbolic_data, nodes, dual_lines):
+def test_criterion_10_log_chern(configuration):
     def check():
-        lines, _ = dual_lines
-        ctx = {"data": symbolic_data, "nodes": nodes,
-               "node_points": [n for _, n in nodes], "lines": lines,
-               "degenerate": chilean.degenerate_configuration()}
-        rows = invariants.reference_report(ctx)
+        rows = invariants.reference_report(configuration)
         values = {r["name"]: tuple(map(int, r["published_log_chern"])) for r in rows}
         assert values == {"chilean": (117, 54), "A0": (99, 45), "A1": (324, 144),
                           "A2": (270, 117), "A3": (180, 72)}

@@ -126,6 +126,22 @@ def test_byte_identical_output_with_no_timing(capsys):
     assert first == second
 
 
+def test_verify_invariants_takes_each_census_once(capsys, monkeypatch):
+    import halphen.invariants as invariants
+
+    calls = []
+    original = invariants.extract_combinatorics
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "extract_combinatorics", counted)
+    assert main(["verify", "invariants", "--no-timing"]) == 0
+    # two claims read the report, but the five censuses are taken once
+    assert len(calls) == 5
+
+
 def test_enumerate_minus1_csv(capsys):
     assert main(["enumerate", "minus1", "--format", "csv", "--d-max", "4"]) == 0
     out = capsys.readouterr().out

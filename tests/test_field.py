@@ -126,9 +126,10 @@ def test_extension_field_basics():
     F = GFext(5, 2)
     g = F.gen()
     assert len(list(F.elements())) == 25
-    for x in F.elements():
-        if not x.is_zero():
-            assert x * x.inverse() == 1
+    for field in (F, GFext(7, 2), GFext(13, 2), GFext(2, 4, allow_char2=True)):
+        for x in field.elements():
+            if not x.is_zero():
+                assert x * x.inverse() == 1
     e = F.eps()
     assert e**3 == 1 and e != 1
 

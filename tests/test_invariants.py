@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -12,19 +13,6 @@ from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
                                 log_chern, log_chern_slope,
                                 published_arrangement, reference_report,
                                 weight_enumerator_string)
-
-
-@pytest.fixture(scope="module")
-def invctx(symbolic_data, nodes, dual_lines):
-    from halphen.chilean import degenerate_configuration
-    lines, _ = dual_lines
-    return {
-        "data": symbolic_data,
-        "nodes": nodes,
-        "node_points": [n for _, n in nodes],
-        "lines": lines,
-        "degenerate": degenerate_configuration(),
-    }
 
 
 def test_published_values_and_slopes():
@@ -50,42 +38,42 @@ def test_two_distinct_lines_census():
     assert arr.t_counts == {2: 1}
 
 
-def test_chilean_census_from_geometry(invctx):
-    arr = geometric_census("chilean", invctx)
+def test_chilean_census_from_geometry(configuration):
+    arr = geometric_census("chilean", configuration)
     assert arr.t_counts == {2: 12, 8: 9}
     assert log_chern(arr) == (Fraction(117), Fraction(54))
     assert log_chern_slope(arr) == Fraction(13, 6)
 
 
-def test_a0_census_from_geometry(invctx):
-    arr = geometric_census("A0", invctx)
+def test_a0_census_from_geometry(configuration):
+    arr = geometric_census("A0", configuration)
     assert arr.t_counts == {2: 12, 7: 9}
     assert log_chern(arr) == (Fraction(99), Fraction(45))
 
 
-def test_a1_census_from_geometry(invctx):
+def test_a1_census_from_geometry(configuration):
     # the base points lie on their lines: the published table undercounts
     # them by one incidence
-    arr = geometric_census("A1", invctx)
+    arr = geometric_census("A1", configuration)
     assert arr.t_counts == {2: 72, 5: 12, 9: 9}
     assert log_chern(arr) == (Fraction(351), Fraction(153))
 
 
-def test_a2_census_from_geometry(invctx):
-    arr = geometric_census("A2", invctx)
+def test_a2_census_from_geometry(configuration):
+    arr = geometric_census("A2", configuration)
     assert arr.t_counts == {2: 54, 5: 12, 8: 9}
     assert log_chern(arr) == (Fraction(297), Fraction(126))
 
 
-def test_a3_census_from_geometry(invctx):
-    arr = geometric_census("A3", invctx)
+def test_a3_census_from_geometry(configuration):
+    arr = geometric_census("A3", configuration)
     assert arr.t_counts == PUBLISHED_TN["A3"]
     assert log_chern(arr) == (Fraction(180), Fraction(72))
     assert log_chern_slope(arr) == Fraction(5, 2)
 
 
-def test_reference_report(invctx):
-    rows = reference_report(invctx)
+def test_reference_report(configuration):
+    rows = reference_report(configuration)
     assert [r["name"] for r in rows] == ["chilean", "A0", "A1", "A2", "A3"]
     assert [r["match"] for r in rows] == [True, True, False, False, True]
     for r in rows:
@@ -96,6 +84,23 @@ def test_reference_report(invctx):
         if not r["match"]:
             assert pub.pop(base_level) == geo.pop(base_level + 1) == 9
         assert pub == geo
+
+
+def test_reports_are_copies_of_the_kept_censuses(configuration):
+    first = reference_report(configuration)
+    pristine = copy.deepcopy(first)
+    for row in first:
+        row["published_t"].clear()
+        row["geometric_t"].clear()
+    assert reference_report(configuration) == pristine
+    arr = geometric_census("A3", configuration)
+    arr.t_counts.clear()
+    arr.curves.clear()
+    again = geometric_census("A3", configuration)
+    assert again.t_counts == PUBLISHED_TN["A3"] and len(again.curves) == 21
+    assert sorted(configuration.censuses) == ["A0", "A1", "A2", "A3", "chilean"]
+    with pytest.raises(ArrangementError):
+        geometric_census("A4", configuration)
 
 
 def test_census_consistency_guard():
