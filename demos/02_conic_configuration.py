@@ -45,7 +45,7 @@ print("\nnine lines, each through one base point and four nodes:")
 for i, L in enumerate(lines, start=1):
     print(f"  l_{i} = {L}")
 
-probe = cross_ratio_probe(data, pair)
+probe = cross_ratio_probe(lams, data.field)
 hits = [r for r in probe["subsets"] if r["equianharmonic"]]
 print("\ncross-ratio probe: the equianharmonic four-subsets are")
 for r in hits:

@@ -258,17 +258,15 @@ def cross_ratio(z, field):
     return num / den
 
 
-def cross_ratio_probe(data, pair):
+def cross_ratio_probe(lams, field):
     """Which four of the five special pencil parameters are equianharmonic.
 
-    The five values are the four conic-triple parameters and INFINITY
-    (the double member).  For each 4-subset the probe reports the cross
-    ratio of a reference ordering and whether some ordering satisfies
-    R^2 - R + 1 = 0; the answer is ordering-independent and is checked on
-    a second ordering.
+    The five values are the four conic-triple parameters `lams` (from
+    `fiber_product_lambdas`, over `field`) and INFINITY (the double
+    member).  For each 4-subset the probe reports the cross ratio of a
+    reference ordering and whether some ordering satisfies R^2 - R + 1 = 0;
+    the answer is ordering-independent and is checked on a second ordering.
     """
-    field = data.field
-    lams = fiber_product_lambdas(data, pair)
     values = list(lams) + [INFINITY]
     names = ["lambda0", "lambda1", "lambda2", "lambda3", "infinity"]
     report = []
@@ -505,8 +503,16 @@ def special_members(data, pair):
             "dual_cubic": dual_cubic, "lambda": lam}
 
 
-def degenerate_pencil():
-    """The a = 1 limit: three conics with three collapsed triple points."""
+def degenerate_pencil(sym=None):
+    """The a = 1 limit: three conics with three collapsed triple points.
+
+    `sym` is the symbolic configuration, `build_chilean()`, which is built
+    when not given.
+    """
+    if sym is None:
+        sym = build_chilean()
+    elif sym.field is not QQ_EPS_A:
+        raise FieldError("the a = 1 limit needs the symbolic configuration")
     field = QQ_EPS
     e = field.eps()
     one = field.one()
@@ -530,7 +536,6 @@ def degenerate_pencil():
             if len(meet) != 1:
                 raise VerificationError("degenerate conics do not meet at one vertex")
     # the product agrees with the a = 1 limit of the sextic generator
-    sym = build_chilean()
     f6_spec = (sym.conics[0] * sym.conics[1] * sym.conics[2]).specialize(
         field, eps_image=field.eps(), a_image=field.one())
     prod = conics[0] * conics[1] * conics[2]
@@ -659,6 +664,10 @@ class Configuration:
     @cached_property
     def lambdas(self):
         return fiber_product_lambdas(self.data, self.pencil)
+
+    @cached_property
+    def special(self):
+        return special_members(self.data, self.pencil)
 
     @cached_property
     def nodes(self):

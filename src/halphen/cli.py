@@ -182,12 +182,12 @@ def _suite_pencil(config, ctx):
         return "; ".join(to_text(l) for l in ctx.lambdas)
 
     def members():
-        sp = chilean.special_members(ctx.data, ctx.pencil)
+        sp = ctx.special
         return (f"nine-cusped sextic at lambda = {to_text(sp['lambda'])};"
                 " double member proportional to the Caylean cubic")
 
     def cusp_census():
-        sp = chilean.special_members(ctx.data, ctx.pencil)
+        sp = ctx.special
         found = _census_prime(config.mode, config.a_value, config.p_max)
         if found is None:
             raise chilean.VerificationError("no census prime available")
@@ -210,13 +210,14 @@ def _suite_pencil(config, ctx):
         return "tacnodal point plus four nodes over GF(13), a = 2"
 
     def degenerations():
-        chilean.degenerate_pencil()
-        cfg = chilean.degenerate_configuration()
+        # a symbolic run's configuration is the one the a = 1 limit needs
+        chilean.degenerate_pencil(ctx.data if config.mode == "symbolic" else None)
+        cfg = ctx.degenerate
         return (f"{len(cfg['conics'])} conics and {len(cfg['lines'])} lines at"
                 " the simple-root parameter; triple-point pencil at a = 1")
 
     def probe():
-        rep = chilean.cross_ratio_probe(ctx.data, ctx.pencil)
+        rep = chilean.cross_ratio_probe(ctx.lambdas, ctx.data.field)
         hits = [r for r in rep["subsets"] if r["equianharmonic"]]
         return (f"{len(hits)} of 5 subsets equianharmonic: "
                 + "; ".join(f"{{{', '.join(r['subset'])}}} with R = {r['ratio']}"

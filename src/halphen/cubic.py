@@ -18,10 +18,20 @@ Bernstein-Kohel-Lange, "Twisted Hessian curves", LATINCRYPT 2015):
 Each result is certified before use: it is a projective point, differs
 from P and Q, lies on the curve, and lies on the line PQ (on the tangent
 at P when P = Q).  Those four facts make it the residual intersection.
-Where they fail -- the formula gives (0:0:0), or the residual point is P
-or Q itself, as for a line tangent at P or Q and for the tangent at a
-flex -- the generic path restricts the cubic to the line and divides out
-the known roots with verified divisions.
+Where they fail, two residual rules of the smooth cubic decide, each
+certified by one exact test:
+  - the tangent at P with xyz = 0 at P: P is one of the nine flexes
+    (Artebani-Dolgachev, "The Hesse pencil of plane cubic curves", 2009),
+    so the residual point is P;
+  - a chord with grad(P) . Q = 0: the line is tangent at P, so the
+    residual point is P (by Bezout it cannot be tangent at Q too); the
+    same with P and Q swapped.
+What is left -- chords whose formula gives (0:0:0) and no tangency --
+takes the generic path, which restricts the cubic to the line and
+divides out the known roots with verified divisions.  Over GF(p) the
+formulas, the certificates and `HesseCubic.contains` run on plain
+residues mod p, and points are built only for the answers; over every
+other field the same code runs on field elements.
 
 Over a prime field `rational_points` walks the chart on plain residues
 mod p and certifies each hit with `HesseCubic.contains`; over GF(p^k) it
@@ -65,14 +75,17 @@ class HesseCubic:
 
     def contains(self, P):
         # x^3 + y^3 + z^3 + t*xyz at the representative, as poly.evaluate
-        # would; a point's rep already holds elements of its field, and
-        # anything else is coerced (which rejects other fields)
-        if isinstance(P, ProjPoint) and P.field is self.field:
-            x, y, z = P.rep
-        else:
-            coords = P.rep if isinstance(P, ProjPoint) else P
-            x, y, z = (self.field.coerce(c) for c in coords)
-        return (x * x * x + y * y * y + z * z * z + self.t * x * y * z).is_zero()
+        # would; a point's rep already holds elements of its field (over
+        # GF(p), evaluated on their residues), and anything else is coerced
+        # (which rejects other fields)
+        field = self.field
+        if isinstance(P, ProjPoint) and P.field is field:
+            if isinstance(field, PrimeField):
+                v = _hesse_value([c.v for c in P.rep], self.t.v)
+                return v % field.p == 0
+            return _hesse_value(P.rep, self.t).is_zero()
+        coords = P.rep if isinstance(P, ProjPoint) else P
+        return _hesse_value([field.coerce(c) for c in coords], self.t).is_zero()
 
     def require_on_curve(self, P):
         if not self.contains(P):
@@ -154,6 +167,58 @@ def hesse_collinear_triples(field):
     return [tuple(j for j in range(9) if row[j]) for row in incidence]
 
 
+def _closed_form_residual(a, b, t, is_zero, canonical):
+    """The residual point of the line ab on the Hesse cubic with parameter t.
+
+    a and b are the canonical coordinates of two points on the smooth
+    cubic, as ints mod p or as field elements; `is_zero` tests one value
+    and `canonical` scales a triple to canonical form, or gives None for
+    (0, 0, 0).  Returns the formula's point in canonical form once
+    certified, else a or b itself where a residual rule decides, else None
+    (see the module docstring).
+    """
+    x1, y1, z1 = a
+    x1x1, y1y1, z1z1 = x1 * x1, y1 * y1, z1 * z1
+    same = a == b
+    if same:
+        x3, y3, z3 = x1x1 * x1, y1y1 * y1, z1z1 * z1
+        coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
+        normal = _hesse_gradient(a, t)
+    else:
+        x2, y2, z2 = b
+        coords = (x1x1 * y2 * z2 - x2 * x2 * y1 * z1,
+                  y1y1 * x2 * z2 - y2 * y2 * x1 * z1,
+                  z1z1 * x2 * y2 - z2 * z2 * x1 * y1)
+        normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                  x1 * y2 - y1 * x2)  # a x b; det(a, b, R) = normal . R
+    R = canonical(coords)
+    if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
+            and is_zero(_hesse_value(R, t))):
+        return R
+    if same:
+        return a if is_zero(x1 * y1 * z1) else None
+    if is_zero(_dot(_hesse_gradient(a, t), b)):
+        return a
+    if is_zero(_dot(_hesse_gradient(b, t), a)):
+        return b
+    return None
+
+
+def _hesse_value(v, t):
+    """x^3 + y^3 + z^3 + t*xyz at v, on ints or field elements."""
+    x, y, z = v
+    return x * x * x + y * y * y + z * z * z + t * x * y * z
+
+
+def _hesse_gradient(v, t):
+    x, y, z = v
+    return (3 * x * x + t * y * z, 3 * y * y + t * x * z, 3 * z * z + t * x * y)
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 class CubicGroup:
     """Chord-tangent group law on a smooth Hesse cubic with a chosen zero."""
 
@@ -169,8 +234,8 @@ class CubicGroup:
         """The residual intersection of the line through P and Q.
 
         For P = Q the line is the tangent at P.  The certified closed form
-        (see the module docstring) is tried first; where it is degenerate
-        or fails its certificate the generic path decides.
+        and residual rules (see the module docstring) are tried first;
+        where neither decides the generic path does.
         """
         curve = self.curve
         curve.require_on_curve(P)
@@ -179,36 +244,53 @@ class CubicGroup:
         return self.generic_third(P, Q) if R is None else R
 
     def closed_form_third(self, P, Q):
-        """The Hesse chord or tangent formula's point once certified, else None.
+        """The residual point from the closed forms and residual rules, or None.
 
-        P and Q must lie on the curve.  The certificate: the result is not
-        (0:0:0), differs from P and Q, lies on the curve, and lies on the
-        line PQ, or for P = Q on the tangent at P.
+        P and Q must lie on the curve; see `_closed_form_residual`.  Over
+        GF(p) the work is done on plain residues mod p and only the result
+        becomes a point; over any other field on its elements.
         """
-        x1, y1, z1 = P.coords
-        x1x1, y1y1, z1z1 = x1 * x1, y1 * y1, z1 * z1
-        if P == Q:
-            x3, y3, z3 = x1x1 * x1, y1y1 * y1, z1z1 * z1
-            coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
-            t = self.curve.t
-            normal = (3 * x1x1 + t * y1 * z1, 3 * y1y1 + t * x1 * z1,
-                      3 * z1z1 + t * x1 * y1)  # the gradient at P
-        else:
-            x2, y2, z2 = Q.coords
-            coords = (x1x1 * y2 * z2 - x2 * x2 * y1 * z1,
-                      y1y1 * x2 * z2 - y2 * y2 * x1 * z1,
-                      z1z1 * x2 * y2 - z2 * z2 * x1 * y1)
-            normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
-                      x1 * y2 - y1 * x2)  # P x Q; det(P, Q, R) = normal . R
-        if all(c.is_zero() for c in coords) or all(n.is_zero() for n in normal):
-            return None
-        u, v, w = coords
-        if not (normal[0] * u + normal[1] * v + normal[2] * w).is_zero():
-            return None
-        R = ProjPoint(self.field, coords)
-        if R == P or R == Q or not self.curve.contains(R):
-            return None
-        return R
+        if isinstance(self.field, PrimeField):
+            return self._closed_form_residues(P, Q)
+        return self._closed_form_elements(P, Q)
+
+    def _closed_form_residues(self, P, Q):
+        field = self.field
+        p = field.p
+
+        def canonical(v):
+            pivot = next((c for c in v if c % p), None)
+            if pivot is None:
+                return None
+            inv = pow(pivot, -1, p)
+            return tuple(c * inv % p for c in v)
+
+        a = tuple(c.v for c in P.coords)
+        b = a if Q is P else tuple(c.v for c in Q.coords)
+        R = _closed_form_residual(a, b, self.curve.t.v,
+                                  lambda v: v % p == 0, canonical)
+        return self._as_point(R, P, Q, a, b)
+
+    def _closed_form_elements(self, P, Q):
+        field = self.field
+
+        def canonical(v):
+            if all(c.is_zero() for c in v):
+                return None
+            return ProjPoint(field, v).coords
+
+        a, b = P.coords, Q.coords
+        R = _closed_form_residual(a, b, self.curve.t, lambda v: v.is_zero(),
+                                  canonical)
+        return self._as_point(R, P, Q, a, b)
+
+    def _as_point(self, R, P, Q, a, b):
+        """`_closed_form_residual`'s answer R for P, Q with coordinates a, b."""
+        if R is a:
+            return P
+        if R is b:
+            return Q
+        return None if R is None else ProjPoint(self.field, R)
 
     def generic_third(self, P, Q):
         """The residual intersection by restricting the cubic to the line.
@@ -360,7 +442,7 @@ def _prime_field_points(curve):
     """`rational_points` over GF(p), walking plain residues mod p.
 
     Only the hits become points, and each is certified on the curve by
-    `HesseCubic.contains`, the field-element test.
+    `HesseCubic.contains` from the coordinates the point was built with.
     """
     field = curve.field
     p, t = field.p, curve.t.v

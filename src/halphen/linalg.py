@@ -1,40 +1,83 @@
-"""Exact linear algebra, generic over the coefficient field, plus integer
-Smith normal form with transformation matrices."""
+"""Exact linear algebra over a coefficient field, plus integer Smith normal
+form with transformation matrices.
+
+`rref` eliminates over GF(p) on plain residues mod p, one `pow(x, -1, p)`
+per pivot, and over every other field on field elements; `kernel_basis`
+and `solve` go through `rref`, so they take the same path.  Every entry
+must be an element of the given field, or `MixedContextError` is raised.
+"""
+
+from .field import FieldElem, GFpElem, MixedContextError, PrimeField
+
+
+def _require_entries_of(rows, field):
+    for row in rows:
+        for x in row:
+            if not (isinstance(x, FieldElem) and x.field is field):
+                raise MixedContextError(f"matrix entry {x!r} is not in {field}")
 
 
 def rref(rows, field):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
     rows = [list(r) for r in rows]
+    _require_entries_of(rows, field)
+    if isinstance(field, PrimeField):
+        red, pivots = _rref_residues([[x.v for x in r] for r in rows], field.p)
+        return [[GFpElem(field, x) for x in r] for r in red], pivots
+    return _rref_elements(rows)
+
+
+def _rref_residues(rows, p):
+    """`rref` of lists of ints reduced mod p (the lists are replaced)."""
+    def scale(row, c):
+        inv = pow(row[c], -1, p)
+        return [x * inv % p for x in row]
+
+    def subtract(row, f, pivot):
+        return [(x - f * y) % p for x, y in zip(row, pivot)]
+
+    return _eliminate(rows, bool, scale, subtract)
+
+
+def _rref_elements(rows):
+    """`rref` of lists of elements of any one field (the lists are replaced)."""
+    def scale(row, c):
+        inv = row[c].inverse()
+        return [x * inv for x in row]
+
+    def subtract(row, f, pivot):
+        return [x - f * y for x, y in zip(row, pivot)]
+
+    return _eliminate(rows, lambda x: not x.is_zero(), scale, subtract)
+
+
+def _eliminate(rows, nonzero, scale, subtract):
+    """Gauss-Jordan elimination of `rows` in place, given its row operations.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row; `scale(row, c)` returns the row divided by its entry c
+    and `subtract(row, f, pivot)` returns row - f * pivot.
+    """
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(rows)) if nonzero(rows[i][c])),
+                         None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot = rows[r] = scale(rows[r], c)
+        for i, row in enumerate(rows):
+            if i != r and nonzero(row[c]):
+                rows[i] = subtract(row, row[c], pivot)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return rows, pivots
-
-
-def rank(rows, field):
-    _, pivots = rref(rows, field)
-    return len(pivots)
 
 
 def kernel_basis(rows, field):

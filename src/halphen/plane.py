@@ -15,8 +15,8 @@ elimination resultants, and exact division of binary forms by linear
 factors -- the primitives behind intersection-point extraction.
 """
 
-from .field import (MixedContextError, pmul, pnormalize, specialize_scalar,
-                    to_text)
+from .field import (GFpElem, MixedContextError, PrimeField, pmul, pnormalize,
+                    specialize_scalar, to_text)
 
 
 class GeometryError(Exception):
@@ -152,10 +152,25 @@ class Poly3:
         else:
             coords = point.rep if isinstance(point, ProjPoint) else point
             coords = tuple(self.field.coerce(c) for c in coords)
+        field = self.field
+        if isinstance(field, PrimeField):
+            return GFpElem(field, self._evaluate_residues([c.v for c in coords]))
+        return self._evaluate_elements(coords)
+
+    def _evaluate_residues(self, coords):
+        """The value at int coordinates over GF(p), as an int mod p."""
+        p = self.field.p
+        px, py, pz = (_power_table(c, self.degree, 1, p) for c in coords)
+        return sum(c.v * px[i] * py[j] * pz[k]
+                   for (i, j, k), c in self.terms.items()) % p
+
+    def _evaluate_elements(self, coords):
+        """The value at coordinates that are elements of the field."""
         acc = self.field.zero()
-        pows = [_power_table(c, self.degree, self.field) for c in coords]
+        px, py, pz = (_power_table(c, self.degree, self.field.one())
+                      for c in coords)
         for (i, j, k), c in self.terms.items():
-            acc = acc + c * pows[0][i] * pows[1][j] * pows[2][k]
+            acc = acc + c * px[i] * py[j] * pz[k]
         return acc
 
     def partial(self, var):
@@ -241,10 +256,11 @@ class Poly3:
         return self.to_text()
 
 
-def _power_table(x, n, field):
-    out = [field.one()]
+def _power_table(x, n, one, p=None):
+    """[1, x, ..., x^n] of a field element, or of an int reduced mod p."""
+    out = [one]
     for _ in range(n):
-        out.append(out[-1] * x)
+        out.append(out[-1] * x if p is None else out[-1] * x % p)
     return out
 
 

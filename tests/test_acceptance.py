@@ -212,9 +212,10 @@ def test_criterion_16_cuspidal_sextic(symbolic_data, pencil):
     _criterion(16, 10.0, "nine-cusped sextic in the pencil", check)
 
 
-def test_criterion_17_cross_ratio_probe(symbolic_data, pencil):
+def test_criterion_17_cross_ratio_probe(configuration):
     def check():
-        rep = chilean.cross_ratio_probe(symbolic_data, pencil)
+        rep = chilean.cross_ratio_probe(configuration.lambdas,
+                                        configuration.data.field)
         assert len(rep["subsets"]) == 5
         hits = [r for r in rep["subsets"] if r["equianharmonic"]]
         # internal consistency: verdicts are ordering-independent (checked

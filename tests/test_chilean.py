@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from halphen.field import GF, QQ_EPS, to_text
+from halphen.field import GF, QQ_EPS, FieldError, to_text
 from halphen.plane import ProjPoint, gens
 from halphen.chilean import (INFINITY, VerificationError,
                              branch_quintic, build_chilean,
@@ -169,6 +169,14 @@ def test_degenerate_pencil_and_configuration():
     assert all(not conic_is_line_pair(C) for C in cfg["conics"])
 
 
+def test_degenerate_pencil_reuses_the_symbolic_configuration(symbolic_data):
+    rep = degenerate_pencil(symbolic_data)
+    assert rep["conics"] == degenerate_pencil()["conics"]
+    F = GF(13)
+    with pytest.raises(FieldError):  # a specialized instance has no a = 1
+        degenerate_pencil(build_chilean(F, F.from_int(2)))
+
+
 def test_bad_parameters_rejected():
     for a_int, field in ((0, QQ_EPS), (1, QQ_EPS), (-2, QQ_EPS)):
         with pytest.raises(VerificationError):
@@ -193,8 +201,8 @@ def test_symmetries(symbolic_data):
     assert len(perms) == 6
 
 
-def test_cross_ratio_probe(symbolic_data, pencil):
-    rep = cross_ratio_probe(symbolic_data, pencil)
+def test_cross_ratio_probe(configuration):
+    rep = cross_ratio_probe(configuration.lambdas, configuration.data.field)
     assert len(rep["lambdas"]) == 4
     hits = [r for r in rep["subsets"] if r["equianharmonic"]]
     assert len(hits) == 1

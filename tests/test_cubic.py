@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from halphen.field import GF, QQ_EPS, GFext, MixedContextError
+from halphen.field import GF, QQ_EPS, GFext, MixedContextError, PrimeField
 from halphen.plane import ProjPoint, gens
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
                            _element_points, flex_line_incidence,
@@ -92,32 +92,58 @@ def test_points_over_another_field_are_rejected():
         g.third_intersection(g.zero, foreign)
 
 
+def _tangency(grads, P, Q):
+    """("flex", P) for the tangent at a flex P, ("end", A) for a chord
+    tangent at its end point A, else (None, None); decided from the
+    gradients of the Poly3 form, `grads` by point, not from the closed form."""
+    if P == Q:
+        x, y, z = P.coords
+        return ("flex", P) if (x * y * z).is_zero() else (None, None)
+    for A, B in ((P, Q), (Q, P)):
+        gx, gy, gz = grads[A]
+        if (gx * B.coords[0] + gy * B.coords[1] + gz * B.coords[2]).is_zero():
+            return "end", A
+    return None, None
+
+
 def test_closed_form_matches_generic_path():
-    closed = {False: 0, True: 0}  # certified closed forms, by P == Q
+    closed = {False: 0, True: 0}  # certified formulas, by P == Q
+    rules = {"flex": 0, "end": 0}  # the residual rules
     fallback = 0
-    for p in (7, 13, 19):
-        F = GF(p)
+    cases = [(GF(7), range(7)), (GF(13), range(13)), (GF(19), range(19)),
+             (GFext(7, 2), range(3))]
+    for F, ts in cases:
         flexes = hesse_flexes(F)
-        for t in range(p):
+        for t in ts:
             curve = HesseCubic(F, t)
             if not curve.is_smooth():
                 continue
             g = CubicGroup(curve, flexes[6])
             pts = rational_points(curve)
+            grads = {P: curve.gradient_at(P) for P in pts}
             for P in pts:
                 for Q in pts:
                     R = g.closed_form_third(P, Q)
                     expected = g.generic_third(P, Q)
                     assert g.third_intersection(P, Q) == expected
+                    if isinstance(F, PrimeField):  # residues vs elements
+                        assert g._closed_form_elements(P, Q) == R
+                    kind, tangency = _tangency(grads, P, Q)
                     if R is None:
+                        assert kind is None  # no tangent reaches the fallback
                         fallback += 1
-                    else:
-                        assert R == expected
+                        continue
+                    assert R == expected
+                    if kind is None:
                         closed[P == Q] += 1
+                    else:
+                        assert R == tangency
+                        rules[kind] += 1
             for x in flexes:  # the tangent at a flex meets it three times
-                assert g.closed_form_third(x, x) is None
+                assert g.closed_form_third(x, x) == x
                 assert g.third_intersection(x, x) == x
-    assert closed[False] > 0 and closed[True] > 0 and fallback > 0
+    assert min(closed.values()) > 0 and min(rules.values()) > 0
+    assert fallback > 0
 
 
 def test_associativity_over_several_fields():

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
-from halphen.field import GF
-from halphen.linalg import (invariant_factors, kernel_basis, rank,
-                            smith_normal_form, solve)
+import pytest
+
+from halphen import linalg
+from halphen.field import GF, QQ_EPS, MixedContextError
+from halphen.linalg import (_rref_elements, invariant_factors, kernel_basis,
+                            rref, smith_normal_form, solve)
 
 
 def _matmul(X, Y):
@@ -64,7 +67,7 @@ def test_field_linear_algebra():
         return [F.from_int(v) for v in vals]
 
     A = [row(1, 2, 3), row(2, 4, 6), row(1, 0, 1)]
-    assert rank(A, F) == 2
+    assert len(rref(A, F)[1]) == 2
     kern = kernel_basis(A, F)
     assert len(kern) == 1
     for r in A:
@@ -75,3 +78,56 @@ def test_field_linear_algebra():
     sol = solve([row(1, 1), row(1, 2)], row(3, 5), F)
     assert sol is not None and sol[0] == 1 and sol[1] == 2
     assert solve([row(1, 1), row(2, 2)], row(1, 3), F) is None
+
+
+def _random_matrices(F, rng):
+    """Zero, rank-deficient, wide, tall and random matrices over F."""
+    def rand(m, n, density=1.0):
+        return [[F.from_int(rng.randrange(F.p)) if rng.random() < density
+                 else F.zero() for _ in range(n)] for _ in range(m)]
+
+    out = [rand(3, 4, 0.0), rand(1, 1), rand(1, 6), rand(7, 2)]
+    for _ in range(40):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        out.append(rand(m, n, rng.choice((0.3, 0.7, 1.0))))
+    for _ in range(20):  # rank <= k: products of m x k and k x n
+        m, n, k = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 3)
+        L, R = rand(m, k), rand(k, n)
+        out.append([[sum((L[i][s] * R[s][j] for s in range(k)), F.zero())
+                     for j in range(n)] for i in range(m)])
+    return out
+
+
+def test_rref_on_residues_matches_elements(monkeypatch):
+    rng = random.Random(5)
+    for p in (7, 13, 199):
+        F = GF(p)
+        mats = _random_matrices(F, rng)
+        assert any(len(rref(A, F)[1]) < min(len(A), len(A[0])) for A in mats)
+        for A in mats:
+            red, pivots = rref(A, F)
+            oracle = _rref_elements([list(r) for r in A])
+            assert (red, pivots) == oracle
+            assert all(x.field is F for r in red for x in r)
+        kernels = [kernel_basis(A, F) for A in mats]
+        monkeypatch.setattr(linalg, "rref", lambda rows, field:
+                            _rref_elements([list(r) for r in rows]))
+        assert [kernel_basis(A, F) for A in mats] == kernels
+        monkeypatch.undo()
+
+
+def test_elimination_rejects_entries_of_another_field():
+    G, F = GF(13), GF(7)
+    row = [G.from_int(1), G.from_int(2), G.from_int(3)]
+    with pytest.raises(MixedContextError):
+        kernel_basis([row], F)
+    with pytest.raises(MixedContextError):
+        rref([row], F)
+    with pytest.raises(MixedContextError):
+        solve([row], [F.one()], F)
+    with pytest.raises(MixedContextError):  # the right-hand side too
+        solve([[F.one()]], [G.one()], F)
+    with pytest.raises(MixedContextError):  # and on the element path
+        kernel_basis([[QQ_EPS.one(), F.one()]], QQ_EPS)
+    with pytest.raises(MixedContextError):
+        rref([[1, 2]], F)

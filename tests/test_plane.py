@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +37,27 @@ def test_evaluate_rejects_points_over_another_field():
     U, V, _ = gens(QQ_EPS_A)
     point = ProjPoint(QQ_EPS, (QQ_EPS.zero(), QQ_EPS.one(), -QQ_EPS.one()))
     assert (U**3 + V**3).evaluate(point) == QQ_EPS_A.one()
+
+
+def test_evaluate_on_residues_matches_elements():
+    rng = random.Random(3)
+    for p in (7, 13, 199):
+        F = GF(p)
+        for degree in range(9):
+            monos = monomials_of_degree(degree)
+            for _ in range(6):
+                terms = {e: F.from_int(rng.randrange(p))
+                         for e in rng.sample(monos, rng.randint(0, len(monos)))}
+                P = Poly3(F, degree, terms)
+                for _ in range(4):
+                    ints = [rng.randrange(-p, 2 * p) for _ in range(3)]
+                    if all(c % p == 0 for c in ints):
+                        ints[2] = 1
+                    elems = tuple(F.from_int(c) for c in ints)
+                    value = P._evaluate_elements(elems)
+                    assert P.evaluate(ProjPoint(F, ints)) == value
+                    assert P.evaluate(ints) == value  # coerced tuples
+                    assert P.evaluate(elems) == value
 
 
 def test_product_degree_and_terms():
