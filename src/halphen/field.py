@@ -7,8 +7,9 @@ Supported fields:
    (e^2 + e + 1 = 0), each element (n0 + n1*e)/d stored as a reduced
    integer triple (n0, n1, d).
  - Q(e)(a), the rational function field in one indeterminate a over Q(e),
-   represented as a reduced fraction of dense coefficient lists with a
-   monic denominator.
+   each element a coprime fraction of two polynomials over Z[e] stored as
+   (n0, n1) int pairs, each over one positive int denominator, with a
+   monic denominator; gcds by the primitive remainder sequence over Z[e].
  - GF(p) for a prime p, and GF(p^k) as residue polynomials modulo an
    irreducible modulus (inverses by Fermat, x^(p^k - 2)).
 
@@ -22,6 +23,7 @@ with a parser for the same syntax.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -280,6 +282,9 @@ class QEpsElem(FieldElem):
     def __eq__(self, other):
         if isinstance(other, int):
             return self.n0 == other and self.n1 == 0 and self.d == 1
+        if isinstance(other, Fraction):
+            return (self.n0 == other.numerator and self.n1 == 0
+                    and self.d == other.denominator)
         if not isinstance(other, QEpsElem):
             return NotImplemented
         return (self.n0 == other.n0 and self.n1 == other.n1
@@ -308,23 +313,6 @@ def pnormalize(coeffs):
 
 def pdeg(p):
     return len(p) - 1
-
-
-def padd(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        if i < len(p) and i < len(q):
-            out.append(p[i] + q[i])
-        elif i < len(p):
-            out.append(p[i])
-        else:
-            out.append(q[i])
-    return pnormalize(out)
-
-
-def pneg(p):
-    return [-c for c in p]
 
 
 def pmul(p, q, field):
@@ -408,6 +396,176 @@ def proots_in_field(p, field):
 
 # ---------------------------------------------------------------------------
 # Q(e)(a): rational functions in one variable over Q(e)
+#
+# Polynomials over Z[e] are tuples of (n0, n1) int pairs, n0 + n1*e, low
+# degree first, with no trailing (0, 0); () is the zero polynomial.  Every
+# quotient below is checked exact.
+
+_ONE = ((1, 0),)
+
+
+def _zstrip(out):
+    """Drop the trailing zeros of a list of pairs, in place."""
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _zmul(p, q):
+    """The product of two Z[e] polynomials."""
+    if not p or not q:
+        return ()
+    out0 = [0] * (len(p) + len(q) - 1)
+    out1 = out0[:]
+    for i, (a, b) in enumerate(p):
+        if a or b:
+            for j, (c, f) in enumerate(q, i):
+                bf = b * f
+                out0[j] += a * c - bf
+                out1[j] += a * f + b * c - bf
+    return tuple(zip(out0, out1))  # Z[e] has no zero divisors
+
+
+def _zscale(p, c0, c1=0):
+    """p times the Z[e] scalar c0 + c1*e (nonzero)."""
+    if c1 == 0:
+        return tuple((a * c0, b * c0) for a, b in p)
+    return tuple((a * c0 - b * c1, a * c1 + b * c0 - b * c1) for a, b in p)
+
+
+def _zlin(p, s, q, t):
+    """s*p + t*q for int scalars s and t."""
+    if len(p) < len(q):
+        p, s, q, t = q, t, p, s
+    out = [(a * s + c * t, b * s + f * t) for (a, b), (c, f) in zip(p, q)]
+    out.extend((a * s, b * s) for a, b in p[len(q):])
+    return tuple(_zstrip(out))
+
+
+def _content(p):
+    """The gcd of all the ints of p."""
+    return gcd(*chain.from_iterable(p))
+
+
+def _divide_content(p, c):
+    """p with each int divided by c, a common divisor of them all."""
+    return p if c == 1 else tuple((a // c, b // c) for a, b in p)
+
+
+def _zsub_shifted(rem, c0, c1, q, k):
+    """rem[k + j] -= (c0 + c1*e) * q[j] for every j, in place."""
+    for j, (a, b) in enumerate(q, k):
+        bf = c1 * b
+        r0, r1 = rem[j]
+        rem[j] = (r0 - (c0 * a - bf), r1 - (c0 * b + c1 * a - bf))
+
+
+def _zprem(p, q):
+    """The pseudo-remainder of p by q: l^k * p mod q with l = lc(q)."""
+    l0, l1 = q[-1]
+    rem = list(p)
+    while len(rem) >= len(q):
+        # rem <- l*rem - c * a^k * q with c = lc(rem), whose lead cancels
+        c0, c1 = rem.pop()
+        rem = list(_zscale(rem, l0, l1))
+        _zsub_shifted(rem, c0, c1, q[:-1], len(rem) + 1 - len(q))
+        _zstrip(rem)
+    return tuple(rem)
+
+
+def _zgcd(p, q):
+    """A gcd over Q(e) of two nonzero Z[e] polynomials, by the primitive
+    polynomial remainder sequence: pseudo-remainders with their integer
+    content removed."""
+    if len(p) < len(q):
+        p, q = q, p
+    p = _divide_content(p, _content(p))
+    q = _divide_content(q, _content(q))
+    while len(q) > 1:
+        r = _zprem(p, q)
+        if not r:
+            return q
+        p, q = q, _divide_content(r, _content(r))
+    return _ONE
+
+
+def _zquo(p, q):
+    """(s, quotient) with s * p == quotient * q, for a q with positive
+    integer lead L that divides p over Q(e); s = L^(deg p - deg q + 1)."""
+    L = q[-1][0]
+    n = len(q)
+    s = L ** (len(p) - n + 1)
+    rem = [(a * s, b * s) for a, b in p]
+    quo = [None] * (len(p) - n + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c0, c1 = rem.pop()
+        if c0 % L or c1 % L:
+            raise FieldError("inexact polynomial division in Q(e)(a)")
+        c0, c1 = c0 // L, c1 // L
+        quo[k] = (c0, c1)
+        _zsub_shifted(rem, c0, c1, q[:-1], k)
+    if any(a or b for a, b in rem):
+        raise FieldError("inexact polynomial division in Q(e)(a)")
+    return s, tuple(quo)
+
+
+def _lead_conjugate(p):
+    """A Z[e] scalar c with lc(p)*c a positive int: the conjugate of
+    lc(p) = l0 + l1*e, so that lc(p)*c = l0^2 - l0*l1 + l1^2, or the sign of
+    an integer lead."""
+    l0, l1 = p[-1]
+    if l1:
+        return l0 - l1, -l1
+    return (1 if l0 > 0 else -1), 0
+
+
+def _reduced(field, num, nd, den=_ONE, dd=1):
+    """The element (num/nd) / (den/dd) for a canonical den/dd coprime to
+    num: only the integer content of num and nd is left to reduce."""
+    if not num:
+        return field._zero
+    if nd != 1:
+        c = gcd(nd, *chain.from_iterable(num))
+        if c != 1:
+            num, nd = _divide_content(num, c), nd // c
+    return RatFuncElem(field, num, nd, den, dd)
+
+
+def _fraction(field, p, q, coprime=False):
+    """The element p/q for Z[e] polynomials p and q != (), in canonical form.
+
+    Unless `coprime`, the gcd of p and q over Q(e) is divided out first;
+    then q is made monic: both parts are multiplied by the conjugate of
+    lc(q), and q's lead, now the norm, goes into the int denominators.
+    """
+    if not p:
+        return field._zero
+    if not coprime and len(q) > 1 and len(p) > 1:
+        g = _zgcd(p, q)
+        if len(g) > 1:
+            g = _zscale(g, *_lead_conjugate(g))
+            g = _divide_content(g, _content(g))
+            sp, p = _zquo(p, g)
+            sq, q = _zquo(q, g)
+            # p/q = (p' / sp) / (q' / sq), and sp, sq are powers of one L
+            if sp > sq:
+                q = _zscale(q, sp // sq)
+            elif sq > sp:
+                p = _zscale(p, sq // sp)
+    c = _lead_conjugate(q)
+    if c != (1, 0):
+        p, q = _zscale(p, *c), _zscale(q, *c)
+    cq = _content(q)
+    q = _divide_content(q, cq)
+    dd = q[-1][0]
+    # p/q = (p / (cq*dd)) / (q/dd) with q/dd monic
+    return _reduced(field, p, cq * dd, q, dd)
+
+
+def _zpoly(coeffs):
+    """(pairs, L) with coeffs == pairs / L, for a list of Q(e) elements."""
+    L = lcm(*(c.d for c in coeffs))
+    return tuple(_zstrip([(c.n0 * (L // c.d), c.n1 * (L // c.d)) for c in coeffs])), L
 
 
 class RatFuncField(Field):
@@ -417,6 +575,7 @@ class RatFuncField(Field):
 
     def __init__(self):
         self._base = QQ_EPS
+        self._zero = RatFuncElem(self, (), 1, _ONE, 1)
 
     @property
     def base(self):
@@ -428,22 +587,29 @@ class RatFuncField(Field):
         return super().coerce(x)
 
     def from_int(self, n):
-        b = self._base.from_int(n)
-        return RatFuncElem(self, [b] if not b.is_zero() else [], [self._base.one()])
+        if n == 0:
+            return self._zero
+        return RatFuncElem(self, ((n, 0),), 1, _ONE, 1)
 
     def from_base(self, c):
         c = self._base.coerce(c)
-        return RatFuncElem(self, [c] if not c.is_zero() else [], [self._base.one()])
+        if c.is_zero():
+            return self._zero
+        return RatFuncElem(self, ((c.n0, c.n1),), c.d, _ONE, 1)
 
     def from_coeffs(self, num, den=None):
-        num = [self._base.coerce(c) for c in num]
-        den = [self._base.coerce(c) for c in den] if den is not None else [self._base.one()]
-        return RatFuncElem(self, pnormalize(num), pnormalize(den))
+        num, ln = _zpoly([self._base.coerce(c) for c in num])
+        if den is None:
+            return _reduced(self, num, ln)
+        den, ld = _zpoly([self._base.coerce(c) for c in den])
+        if not den:
+            raise ZeroDivisionError("zero denominator in Q(e)(a)")
+        # (num/ln) / (den/ld)
+        return _fraction(self, _zscale(num, ld), _zscale(den, ln))
 
     def gen(self):
         """The indeterminate a."""
-        z, o = self._base.zero(), self._base.one()
-        return RatFuncElem(self, [z, o], [o])
+        return RatFuncElem(self, ((0, 0), (1, 0)), 1, _ONE, 1)
 
     def has_eps(self):
         return True
@@ -454,37 +620,40 @@ class RatFuncField(Field):
     def random_element(self, rng):
         num = [self._base.random_element(rng) for _ in range(rng.randint(1, 3))]
         den = [self._base.random_element(rng) for _ in range(rng.randint(1, 3))]
-        den = pnormalize(den)
-        if not den:
+        if all(c.is_zero() for c in den):
             den = [self._base.one()]
-        return RatFuncElem(self, pnormalize(num), den)
+        return self.from_coeffs(num, den)
 
     def __repr__(self):
         return "Q(e)(a)"
 
 
 class RatFuncElem(FieldElem):
-    __slots__ = ("field", "num", "den")
+    """The element (num/nd) / (den/dd) of Q(e)(a), stored as plain integers.
 
-    def __init__(self, field, num, den):
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(e)(a)")
-        base = field.base
-        if not num:
-            den = [base.one()]
-        elif len(den) > 1:
-            g = pgcd(num, den, base)
-            if g and pdeg(g) > 0:
-                num = pexact_div(num, g, base)
-                den = pexact_div(den, g, base)
-        lead = den[-1]
-        if not lead == 1:
-            inv = lead.inverse()
-            num = pscale(num, inv)
-            den = pscale(den, inv)
+    `num` and `den` are polynomials in a over Z[e]: tuples of (n0, n1) int
+    pairs, n0 + n1*e, low degree first, without trailing (0, 0).  `nd` and
+    `dd` are positive ints.  The form is canonical, so equal elements have
+    equal parts:
+
+     - the gcd of all the ints of each part (nd with num, dd with den) is 1;
+     - the denominator is monic: its leading pair is (dd, 0);
+     - num and den are coprime over Q(e);
+     - zero is num == () over den == ((1, 0),).
+
+    A polynomial has den == ((1, 0),) and dd == 1.  The constructor stores
+    its arguments as given; `_fraction` and `_reduced` bring a quotient
+    into this form.
+    """
+
+    __slots__ = ("field", "num", "nd", "den", "dd")
+
+    def __init__(self, field, num, nd, den, dd):
         self.field = field
-        self.num = tuple(num)
-        self.den = tuple(den)
+        self.num = num
+        self.nd = nd
+        self.den = den
+        self.dd = dd
 
     def is_zero(self):
         return not self.num
@@ -497,19 +666,26 @@ class RatFuncElem(FieldElem):
              else self._check(other))
         if o is NotImplemented:
             return o
-        base = self.field.base
+        n1, n2 = self.nd, o.nd
+        g = gcd(n1, n2)
+        s, t = n2 // g, n1 // g  # num/n1 + onum/n2 = (s*num + t*onum)/lcm
+        if len(self.den) == 1 and len(o.den) == 1:
+            return _reduced(self.field, _zlin(self.num, s, o.num, t), n1 * s)
         if self.den == o.den:
-            return RatFuncElem(self.field,
-                               padd(list(self.num), list(o.num)), list(self.den))
-        num = padd(pmul(list(self.num), list(o.den), base),
-                   pmul(list(o.num), list(self.den), base))
-        den = pmul(list(self.den), list(o.den), base)
-        return RatFuncElem(self.field, num, den)
+            # (num/n1 + onum/n2) / (den/dd)
+            return _fraction(self.field, _zscale(_zlin(self.num, s, o.num, t), self.dd),
+                             _zscale(self.den, n1 * s))
+        # num*dd/(n1*den) + onum*odd/(n2*oden); a polynomial plus a
+        # reduced fraction is reduced
+        p = _zlin(_zmul(self.num, o.den), s * self.dd, _zmul(o.num, self.den), t * o.dd)
+        return _fraction(self.field, p, _zscale(_zmul(self.den, o.den), n1 * s),
+                         coprime=len(self.den) == 1 or len(o.den) == 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncElem(self.field, pneg(list(self.num)), list(self.den))
+        return RatFuncElem(self.field, tuple((-a, -b) for a, b in self.num),
+                           self.nd, self.den, self.dd)
 
     def __sub__(self, other):
         o = self._check(other)
@@ -522,27 +698,40 @@ class RatFuncElem(FieldElem):
              else self._check(other))
         if o is NotImplemented:
             return o
-        base = self.field.base
-        num = pmul(list(self.num), list(o.num), base)
-        den = pmul(list(self.den), list(o.den), base)
-        return RatFuncElem(self.field, num, den)
+        if not self.num or not o.num:
+            return self.field._zero
+        for x, c in ((self, o), (o, self)):
+            if len(c.num) == 1 and len(c.den) == 1:
+                # a nonzero constant c keeps num and den coprime
+                (c0, c1), = c.num
+                return _reduced(x.field, _zscale(x.num, c0, c1), x.nd * c.nd, x.den, x.dd)
+        num = _zmul(self.num, o.num)
+        nd = self.nd * o.nd
+        if len(self.den) == 1 and len(o.den) == 1:
+            return _reduced(self.field, num, nd)
+        # (num/nd) / (den*oden/(dd*odd))
+        return _fraction(self.field, _zscale(num, self.dd * o.dd),
+                         _zscale(_zmul(self.den, o.den), nd))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(e)(a)")
-        return RatFuncElem(self.field, list(self.den), list(self.num))
+        # (den/dd) / (num/nd)
+        return _fraction(self.field, _zscale(self.den, self.nd),
+                         _zscale(self.num, self.dd), coprime=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QEpsElem)):
             other = self.field.coerce(other)
         if not isinstance(other, RatFuncElem):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.num == other.num and self.nd == other.nd
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.nd, self.den))
 
 
 RatFuncElem._coercible = (int, Fraction, QEpsElem, RatFuncElem)
@@ -911,16 +1100,24 @@ def specialize_scalar(x, target, eps_image=None, a_image=None):
             raise BadSpecializationError(f"denominator {x.d} vanishes in {target}")
         return num / den
     if isinstance(x, RatFuncElem):
-        if a_image is None and pdeg(list(x.num)) < 1 and pdeg(list(x.den)) < 1:
+        if a_image is None and len(x.num) < 2 and len(x.den) < 2:
             a_image = target.zero()  # constant: the image of a is irrelevant
         if a_image is None:
             raise BadSpecializationError("an a image is required")
-        num = _eval_qeps_poly(x.num, target, eps_image, a_image)
-        den = _eval_qeps_poly(x.den, target, eps_image, a_image)
+        if any(b for _, b in x.num + x.den):
+            if eps_image is None:
+                raise BadSpecializationError("an eps image is required")
+            _check_eps_image(eps_image, target)
+        # (num/nd) / (den/dd) = (num * dd) / (den * nd)
+        for d in (x.nd, x.dd):
+            if target.from_int(d).is_zero():
+                raise BadSpecializationError(f"denominator {d} vanishes in {target}")
+        num = _eval_zeps_poly(x.num, target, eps_image, a_image)
+        den = _eval_zeps_poly(x.den, target, eps_image, a_image)
         if den.is_zero():
             raise BadSpecializationError(
                 f"denominator {to_text(x)} vanishes at the chosen a")
-        return num / den
+        return num * target.from_int(x.dd) / (den * target.from_int(x.nd))
     if isinstance(x, FieldElem) and x.field is target:
         return x
     raise MixedContextError(f"cannot specialize {x!r}")
@@ -933,10 +1130,14 @@ def _check_eps_image(eps_image, target):
             "eps image must be a primitive cube root of unity")
 
 
-def _eval_qeps_poly(coeffs, target, eps_image, a_image):
+def _eval_zeps_poly(coeffs, target, eps_image, a_image):
+    """A Z[e] polynomial at a = a_image, e = eps_image in `target`."""
     acc = target.zero()
-    for c in reversed(coeffs):
-        acc = acc * a_image + specialize_scalar(c, target, eps_image, None)
+    for n0, n1 in reversed(coeffs):
+        c = target.from_int(n0)
+        if n1:
+            c = c + target.from_int(n1) * eps_image
+        acc = acc * a_image + c
     return acc
 
 
@@ -999,10 +1200,10 @@ def to_text(x):
     if isinstance(x, QEpsElem):
         return _qeps_str(x)
     if isinstance(x, RatFuncElem):
-        num = _qeps_poly_str(list(x.num))
+        num = _qeps_poly_str([QEpsElem(QQ_EPS, a, b, x.nd) for a, b in x.num])
         if x.is_polynomial():
             return num
-        den = _qeps_poly_str(list(x.den))
+        den = _qeps_poly_str([QEpsElem(QQ_EPS, a, b, x.dd) for a, b in x.den])
         return f"({num})/({den})"
     if isinstance(x, GFpElem):
         return str(x.v)

@@ -735,12 +735,20 @@ def realize_low_degree_classes(classes, points):
     """Check every degree <= 2 class against actual curves through the points.
 
     Lines through two points and conics through five must exist (kernel
-    dimension exactly one) and avoid the remaining base points.
+    dimension exactly one) and avoid the remaining base points.  Each
+    point's monomial values are computed once per degree: the kernel rows
+    are those values at the support, and the curve's value at a point is
+    their dot product with its coefficient vector.
     """
     from .linalg import kernel_basis
-    from .plane import Poly3, monomials_of_degree
+    from .plane import monomials_of_degree
 
     field = points[0].field
+    zero = field.zero()
+    monomial_rows = {
+        d: [[x ** i * y ** j * z ** k for (i, j, k) in monomials_of_degree(d)]
+            for x, y, z in (P.coords for P in points)]
+        for d in (1, 2)}
     checked = 0
     for D in classes:
         d = D[0]
@@ -750,22 +758,14 @@ def realize_low_degree_classes(classes, points):
         if any(m not in (0, 1) for m in mults):
             raise LatticeError(f"degree {d} class {D} has unexpected multiplicities")
         support = [i for i, m in enumerate(mults) if m == 1]
-        monos = monomials_of_degree(d)
-        rows = []
-        for i in support:
-            P = points[i]
-            row = []
-            for (ei, ej, ek) in monos:
-                row.append(P.coords[0] ** ei * P.coords[1] ** ej * P.coords[2] ** ek)
-            rows.append(row)
-        kern = kernel_basis(rows, field)
+        rows = monomial_rows[d]
+        kern = kernel_basis([rows[i] for i in support], field)
         if len(kern) != 1:
             raise LatticeError(
                 f"class {D}: expected a unique curve, kernel dimension {len(kern)}")
-        curve = Poly3(field, d, dict(zip(monos, kern[0])))
-        for i in range(9):
-            vanishes = curve.evaluate(points[i]).is_zero()
-            if vanishes != (i in support):
+        for i, row in enumerate(rows):
+            value = sum((c * v for c, v in zip(kern[0], row)), zero)
+            if value.is_zero() != (i in support):
                 raise LatticeError(f"class {D}: curve support mismatch at p_{i + 1}")
         checked += 1
     if checked != 36 + 54:

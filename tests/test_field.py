@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
                            FieldError, MixedContextError, QEpsElem, find_irreducible,
-                           parse_element, pexact_div, pgcd,
-                           proots_in_field, specialize_scalar, to_text)
+                           parse_element, pdeg, pexact_div, pgcd, pmul, pnormalize,
+                           proots_in_field, pscale, specialize_scalar, to_text)
 
 
 def test_eps_relations():
@@ -359,3 +359,183 @@ def test_qeps_matches_sympy_algebraic_field():
         assert x * y == from_k(kx * ky)
         assert x / y == from_k(kx / ky)
         assert y.inverse() == from_k(ky ** -1)
+
+
+def test_qeps_equals_fraction():
+    half = QQ_EPS.from_fraction(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != Fraction(1, 3) and half != Fraction(-1, 2)
+    assert QQ_EPS.from_int(3) == Fraction(3) and QQ_EPS.zero() == Fraction(0)
+    assert QQ_EPS.make(Fraction(1, 2), 1) != Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel of Q(e)(a), against the element-list oracle
+
+
+def _oracle_parts(x):
+    """The numerator and the monic denominator of x as lists of Q(e) elements."""
+    return ([QEpsElem(QQ_EPS, n0, n1, x.nd) for n0, n1 in x.num],
+            [QEpsElem(QQ_EPS, n0, n1, x.dd) for n0, n1 in x.den])
+
+
+def _assert_ratfunc_canonical(x):
+    ints = [v for pair in x.num + x.den for v in pair]
+    assert all(type(v) is int for v in ints + [x.nd, x.dd])
+    assert x.nd > 0 and x.dd > 0
+    assert not x.num or x.num[-1] != (0, 0)  # no trailing zero
+    assert math.gcd(x.nd, *(v for pair in x.num for v in pair)) == 1
+    assert math.gcd(*(v for pair in x.den for v in pair)) == 1
+    assert x.den[-1] == (x.dd, 0)  # monic
+    if not x.num:
+        assert (x.nd, x.den, x.dd) == (1, ((1, 0),), 1)
+    num, den = _oracle_parts(x)
+    assert not num or pdeg(pgcd(num, den, QQ_EPS)) == 0  # coprime
+
+
+def _oracle_fraction(num, den):
+    """num/den reduced with the generic pgcd and made monic."""
+    F = QQ_EPS
+    if not num:
+        return [], [F.one()]
+    g = pgcd(num, den, F)
+    num, den = pexact_div(num, g, F), pexact_div(den, g, F)
+    inv = den[-1].inverse()
+    return pscale(num, inv), pscale(den, inv)
+
+
+def _list_sum(p, q, sign=1):
+    """p + sign*q for coefficient lists."""
+    n = max(len(p), len(q))
+    p, q = p + [QQ_EPS.zero()] * (n - len(p)), q + [QQ_EPS.zero()] * (n - len(q))
+    return pnormalize([u + sign * v for u, v in zip(p, q)])
+
+
+def _oracle_ops(x, y):
+    F = QQ_EPS
+    (xn, xd), (yn, yd) = _oracle_parts(x), _oracle_parts(y)
+    out = {"+": (_list_sum(pmul(xn, yd, F), pmul(yn, xd, F)), pmul(xd, yd, F)),
+           "-": (_list_sum(pmul(xn, yd, F), pmul(yn, xd, F), -1), pmul(xd, yd, F)),
+           "*": (pmul(xn, yn, F), pmul(xd, yd, F))}
+    if yn:
+        out["/"] = (pmul(xn, yd, F), pmul(xd, yn, F))
+    return {op: _oracle_fraction(*parts) for op, parts in out.items()}
+
+
+@st.composite
+def qeps_polys(draw, min_size=1):
+    return draw(st.lists(qeps_elems(), min_size=min_size, max_size=3))
+
+
+@st.composite
+def shared_factor_elems(draw):
+    """x = (f*h)/(g*h) with h of degree >= 1, built without reducing first."""
+    F = QQ_EPS
+    f, g = draw(qeps_polys()), draw(qeps_polys())
+    h = draw(qeps_polys(min_size=2))
+    if pdeg(pnormalize(list(g))) < 0:
+        g = [F.one()]
+    if pdeg(pnormalize(list(h))) < 1:
+        h = [F.one(), F.one()]
+    return QQ_EPS_A.from_coeffs(pmul(f, h, F), pmul(g, h, F)), f, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfunc_elems(), ratfunc_elems(), st.integers(-3, 3))
+def test_ratfunc_results_are_canonical(x, y, n):
+    results = [x, y, x + y, x - y, x * y, -x, x ** abs(n), x + n, n * y,
+               QQ_EPS_A.from_coeffs(*_oracle_parts(x))]
+    if not y.is_zero():
+        results += [x / y, y.inverse(), n / y, y ** n]
+    for r in results:
+        _assert_ratfunc_canonical(r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfunc_elems(), ratfunc_elems())
+def test_ratfunc_equal_values_hash_equal(x, y):
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x)
+    rebuilt = QQ_EPS_A.from_coeffs(*_oracle_parts(x))
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+    if not y.is_zero():
+        quotient = (x * y) / y
+        assert quotient == x and hash(quotient) == hash(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfunc_elems(), ratfunc_elems())
+def test_ratfunc_matches_element_list_oracle(x, y):
+    for op, expected in _oracle_ops(x, y).items():
+        got = _OPS[op](x, y)
+        assert _oracle_parts(got) == expected, op
+    if not x.is_zero():
+        assert _oracle_parts(x.inverse()) == _oracle_fraction(*_oracle_parts(x)[::-1])
+        assert x * (1 / x) == 1 and x * x.inverse() == 1
+    assert x + (-x) == 0 and (x - x).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_factor_elems(), ratfunc_elems())
+def test_ratfunc_shared_factors_cancel(built, y):
+    x, f, g = built
+    _assert_ratfunc_canonical(x)
+    assert x == QQ_EPS_A.from_coeffs(f, g)
+    assert _oracle_parts(x) == _oracle_fraction(pnormalize(list(f)), pnormalize(list(g)))
+    for op, expected in _oracle_ops(x, y).items():
+        got = _OPS[op](x, y)
+        _assert_ratfunc_canonical(got)
+        assert _oracle_parts(got) == expected, op
+
+
+def test_ratfunc_cancellation_examples():
+    A = QQ_EPS_A
+    a, e = A.gen(), A.eps()
+    assert (a**2 - 1) / (a - 1) == a + 1
+    assert ((a**2 - 1) / (a - 1)).is_polynomial()
+    x = (e * a**2 + Fraction(1, 3)) / (2 * a**3 - e)
+    assert x * (1 / x) == 1 and x + (-x) == 0
+    assert (x * (a - e)) / (a - e) == x
+    assert 1 / (a * (a - 1)) + 1 / a == 1 / (a - 1)
+    assert (a - e) / (a + 1) * ((a + 1) / (a - e)) == 1
+    y = (a - e) * (a + 1) / ((a - e) * (3 * a - 2))
+    assert y == (a + 1) / (3 * a - 2)
+    assert (y.num, y.nd, y.den, y.dd) == (((1, 0), (1, 0)), 3, ((-2, 0), (3, 0)), 3)
+    # 1/e = -1 - e, so (a + 1)/(e*a - 2) = ((-1 - e)*a - 1 - e)/(a + 2 + 2*e)
+    z = (a + 1) / (e * a - 2)
+    assert (z.num, z.nd, z.den, z.dd) == (((-1, -1), (-1, -1)), 1, ((2, 2), (1, 0)), 1)
+    with pytest.raises(ZeroDivisionError):
+        A.from_coeffs([1], [0])
+
+
+def test_ratfunc_matches_sympy_fraction_field():
+    sympy = pytest.importorskip("sympy")
+    root = (-1 + sympy.sqrt(3) * sympy.I) / 2
+    K = sympy.QQ.algebraic_field(root)
+    F = K.frac_field(sympy.Symbol("a"))
+    R = F.field.ring
+    e = K.from_sympy(root)
+
+    def to_k(n0, n1, d):
+        return (K.from_sympy(sympy.Rational(n0, d))
+                + K.from_sympy(sympy.Rational(n1, d)) * e)
+
+    def to_f(x):
+        num = R.from_dict({(i,): to_k(*c, x.nd) for i, c in enumerate(x.num)})
+        den = R.from_dict({(i,): to_k(*c, x.dd) for i, c in enumerate(x.den)})
+        return F.field(num) / F.field(den)
+
+    rng = random.Random(13)
+    samples = [QQ_EPS_A.random_element(rng) for _ in range(40)]
+    a = QQ_EPS_A.gen()
+    samples += [(a**2 - 1) / (a - 1), (QQ_EPS_A.eps() * a + 2) / (a**2 + a + 1)]
+    # sympy does not keep these fractions in one canonical form, so its
+    # results are compared by their difference
+    for x, y in zip(samples, samples[1:] + samples[:1]):
+        fx, fy = to_f(x), to_f(y)
+        assert not to_f(x + y) - (fx + fy)
+        assert not to_f(x - y) - (fx - fy)
+        assert not to_f(x * y) - fx * fy
+        if not y.is_zero():
+            assert not to_f(x / y) - fx / fy
+            assert not to_f(y.inverse()) - 1 / fy

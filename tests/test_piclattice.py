@@ -173,6 +173,14 @@ def test_low_degree_classes_realized(classes144, symbolic_data):
     assert realize_low_degree_classes(classes144, symbolic_data.points) == 90
 
 
+def test_low_degree_classes_reject_misplaced_points(classes144, symbolic_data):
+    from halphen.piclattice import realize_low_degree_classes
+    points = list(symbolic_data.points)
+    points[0], points[4] = points[4], points[0]
+    with pytest.raises(LatticeError, match="curve support mismatch"):
+        realize_low_degree_classes(classes144, points)
+
+
 def test_galois_permutation_pairs_eight_classes(lattice):
     perm = galois_permutation(lattice)
     assert perm[0] == 0 and perm[1] == 1

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "halphen"
@@ -17,4 +18,23 @@ def test_no_floating_point_literals():
             if (isinstance(node, ast.Constant)
                     and isinstance(node.value, (float, complex))):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """The runtime needs nothing beyond the standard library."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
