@@ -291,13 +291,24 @@ class QEpsElem(FieldElem):
                 and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.n0, self.n1, self.d))
+        return _qe_hash(self.n0, self.n1, self.d)
 
     def conjugate(self):
         return QEpsElem(self.field, self.n0 - self.n1, -self.n1, self.d)
 
 
 QEpsElem._coercible = (int, Fraction, QEpsElem)
+
+
+def _qe_hash(n0, n1, d):
+    """The hash of (n0 + n1*e)/d in reduced form.
+
+    A rational value hashes as the equal int or Fraction, so that the hash
+    agrees with `==` across int, Fraction, Q(e) and Q(e)(a).
+    """
+    if n1 == 0:
+        return hash(Fraction(n0, d))
+    return hash((n0, n1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +379,6 @@ def pgcd(p, q, field):
     if a:
         a = pscale(a, a[-1].inverse())
     return a
-
-
-def peval(p, x, field):
-    acc = field.zero()
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def proots_in_field(p, field):
-    """All roots of p lying in the coefficient field itself.
-
-    Finite fields are scanned exhaustively; elsewhere only degree <= 1
-    factors are resolved (which is all the geometry needs).
-    """
-    if not p:
-        raise FieldError("the zero polynomial has every root")
-    if field.is_finite:
-        return [x for x in field.elements() if peval(p, x, field).is_zero()]
-    if pdeg(p) == 0:
-        return []
-    if pdeg(p) == 1:
-        return [-p[0] / p[1]]
-    raise FieldError("root extraction beyond linear factors needs a finite field")
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +718,10 @@ class RatFuncElem(FieldElem):
                 and self.den == other.den)
 
     def __hash__(self):
+        if len(self.num) <= 1 and len(self.den) == 1:
+            # a constant: hash it as the equal element of Q(e)
+            (n0, n1), = self.num or ((0, 0),)
+            return _qe_hash(n0, n1, self.nd)
         return hash((self.num, self.nd, self.den))
 
 
@@ -781,6 +772,13 @@ class PrimeField(Field):
 
 
 class GFpElem(FieldElem):
+    """The residue v mod p.
+
+    An element equals every int congruent to it mod p, so its hash cannot
+    agree with the hashes of all the ints it equals: do not mix ints and
+    GF(p) elements as keys of one dict or set.  The same holds for GF(p^k).
+    """
+
     __slots__ = ("field", "v")
 
     def __init__(self, field, v):

@@ -196,42 +196,88 @@ def enumerate_minus1_generative(lattice):
     return sorted(classes)
 
 
-def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
-    """All integer solutions of D^2 = D.K = -1 with d <= d_max.
-
-    Searches m-vectors with sum 3d - 1 and square sum d^2 + 1 (exact
-    Diophantine pruning), then filters by the twelve (-2)-constraints
-    unless `apply_constraints` is false.
-    """
+def sorted_multiplicities(d):
+    """The non-increasing m-tuples of length 9 with sum 3d - 1 and square sum d^2 + 1."""
     found = []
 
-    def search(prefix, k, s, q):
-        # k coordinates remain, with target sum s and target square sum q
+    def search(prefix, k, s, q, top):
+        # k slots remain, each at most top, with target sum s and square sum q
         if k == 0:
             if s == 0 and q == 0:
                 found.append(tuple(prefix))
             return
         bound = isqrt(q)
-        for m in range(-bound, bound + 1):
+        for m in range(-bound, min(bound, top) + 1):
             q2 = q - m * m
             s2 = s - m
-            if q2 < 0:
-                continue
             # Cauchy-Schwarz feasibility for the remaining k-1 slots
             if s2 * s2 > (k - 1) * q2:
                 continue
             prefix.append(m)
-            search(prefix, k - 1, s2, q2)
+            search(prefix, k - 1, s2, q2, m)
             prefix.pop()
 
-    out = set()
-    for d in range(0, d_max + 1):
-        found.clear()
-        search([], 9, 3 * d - 1, d * d + 1)
-        for ms in found:
+    q = d * d + 1
+    search([], 9, 3 * d - 1, q, isqrt(q))
+    return found
+
+
+def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
+    """All integer solutions of D^2 = D.K = -1 with d <= d_max.
+
+    D = d e_0 - sum m_i e_i solves both equations exactly when the m_i sum
+    to 3d - 1 and their squares to d^2 + 1.  For each d the search lists
+    the non-increasing m-tuples with these sums (`sorted_multiplicities`),
+    then expands each tuple into its distinct orderings, placing one value
+    group at a time, largest value first, on a combination of the free
+    slots.  Unless `apply_constraints` is false, a partial ordering is cut
+    once some (-2)-class R has D.R < 0 for every completion: D.R is
+    d R_0 + sum m_i R_i, and a free slot adds at most R_i times the largest
+    value left where R_i > 0 and R_i times the smallest where R_i < 0.
+    Every finished class is then checked against each R exactly.  The
+    search reads only `lattice.minus2`, and shares no code with
+    `enumerate_minus1_generative`.
+    """
+    rows = lattice.minus2 if apply_constraints else ()
+    # per R, the sums of max(R_i, 0) and of min(R_i, 0) over each set of
+    # slots i = 1..9, a set being a 9-bit mask
+    sums = []
+    for R in rows:
+        up, down = [0] * 512, [0] * 512
+        for mask in range(1, 512):
+            i, rest = (mask & -mask).bit_length(), mask & (mask - 1)
+            up[mask] = up[rest] + max(R[i], 0)
+            down[mask] = down[rest] + min(R[i], 0)
+        sums.append((up, down))
+    out = []
+    ms = [0] * 9  # the ordering being built; a leaf has set all nine slots
+
+    def place(d, groups, free, fixed):
+        # groups are the (value, count) pairs still to place on the free
+        # slots, largest value first; per R, fixed is d R_0 + sum m_i R_i
+        # over the placed slots.  With no group left the bound is D.R.
+        if not groups:
             D = (d,) + tuple(-m for m in ms)
-            if not apply_constraints or all(inner(D, R) >= 0 for R in lattice.minus2):
-                out.add(D)
+            if all(inner(D, R) >= 0 for R in rows):
+                out.append(D)
+            return
+        (v, count), rest = groups[0], groups[1:]
+        hi, lo = (rest[0][0], rest[-1][0]) if rest else (0, 0)
+        for chosen in combinations([1 << i for i in range(9) if free >> i & 1], count):
+            c = sum(chosen)
+            left = free ^ c
+            if any(a + v * (up[c] + down[c]) + hi * up[left] + lo * down[left] < 0
+                   for a, (up, down) in zip(fixed, sums)):
+                continue
+            for b in chosen:
+                ms[b.bit_length() - 1] = v
+            place(d, rest, left,
+                  [a + v * (up[c] + down[c]) for a, (up, down) in zip(fixed, sums)])
+
+    for d in range(d_max + 1):
+        for tup in sorted_multiplicities(d):
+            groups = [(v, tup.count(v)) for v in sorted(set(tup), reverse=True)]
+            place(d, groups, 511, [d * R[0] for R in rows])
     return sorted(out)
 
 
@@ -638,21 +684,18 @@ def all_nine_cliques(classes):
     cliques = []
 
     def extend(chosen, cand):
-        if len(chosen) == 9:
+        need = 9 - len(chosen)
+        if need == 0:
             cliques.append(tuple(verts[k] for k in chosen))
             return
-        if len(chosen) + bin(cand).count("1") < 9:
-            return
-        while cand:
+        # candidates are popped lowest first, so every later one lies above j
+        while cand.bit_count() >= need:
             low = cand & -cand
             j = low.bit_length() - 1
             cand ^= low
-            if len(chosen) + 1 + bin(cand).count("1") < 9:
-                return
             chosen.append(j)
-            extend(chosen, cand & adj[j] & ~((1 << (j + 1)) - 1))
+            extend(chosen, cand & adj[j])
             chosen.pop()
-        return
 
     full = (1 << n) - 1
     extend([], full)

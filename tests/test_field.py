@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
                            FieldError, MixedContextError, QEpsElem, find_irreducible,
                            parse_element, pdeg, pexact_div, pgcd, pmul, pnormalize,
-                           proots_in_field, pscale, specialize_scalar, to_text)
+                           pscale, specialize_scalar, to_text)
 
 
 def test_eps_relations():
@@ -209,17 +209,6 @@ def test_univariate_tools():
     assert q == [one, one]
     with pytest.raises(FieldError):
         pexact_div([one, one, one], [one, one], F)
-    cube = [F.from_int(-1), F.zero(), F.zero(), one]  # X^3 - 1
-    roots = sorted(r.v for r in proots_in_field(cube, F))
-    assert roots == [1, 2, 4]
-
-
-def test_roots_linear_only_over_function_field():
-    A = QQ_EPS_A
-    a = A.gen()
-    assert proots_in_field([-a, A.one()], A) == [a]
-    with pytest.raises(FieldError):
-        proots_in_field([A.one(), A.zero(), A.one()], A)
 
 
 def test_serialization_round_trips():
@@ -359,6 +348,40 @@ def test_qeps_matches_sympy_algebraic_field():
         assert x * y == from_k(kx * ky)
         assert x / y == from_k(kx / ky)
         assert y.inverse() == from_k(ky ** -1)
+
+
+def test_hash_agrees_with_equality_on_smaller_rings():
+    three, half = QQ_EPS.from_int(3), QQ_EPS.from_fraction(Fraction(1, 2))
+    assert {three: 1}.get(3) == 1 and 3 in {QQ_EPS_A.from_int(3)}
+    assert {Fraction(1, 2): 1}.get(half) == 1 and half in {QQ_EPS_A.from_base(half)}
+    e = QQ_EPS.eps()
+    assert {QQ_EPS_A.from_base(e): 1}.get(e) == 1
+    assert {QQ_EPS_A.zero(), QQ_EPS.zero(), 0} == {0}
+
+
+def _in_type(c0, c1, kind):
+    """(c0 + c1*e) as the given type, or as an element of Q(e) if it lies outside."""
+    if kind == "int" and c1 == 0 and c0.denominator == 1:
+        return int(c0)
+    if kind == "Fraction" and c1 == 0:
+        return c0
+    if kind == "Q(e)(a)":
+        return QQ_EPS_A.from_base(QQ_EPS.make(c0, c1))
+    return QQ_EPS.make(c0, c1)
+
+
+_kinds = st.sampled_from(("int", "Fraction", "Q(e)", "Q(e)(a)"))
+_tiny_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_tiny_int = st.integers(-1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tiny_fraction, _tiny_int, _kinds, _tiny_fraction, _tiny_int, _kinds)
+def test_equal_values_hash_equal_across_types(a0, a1, kind_a, b0, b1, kind_b):
+    x, y = _in_type(a0, a1, kind_a), _in_type(b0, b1, kind_b)
+    assert (x == y) == ((a0, a1) == (b0, b1))
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 def test_qeps_equals_fraction():

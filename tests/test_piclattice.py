@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import cache
+from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,12 +10,12 @@ from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLU
                                 ORBIT_MATRIX_X9, CosetLabeller, add, basis_e,
                                 bertini_involution, bertini_pair,
                                 chilean_lattice, chilean_set_uniqueness,
-                                degree_histogram, enumerate_minus1_bruteforce,
-                                galois_permutation,
+                                all_nine_cliques, degree_histogram,
+                                enumerate_minus1_bruteforce, galois_permutation,
                                 index3_lattice, index3_section_check, inner,
                                 kperp_quotients, ltrop,
                                 mw_generators, mw_orbits, res_partition, scale,
-                                table144, triangle_integer_points,
+                                sorted_multiplicities, table144, triangle_integer_points,
                                 verify_mw_action, verify_nine_class_theorem,
                                 verify_orbit_matrices, verify_torsion_vectors)
 
@@ -47,6 +50,111 @@ def test_enumerations_agree(lattice, classes144):
     assert enumerate_minus1_bruteforce(lattice, d_max=12) == classes144
     free = enumerate_minus1_bruteforce(lattice, d_max=4, apply_constraints=False)
     assert len(free) > 144
+
+
+@cache
+def _ordered_solutions(d):
+    """Oracle: every D of degree d with D^2 = D.K = -1, by an ordered search.
+
+    Visits the ordered m-vectors with sum 3d - 1 and square sum d^2 + 1
+    slot by slot, with Cauchy-Schwarz pruning only.
+    """
+    found = []
+
+    def search(prefix, k, s, q):
+        if k == 0:
+            if s == 0 and q == 0:
+                found.append((d,) + tuple(-m for m in prefix))
+            return
+        bound = isqrt(q)
+        for m in range(-bound, bound + 1):
+            q2, s2 = q - m * m, s - m
+            if s2 * s2 > (k - 1) * q2:
+                continue
+            prefix.append(m)
+            search(prefix, k - 1, s2, q2)
+            prefix.pop()
+
+    search([], 9, 3 * d - 1, d * d + 1)
+    return sorted(found)
+
+
+def _oracle_classes(lattice, d_max, apply_constraints):
+    return [D for d in range(d_max + 1) for D in _ordered_solutions(d)
+            if not apply_constraints or all(inner(D, R) >= 0 for R in lattice.minus2)]
+
+
+# rows with positive entries past e_0, so that the search bounds a free slot
+# by the largest value left; the bound holds for any integer rows, and only
+# e_1 - e_2 and e_4 - e_9 here are (-2)-classes
+_POSITIVE_ENTRY_ROWS = SimpleNamespace(minus2=(
+    (0, 1, -1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+    (0, 2, -1, -1, 0, 0, 0, 0, 0, 0),
+    (1, 1, -1, -1, -1, 0, 0, 0, 0, 0),
+))
+
+
+# the lists are sorted by degree first, so equal lists agree at every d <= d_max
+@pytest.mark.parametrize("make_lattice, d_max", [
+    (chilean_lattice, 12), (index3_lattice, 8), (lambda: _POSITIVE_ENTRY_ROWS, 12)],
+    ids=["chilean", "index3", "positive-entries"])
+def test_bruteforce_matches_ordered_search(make_lattice, d_max):
+    L = make_lattice()
+    assert enumerate_minus1_bruteforce(L, d_max) == _oracle_classes(L, d_max, True)
+
+
+def test_unconstrained_bruteforce_matches_ordered_search():
+    # without the constraints the lattice is not read
+    got = enumerate_minus1_bruteforce(chilean_lattice(), 12, apply_constraints=False)
+    assert got == _oracle_classes(None, 12, False)
+    assert len(got) == 29592
+
+
+def test_bruteforce_sorted_multiplicities():
+    tuples = [t for d in range(13) for t in sorted_multiplicities(d)]
+    assert len(tuples) == 29
+    assert sorted_multiplicities(4) == [(2, 2, 2, 1, 1, 1, 1, 1, 0),
+                                        (3, 1, 1, 1, 1, 1, 1, 1, 1)]
+    assert all(list(t) == sorted(t, reverse=True) for t in tuples)
+
+
+def _ordered_nine_cliques(classes):
+    """Oracle: the nine-clique backtracking with explicit popcount cuts."""
+    verts = sorted(classes)
+    n = len(verts)
+    adj = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if inner(verts[i], verts[j]) == 0:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    cliques = []
+
+    def extend(chosen, cand):
+        if len(chosen) == 9:
+            cliques.append(tuple(verts[k] for k in chosen))
+            return
+        if len(chosen) + bin(cand).count("1") < 9:
+            return
+        while cand:
+            low = cand & -cand
+            j = low.bit_length() - 1
+            cand ^= low
+            if len(chosen) + 1 + bin(cand).count("1") < 9:
+                return
+            chosen.append(j)
+            extend(chosen, cand & adj[j] & ~((1 << (j + 1)) - 1))
+            chosen.pop()
+
+    extend([], (1 << n) - 1)
+    return cliques
+
+
+def test_nine_cliques_match_the_ordered_search(classes144):
+    cliques = all_nine_cliques(classes144)
+    assert len(cliques) == 544
+    assert cliques == _ordered_nine_cliques(classes144)
 
 
 def test_every_class_satisfies_the_predicate(lattice, classes144):

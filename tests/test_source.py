@@ -38,3 +38,31 @@ def test_runtime_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_bruteforce_enumeration_is_independent_of_the_generative_one():
+    """The brute-force (-1)-class search uses none of the generative tools.
+
+    The two enumerations of the 144 classes cross-check each other only if
+    they share no code: walk `enumerate_minus1_bruteforce` and every module
+    function it reaches, and collect each name they refer to.
+    """
+    tree = ast.parse((SRC / "piclattice.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    todo, seen, names = ["enumerate_minus1_bruteforce"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += [n for n in names if n in functions]
+    assert {"enumerate_minus1_bruteforce", "inner"} <= seen
+    forbidden = {"enumerate_minus1_generative", "fiber_components_missing",
+                 "F0_CLASS", "basis_e", "is_minus1_class"}
+    assert names & forbidden == set()
