@@ -33,9 +33,10 @@ formulas, the certificates and `HesseCubic.contains` run on plain
 residues mod p, and points are built only for the answers; over every
 other field the same code runs on field elements.
 
-Over a prime field `rational_points` walks the chart on plain residues
-mod p and certifies each hit with `HesseCubic.contains`; over GF(p^k) it
-walks field elements.  `CubicGroup.orders` gives the exact order of every
+`rational_points` walks the chart on plain residues mod p over a prime
+field, and on the int codes of `PrimeExtField` with its exponent,
+logarithm and Zech tables over GF(p^k); it certifies each hit with
+`HesseCubic.contains`.  `CubicGroup.orders` gives the exact order of every
 point from one walk P, 2P, ... per cyclic subgroup it meets: a walk that
 reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 """
@@ -43,7 +44,7 @@ reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 from functools import cached_property
 from math import gcd
 
-from .field import FieldError, PrimeField
+from .field import FieldError, GFpkElem, PrimeField, prime_divisors
 from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, gens,
                     line_basis)
 
@@ -383,24 +384,10 @@ class CubicGroup:
     def has_exact_order(self, P, m):
         if not self.scalar_mul(m, P) == self.zero:
             return False
-        for q in _prime_divisors(m):
+        for q in prime_divisors(m):
             if self.scalar_mul(m // q, P) == self.zero:
                 return False
         return True
-
-
-def _prime_divisors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def rational_points(curve):
@@ -415,27 +402,7 @@ def rational_points(curve):
         raise CubicError("point enumeration needs a finite field")
     if isinstance(field, PrimeField):
         return _prime_field_points(curve)
-    return _element_points(curve)
-
-
-def _element_points(curve):
-    """`rational_points` by field-element arithmetic, over any finite field."""
-    field = curve.field
-    elems = list(field.elements())
-    cubes = [v * v * v for v in elems]
-    one, zero = field.one(), field.zero()
-    t = curve.t
-    pts = []
-    for iy, y in enumerate(elems):
-        ty = t * y
-        base = one + cubes[iy]
-        for iz, z in enumerate(elems):
-            if (base + cubes[iz] + ty * z).is_zero():
-                pts.append(ProjPoint(field, (one, y, z)))
-    for iz, z in enumerate(elems):
-        if (one + cubes[iz]).is_zero():
-            pts.append(ProjPoint(field, (zero, one, z)))
-    return pts
+    return _extension_field_points(curve)
 
 
 def _prime_field_points(curve):
@@ -454,6 +421,42 @@ def _prime_field_points(curve):
                     if (base + cubes[z] + ty * z) % p == 0)
     hits.extend((0, 1, z) for z in range(p) if (1 + cubes[z]) % p == 0)
     pts = [ProjPoint(field, [field.from_int(c) for c in h]) for h in hits]
+    for P in pts:
+        curve.require_on_curve(P)
+    return pts
+
+
+def _extension_field_points(curve):
+    """`rational_points` over GF(p^k), walking the int codes of its elements.
+
+    On the chart x = 1 a point is a zero z of z^3 + s*z - r, with s = t*y
+    and r = -(1 + y^3).  For s, z != 0 the tables of `PrimeExtField` give
+    z^3 + s*z = h^(3 log z) * (1 + h^(log s - 2 log z)), one Zech lookup;
+    z = 0 is a zero iff r = 0.  Only the hits become points, each
+    certified on the curve by `HesseCubic.contains`.
+    """
+    field = curve.field
+    q, exp, log, zech = field.size, field.exp, field.log, field.zech
+    nonzero = range(1, q)
+    cube_log = [None] + [3 * log[z] % (q - 1) for z in nonzero]
+    cubes = [0] + [exp[c] for c in cube_log[1:]]
+    shift = [None] + [-2 * log[z] % (q - 1) for z in nonzero]
+    one, t = field.one(), curve.t
+    hits = []
+    for y in field.elements():
+        r, s = (-(one + y * y * y)).code, (t * y).code
+        if s:
+            ls = log[s]
+            zs = [z for z in nonzero
+                  if exp[cube_log[z] + zech[ls + shift[z]]] == r]
+            if not r:
+                zs.insert(0, 0)
+        else:
+            zs = [z for z in range(q) if cubes[z] == r]
+        hits.extend((1, y.code, z) for z in zs)
+    minus_one = (-one).code
+    hits.extend((0, 1, z) for z in range(q) if cubes[z] == minus_one)
+    pts = [ProjPoint(field, [GFpkElem(field, c) for c in h]) for h in hits]
     for P in pts:
         curve.require_on_curve(P)
     return pts

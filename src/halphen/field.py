@@ -10,8 +10,10 @@ Supported fields:
    each element a coprime fraction of two polynomials over Z[e] stored as
    (n0, n1) int pairs, each over one positive int denominator, with a
    monic denominator; gcds by the primitive remainder sequence over Z[e].
- - GF(p) for a prime p, and GF(p^k) as residue polynomials modulo an
-   irreducible modulus (inverses by Fermat, x^(p^k - 2)).
+ - GF(p) for a prime p, each element its residue, and GF(p^k), each
+   element the int code of a residue polynomial modulo an irreducible
+   modulus, with products, inverses and sums read from exponent,
+   logarithm and Zech logarithm tables built once per field.
 
 Characteristic 3 is always rejected.  Characteristic 2 is rejected unless
 requested explicitly (it is needed only for the binary incidence code).
@@ -361,13 +363,6 @@ def pdivmod(p, q, field):
         if not rem:
             break
     return pnormalize(quo), rem
-
-
-def pexact_div(p, q, field):
-    quo, rem = pdivmod(p, q, field)
-    if rem:
-        raise FieldError("inexact polynomial division")
-    return quo
 
 
 def pgcd(p, q, field):
@@ -894,8 +889,38 @@ def find_irreducible(p, k, allow_char2=False):
     raise FieldError("no irreducible polynomial found")  # unreachable
 
 
+def prime_divisors(m):
+    """The distinct primes dividing m, ascending."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 class PrimeExtField(Field):
-    """GF(p^k) with elements represented as residue polynomials in g."""
+    """GF(p^k) = GF(p)[g]/(modulus), each element an int code below q = p^k.
+
+    The residue c_0 + c_1 g + ... + c_(k-1) g^(k-1) has the code
+    c_0 + c_1 p + ... + c_(k-1) p^(k-1), so the codes below p are GF(p) and
+    code order is the order of `elements()`.  With n = q - 1 and h the
+    primitive element of least code, the constructor builds these tables
+    once, in O(q) steps (Lidl and Niederreiter, *Finite Fields*, ch. 9):
+
+     - `exp[i]`, the code of h^i for 0 <= i < 2n, so that a sum of two
+       logarithms needs no reduction mod n, followed by n zeros;
+     - `log[c]`, the logarithm of the code c, with 2n standing for the
+       logarithm of 0 (the zeros of `exp` map 2n + i to 0 for i < n);
+     - `zech[i]`, the Zech logarithm log(1 + h^i), stored twice over so
+       that every index in (-2n, 2n) reads the entry of i mod n;
+     - `log_minus_one`, the logarithm of -1.
+    """
 
     is_finite = True
 
@@ -917,17 +942,72 @@ class PrimeExtField(Field):
         self.modulus = modulus
         self.k = len(modulus) - 1
         self.size = p ** self.k
-        self._eps_cache = None
+        self._build_tables()
+
+    def _digits(self, code):
+        """The residue coefficients [c_0, ..., c_(k-1)] of a code."""
+        out = []
+        for _ in range(self.k):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return out
+
+    def _code(self, coeffs):
+        """The code of residue coefficients c_0, c_1, ... (each below p)."""
+        code = 0
+        for c in reversed(coeffs):
+            code = code * self.p + c
+        return code
+
+    def _build_tables(self):
+        p, k, n = self.p, self.k, self.size - 1
+        if k == 2:
+            m0, m1 = self.modulus[0], self.modulus[1]
+
+            def mul(u, w):  # g^2 = -m0 - m1*g for the monic modulus (m0, m1, 1)
+                high = u[1] * w[1]
+                return [(u[0] * w[0] - high * m0) % p,
+                        (u[0] * w[1] + u[1] * w[0] - high * m1) % p]
+        else:
+            def mul(u, w):
+                return _gfp_poly_mulmod(u, w, self.modulus, p)
+
+        one = self._digits(1)
+
+        def power(u, e):
+            out = one
+            while e:
+                if e & 1:
+                    out = mul(out, u)
+                u = mul(u, u)
+                e >>= 1
+            return out
+
+        # h is primitive iff h^(n/r) != 1 for every prime r dividing n
+        cofactors = [n // r for r in prime_divisors(n)]
+        h = next(u for u in map(self._digits, range(2, n + 1))
+                 if all(power(u, e) != one for e in cofactors))
+        exp = [0] * (3 * n)
+        log = [2 * n] * (n + 1)
+        x = one
+        for i in range(n):
+            c = self._code(x)
+            exp[i] = exp[i + n] = c
+            log[c] = i
+            x = mul(x, h)
+        # 1 + h^i adds 1 to the lowest digit of the code of h^i
+        zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:n]]
+        self.exp, self.log, self.zech = exp, log, zech + zech
+        self.log_minus_one = log[p - 1]  # -1 has the code p - 1
 
     def from_int(self, n):
-        return GFpkElem(self, (n % self.p,) + (0,) * (self.k - 1))
+        return GFpkElem(self, n % self.p)
 
     def from_coeffs(self, coeffs):
         coeffs = [c % self.p for c in coeffs]
         if len(coeffs) > self.k:
             raise FieldError("residue degree too large")
-        coeffs += [0] * (self.k - len(coeffs))
-        return GFpkElem(self, tuple(coeffs))
+        return GFpkElem(self, self._code(coeffs))
 
     def gen(self):
         return self.from_coeffs([0, 1])
@@ -936,51 +1016,58 @@ class PrimeExtField(Field):
         return self.size % 3 == 1
 
     def eps(self):
-        if self._eps_cache is None:
-            if not self.has_eps():
-                raise FieldError(f"{self} has no primitive cube root of unity")
-            one = self.one()
-            for x in self.elements():
-                if x == one or x.is_zero():
-                    continue
-                if x * x * x == one:
-                    self._eps_cache = x
-                    break
-        return self._eps_cache
+        """The primitive cube root of unity of least code: h^(n/3) or h^(2n/3)."""
+        if not self.has_eps():
+            raise FieldError(f"{self} has no primitive cube root of unity")
+        n = self.size - 1
+        return GFpkElem(self, min(self.exp[n // 3], self.exp[2 * n // 3]))
 
     def elements(self):
         for code in range(self.size):
-            coeffs, c = [], code
-            for _ in range(self.k):
-                coeffs.append(c % self.p)
-                c //= self.p
-            yield GFpkElem(self, tuple(coeffs))
+            yield GFpkElem(self, code)
 
     def random_element(self, rng):
-        return GFpkElem(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return GFpkElem(self, rng.randrange(self.size))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
 
 class GFpkElem(FieldElem):
-    __slots__ = ("field", "coeffs")
+    """An element of GF(p^k) as its int code; see `PrimeExtField`.
 
-    def __init__(self, field, coeffs):
+    Each operation is a few lookups in the field's tables: a product is
+    exp[log a + log b], a sum h^la * (1 + h^(lb - la)) is
+    exp[la + zech[lb - la]], and a difference adds log(-1) to lb first.
+    """
+
+    __slots__ = ("field", "code")
+
+    def __init__(self, field, code):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self):
+        """The residue coefficients (c_0, ..., c_(k-1)), lowest first."""
+        return tuple(self.field._digits(self.code))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.code == 0
 
     def __add__(self, other):
         o = (other if isinstance(other, GFpkElem) and other.field is self.field
              else self._check(other))
         if o is NotImplemented:
             return o
-        p = self.field.p
-        return GFpkElem(self.field,
-                        tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.code, o.code
+        if not a:
+            return o
+        if not b:
+            return self
+        field = self.field
+        la = field.log[a]
+        return GFpkElem(field, field.exp[la + field.zech[field.log[b] - la]])
 
     __radd__ = __add__
 
@@ -989,50 +1076,52 @@ class GFpkElem(FieldElem):
              else self._check(other))
         if o is NotImplemented:
             return o
-        p = self.field.p
-        return GFpkElem(self.field,
-                        tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.code, o.code
+        if not b:
+            return self
+        field = self.field
+        lb = field.log[b] + field.log_minus_one  # a logarithm of -b, below 2n
+        if not a:
+            return GFpkElem(field, field.exp[lb])
+        la = field.log[a]
+        return GFpkElem(field, field.exp[la + field.zech[lb - la]])
 
     def __neg__(self):
-        p = self.field.p
-        return GFpkElem(self.field, tuple((-a) % p for a in self.coeffs))
+        if not self.code:
+            return self
+        field = self.field
+        return GFpkElem(field, field.exp[field.log[self.code] + field.log_minus_one])
 
     def __mul__(self, other):
         o = (other if isinstance(other, GFpkElem) and other.field is self.field
              else self._check(other))
         if o is NotImplemented:
             return o
+        a, b = self.code, o.code
         field = self.field
-        if field.k == 2:
-            # g^2 = -m0 - m1*g for the monic modulus (m0, m1, 1)
-            a0, a1 = self.coeffs
-            b0, b1 = o.coeffs
-            p = field.p
-            m0, m1, _ = field.modulus
-            high = a1 * b1
-            return GFpkElem(field, ((a0 * b0 - high * m0) % p,
-                                    (a0 * b1 + a1 * b0 - high * m1) % p))
-        out = _gfp_poly_mulmod(self.coeffs, o.coeffs, field.modulus, field.p)
-        return GFpkElem(field, tuple(out))
+        if not (a and b):
+            return GFpkElem(field, 0)
+        return GFpkElem(field, field.exp[field.log[a] + field.log[b]])
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError(f"inverse of zero in {self.field}")
-        return self ** (self.field.size - 2)  # Fermat: x^(q-1) = 1
+        field = self.field
+        return GFpkElem(field, field.exp[field.size - 1 - field.log[self.code]])
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coeffs == self.field.from_int(other).coeffs
+            return self.code == other % self.field.p
         if not isinstance(other, GFpkElem):
             return NotImplemented
         if self.field is not other.field:
             return False
-        return self.coeffs == other.coeffs
+        return self.code == other.code
 
     def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.coeffs))
+        return hash((self.field.p, self.code))
 
 
 GFpkElem._coercible = (int, GFpkElem)

@@ -434,7 +434,7 @@ def harbourne_report(lattice=None):
 
 
 def _point_sort_key(P):
-    return tuple(tuple(c.coeffs) for c in P.coords)
+    return tuple(c.coeffs for c in P.coords)
 
 
 def char2_code(k=2):

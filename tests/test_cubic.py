@@ -5,9 +5,8 @@ import pytest
 from halphen.field import GF, QQ_EPS, GFext, MixedContextError, PrimeField
 from halphen.plane import ProjPoint, gens
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
-                           _element_points, flex_line_incidence,
-                           hesse_collinear_triples, hesse_flexes,
-                           hesse_singular_fibers, rational_points)
+                           flex_line_incidence, hesse_collinear_triples,
+                           hesse_flexes, hesse_singular_fibers, rational_points)
 
 
 def test_flex_coordinates():
@@ -259,11 +258,34 @@ def test_scalar_multiple_order():
             assert oq == o // gcd(n, o)
 
 
+def _element_points(curve):
+    """`rational_points` by field-element arithmetic, over any finite field."""
+    field = curve.field
+    elems = list(field.elements())
+    cubes = [v * v * v for v in elems]
+    one, zero = field.one(), field.zero()
+    t = curve.t
+    pts = []
+    for iy, y in enumerate(elems):
+        ty = t * y
+        base = one + cubes[iy]
+        for iz, z in enumerate(elems):
+            if (base + cubes[iz] + ty * z).is_zero():
+                pts.append(ProjPoint(field, (one, y, z)))
+    for iz, z in enumerate(elems):
+        if (one + cubes[iz]).is_zero():
+            pts.append(ProjPoint(field, (zero, one, z)))
+    return pts
+
+
 def test_integer_point_walk_matches_the_field_element_walk():
-    # every t, the singular ones included: the same points in the same order
-    for p in (7, 13, 19, 31):
-        F = GF(p)
-        for t in range(p):
+    # every t, the singular ones included: the same points in the same order;
+    # over GF(13^2) the t that tests/test_torsion.py checks there
+    cases = [(GF(p), list(GF(p).elements())) for p in (7, 13, 19, 31)]
+    cases += [(F, list(F.elements())) for F in (GFext(5, 2), GFext(7, 2))]
+    cases.append((GFext(13, 2), [GFext(13, 2).from_int(1)]))
+    for F, t_values in cases:
+        for t in t_values:
             curve = HesseCubic(F, t)
             pts = rational_points(curve)
             assert pts == _element_points(curve)

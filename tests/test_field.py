@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
-                           FieldError, MixedContextError, QEpsElem, find_irreducible,
-                           parse_element, pdeg, pexact_div, pgcd, pmul, pnormalize,
-                           pscale, specialize_scalar, to_text)
+                           FieldError, MixedContextError, QEpsElem, _gfp_poly_mulmod,
+                           find_irreducible, parse_element, pdeg, pdivmod, pgcd, pmul,
+                           pnormalize, pscale, specialize_scalar, to_text)
+
+
+def pexact_div(p, q, field):
+    """p / q for polynomials that q divides exactly; an error otherwise."""
+    quo, rem = pdivmod(p, q, field)
+    if rem:
+        raise FieldError("inexact polynomial division")
+    return quo
 
 
 def test_eps_relations():
@@ -132,6 +140,44 @@ def test_extension_field_basics():
                 assert x * x.inverse() == 1
     e = F.eps()
     assert e**3 == 1 and e != 1
+    assert GFext(13, 2).from_int(3) == 16  # an int is compared mod p
+
+
+# every extension field the tables serve here, both characteristic 2 ones
+_EXTENSIONS = [(2, 2), (2, 4), (5, 2), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("p, k", _EXTENSIONS)
+def test_extension_tables_match_residue_polynomial_arithmetic(p, k):
+    F = GFext(p, k, allow_char2=True)
+    elems = list(F.elements())
+    digits = [list(x.coeffs) for x in elems]
+    for code, (x, cx) in enumerate(zip(elems, digits)):
+        assert x.code == code == sum(c * p**i for i, c in enumerate(cx))
+        assert (-x).coeffs == tuple(-a % p for a in cx)
+        for y, cy in zip(elems, digits):
+            assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(cx, cy))
+            assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(cx, cy))
+            assert (x * y).coeffs == tuple(_gfp_poly_mulmod(cx, cy, F.modulus, p))
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        else:
+            product = _gfp_poly_mulmod(cx, list(x.inverse().coeffs), F.modulus, p)
+            assert product == [1] + [0] * (k - 1)
+    n = F.size - 1
+    assert sorted(F.exp[:n]) == list(range(1, F.size))  # exp is a bijection
+    assert F.exp[n:2 * n] == F.exp[:n] and F.exp[2 * n:] == [0] * n
+    assert all(F.log[F.exp[i]] == i for i in range(n)) and F.log[0] == 2 * n
+
+
+@pytest.mark.parametrize("p, k", _EXTENSIONS)
+def test_extension_eps_is_the_first_cube_root_in_code_order(p, k):
+    F = GFext(p, k, allow_char2=True)
+    one = F.one()
+    scan = next(x for x in F.elements()
+                if x != one and not x.is_zero() and x * x * x == one)
+    assert F.eps().code == scan.code
 
 
 def test_irreducible_modulus_guard():
@@ -149,10 +195,15 @@ def qeps_elems(draw):
     return QQ_EPS.make(draw(_small_fraction), draw(_small_fraction))
 
 
+# lists of one to three and of two to three elements, built once: a
+# strategy built inside a draw is built and validated again on every draw
+_qeps_lists = {n: st.lists(qeps_elems(), min_size=n, max_size=3) for n in (1, 2)}
+
+
 @st.composite
 def ratfunc_elems(draw):
-    num = draw(st.lists(qeps_elems(), min_size=1, max_size=3))
-    den = draw(st.lists(qeps_elems(), min_size=1, max_size=3))
+    num = draw(_qeps_lists[1])
+    den = draw(_qeps_lists[1])
     if all(c.is_zero() for c in den):
         den = [QQ_EPS.one()]
     return QQ_EPS_A.from_coeffs(num, den)
@@ -227,8 +278,10 @@ def test_serialization_round_trips():
     assert to_text((-1 - e) * a * a) == "(-1 - 1*e)*a^2"
     g16 = GFext(2, 4, allow_char2=True)
     g = g16.gen()
-    for x in (g**3 + g + 1, g16.zero(), g16.one()):
-        assert parse_element(to_text(x), g16) == x
+    assert to_text(g**3 + g + 1) == "g^3 + g + 1"
+    for field in (g16, GFext(13, 2)):
+        for x in field.elements():
+            assert parse_element(to_text(x), field) == x
 
 
 def test_random_elements_are_valid():
@@ -447,7 +500,7 @@ def _oracle_ops(x, y):
 
 @st.composite
 def qeps_polys(draw, min_size=1):
-    return draw(st.lists(qeps_elems(), min_size=min_size, max_size=3))
+    return draw(_qeps_lists[min_size])
 
 
 @st.composite
