@@ -427,12 +427,11 @@ def _prime_field_points(curve):
 
 
 def _extension_field_points(curve):
-    """`rational_points` over GF(p^k), walking the int codes of its elements.
+    """`rational_points` over GF(p^k), walking int codes.
 
-    On the chart x = 1 a point is a zero z of z^3 + s*z - r, with s = t*y
-    and r = -(1 + y^3).  For s, z != 0 the tables of `PrimeExtField` give
-    z^3 + s*z = h^(3 log z) * (1 + h^(log s - 2 log z)), one Zech lookup;
-    z = 0 is a zero iff r = 0.  Only the hits become points, each
+    On the chart x = 1, z is a hit iff z^3 + s*z = r with s = t*y and
+    r = -(1 + y^3); for s, z != 0 the left side is
+    h^(3 log z) * (1 + h^(log s - 2 log z)), one Zech lookup.  Each hit is
     certified on the curve by `HesseCubic.contains`.
     """
     field = curve.field

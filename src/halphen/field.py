@@ -855,6 +855,15 @@ def _gfp_poly_mulmod(u, w, modulus, p):
     return out
 
 
+def _digits(code, p, k):
+    """The k base-p digits of code, lowest first."""
+    out = []
+    for _ in range(k):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
 def _gfp_poly_is_irreducible(poly, p):
     """Irreducibility over GF(p) by scanning monic divisors (small degrees)."""
     d = len(poly) - 1
@@ -864,12 +873,8 @@ def _gfp_poly_is_irreducible(poly, p):
     fp = [field.from_int(c) for c in poly]
     for ddeg in range(1, d // 2 + 1):
         for code in range(p ** ddeg):
-            coeffs, c = [], code
-            for _ in range(ddeg):
-                coeffs.append(field.from_int(c % p))
-                c //= p
-            coeffs.append(field.one())
-            _, rem = pdivmod(fp, coeffs, field)
+            divisor = [field.from_int(c) for c in _digits(code, p, ddeg)]
+            _, rem = pdivmod(fp, divisor + [field.one()], field)
             if not rem:
                 return False
     return True
@@ -879,11 +884,7 @@ def find_irreducible(p, k, allow_char2=False):
     """First monic irreducible polynomial of degree k over GF(p), by code order."""
     _require_char_ok(p, allow_char2)
     for code in range(p ** k):
-        coeffs, c = [], code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
+        coeffs = _digits(code, p, k) + [1]
         if _gfp_poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise FieldError("no irreducible polynomial found")  # unreachable
@@ -907,19 +908,12 @@ def prime_divisors(m):
 class PrimeExtField(Field):
     """GF(p^k) = GF(p)[g]/(modulus), each element an int code below q = p^k.
 
-    The residue c_0 + c_1 g + ... + c_(k-1) g^(k-1) has the code
-    c_0 + c_1 p + ... + c_(k-1) p^(k-1), so the codes below p are GF(p) and
-    code order is the order of `elements()`.  With n = q - 1 and h the
-    primitive element of least code, the constructor builds these tables
-    once, in O(q) steps (Lidl and Niederreiter, *Finite Fields*, ch. 9):
-
-     - `exp[i]`, the code of h^i for 0 <= i < 2n, so that a sum of two
-       logarithms needs no reduction mod n, followed by n zeros;
-     - `log[c]`, the logarithm of the code c, with 2n standing for the
-       logarithm of 0 (the zeros of `exp` map 2n + i to 0 for i < n);
-     - `zech[i]`, the Zech logarithm log(1 + h^i), stored twice over so
-       that every index in (-2n, 2n) reads the entry of i mod n;
-     - `log_minus_one`, the logarithm of -1.
+    c_0 + c_1 g + ... has the code c_0 + c_1 p + ..., so code order is the
+    order of `elements()`.  With n = q - 1 and h the primitive element of
+    least code, the constructor builds in O(q) (Lidl and Niederreiter,
+    *Finite Fields*, ch. 9): `exp[i]` = h^i for i < 2n, then n zeros;
+    `log[c]`, with 2n as the logarithm of 0; `zech[i]` = log(1 + h^i),
+    stored twice so that any index in (-2n, 2n) works; `log_minus_one`.
     """
 
     is_finite = True
@@ -944,14 +938,6 @@ class PrimeExtField(Field):
         self.size = p ** self.k
         self._build_tables()
 
-    def _digits(self, code):
-        """The residue coefficients [c_0, ..., c_(k-1)] of a code."""
-        out = []
-        for _ in range(self.k):
-            code, c = divmod(code, self.p)
-            out.append(c)
-        return out
-
     def _code(self, coeffs):
         """The code of residue coefficients c_0, c_1, ... (each below p)."""
         code = 0
@@ -961,18 +947,10 @@ class PrimeExtField(Field):
 
     def _build_tables(self):
         p, k, n = self.p, self.k, self.size - 1
-        if k == 2:
-            m0, m1 = self.modulus[0], self.modulus[1]
+        one = _digits(1, p, k)
 
-            def mul(u, w):  # g^2 = -m0 - m1*g for the monic modulus (m0, m1, 1)
-                high = u[1] * w[1]
-                return [(u[0] * w[0] - high * m0) % p,
-                        (u[0] * w[1] + u[1] * w[0] - high * m1) % p]
-        else:
-            def mul(u, w):
-                return _gfp_poly_mulmod(u, w, self.modulus, p)
-
-        one = self._digits(1)
+        def mul(u, w):
+            return _gfp_poly_mulmod(u, w, self.modulus, p)
 
         def power(u, e):
             out = one
@@ -985,7 +963,7 @@ class PrimeExtField(Field):
 
         # h is primitive iff h^(n/r) != 1 for every prime r dividing n
         cofactors = [n // r for r in prime_divisors(n)]
-        h = next(u for u in map(self._digits, range(2, n + 1))
+        h = next(u for u in (_digits(c, p, k) for c in range(2, n + 1))
                  if all(power(u, e) != one for e in cofactors))
         exp = [0] * (3 * n)
         log = [2 * n] * (n + 1)
@@ -1036,9 +1014,8 @@ class PrimeExtField(Field):
 class GFpkElem(FieldElem):
     """An element of GF(p^k) as its int code; see `PrimeExtField`.
 
-    Each operation is a few lookups in the field's tables: a product is
-    exp[log a + log b], a sum h^la * (1 + h^(lb - la)) is
-    exp[la + zech[lb - la]], and a difference adds log(-1) to lb first.
+    a*b is exp[la + lb] and a + b = h^la (1 + h^(lb - la)) is
+    exp[la + zech[lb - la]], with la = log a and lb = log b.
     """
 
     __slots__ = ("field", "code")
@@ -1050,7 +1027,8 @@ class GFpkElem(FieldElem):
     @property
     def coeffs(self):
         """The residue coefficients (c_0, ..., c_(k-1)), lowest first."""
-        return tuple(self.field._digits(self.code))
+        field = self.field
+        return tuple(_digits(self.code, field.p, field.k))
 
     def is_zero(self):
         return self.code == 0

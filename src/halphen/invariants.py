@@ -16,8 +16,7 @@ computed once per configuration.
 from fractions import Fraction
 
 from .field import QQ_EPS, GFext
-from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
-                    line_basis, plane_points)
+from .plane import ProjPoint, bf_divide_linear, coordinates_on_line, line_basis
 from .chilean import (Configuration, VerificationError, conic_is_line_pair,
                       fourth_intersection)
 
@@ -192,23 +191,6 @@ def extract_combinatorics(points, curves):
     arr = ArrangementCombinatorics(
         [(C.degree, 0, C.degree * C.degree) for C in curves], t_counts)
     arr.check_consistency()
-    return arr
-
-
-def census_by_scan(curves):
-    """Full-plane census over a finite field, certified by Bezout."""
-    field = curves[0].field
-    if not field.is_finite:
-        raise ArrangementError("the scan census needs a finite field")
-    _assert_smooth_members(curves)
-    t_counts = {}
-    for P in plane_points(field):
-        n = sum(1 for C in curves if C.evaluate(P).is_zero())
-        if n >= 2:
-            t_counts[n] = t_counts.get(n, 0) + 1
-    arr = ArrangementCombinatorics(
-        [(C.degree, 0, C.degree * C.degree) for C in curves], t_counts)
-    arr.check_consistency()  # equality certifies rational transversal meets
     return arr
 
 

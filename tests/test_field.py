@@ -195,15 +195,16 @@ def qeps_elems(draw):
     return QQ_EPS.make(draw(_small_fraction), draw(_small_fraction))
 
 
-# lists of one to three and of two to three elements, built once: a
-# strategy built inside a draw is built and validated again on every draw
-_qeps_lists = {n: st.lists(qeps_elems(), min_size=n, max_size=3) for n in (1, 2)}
+# built once: a strategy built inside a draw is built and validated again
+# on every draw
+qeps_polys = st.lists(qeps_elems(), min_size=1, max_size=3)
+qeps_polys_min2 = st.lists(qeps_elems(), min_size=2, max_size=3)
 
 
 @st.composite
 def ratfunc_elems(draw):
-    num = draw(_qeps_lists[1])
-    den = draw(_qeps_lists[1])
+    num = draw(qeps_polys)
+    den = draw(qeps_polys)
     if all(c.is_zero() for c in den):
         den = [QQ_EPS.one()]
     return QQ_EPS_A.from_coeffs(num, den)
@@ -499,16 +500,11 @@ def _oracle_ops(x, y):
 
 
 @st.composite
-def qeps_polys(draw, min_size=1):
-    return draw(_qeps_lists[min_size])
-
-
-@st.composite
 def shared_factor_elems(draw):
     """x = (f*h)/(g*h) with h of degree >= 1, built without reducing first."""
     F = QQ_EPS
-    f, g = draw(qeps_polys()), draw(qeps_polys())
-    h = draw(qeps_polys(min_size=2))
+    f, g = draw(qeps_polys), draw(qeps_polys)
+    h = draw(qeps_polys_min2)
     if pdeg(pnormalize(list(g))) < 0:
         g = [F.one()]
     if pdeg(pnormalize(list(h))) < 1:

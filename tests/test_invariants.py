@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from halphen.field import GF, QQ_EPS
-from halphen.plane import ProjPoint, gens
+from halphen.plane import ProjPoint, gens, plane_points
 from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
                                 EXPECTED_WEIGHT_ENUMERATOR, PUBLISHED_SLOPES,
-                                PUBLISHED_TN, PUBLISHED_VALUES, census_by_scan,
-                                char2_code, extract_combinatorics,
-                                geometric_census, harbourne, harbourne_report,
-                                log_chern, log_chern_slope,
+                                PUBLISHED_TN, PUBLISHED_VALUES,
+                                _assert_smooth_members, char2_code,
+                                extract_combinatorics, geometric_census,
+                                harbourne, harbourne_report, log_chern,
+                                log_chern_slope,
                                 published_arrangement, reference_report,
                                 weight_enumerator_string)
 
@@ -107,6 +108,20 @@ def test_census_consistency_guard():
     bad = ArrangementCombinatorics([(1, 0, 1), (1, 0, 1)], {})
     with pytest.raises(ArrangementError):
         bad.check_consistency()
+
+
+def census_by_scan(curves):
+    """Full-plane census over a finite field, certified by Bezout."""
+    _assert_smooth_members(curves)
+    t_counts = {}
+    for P in plane_points(curves[0].field):
+        n = sum(1 for C in curves if C.evaluate(P).is_zero())
+        if n >= 2:
+            t_counts[n] = t_counts.get(n, 0) + 1
+    arr = ArrangementCombinatorics(
+        [(C.degree, 0, C.degree * C.degree) for C in curves], t_counts)
+    arr.check_consistency()  # equality certifies rational transversal meets
+    return arr
 
 
 def test_scan_census_matches_symbolic(symbolic_data, nodes):
