@@ -38,6 +38,6 @@ print(f"\nover GF(13) with t = 2 the curve has {len(points)} rational points")
 rng = random.Random(0)
 P, Q = rng.choice(points), rng.choice(points)
 print(f"P = {P}, Q = {Q}, P + Q = {group.add(P, Q)}")
+orders = CubicGroup(curve, hesse_flexes(F)[0]).orders(points)
 print("orders of the nine flexes (zero at x_1):",
-      [CubicGroup(curve, hesse_flexes(F)[0]).torsion_order(x, 9)
-       for x in hesse_flexes(F)])
+      [orders[x] for x in hesse_flexes(F)])

@@ -27,7 +27,7 @@ print(f"order 9: p = {rep9['p']}, t = {rep9['t']};"
 print("\nplane curves of degree m with the index multiplicities:")
 for m in (4, 5):
     spec = find_specialization(m, p_max=200)
-    rep = hesse_collinear_curves(m, spec["p"], spec["t"], spec["witness"])
+    rep = hesse_collinear_curves(m, spec["p"], spec["t"])
     dims = sorted({s["kernel_dim"] for s in rep["systems"]})
     print(f"  m = {m}: multiplicities {rep['multiplicities']},"
           f" twelve systems, kernel dimensions {dims}")

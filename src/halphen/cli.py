@@ -334,8 +334,7 @@ def _suite_torsion(config, ctx):
     def make_curve_check(m):
         def thunk():
             spec = torsion.find_specialization(m, p_max=config.p_max)
-            rep = torsion.hesse_collinear_curves(m, spec["p"], spec["t"],
-                                                 spec["witness"])
+            rep = torsion.hesse_collinear_curves(m, spec["p"], spec["t"])
             dims = sorted({s["kernel_dim"] for s in rep["systems"]})
             return (f"p = {rep['p']}, multiplicities {rep['multiplicities']},"
                     f" kernel dimensions {dims}")

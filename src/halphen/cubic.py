@@ -44,7 +44,7 @@ reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 from functools import cached_property
 from math import gcd
 
-from .field import FieldError, GFpkElem, PrimeField, prime_divisors
+from .field import FieldError, GFpkElem, PrimeField
 from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, gens,
                     line_basis)
 
@@ -347,17 +347,6 @@ class CubicGroup:
                 base = self.add(base, base)
         return acc
 
-    def torsion_order(self, P, bound=24):
-        """Least n <= bound with n*P = zero, or None."""
-        if bound < 1:
-            raise CubicError("torsion bound must be >= 1")
-        acc = P
-        for n in range(1, bound + 1):
-            if acc == self.zero:
-                return n
-            acc = self.add(acc, P)
-        return None
-
     def orders(self, points):
         """{P: exact order of P} for every point of `points` (the group).
 
@@ -380,14 +369,6 @@ class CubicGroup:
             for k, Q in enumerate(multiples, 1):
                 out.setdefault(Q, n // gcd(n, k))
         return out
-
-    def has_exact_order(self, P, m):
-        if not self.scalar_mul(m, P) == self.zero:
-            return False
-        for q in prime_divisors(m):
-            if self.scalar_mul(m // q, P) == self.zero:
-                return False
-        return True
 
 
 def rational_points(curve):

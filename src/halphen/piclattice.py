@@ -545,15 +545,6 @@ def branch_class(i):
     return sub(basis_e(0), basis_e(i))
 
 
-def bertini_pair(E, i, lattice):
-    """F_0 + B_i - E, verified to be a (-1)-class of the lattice."""
-    D = sub(add(F0_CLASS, branch_class(i)), E)
-    if not is_minus1_class(D, lattice):
-        raise LatticeError(
-            f"F_0 + B_{i} - E fails the (-1)-class predicate for E = {E}")
-    return D
-
-
 def bertini_involution(classes, lattice):
     """The pairing E -> F_0 + B_i - E on the whole class set.
 

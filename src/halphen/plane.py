@@ -242,7 +242,7 @@ class Poly3:
             mono = "*".join(f"{v}^{n}" if n > 1 else v
                             for v, n in zip("xyz", exp) if n > 0)
             cs = to_text(c)
-            needs_parens = any(ch in cs for ch in "+-/ ") and cs.lstrip("-").count("-") >= 0
+            needs_parens = any(ch in cs for ch in "+-/ ")
             if mono:
                 if cs == "1":
                     parts.append(mono)
@@ -480,7 +480,6 @@ def resultant(P, Q, var):
         other_deg = n if m == 0 else m
         return base ** other_deg
     size = m + n
-    zero_entries = [Poly3.zero(F, 0)] * size
     rows = []
     for i in range(n):
         row = [Poly3.zero(F, 0)] * size

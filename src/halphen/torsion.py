@@ -8,10 +8,11 @@ then compared point-by-point with the order census of the rational
 points.  The same instances support the existence check for plane curves
 of degree m with prescribed multiplicities at the translated base points.
 
-Each checked curve's census -- its rational points and their exact orders
-with x_7 as zero, from `CubicGroup.orders` -- is built once and kept in a
-small cache keyed on (field, t), which the locus, nine-torsion and
-collinear-curve checks of one curve share.
+One order census answers every order question: a curve's rational points
+and their exact orders with x_7 as zero, from one `CubicGroup.orders`
+walk, built once and kept in a small cache keyed on (field, t).  The
+search reads its witness from it, the curve systems their translation
+point, and the locus and nine-torsion checks their orders.
 """
 
 from functools import lru_cache
@@ -20,7 +21,7 @@ from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
-from .field import GF
+from .field import GF, GFext
 from .linalg import kernel_basis
 from .plane import Poly3, gens, monomials_of_degree
 
@@ -64,17 +65,6 @@ def nine_torsion_cubics(field, t):
 
 
 EXPECTED_PRIMITIVE_COUNT = {4: 12, 5: 24, 9: 72}
-
-
-def locus_degree_check(m):
-    """deg * 3 equals the number of primitive m-torsion points."""
-    expected = EXPECTED_PRIMITIVE_COUNT[m]
-    if m in (4, 5):
-        deg = torsion_locus(GF(7), m, 1).degree
-        return deg * 3 == expected
-    if m == 9:
-        return 8 * 9 == expected
-    raise TorsionError(f"unsupported m = {m}")
 
 
 def good_primes(p_max):
@@ -121,25 +111,23 @@ def find_specialization(m, p_max=500):
     Scans p = 1 mod 3 ascending, then t in 0..p-1 ascending, then the
     canonical point order; raises with scan statistics when the range is
     exhausted.  A curve whose point count m does not divide has no point
-    of order m (Lagrange) and is passed over.
+    of order m (Lagrange) and is passed over; on the others the witness is
+    the first census point of order m, x_7 as zero.
     """
     scanned = 0
     for p in good_primes(p_max):
         field = GF(p)
-        flexes = hesse_flexes(field)
         for t_int in range(p):
             curve = HesseCubic(field, t_int)
             if not curve.is_smooth():
                 continue
             scanned += 1
-            points = rational_points(curve)
-            if len(points) % m:
+            if len(rational_points(curve)) % m:
                 continue
-            group = CubicGroup(curve, flexes[6])  # zero = x_7
-            for P in points:
-                if group.has_exact_order(P, m):
-                    return {"p": p, "t": t_int, "eps": field.eps(),
-                            "witness": P, "curve": curve, "group": group}
+            points, orders = _census(field, t_int)
+            witness = next((P for P in points if orders[P] == m), None)
+            if witness is not None:
+                return {"p": p, "t": t_int, "witness": witness}
     raise TorsionError(
         f"no order-{m} point found for p <= {p_max} ({scanned} curves scanned)")
 
@@ -152,7 +140,6 @@ def verify_torsion_locus(m, p, t, quadratic_extension=False):
     naming the witness.  With `quadratic_extension` the same two
     inclusions are checked over GF(p^2) instead.
     """
-    from .field import GFext
     field = GFext(p, 2) if quadratic_extension else GF(p)
     curve = HesseCubic(field, t)
     if not curve.is_smooth():
@@ -298,13 +285,17 @@ def _multi_indices(order):
     return out
 
 
-def hesse_collinear_curves(m, p, t, eta=None):
+def hesse_collinear_curves(m, p, t):
     """Existence of the 12 degree-m curves with the index-m multiplicities.
 
     For each Hesse-collinear triple the linear system of degree-m forms
     with the case multiplicities at p_i = x_i + eta must have a nonzero
     kernel; the multiplicity-weighted sum of the p_i must vanish in the
-    group law with a flex as zero.
+    group law with x_1 as zero.  eta is the first census point of exact
+    order m in that group.  The census takes x_7 as zero, and translation
+    by x_1 maps the x_1 group isomorphically onto it, so the order of P
+    with x_1 as zero is the census order of P - x_1: one addition per
+    point scanned.
     """
     field = GF(p)
     curve = HesseCubic(field, t)
@@ -312,13 +303,13 @@ def hesse_collinear_curves(m, p, t, eta=None):
         raise TorsionError(f"t = {t} is singular over GF({p})")
     flexes = hesse_flexes(field)
     group = CubicGroup(curve, flexes[0])  # flex zero for the balance law
-    # the order of a point depends on the zero (flexes differ by 3-torsion),
-    # so eta must be m-torsion in this group; rescan if the supplied one isn't
-    if eta is None or not group.has_exact_order(eta, m):
-        eta = next((P for P in _census(field, t)[0]
-                    if group.has_exact_order(P, m)), None)
-        if eta is None:
-            raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")
+    census = CubicGroup(curve, flexes[6])
+    minus_x1 = census.negate(flexes[0])
+    points, orders = _census(field, t)
+    eta = next((P for P in points if orders[census.add(P, minus_x1)] == m),
+               None)
+    if eta is None:
+        raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")
     pts = translated_points(group, eta)
     alpha, beta = index_multiplicities(m)
     triples = hesse_collinear_triples(field)
@@ -354,7 +345,6 @@ def conic_recovery_check(p, t, a_value):
     of the configuration with the complementary support.
     """
     from .chilean import build_chilean
-    from .plane import Poly3, monomials_of_degree
     field = GF(p)
     a = field.coerce(a_value)
     data = build_chilean(field, a)
@@ -400,7 +390,7 @@ def two_torsion_translation(p, t, a_value):
     group = CubicGroup(curve, flexes[0])
     data = build_chilean(field, a)
     tau = group.add(data.points[0], group.negate(flexes[0]))
-    if not group.has_exact_order(tau, 2):
+    if tau == group.zero or group.add(tau, tau) != group.zero:
         raise TorsionError("p_1 - x_1 is not a 2-torsion point")
     for i in range(9):
         if group.add(flexes[i], tau) != data.points[i]:

@@ -191,8 +191,7 @@ def test_criterion_15_collinear_curves():
         dims = []
         for m in (4, 5):
             spec = torsion.find_specialization(m, p_max=500)
-            rep = torsion.hesse_collinear_curves(m, spec["p"], spec["t"],
-                                                 spec["witness"])
+            rep = torsion.hesse_collinear_curves(m, spec["p"], spec["t"])
             assert all(s["kernel_dim"] >= 1 for s in rep["systems"])
             dims.append({s["kernel_dim"] for s in rep["systems"]})
         return f"kernel dimensions {dims}"

@@ -8,14 +8,15 @@ import pytest
 from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLUMNS,
                                 K_CLASS, LatticeError, ORBIT_MATRIX_P9,
                                 ORBIT_MATRIX_X9, CosetLabeller, add, basis_e,
-                                bertini_involution, bertini_pair,
+                                bertini_involution, branch_class,
                                 chilean_lattice, chilean_set_uniqueness,
                                 all_nine_cliques, degree_histogram,
                                 enumerate_minus1_bruteforce, galois_permutation,
                                 index3_lattice, index3_section_check, inner,
-                                kperp_quotients, ltrop,
+                                is_minus1_class, kperp_quotients, ltrop,
                                 mw_generators, mw_orbits, res_partition, scale,
-                                sorted_multiplicities, table144, triangle_integer_points,
+                                sorted_multiplicities, sub, table144,
+                                triangle_integer_points,
                                 verify_mw_action, verify_nine_class_theorem,
                                 verify_orbit_matrices, verify_torsion_vectors)
 
@@ -217,6 +218,15 @@ def test_kperp_quotients(lattice):
     fac_lam, fac_full = kperp_quotients(lattice)
     assert fac_lam == [3, 6]          # K-perp / Lambda has order 18
     assert fac_full == [3, 3]         # adding F_0 cuts it to order 9
+
+
+def bertini_pair(E, i, lattice):
+    """F_0 + B_i - E, verified to be a (-1)-class of the lattice."""
+    D = sub(add(F0_CLASS, branch_class(i)), E)
+    if not is_minus1_class(D, lattice):
+        raise LatticeError(
+            f"F_0 + B_{i} - E fails the (-1)-class predicate for E = {E}")
+    return D
 
 
 def test_bertini_pairing(lattice, classes144):

@@ -66,3 +66,35 @@ def test_bruteforce_enumeration_is_independent_of_the_generative_one():
     forbidden = {"enumerate_minus1_generative", "fiber_components_missing",
                  "F0_CLASS", "basis_e", "is_minus1_class"}
     assert names & forbidden == set()
+
+
+def test_every_top_level_definition_is_used_by_the_program():
+    """No function or class in the package is reached only from the tests.
+
+    Each top-level def and class of `src/halphen` must be referred to, as a
+    name or an attribute, outside its own definition somewhere in the
+    package, the demos or the benchmark, or be exported by the package's
+    `__init__`; an oracle that only tests call belongs in the tests.
+    """
+    root = SRC.parents[1]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    defined = set()
+    used = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for folder in (SRC, root / "demos", root / "perfbench"):
+        for path in sorted(folder.rglob("*.py")):
+            for top in ast.parse(path.read_text(), filename=str(path)).body:
+                own = top.name if isinstance(top, defs) else None
+                if own and folder == SRC:
+                    defined.add(own)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if name != own:
+                        used.add(name)
+    assert len(defined) > 100
+    assert sorted(defined - used) == []

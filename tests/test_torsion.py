@@ -1,15 +1,18 @@
 import pytest
 
+from halphen import torsion
 from halphen.field import GF
 from halphen.cubic import CubicGroup, HesseCubic, hesse_flexes, rational_points
 from halphen.plane import ProjPoint
-from halphen.torsion import (TorsionError, conic_recovery_check,
+from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
+                             conic_recovery_check,
                              find_specialization, good_primes,
                              hesse_collinear_curves, index_multiplicities,
-                             locus_degree_check, min_prime_for_order,
+                             min_prime_for_order,
                              nine_torsion_cubics,
                              torsion_locus, two_torsion_translation,
                              verify_nine_torsion_cubics, verify_torsion_locus)
+from test_cubic import has_exact_order
 
 # deterministic smallest instances, frozen from the scan itself
 SPEC4 = (31, 1)
@@ -28,14 +31,19 @@ def test_find_specialization_is_deterministic():
     assert (spec["p"], spec["t"]) == (13, 1)
 
 
+def _point(F, coords):
+    return ProjPoint(F, [F.from_int(c) for c in coords])
+
+
 def test_find_specialization_witnesses_are_pinned():
     # the first point of exact order m, x_7 as zero, in the canonical order
     for m, (p, t), witness in ((4, SPEC4, (1, 10, 15)), (5, SPEC5, (1, 7, 11)),
                                (9, SPEC9, (1, 4, 5))):
         spec = find_specialization(m, p_max=100)
         F = GF(p)
-        assert spec["witness"] == ProjPoint(F, [F.from_int(c) for c in witness])
-        assert spec["group"].has_exact_order(spec["witness"], m)
+        assert spec["witness"] == _point(F, witness)
+        group = CubicGroup(HesseCubic(F, t), hesse_flexes(F)[6])
+        assert has_exact_order(group, spec["witness"], m)
 
 
 def test_hasse_bound_prime_is_where_the_scan_succeeds():
@@ -52,6 +60,17 @@ def test_specialization_not_found_is_explicit():
 
 def test_good_primes():
     assert good_primes(50) == [7, 13, 19, 31, 37, 43]
+
+
+def locus_degree_check(m):
+    """deg * 3 equals the number of primitive m-torsion points."""
+    expected = EXPECTED_PRIMITIVE_COUNT[m]
+    if m in (4, 5):
+        deg = torsion_locus(GF(7), m, 1).degree
+        return deg * 3 == expected
+    if m == 9:
+        return 8 * 9 == expected
+    raise TorsionError(f"unsupported m = {m}")
 
 
 def test_locus_degrees():
@@ -84,7 +103,7 @@ def test_non_torsion_point_off_locus():
     group = CubicGroup(curve, hesse_flexes(F)[6])
     locus = torsion_locus(F, 4, t)
     off = [P for P in rational_points(curve)
-           if not group.has_exact_order(P, 4)]
+           if not has_exact_order(group, P, 4)]
     assert off
     assert all(not locus.evaluate(P).is_zero() for P in off)
 
@@ -108,7 +127,6 @@ def test_nine_torsion_cubics():
 
 def test_census_cache_is_keyed_on_the_field_and_shared_safely():
     from halphen.field import GFext
-    from halphen.torsion import _census
     t = 1
     base, ext = _census(GF(13), t), _census(GFext(13, 2), t)
     assert list(base[0]) == rational_points(HesseCubic(GF(13), t))
@@ -143,9 +161,48 @@ def test_index_multiplicity_identity():
         index_multiplicities(6)
 
 
+def test_census_order_of_the_x1_translate_is_the_x1_order():
+    # translation by x_1 maps the x_1 group onto the census (x_7) group
+    checked = 0
+    for p in (13, 19, 31):
+        F = GF(p)
+        flexes = hesse_flexes(F)
+        for t in range(p):
+            curve = HesseCubic(F, t)
+            if not curve.is_smooth():
+                continue
+            points, orders = _census(F, t)
+            census = CubicGroup(curve, flexes[6])
+            minus_x1 = census.negate(flexes[0])
+            x1_orders = CubicGroup(curve, flexes[0]).orders(points)
+            for P in points:
+                assert orders[census.add(P, minus_x1)] == x1_orders[P]
+                checked += 1
+    assert checked > 1000
+
+
+def test_hesse_collinear_curves_eta_is_pinned(monkeypatch):
+    # the first census point of exact order m with x_1 as zero
+    etas, translate = [], torsion.translated_points
+
+    def recording(group, eta):
+        etas.append(eta)
+        return translate(group, eta)
+
+    monkeypatch.setattr(torsion, "translated_points", recording)
+    for m, (p, t), eta in ((4, SPEC4, (1, 11, 29)), (5, SPEC5, (1, 4, 5))):
+        hesse_collinear_curves(m, p, t)
+        F = GF(p)
+        assert etas.pop() == _point(F, eta)
+        group = CubicGroup(HesseCubic(F, t), hesse_flexes(F)[0])
+        points = _census(F, t)[0]
+        first = next(P for P in points if has_exact_order(group, P, m))
+        assert first == _point(F, eta)
+
+
 def test_hesse_collinear_curves_m4():
     spec = find_specialization(4, p_max=100)
-    rep = hesse_collinear_curves(4, spec["p"], spec["t"], spec["witness"])
+    rep = hesse_collinear_curves(4, spec["p"], spec["t"])
     assert len(rep["systems"]) == 12
     assert all(s["kernel_dim"] == 1 for s in rep["systems"])
     assert rep["multiplicities"] == (2, 1)
@@ -153,7 +210,7 @@ def test_hesse_collinear_curves_m4():
 
 def test_hesse_collinear_curves_m5():
     spec = find_specialization(5, p_max=100)
-    rep = hesse_collinear_curves(5, spec["p"], spec["t"], spec["witness"])
+    rep = hesse_collinear_curves(5, spec["p"], spec["t"])
     assert len(rep["systems"]) == 12
     assert all(s["kernel_dim"] == 1 for s in rep["systems"])
     assert rep["multiplicities"] == (1, 2)
