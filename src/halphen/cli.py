@@ -85,15 +85,15 @@ def _good_parameter_over(p):
     raise chilean.VerificationError(f"no good parameter over GF({p})")
 
 
-def default_specializations(count=3, p_max=200):
-    """The smallest primes p = 1 mod 3 with a good parameter, by scan."""
+def default_specializations():
+    """The first three primes p = 1 mod 3 below 200 with a good parameter."""
     out = []
-    for p in torsion.good_primes(p_max):
+    for p in torsion.good_primes(200):
         try:
             out.append((p, _good_parameter_over(p)))
         except chilean.VerificationError:
             continue
-        if len(out) == count:
+        if len(out) == 3:
             break
     return out
 

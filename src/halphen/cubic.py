@@ -6,10 +6,9 @@ which case three points are collinear iff they sum to zero).  All
 constructions run over any coefficient field containing a primitive cube
 root of unity, and every division is re-verified, so the law is exact.
 
-The third intersection of a line with the curve is taken first from the
+The third intersection of a line with the curve comes from the
 classical closed forms, which do not depend on t (Joye-Quisquater,
-"Hessian elliptic curves and side-channel attacks", CHES 2001;
-Bernstein-Kohel-Lange, "Twisted Hessian curves", LATINCRYPT 2015):
+"Hessian elliptic curves and side-channel attacks", CHES 2001):
 
     chord P != Q:  (x1^2 y2 z2 - x2^2 y1 z1 : y1^2 x2 z2 - y2^2 x1 z1
                     : z1^2 x2 y2 - z2^2 x1 y1)
@@ -26,12 +25,20 @@ certified by one exact test:
   - a chord with grad(P) . Q = 0: the line is tangent at P, so the
     residual point is P (by Bezout it cannot be tangent at Q too); the
     same with P and Q swapped.
-What is left -- chords whose formula gives (0:0:0) and no tangency --
-takes the generic path, which restricts the cubic to the line and
-divides out the known roots with verified divisions.  Over GF(p) the
-formulas, the certificates and `HesseCubic.contains` run on plain
-residues mod p, and points are built only for the answers; over every
-other field the same code runs on field elements.
+A chord left open -- its formula gives (0:0:0) and it is tangent at
+neither end -- takes the rotated chord (Bernstein-Kohel-Lange, "Twisted
+Hessian curves", LATINCRYPT 2015), the same formula on (y1:z1:x1) and
+(z2:x2:y2), under the same four-fact certificate.  The map
+(x:y:z) -> (y:z:x) keeps the cubic and maps lines to lines, and on a
+smooth Hesse cubic it has no fixed point, so it is the translation by a
+3-torsion point T: the rotated inputs are P + T and Q - T, whose line
+has the same residual point as PQ.  Bernstein-Kohel-Lange show that the
+two chords together are complete; the code does not rely on it, and a
+pair that no certificate decides raises CubicError.
+
+Over GF(p) the formulas, the certificates and `HesseCubic.contains` run
+on plain residues mod p, and points are built only for the answers;
+over every other field the same code runs on field elements.
 
 `rational_points` walks the chart on plain residues mod p over a prime
 field, and on the int codes of `PrimeExtField` with its exponent,
@@ -41,12 +48,10 @@ point from one walk P, 2P, ... per cyclic subgroup it meets: a walk that
 reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 """
 
-from functools import cached_property
 from math import gcd
 
 from .field import FieldError, GFpkElem, PrimeField
-from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, gens,
-                    line_basis)
+from .plane import ProjPoint, gens
 
 
 class CubicError(Exception):
@@ -60,25 +65,14 @@ class HesseCubic:
         self.field = field
         self.t = field.coerce(t)
 
-    # the Poly3 form and its gradient serve only the generic path, so they
-    # are built on first use rather than for every curve of a scan
-    @cached_property
-    def poly(self):
-        X, Y, Z = gens(self.field)
-        return X**3 + Y**3 + Z**3 + self.t * X * Y * Z
-
-    @cached_property
-    def _grads(self):
-        return self.poly.gradient()
-
     def is_smooth(self):
         return not (self.t**3 + 27).is_zero()
 
     def contains(self, P):
-        # x^3 + y^3 + z^3 + t*xyz at the representative, as poly.evaluate
-        # would; a point's rep already holds elements of its field (over
-        # GF(p), evaluated on their residues), and anything else is coerced
-        # (which rejects other fields)
+        # x^3 + y^3 + z^3 + t*xyz at the representative; a point's rep
+        # already holds elements of its field (over GF(p), evaluated on
+        # their residues), and anything else is coerced (which rejects
+        # other fields)
         field = self.field
         if isinstance(P, ProjPoint) and P.field is field:
             if isinstance(field, PrimeField):
@@ -91,9 +85,6 @@ class HesseCubic:
     def require_on_curve(self, P):
         if not self.contains(P):
             raise CubicError(f"point {P} is not on the cubic")
-
-    def gradient_at(self, P):
-        return [g.evaluate(P) for g in self._grads]
 
 
 def hesse_flexes(field):
@@ -174,27 +165,32 @@ def _closed_form_residual(a, b, t, is_zero, canonical):
     a and b are the canonical coordinates of two points on the smooth
     cubic, as ints mod p or as field elements; `is_zero` tests one value
     and `canonical` scales a triple to canonical form, or gives None for
-    (0, 0, 0).  Returns the formula's point in canonical form once
-    certified, else a or b itself where a residual rule decides, else None
-    (see the module docstring).
+    (0, 0, 0).  Returns a certified formula's point in canonical form, or
+    a or b itself where a residual rule decides, else None (see the module
+    docstring).
     """
     x1, y1, z1 = a
-    x1x1, y1y1, z1z1 = x1 * x1, y1 * y1, z1 * z1
     same = a == b
     if same:
-        x3, y3, z3 = x1x1 * x1, y1y1 * y1, z1z1 * z1
+        x3, y3, z3 = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
         coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
         normal = _hesse_gradient(a, t)
     else:
         x2, y2, z2 = b
-        coords = (x1x1 * y2 * z2 - x2 * x2 * y1 * z1,
-                  y1y1 * x2 * z2 - y2 * y2 * x1 * z1,
-                  z1z1 * x2 * y2 - z2 * z2 * x1 * y1)
+        coords = _chord(a, b)
         normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
                   x1 * y2 - y1 * x2)  # a x b; det(a, b, R) = normal . R
-    R = canonical(coords)
-    if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
-            and is_zero(_hesse_value(R, t))):
+
+    def certified(coords):
+        """coords in canonical form if they are the residual point, else None."""
+        R = canonical(coords)
+        if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
+                and is_zero(_hesse_value(R, t))):
+            return R
+        return None
+
+    R = certified(coords)
+    if R is not None:
         return R
     if same:
         return a if is_zero(x1 * y1 * z1) else None
@@ -202,7 +198,16 @@ def _closed_form_residual(a, b, t, is_zero, canonical):
         return a
     if is_zero(_dot(_hesse_gradient(b, t), a)):
         return b
-    return None
+    return certified(_chord((y1, z1, x1), (z2, x2, y2)))
+
+
+def _chord(a, b):
+    """The Joye-Quisquater chord formula at the coordinates a and b."""
+    x1, y1, z1 = a
+    x2, y2, z2 = b
+    return (x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1,
+            y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1,
+            z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1)
 
 
 def _hesse_value(v, t):
@@ -234,26 +239,22 @@ class CubicGroup:
     def third_intersection(self, P, Q):
         """The residual intersection of the line through P and Q.
 
-        For P = Q the line is the tangent at P.  The certified closed form
-        and residual rules (see the module docstring) are tried first;
-        where neither decides the generic path does.
+        For P = Q the line is the tangent at P.  The answer comes from a
+        certified closed form or residual rule (see the module docstring);
+        where none decides, CubicError.  Over GF(p) the work is done on
+        plain residues mod p and only the result becomes a point; over any
+        other field on its elements.
         """
         curve = self.curve
         curve.require_on_curve(P)
         curve.require_on_curve(Q)
-        R = self.closed_form_third(P, Q)
-        return self.generic_third(P, Q) if R is None else R
-
-    def closed_form_third(self, P, Q):
-        """The residual point from the closed forms and residual rules, or None.
-
-        P and Q must lie on the curve; see `_closed_form_residual`.  Over
-        GF(p) the work is done on plain residues mod p and only the result
-        becomes a point; over any other field on its elements.
-        """
         if isinstance(self.field, PrimeField):
-            return self._closed_form_residues(P, Q)
-        return self._closed_form_elements(P, Q)
+            R = self._closed_form_residues(P, Q)
+        else:
+            R = self._closed_form_elements(P, Q)
+        if R is None:
+            raise CubicError(f"no certified third intersection of {P}, {Q}")
+        return R
 
     def _closed_form_residues(self, P, Q):
         field = self.field
@@ -292,38 +293,6 @@ class CubicGroup:
         if R is b:
             return Q
         return None if R is None else ProjPoint(self.field, R)
-
-    def generic_third(self, P, Q):
-        """The residual intersection by restricting the cubic to the line.
-
-        P and Q must lie on the curve.  A vanishing gradient at P = Q means
-        the curve is singular there and is an error.
-        """
-        curve = self.curve
-        field = self.field
-        if P == Q:
-            g = curve.gradient_at(P)
-            if all(c.is_zero() for c in g):
-                raise CubicError("singular point: no tangent line")
-            A, B = line_basis(field, g)
-            form = curve.poly.restrict_to_line(A, B)
-            # P is a double root of the restriction
-            uv = coordinates_on_line(P, A, B)
-            form = bf_divide_linear(form, uv, field)
-            form = bf_divide_linear(form, uv, field)
-        else:
-            form = curve.poly.restrict_to_line(P, Q)
-            # roots (1:0) and (0:1) are P and Q
-            form = bf_divide_linear(form, (field.one(), field.zero()), field)
-            form = bf_divide_linear(form, (field.zero(), field.one()), field)
-            A, B = P, Q
-        u0, v0 = -form[0], form[1]
-        coords = tuple(u0 * a + v0 * b for a, b in
-                       zip(A.coords if isinstance(A, ProjPoint) else A,
-                           B.coords if isinstance(B, ProjPoint) else B))
-        R = ProjPoint(field, coords)
-        curve.require_on_curve(R)
-        return R
 
     def add(self, P, Q):
         return self.third_intersection(self.zero, self.third_intersection(P, Q))

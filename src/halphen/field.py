@@ -1243,7 +1243,7 @@ def _qeps_str(x, mult_context=False):
     return s
 
 
-def _qeps_poly_str(coeffs, var="a"):
+def _qeps_poly_str(coeffs):
     if not coeffs:
         return "0"
     terms = []
@@ -1255,7 +1255,7 @@ def _qeps_poly_str(coeffs, var="a"):
             terms.append(_qeps_str(c))
         else:
             head = "" if c == 1 else f"{_qeps_str(c, mult_context=True)}*"
-            powr = var if k == 1 else f"{var}^{k}"
+            powr = "a" if k == 1 else f"a^{k}"
             terms.append(f"{head}{powr}")
     return " + ".join(terms).replace("+ -", "- ")
 

@@ -198,14 +198,17 @@ def extract_combinatorics(points, curves):
 # numerical invariants
 
 
-def log_chern(arr, ambient_c1sq=9, ambient_c2=3):
-    """Logarithmic Chern numbers of the pair (plane, arrangement)."""
+def log_chern(arr):
+    """Logarithmic Chern numbers of the pair (plane, arrangement).
+
+    The plane contributes c1^2 = 9 and c2 = 3.
+    """
     sum_self = sum(c[2] for c in arr.curves)
     sum_genus = sum(c[1] - 1 for c in arr.curves)
     tsum1 = sum((3 * n - 4) * c for n, c in arr.t_counts.items())
     tsum2 = sum((n - 1) * c for n, c in arr.t_counts.items())
-    c1 = Fraction(ambient_c1sq) - sum_self + tsum1 + 4 * sum_genus
-    c2 = Fraction(ambient_c2) + tsum2 + 2 * sum_genus
+    c1 = Fraction(9) - sum_self + tsum1 + 4 * sum_genus
+    c2 = Fraction(3) + tsum2 + 2 * sum_genus
     return c1, c2
 
 
@@ -385,7 +388,7 @@ def reference_report(config):
     return rows
 
 
-def harbourne_report(lattice=None):
+def harbourne_report():
     """The two reference Harbourne constants, with the lattice cross-check.
 
     The union of the nine 2-sections and the four reducible fibers has
@@ -394,7 +397,7 @@ def harbourne_report(lattice=None):
     form rather than taken on faith.
     """
     from . import piclattice
-    L = lattice or piclattice.chilean_lattice()
+    L = piclattice.chilean_lattice()
     e_classes = [piclattice.basis_e(i) for i in range(1, 10)]
     total = [piclattice.scale(c, 1) for c in e_classes] + list(L.minus2)
     c_sq = sum(piclattice.inner(u, v) for u in total for v in total)
@@ -412,24 +415,23 @@ def harbourne_report(lattice=None):
 
 
 # ---------------------------------------------------------------------------
-# the binary incidence code over GF(4^k), characteristic 2
+# the binary incidence code over GF(16), characteristic 2
 
 
 def _point_sort_key(P):
     return tuple(c.coeffs for c in P.coords)
 
 
-def char2_code(k=2):
+def char2_code():
     """The 9-dimensional code spanned by the line incidence vectors.
 
-    Words live in GF(2)^21 over the 21 configuration points; the nine
-    line vectors have weight 5, span a dimension-9 code whose weight
-    enumerator is returned as a coefficient map, and the twelve conic
-    vectors (weight 8) lie in the code.
+    The configuration is built over GF(16).  Words live in GF(2)^21 over
+    the 21 configuration points; the nine line vectors have weight 5, span
+    a dimension-9 code whose weight enumerator is returned as a
+    coefficient map, and the twelve conic vectors (weight 8) lie in the
+    code.
     """
-    if k < 1:
-        raise ArrangementError("need GF(4^k) with k >= 1")
-    field = GFext(2, 2 * k, allow_char2=True)
+    field = GFext(2, 4, allow_char2=True)
     config = Configuration(field, field.gen())
     points = list(config.data.points) + config.node_points
     if len(set(points)) != 21:

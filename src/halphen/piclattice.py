@@ -609,10 +609,10 @@ def third_divisor(pattern, labels, lattice):
     return tuple(acc)
 
 
-def verify_nine_class_theorem(lattice, E_index=1):
-    """The two third-integer divisors and the nine derived classes."""
-    E = basis_e(E_index)
-    labels = fiber_labels_for(E_index, lattice)
+def verify_nine_class_theorem(lattice):
+    """The two third-integer divisors and the nine derived classes, at e_1."""
+    E = basis_e(1)
+    labels = fiber_labels_for(1, lattice)
     d0111 = third_divisor((0, 1, 1, 1), labels, lattice)
     d1012 = third_divisor((1, 0, 1, 2), labels, lattice)
     report = {}

@@ -1,10 +1,13 @@
 import random
+from functools import cache
 
 import pytest
 
 from halphen.field import (GF, QQ_EPS, GFext, MixedContextError, PrimeField,
                            prime_divisors)
-from halphen.plane import ProjPoint, gens
+from halphen.plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
+                           gens, line_basis)
+from halphen import cubic
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
                            flex_line_incidence, hesse_collinear_triples,
                            hesse_flexes, hesse_singular_fibers, rational_points)
@@ -115,10 +118,55 @@ def test_points_over_another_field_are_rejected():
         g.third_intersection(g.zero, foreign)
 
 
+# the generic third intersection: an oracle for the closed forms
+
+@cache
+def _hesse_form(curve):
+    """The curve's Poly3 form and its gradient, built once per curve."""
+    X, Y, Z = gens(curve.field)
+    poly = X**3 + Y**3 + Z**3 + curve.t * X * Y * Z
+    return poly, poly.gradient()
+
+
+def generic_third(group, P, Q):
+    """The residual intersection by restricting the cubic to the line.
+
+    P and Q must lie on the curve.  A vanishing gradient at P = Q means
+    the curve is singular there and is an error.
+    """
+    curve = group.curve
+    field = group.field
+    poly, grads = _hesse_form(curve)
+    if P == Q:
+        g = [d.evaluate(P) for d in grads]
+        if all(c.is_zero() for c in g):
+            raise CubicError("singular point: no tangent line")
+        A, B = line_basis(field, g)
+        form = poly.restrict_to_line(A, B)
+        # P is a double root of the restriction
+        uv = coordinates_on_line(P, A, B)
+        form = bf_divide_linear(form, uv, field)
+        form = bf_divide_linear(form, uv, field)
+    else:
+        form = poly.restrict_to_line(P, Q)
+        # roots (1:0) and (0:1) are P and Q
+        form = bf_divide_linear(form, (field.one(), field.zero()), field)
+        form = bf_divide_linear(form, (field.zero(), field.one()), field)
+        A, B = P, Q
+    u0, v0 = -form[0], form[1]
+    coords = tuple(u0 * a + v0 * b for a, b in
+                   zip(A.coords if isinstance(A, ProjPoint) else A,
+                       B.coords if isinstance(B, ProjPoint) else B))
+    R = ProjPoint(field, coords)
+    curve.require_on_curve(R)
+    return R
+
+
 def _tangency(grads, P, Q):
     """("flex", P) for the tangent at a flex P, ("end", A) for a chord
     tangent at its end point A, else (None, None); decided from the
-    gradients of the Poly3 form, `grads` by point, not from the closed form."""
+    gradients of the oracle's Poly3 form, `grads` by point, not from the
+    closed form."""
     if P == Q:
         x, y, z = P.coords
         return ("flex", P) if (x * y * z).is_zero() else (None, None)
@@ -129,10 +177,23 @@ def _tangency(grads, P, Q):
     return None, None
 
 
+def _chord_gives(a, b, R):
+    """Whether the Joye-Quisquater chord formula at a and b is the point R."""
+    (x1, y1, z1), (x2, y2, z2) = a, b
+    v = (x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1,
+         y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1,
+         z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1)
+    r = R.coords
+    return (not all(c.is_zero() for c in v)
+            and all((v[i] * r[j] - v[j] * r[i]).is_zero()
+                    for i, j in ((0, 1), (0, 2), (1, 2))))
+
+
 def test_closed_form_matches_generic_path():
-    closed = {False: 0, True: 0}  # certified formulas, by P == Q
+    closed = {False: 0, True: 0}  # the certified formulas, by P == Q
     rules = {"flex": 0, "end": 0}  # the residual rules
-    fallback = 0
+    rotated = 0  # chords whose formula vanishes, decided by the rotated chord
+    undecided = 0
     cases = [(GF(7), range(7)), (GF(13), range(13)), (GF(19), range(19)),
              (GFext(7, 2), range(3))]
     for F, ts in cases:
@@ -143,30 +204,48 @@ def test_closed_form_matches_generic_path():
                 continue
             g = CubicGroup(curve, flexes[6])
             pts = rational_points(curve)
-            grads = {P: curve.gradient_at(P) for P in pts}
+            gradient = _hesse_form(curve)[1]
+            grads = {P: [d.evaluate(P) for d in gradient] for P in pts}
             for P in pts:
                 for Q in pts:
-                    R = g.closed_form_third(P, Q)
-                    expected = g.generic_third(P, Q)
-                    assert g.third_intersection(P, Q) == expected
+                    try:
+                        R = g.third_intersection(P, Q)
+                    except CubicError:
+                        undecided += 1
+                        continue
+                    assert R == generic_third(g, P, Q)
                     if isinstance(F, PrimeField):  # residues vs elements
                         assert g._closed_form_elements(P, Q) == R
                     kind, tangency = _tangency(grads, P, Q)
-                    if R is None:
-                        assert kind is None  # no tangent reaches the fallback
-                        fallback += 1
-                        continue
-                    assert R == expected
-                    if kind is None:
-                        closed[P == Q] += 1
-                    else:
+                    if kind is not None:
                         assert R == tangency
                         rules[kind] += 1
+                    elif P == Q:
+                        closed[True] += 1
+                    elif _chord_gives(P.coords, Q.coords, R):
+                        closed[False] += 1
+                    else:
+                        (x1, y1, z1), (x2, y2, z2) = P.coords, Q.coords
+                        assert _chord_gives((y1, z1, x1), (z2, x2, y2), R)
+                        rotated += 1
             for x in flexes:  # the tangent at a flex meets it three times
-                assert g.closed_form_third(x, x) == x
                 assert g.third_intersection(x, x) == x
     assert min(closed.values()) > 0 and min(rules.values()) > 0
-    assert fallback > 0
+    assert rotated > 0 and undecided == 0
+
+
+def test_a_pair_no_certificate_decides_raises(monkeypatch):
+    # with both chords silenced, a chord tangent at neither end is decided
+    # by nothing, and the group law raises rather than guess
+    monkeypatch.setattr(cubic, "_chord", lambda a, b: tuple(c - c for c in a))
+    for F, t in ((GF(13), 2), (GFext(7, 2), 0)):
+        curve = HesseCubic(F, t)
+        g = CubicGroup(curve, hesse_flexes(F)[6])
+        pts = rational_points(curve)
+        P, Q = next((P, Q) for P in pts for Q in pts
+                    if generic_third(g, P, Q) not in (P, Q))
+        with pytest.raises(CubicError):
+            g.third_intersection(P, Q)
 
 
 def test_associativity_over_several_fields():

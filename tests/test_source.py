@@ -98,3 +98,25 @@ def test_every_top_level_definition_is_used_by_the_program():
                         used.add(name)
     assert len(defined) > 100
     assert sorted(defined - used) == []
+
+
+def test_group_law_has_no_generic_path():
+    """The Hesse group law finds third intersections by closed forms only.
+
+    Restricting the cubic to the line and dividing out the known roots is
+    the test oracle `generic_third`, not a path of `cubic.py`.
+    """
+    tree = ast.parse((SRC / "cubic.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    forbidden = {"restrict_to_line", "bf_divide_linear", "line_basis",
+                 "coordinates_on_line", "generic_third"}
+    assert names & forbidden == set()
