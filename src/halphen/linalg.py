@@ -2,12 +2,20 @@
 form with transformation matrices.
 
 `rref` eliminates over GF(p) on plain residues mod p, one `pow(x, -1, p)`
-per pivot, and over every other field on field elements; `kernel_basis`
-and `solve` go through `rref`, so they take the same path.  Every entry
-must be an element of the given field, or `MixedContextError` is raised.
+per pivot, and over every other field on field elements; `solve` goes
+through `rref`, and so does `kernel_basis`, except over Q(e)(a).  There
+`kernel_basis` clears each row's denominators and runs Bareiss's
+fraction-free elimination on the Z[e][a] polynomials of `field.py`: every
+division is exact and checked, and every kernel vector is verified
+against the rows.  Every entry must be an element of the given field, or
+`MixedContextError` is raised.
 """
 
-from .field import FieldElem, GFpElem, MixedContextError, PrimeField
+from math import lcm
+
+from .field import (FieldElem, FieldError, GFpElem, MixedContextError,
+                    PrimeField, RatFuncElem, RatFuncField, _ONE,
+                    _lead_conjugate, _zlin, _zmul, _zquo, _zscale)
 
 
 def _require_entries_of(rows, field):
@@ -81,9 +89,18 @@ def _eliminate(rows, nonzero, scale, subtract):
 
 
 def kernel_basis(rows, field):
-    """Basis of the right kernel of the matrix."""
+    """Basis of the right kernel of the matrix.
+
+    Over Q(e)(a) the vectors are polynomials in a and are not normalized;
+    over every other field each vector is 1 at its own free column and 0
+    at the others.
+    """
     if not rows:
         return []
+    if isinstance(field, RatFuncField):
+        _require_entries_of(rows, field)
+        return [[RatFuncElem(field, x, 1, _ONE, 1) if x else field.zero() for x in vec]
+                for vec in _kernel_zea([_cleared(r) for r in rows])]
     ncols = len(rows[0])
     red, pivots = rref(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
@@ -93,6 +110,97 @@ def kernel_basis(rows, field):
         vec[f] = field.one()
         for r, c in enumerate(pivots):
             vec[c] = -red[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _cleared(row):
+    """A row of Q(e)(a) elements times a nonzero common multiple of their
+    denominators, as Z[e][a] polynomials: the lcm of the int parts times
+    the product of the distinct polynomial parts.  The kernel is the same."""
+    nonzero = [x for x in row if x.num]
+    n = lcm(*(x.nd for x in nonzero))
+    dens = list(dict.fromkeys(x.den for x in nonzero if len(x.den) > 1))
+    out = []
+    for x in row:
+        # x = (num * dd) / (nd * den)
+        p = _zscale(x.num, x.dd * (n // x.nd))
+        for den in dens:
+            if den != x.den:
+                p = _zmul(p, den)
+        out.append(p)
+    return out
+
+
+def _exact_quotient(p, q):
+    """p / q for Z[e][a] polynomials with q != (), raising `FieldError`
+    unless q divides p in Z[e][a]."""
+    if q == _ONE or not p:
+        return p
+    if len(p) < len(q):
+        raise FieldError("inexact division in a fraction-free kernel")
+    c = _lead_conjugate(q)  # q * c has a positive integer lead
+    s, quo = _zquo(_zscale(p, *c), _zscale(q, *c))  # s * p == quo * q
+    if any(a % s or b % s for a, b in quo):
+        raise FieldError("inexact division in a fraction-free kernel")
+    return tuple((a // s, b // s) for a, b in quo)
+
+
+def _dot(row, vec):
+    """The sum of row[j] * vec[j] over Z[e][a]."""
+    acc = ()
+    for x, y in zip(row, vec):
+        if x and y:
+            acc = _zlin(acc, 1, _zmul(x, y), 1)
+    return acc
+
+
+def _kernel_zea(rows):
+    """Basis of the right kernel of a matrix of Z[e][a] polynomials.
+
+    Bareiss elimination with column skipping, each pivot the lowest-degree
+    nonzero entry of its column: each entry below the pivot rows becomes
+    a minor of the (row-permuted) matrix, so the division by the previous
+    pivot is exact.  For each free column f, back-substitution from x_f =
+    the last pivot, a maximal minor, gives by Cramer's rule a polynomial
+    vector, so its divisions are exact too; the last pivot row, whose
+    pivot is x_f, gives its entry without one.
+    """
+    ncols = len(rows[0])
+    m = [list(r) for r in rows]
+    prev, pivots = _ONE, []
+    for c in range(ncols):
+        r = len(pivots)
+        nonzero = [i for i in range(r, len(m)) if m[i][c]]
+        if not nonzero:
+            continue
+        i = min(nonzero, key=lambda i: len(m[i][c]))
+        m[r], m[i] = m[i], m[r]
+        top = m[r]
+        p = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            row[c] = ()
+            for j in range(c + 1, ncols):
+                row[j] = _exact_quotient(
+                    _zlin(_zmul(p, row[j]), 1, _zmul(f, top[j]), -1), prev)
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [()] * ncols
+        vec[f] = prev
+        if pivots:
+            vec[pivots[-1]] = _zscale(m[len(pivots) - 1][f], -1)
+        for k in range(len(pivots) - 2, -1, -1):
+            row, c = m[k], pivots[k]
+            vec[c] = _exact_quotient(_zscale(_dot(row[c + 1:], vec[c + 1:]), -1), row[c])
+        if any(_dot(row, vec) for row in rows):
+            raise FieldError("a fraction-free kernel vector fails its rows")
         basis.append(vec)
     return basis
 

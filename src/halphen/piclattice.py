@@ -580,16 +580,16 @@ def bertini_involution(classes, lattice):
 # the nine-class theorem at a reference exceptional class
 
 
-def fiber_labels_for(E_index, lattice):
-    """Per fiber (R^(0), R^(1), R^(2)) relative to e_{E_index}.
+def fiber_labels(lattice):
+    """Per fiber (R^(0), R^(1), R^(2)) relative to e_1.
 
     R^(0) is the component not met; the two met components are labelled
     in increasing column order.
     """
     labels = []
     for f in lattice.fibers:
-        missing = [j for j in f if lattice.minus2[j][E_index] == 0]
-        met = [j for j in f if lattice.minus2[j][E_index] != 0]
+        missing = [j for j in f if lattice.minus2[j][1] == 0]
+        met = [j for j in f if lattice.minus2[j][1] != 0]
         if len(missing) != 1 or len(met) != 2:
             raise LatticeError("fiber incidence pattern is not 0/1/1")
         labels.append((missing[0], met[0], met[1]))
@@ -612,7 +612,7 @@ def third_divisor(pattern, labels, lattice):
 def verify_nine_class_theorem(lattice):
     """The two third-integer divisors and the nine derived classes, at e_1."""
     E = basis_e(1)
-    labels = fiber_labels_for(1, lattice)
+    labels = fiber_labels(lattice)
     d0111 = third_divisor((0, 1, 1, 1), labels, lattice)
     d1012 = third_divisor((1, 0, 1, 2), labels, lattice)
     report = {}
@@ -770,9 +770,11 @@ def realize_low_degree_classes(classes, points):
 
     Lines through two points and conics through five must exist (kernel
     dimension exactly one) and avoid the remaining base points.  Each
-    point's monomial values are computed once per degree: the kernel rows
-    are those values at the support, and the curve's value at a point is
-    their dot product with its coefficient vector.
+    point's monomial values are computed once per degree, at its given
+    representative `P.rep`, polynomial for the symbolic points (vanishing
+    does not depend on the representative): the kernel rows are those
+    values at the support, and the curve's value at a point is their dot
+    product with its coefficient vector.
     """
     from .linalg import kernel_basis
     from .plane import monomials_of_degree
@@ -781,7 +783,7 @@ def realize_low_degree_classes(classes, points):
     zero = field.zero()
     monomial_rows = {
         d: [[x ** i * y ** j * z ** k for (i, j, k) in monomials_of_degree(d)]
-            for x, y, z in (P.coords for P in points)]
+            for x, y, z in (P.rep for P in points)]
         for d in (1, 2)}
     checked = 0
     for D in classes:
@@ -818,7 +820,7 @@ def galois_permutation(lattice):
     swaps the two met components of every fiber; its matrix is computed
     over Q and must permute the exceptional classes in four 2-cycles.
     """
-    labels = fiber_labels_for(1, lattice)
+    labels = fiber_labels(lattice)
     # basis of Pic tensor Q: e_0, e_1 and nine of the (-2)-classes
     basis = [basis_e(0), basis_e(1)]
     images = [basis_e(0), basis_e(1)]

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
-from .field import GF, GFext
+from .field import GF, GFext, prime_divisors
 from .linalg import kernel_basis
 from .plane import Poly3, gens, monomials_of_degree
 
@@ -295,7 +295,9 @@ def hesse_collinear_curves(m, p, t):
     order m in that group.  The census takes x_7 as zero, and translation
     by x_1 maps the x_1 group isomorphically onto it, so the order of P
     with x_1 as zero is the census order of P - x_1: one addition per
-    point scanned.
+    point scanned.  The multiplicities sum to 3m, so the balance holds for
+    any eta of order dividing 3m; the order of eta is certified on its
+    own, by m*eta = 0 and (m/q)*eta != 0 for each prime q | m.
     """
     field = GF(p)
     curve = HesseCubic(field, t)
@@ -310,6 +312,9 @@ def hesse_collinear_curves(m, p, t):
                None)
     if eta is None:
         raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")
+    if group.scalar_mul(m, eta) != group.zero or any(
+            group.scalar_mul(m // q, eta) == group.zero for q in prime_divisors(m)):
+        raise TorsionError(f"eta = {eta} is not of exact order {m} over GF({p})")
     pts = translated_points(group, eta)
     alpha, beta = index_multiplicities(m)
     triples = hesse_collinear_triples(field)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from halphen import linalg
-from halphen.field import GF, QQ_EPS, MixedContextError
+from halphen.field import GF, QQ_EPS, QQ_EPS_A, FieldError, MixedContextError
 from halphen.linalg import (_rref_elements, invariant_factors, kernel_basis,
                             rref, smith_normal_form, solve)
 
@@ -131,3 +131,92 @@ def test_elimination_rejects_entries_of_another_field():
         kernel_basis([[QQ_EPS.one(), F.one()]], QQ_EPS)
     with pytest.raises(MixedContextError):
         rref([[1, 2]], F)
+
+
+def _element_kernel(rows, field):
+    """The kernel on the element path: rref by `_rref_elements`, each vector
+    1 at its own free column and 0 at the other free columns."""
+    ncols = len(rows[0])
+    red, pivots = _rref_elements([list(r) for r in rows])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero()] * ncols
+        vec[f] = field.one()
+        for r, c in enumerate(pivots):
+            vec[c] = -red[r][f]
+        basis.append((f, vec))
+    return basis
+
+
+def _qea_matrices(rng):
+    """Zero, rank-deficient, wide, tall, polynomial and rational matrices
+    over Q(e)(a), with Z[e] leading coefficients that are not integers."""
+    F = QQ_EPS_A
+
+    def coeff():
+        return QQ_EPS.make(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
+
+    def poly():
+        return F.from_coeffs([coeff() for _ in range(rng.randint(1, 3))])
+
+    def entry(rational):
+        if rng.random() < 0.25:
+            return F.zero()
+        if rational and rng.random() < 0.4:
+            den = poly()
+            return poly() / den if not den.is_zero() else poly()
+        return poly()
+
+    def rand(m, n, rational=False):
+        return [[entry(rational) for _ in range(n)] for _ in range(m)]
+
+    lead = F.from_coeffs([1, QQ_EPS.make(2, 3)])  # lead 2 + 3e
+    a = F.gen()
+    out = [[[F.zero()] * 3 for _ in range(2)], rand(1, 1), rand(1, 5), rand(5, 2),
+           [[lead, F.one()], [lead * lead, lead]],
+           [[a * F.eps(), a], [F.from_int(2), a + 1]],
+           [[F.one(), F.from_int(2), a], [a, 2 * a, F.one()]]]  # a column skipped
+    for _ in range(14):
+        out.append(rand(rng.randint(1, 4), rng.randint(1, 5), rational=rng.random() < 0.5))
+    for _ in range(8):  # rank <= k: products of m x k and k x n
+        m, n, k = rng.randint(2, 4), rng.randint(2, 5), rng.randint(1, 2)
+        L, R = rand(m, k, rational=True), rand(k, n)
+        out.append([[sum((L[i][s] * R[s][j] for s in range(k)), F.zero())
+                     for j in range(n)] for i in range(m)])
+    return out
+
+
+def test_fraction_free_kernel_matches_the_element_kernel():
+    F = QQ_EPS_A
+    rng = random.Random(14)
+    mats = _qea_matrices(rng)
+    deficient = rational = 0
+    for A in mats:
+        kern = kernel_basis(A, F)
+        oracle = _element_kernel(A, F)
+        assert len(kern) == len(oracle)
+        deficient += len(oracle) > max(len(A[0]) - len(A), 0)
+        rational += any(not x.is_polynomial() for r in A for x in r)
+        for vec, (f, o) in zip(kern, oracle):
+            assert all(x.is_polynomial() for x in vec)
+            assert not vec[f].is_zero()
+            assert vec == [vec[f] * x for x in o]
+    assert deficient > 5 and rational > 5
+
+
+def test_fraction_free_divisions_are_checked(monkeypatch):
+    a = ((0, 0), (1, 0))
+    with pytest.raises(FieldError):  # a + 1 does not divide a
+        linalg._exact_quotient(a, ((1, 0), (1, 0)))
+    with pytest.raises(FieldError):  # divides over Q(e), not over Z[e]
+        linalg._exact_quotient(((1, 0), (1, 0)), ((2, 0), (2, 0)))
+    with pytest.raises(FieldError):  # the degree is too low
+        linalg._exact_quotient(((1, 1),), a)
+    q = ((1, 0), (2, 3))  # 1 + (2 + 3e) a, lead not an integer
+    assert linalg._exact_quotient(linalg._zmul(q, ((5, -1), (0, 4))), q) == ((5, -1), (0, 4))
+    # every vector is checked against the rows: with each quotient taken as
+    # zero, the second row is lost and the kernel comes out two-dimensional
+    F = QQ_EPS_A
+    monkeypatch.setattr(linalg, "_exact_quotient", lambda p, q: ())
+    with pytest.raises(FieldError, match="fails its rows"):
+        kernel_basis([[F.from_int(c) for c in row] for row in ((1, 1, 1), (1, 2, 3))], F)

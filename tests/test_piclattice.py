@@ -11,7 +11,8 @@ from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLU
                                 bertini_involution, branch_class,
                                 chilean_lattice, chilean_set_uniqueness,
                                 all_nine_cliques, degree_histogram,
-                                enumerate_minus1_bruteforce, galois_permutation,
+                                enumerate_minus1_bruteforce, fiber_labels,
+                                galois_permutation,
                                 index3_lattice, index3_section_check, inner,
                                 is_minus1_class, kperp_quotients, ltrop,
                                 mw_generators, mw_orbits, res_partition, scale,
@@ -286,9 +287,16 @@ def test_torsion_vector_table():
     assert verify_torsion_vectors()
 
 
-def test_low_degree_classes_realized(classes144, symbolic_data):
+def test_low_degree_classes_realized(classes144, symbolic_data, monkeypatch):
+    from halphen import field
     from halphen.piclattice import realize_low_degree_classes
+    # over Q(e)(a) the kernels and the support checks run on polynomial
+    # representatives, so no polynomial gcd is taken
+    calls, zgcd = [], field._zgcd
+    monkeypatch.setattr(field, "_zgcd", lambda p, q: calls.append(1) or zgcd(p, q))
+    assert symbolic_data.points[0].field is field.QQ_EPS_A
     assert realize_low_degree_classes(classes144, symbolic_data.points) == 90
+    assert calls == []
 
 
 def test_low_degree_classes_reject_misplaced_points(classes144, symbolic_data):
@@ -297,6 +305,17 @@ def test_low_degree_classes_reject_misplaced_points(classes144, symbolic_data):
     points[0], points[4] = points[4], points[0]
     with pytest.raises(LatticeError, match="curve support mismatch"):
         realize_low_degree_classes(classes144, points)
+
+
+def test_fiber_labels_at_e1(lattice):
+    labels = fiber_labels(lattice)
+    assert sorted(j for triple in labels for j in triple) == list(range(12))
+    for r0, r1, r2 in labels:
+        assert lattice.minus2[r0][1] == 0
+        assert lattice.minus2[r1][1] != 0 and lattice.minus2[r2][1] != 0
+        assert r1 < r2
+    with pytest.raises(LatticeError, match="0/1/1"):
+        fiber_labels(index3_lattice())
 
 
 def test_galois_permutation_pairs_eight_classes(lattice):

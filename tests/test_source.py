@@ -40,17 +40,13 @@ def test_runtime_imports_only_the_standard_library():
     assert found == []
 
 
-def test_bruteforce_enumeration_is_independent_of_the_generative_one():
-    """The brute-force (-1)-class search uses none of the generative tools.
-
-    The two enumerations of the 144 classes cross-check each other only if
-    they share no code: walk `enumerate_minus1_bruteforce` and every module
-    function it reaches, and collect each name they refer to.
-    """
-    tree = ast.parse((SRC / "piclattice.py").read_text())
+def _names_reached(module, roots):
+    """(functions, names): the module functions reached from `roots` and
+    every name they refer to, as a name or an attribute."""
+    tree = ast.parse((SRC / module).read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    todo, seen, names = ["enumerate_minus1_bruteforce"], set(), set()
+    todo, seen, names = list(roots), set(), set()
     while todo:
         name = todo.pop()
         if name in seen:
@@ -62,6 +58,17 @@ def test_bruteforce_enumeration_is_independent_of_the_generative_one():
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         todo += [n for n in names if n in functions]
+    return seen, names
+
+
+def test_bruteforce_enumeration_is_independent_of_the_generative_one():
+    """The brute-force (-1)-class search uses none of the generative tools.
+
+    The two enumerations of the 144 classes cross-check each other only if
+    they share no code: walk `enumerate_minus1_bruteforce` and every module
+    function it reaches, and collect each name they refer to.
+    """
+    seen, names = _names_reached("piclattice.py", ["enumerate_minus1_bruteforce"])
     assert {"enumerate_minus1_bruteforce", "inner"} <= seen
     forbidden = {"enumerate_minus1_generative", "fiber_components_missing",
                  "F0_CLASS", "basis_e", "is_minus1_class"}
@@ -120,3 +127,15 @@ def test_group_law_has_no_generic_path():
     forbidden = {"restrict_to_line", "bf_divide_linear", "line_basis",
                  "coordinates_on_line", "generic_third"}
     assert names & forbidden == set()
+
+
+def test_fraction_free_kernel_takes_no_gcd():
+    """The Q(e)(a) kernel of `linalg.py` stays on Z[e][a] polynomials.
+
+    Its row clearing, elimination and back-substitution name neither
+    `_fraction` nor `_zgcd`: no quotient is brought to canonical form.
+    """
+    seen, names = _names_reached("linalg.py", ["_cleared", "_kernel_zea"])
+    assert {"_exact_quotient", "_dot"} <= seen
+    assert {"_zquo", "_lead_conjugate", "_zmul"} <= names
+    assert names & {"_fraction", "_zgcd"} == set()

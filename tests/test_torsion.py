@@ -200,6 +200,24 @@ def test_hesse_collinear_curves_eta_is_pinned(monkeypatch):
         assert first == _point(F, eta)
 
 
+def test_hesse_collinear_curves_certify_the_order_of_eta(monkeypatch):
+    # a census that offers a point of x_1 order 3m as eta: the balance law
+    # holds for it, the order certificate does not
+    m, (p, t) = 4, SPEC4
+    F = GF(p)
+    curve = HesseCubic(F, t)
+    flexes = hesse_flexes(F)
+    points = _census(F, t)[0]
+    x1_orders = CubicGroup(curve, flexes[0]).orders(points)
+    eta = next(P for P in points if x1_orders[P] == 3 * m)
+    census = CubicGroup(curve, flexes[6])
+    offered = census.add(eta, census.negate(flexes[0]))
+    orders = {P: m if P == offered else 1 for P in points}
+    monkeypatch.setattr(torsion, "_census", lambda field, t: (points, orders))
+    with pytest.raises(TorsionError, match="exact order 4"):
+        hesse_collinear_curves(m, p, t)
+
+
 def test_hesse_collinear_curves_m4():
     spec = find_specialization(4, p_max=100)
     rep = hesse_collinear_curves(4, spec["p"], spec["t"])
