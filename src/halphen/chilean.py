@@ -19,9 +19,10 @@ from functools import cached_property
 
 from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
                     to_text)
-from .plane import (GeometryError, ProjPoint, are_collinear,
-                    bf_divide_linear, gens, line_through, plane_points,
-                    poly3_to_binary_form, poly_in_var, resultant)
+from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
+                    bf_divide_linear, gens, hasse_rows, line_through,
+                    monomials_of_degree, plane_points, poly3_to_binary_form,
+                    poly_in_var, resultant)
 
 FIBERS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
 
@@ -263,9 +264,11 @@ def cross_ratio_probe(lams, field):
 
     The five values are the four conic-triple parameters `lams` (from
     `fiber_product_lambdas`, over `field`) and INFINITY (the double
-    member).  For each 4-subset the probe reports the cross ratio of a
-    reference ordering and whether some ordering satisfies R^2 - R + 1 = 0;
-    the answer is ordering-independent and is checked on a second ordering.
+    member).  For each 4-subset the probe reports the cross ratio R of a
+    reference ordering and whether R^2 - R + 1 = 0.  The six reorderings
+    act on R through R -> 1 - R and R -> 1/R, which swap the two roots
+    -e and -e^2 of that equation, so the verdict does not depend on the
+    ordering; it is checked on a second ordering.
     """
     values = list(lams) + [INFINITY]
     names = ["lambda0", "lambda1", "lambda2", "lambda3", "infinity"]
@@ -277,13 +280,7 @@ def cross_ratio_probe(lams, field):
         for ordering in ((0, 1, 2, 3), (1, 0, 2, 3)):
             z = [subset[k] for k in ordering]
             R = cross_ratio(z, field)
-            hit = False
-            if R != INFINITY and not R.is_zero():
-                for T in _ratio_orbit(R, field):
-                    if T != INFINITY and (T * T - T + 1).is_zero():
-                        hit = True
-                        break
-            verdicts.append((R, hit))
+            verdicts.append((R, R != INFINITY and (R * R - R + 1).is_zero()))
         if verdicts[0][1] != verdicts[1][1]:
             raise VerificationError("cross-ratio verdict depends on the ordering")
         R = verdicts[0][0]
@@ -293,16 +290,6 @@ def cross_ratio_probe(lams, field):
             "equianharmonic": verdicts[0][1],
         })
     return {"lambdas": [to_text(l) for l in lams], "subsets": report}
-
-
-def _ratio_orbit(R, field):
-    one = field.one()
-    out = [R, one - R]
-    if not R.is_zero():
-        out += [one / R, (R - one) / R]
-    if not (R - one).is_zero():
-        out += [one / (one - R), R / (R - one)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +687,9 @@ def singular_census(C):
     Returns a list of (point, multiplicity, kind) with kind one of
     'node', 'cusp' (double points with distinct/repeated tangents) or
     'mult3+' for higher multiplicity.  Characteristic 2 is refused since
-    the tangent-cone discriminant needs 1/2.
+    the tangent-cone discriminant needs 1/2.  The multiplicity and the
+    cone are read from the Hasse derivatives at the point
+    (`_local_multiplicity`), exact in every characteristic.
     """
     field = C.field
     if not field.is_finite:
@@ -728,26 +717,30 @@ def singular_census(C):
 
 
 def _local_multiplicity(C, P):
-    """Local multiplicity and degree-2 tangent cone coefficients at P."""
+    """Local multiplicity and degree-2 tangent cone coefficients at P.
+
+    With u, v the two variables other than the first nonzero coordinate of
+    P, the Taylor coefficient of u^i v^j in C(P + u e_u + v e_v) is the
+    Hasse derivative D^alpha C(P) with alpha_u = i and alpha_v = j: the
+    multiplicity is the least order i + j with a nonzero one, and the cone
+    of a double point is its (u^2, uv, v^2) coefficients.
+    """
     field = C.field
-    pivot = next(i for i, c in enumerate(P.coords) if not c.is_zero())
-    others = [i for i in range(3) if i != pivot]
-    u = [field.one() if i == others[0] else field.zero() for i in range(3)]
-    v = [field.one() if i == others[1] else field.zero() for i in range(3)]
-    # substitute x_i = s*u_i + t*v_i + w*P_i and read off (s,t)-order
-    matrix = [[u[i], v[i], P.coords[i]] for i in range(3)]
-    local = C.substitute_linear(matrix)
-    mult = None
-    for (i, j, k), c in local.terms.items():
-        order = i + j
-        if mult is None or order < mult:
-            mult = order
-    cone = None
-    if mult == 2:
-        cone = (local.terms.get((2, 0, C.degree - 2), field.zero()),
-                local.terms.get((1, 1, C.degree - 2), field.zero()),
-                local.terms.get((0, 2, C.degree - 2), field.zero()))
-    return mult, cone
+    zero = field.zero()
+    pivot = next(i for i, c in enumerate(P.rep) if not c.is_zero())
+    u, v = (i for i in range(3) if i != pivot)
+    coeffs = [C.terms.get(e, zero) for e in monomials_of_degree(C.degree)]
+    for order in range(C.degree + 1):
+        alphas = []
+        for i in range(order, -1, -1):
+            alpha = [0, 0, 0]
+            alpha[u], alpha[v] = i, order - i
+            alphas.append(tuple(alpha))
+        values = [sum((c * x for c, x in zip(coeffs, row)), zero)
+                  for row in hasse_rows(P, C.degree, alphas)]
+        if any(not x.is_zero() for x in values):
+            return order, (tuple(values) if order == 2 else None)
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -755,53 +748,58 @@ def _local_multiplicity(C, P):
 
 
 def symmetry_group(field):
-    """Closure of (x:y:z)->(z:y:x) and (x:y:z)->(x:ey:e^2z), as matrices."""
+    """Closure of (x:y:z)->(z:y:x) and (x:y:z)->(x:ey:e^2z).
+
+    Both are monomial maps x -> (c_0 x_{s_0} : c_1 x_{s_1} : c_2 x_{s_2}),
+    and so is every composite: (t, d) after (s, c) sends x_i to
+    d_i c_{t_i} x_{s_{t_i}}.  An element is the pair (s, c), normalized to
+    c_0 = 1.
+    """
     e = field.eps()
-    one, zero = field.one(), field.zero()
-    s1 = ((zero, zero, one), (zero, one, zero), (one, zero, zero))
-    s2 = ((one, zero, zero), (zero, e, zero), (zero, zero, e * e))
-
-    def normalize(m):
-        flat = [c for row in m for c in row]
-        pivot = next(c for c in flat if not c.is_zero())
-        inv = pivot.inverse()
-        return tuple(tuple(c * inv for c in row) for row in m)
-
-    def mul(m, n):
-        return tuple(tuple(sum((m[i][k] * n[k][j] for k in range(3)),
-                               start=zero) for j in range(3)) for i in range(3))
-
-    identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    group = {normalize(identity)}
-    frontier = [normalize(identity)]
+    one = field.one()
+    identity = ((0, 1, 2), (one, one, one))
+    generators = (((2, 1, 0), (one, one, one)), ((0, 1, 2), (one, e, e * e)))
+    group = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
-        for g in frontier:
-            for s in (s1, s2):
-                h = normalize(mul(s, g))
+        for s, c in frontier:
+            for t, d in generators:
+                scale = (d[0] * c[t[0]]).inverse()
+                h = (tuple(s[k] for k in t),
+                     tuple(d[i] * c[t[i]] * scale for i in range(3)))
                 if h not in group:
                     group.add(h)
                     nxt.append(h)
         frontier = nxt
-    return sorted(group, key=lambda m: str([to_text(c) for row in m for c in row]))
+    return sorted(group, key=lambda g: (g[0], [to_text(x) for x in g[1]]))
 
 
 def verify_symmetries(data):
-    """Each symmetry permutes the base points and the conics fiberwise."""
+    """Each symmetry permutes the base points and the conics fiberwise.
+
+    The symmetry (s, c) moves a point P to (c_0 P_{s_0} : c_1 P_{s_1} :
+    c_2 P_{s_2}) and a conic C to C(c_0 x_{s_0}, c_1 x_{s_1}, c_2 x_{s_2}):
+    its term k x^e becomes k c^e x^f with f_{s_i} = e_i.
+    """
     group = symmetry_group(data.field)
     reports = []
-    for g in group:
+    for s, c in group:
         point_perm = []
         for P in data.points:
-            img = ProjPoint(data.field,
-                            tuple(sum((g[i][j] * P.coords[j] for j in range(3)),
-                                      start=data.field.zero()) for i in range(3)))
+            img = ProjPoint(data.field, tuple(c[i] * P.rep[s[i]] for i in range(3)))
             if img not in data.points:
                 raise VerificationError("a symmetry moves a base point off the set")
             point_perm.append(data.points.index(img))
         conic_perm = []
         for C in data.conics:
-            img = C.substitute_linear(g)
+            terms = {}
+            for e, k in C.terms.items():
+                f = [0, 0, 0]
+                for i in range(3):
+                    f[s[i]] = e[i]
+                terms[tuple(f)] = k * c[0] ** e[0] * c[1] ** e[1] * c[2] ** e[2]
+            img = Poly3(data.field, C.degree, terms)
             matches = [j for j, D in enumerate(data.conics) if img.proportional_to(D)]
             if len(matches) != 1:
                 raise VerificationError("a symmetry moves a conic off the set")

@@ -473,9 +473,15 @@ def _zgcd(p, q):
 
 def _zquo(p, q):
     """(s, quotient) with s * p == quotient * q, for a q with positive
-    integer lead L that divides p over Q(e); s = L^(deg p - deg q + 1)."""
+    integer lead L that divides p over Q(e); s = L^(deg p - deg q + 1).
+    A p of lower degree than q is divisible only if it is zero, and its
+    quotient is then (1, ())."""
     L = q[-1][0]
     n = len(q)
+    if len(p) < n:
+        if any(a or b for a, b in p):
+            raise FieldError("inexact polynomial division in Q(e)(a)")
+        return 1, ()
     s = L ** (len(p) - n + 1)
     rem = [(a * s, b * s) for a, b in p]
     quo = [None] * (len(p) - n + 1)

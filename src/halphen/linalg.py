@@ -137,8 +137,6 @@ def _exact_quotient(p, q):
     unless q divides p in Z[e][a]."""
     if q == _ONE or not p:
         return p
-    if len(p) < len(q):
-        raise FieldError("inexact division in a fraction-free kernel")
     c = _lead_conjugate(q)  # q * c has a positive integer lead
     s, quo = _zquo(_zscale(p, *c), _zscale(q, *c))  # s * p == quo * q
     if any(a % s or b % s for a, b in quo):

@@ -222,7 +222,7 @@ def sorted_multiplicities(d):
     return found
 
 
-def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
+def enumerate_minus1_bruteforce(lattice, d_max=12):
     """All integer solutions of D^2 = D.K = -1 with d <= d_max.
 
     D = d e_0 - sum m_i e_i solves both equations exactly when the m_i sum
@@ -230,15 +230,15 @@ def enumerate_minus1_bruteforce(lattice, d_max=12, apply_constraints=True):
     the non-increasing m-tuples with these sums (`sorted_multiplicities`),
     then expands each tuple into its distinct orderings, placing one value
     group at a time, largest value first, on a combination of the free
-    slots.  Unless `apply_constraints` is false, a partial ordering is cut
-    once some (-2)-class R has D.R < 0 for every completion: D.R is
-    d R_0 + sum m_i R_i, and a free slot adds at most R_i times the largest
-    value left where R_i > 0 and R_i times the smallest where R_i < 0.
-    Every finished class is then checked against each R exactly.  The
-    search reads only `lattice.minus2`, and shares no code with
+    slots.  A partial ordering is cut once some (-2)-class R has D.R < 0
+    for every completion: D.R is d R_0 + sum m_i R_i, and a free slot adds
+    at most R_i times the largest value left where R_i > 0 and R_i times
+    the smallest where R_i < 0.  Every finished class is then checked
+    against each R exactly.  The search reads only `lattice.minus2` (with
+    none it lists every solution), and shares no code with
     `enumerate_minus1_generative`.
     """
-    rows = lattice.minus2 if apply_constraints else ()
+    rows = lattice.minus2
     # per R, the sums of max(R_i, 0) and of min(R_i, 0) over each set of
     # slots i = 1..9, a set being a 9-bit mask
     sums = []
@@ -770,21 +770,19 @@ def realize_low_degree_classes(classes, points):
 
     Lines through two points and conics through five must exist (kernel
     dimension exactly one) and avoid the remaining base points.  Each
-    point's monomial values are computed once per degree, at its given
-    representative `P.rep`, polynomial for the symbolic points (vanishing
-    does not depend on the representative): the kernel rows are those
-    values at the support, and the curve's value at a point is their dot
-    product with its coefficient vector.
+    point's monomial values are computed once per degree, as the alpha = 0
+    row of `hasse_rows` at its given representative `P.rep`, polynomial for
+    the symbolic points (vanishing does not depend on the representative):
+    the kernel rows are those values at the support, and the curve's value
+    at a point is their dot product with its coefficient vector.
     """
     from .linalg import kernel_basis
-    from .plane import monomials_of_degree
+    from .plane import hasse_rows
 
     field = points[0].field
     zero = field.zero()
-    monomial_rows = {
-        d: [[x ** i * y ** j * z ** k for (i, j, k) in monomials_of_degree(d)]
-            for x, y, z in (P.rep for P in points)]
-        for d in (1, 2)}
+    value_rows = {d: [hasse_rows(P, d, [(0, 0, 0)])[0] for P in points]
+                  for d in (1, 2)}
     checked = 0
     for D in classes:
         d = D[0]
@@ -794,7 +792,7 @@ def realize_low_degree_classes(classes, points):
         if any(m not in (0, 1) for m in mults):
             raise LatticeError(f"degree {d} class {D} has unexpected multiplicities")
         support = [i for i, m in enumerate(mults) if m == 1]
-        rows = monomial_rows[d]
+        rows = value_rows[d]
         kern = kernel_basis([rows[i] for i in support], field)
         if len(kern) != 1:
             raise LatticeError(

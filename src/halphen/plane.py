@@ -12,8 +12,12 @@ to 1) so equality and hashing are representative-independent.
 
 The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
-factors -- the primitives behind intersection-point extraction.
+factors -- the primitives behind intersection-point extraction -- and
+``hasse_rows``, the one way local data at a point is read: values,
+multiplicity conditions and tangent cones are dot products with its rows.
 """
+
+from math import comb
 
 from .field import (GFpElem, MixedContextError, PrimeField, pmul, pnormalize,
                     specialize_scalar, to_text)
@@ -37,11 +41,6 @@ class Poly3:
     @classmethod
     def zero(cls, field, degree=0):
         return cls(field, degree, {})
-
-    @classmethod
-    def monomial(cls, field, exp, coeff=1):
-        coeff = field.coerce(coeff)
-        return cls(field, sum(exp), {exp: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -208,25 +207,6 @@ class Poly3:
                 out[i] = out[i] + c * coef
         return out
 
-    def substitute_linear(self, matrix):
-        """Apply the substitution x_i -> sum_j M[i][j] x_j."""
-        F = self.field
-        gens_ = gens(F)
-        images = []
-        for i in range(3):
-            img = Poly3.zero(F, 1)
-            for j in range(3):
-                img = img + gens_[j].scale(F.coerce(matrix[i][j]))
-            images.append(img)
-        out = Poly3.zero(F, self.degree)
-        for exp, c in self.terms.items():
-            term = Poly3(F, 0, {(0, 0, 0): c})
-            for v in range(3):
-                for _ in range(exp[v]):
-                    term = term * images[v]
-            out = out + term
-        return out
-
     def specialize(self, target, eps_image=None, a_image=None):
         terms = {}
         for exp, c in self.terms.items():
@@ -266,6 +246,37 @@ def _power_table(x, n, one, p=None):
 
 def monomials_of_degree(d):
     return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
+
+
+def hasse_rows(point, degree, alphas):
+    """The Hasse derivatives of the degree-`degree` monomials at a point.
+
+    One row per multi-index alpha, one entry per exponent e of
+    `monomials_of_degree(degree)`: the value at `point.rep` of
+    D^alpha x^e = C(e_0, alpha_0) C(e_1, alpha_1) C(e_2, alpha_2) x^(e - alpha),
+    zero unless alpha <= e.  They are the Taylor coefficients
+    F(P + h) = sum over alpha of D^alpha F(P) h^alpha, exact in every
+    characteristic (an ordinary partial is alpha! D^alpha), so a form's
+    local data at the point is the dot product of its coefficients with
+    the rows: its value is the alpha = 0 row, and it has multiplicity at
+    least r there iff every row of order below r vanishes on it.
+    """
+    field = point.field
+    zero = field.zero()
+    px, py, pz = (_power_table(c, degree, field.one()) for c in point.rep)
+    monos = monomials_of_degree(degree)
+    rows = []
+    for a0, a1, a2 in alphas:
+        row = []
+        for e0, e1, e2 in monos:
+            if e0 < a0 or e1 < a1 or e2 < a2:
+                row.append(zero)
+                continue
+            value = px[e0 - a0] * py[e1 - a1] * pz[e2 - a2]
+            c = comb(e0, a0) * comb(e1, a1) * comb(e2, a2)
+            row.append(value if c == 1 else value * c)
+        rows.append(row)
+    return rows
 
 
 def gens(field):

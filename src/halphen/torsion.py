@@ -6,7 +6,11 @@ a deterministic scan finds the smallest prime p = 1 mod 3 and curve
 parameter t carrying a rational point of exact order m, and the locus is
 then compared point-by-point with the order census of the rational
 points.  The same instances support the existence check for plane curves
-of degree m with prescribed multiplicities at the translated base points.
+of degree m with prescribed multiplicities at the translated base points;
+multiplicity at least r is the vanishing of the Hasse derivatives of
+order below r (`plane.hasse_rows`), a condition exact in every
+characteristic (an ordinary partial is alpha! times it, zero when p
+divides alpha!).
 
 One order census answers every order question: a curve's rational points
 and their exact orders with x_7 as zero, from one `CubicGroup.orders`
@@ -23,7 +27,7 @@ from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF, GFext, prime_divisors
 from .linalg import kernel_basis
-from .plane import Poly3, gens, monomials_of_degree
+from .plane import Poly3, gens, hasse_rows, monomials_of_degree
 
 
 class TorsionError(Exception):
@@ -255,36 +259,6 @@ def translated_points(group, eta):
     return pts
 
 
-def multiplicity_rows(point, degree, r, field):
-    """Linear conditions for multiplicity >= r at a point.
-
-    Rows are all partial derivatives of order < r of the generic form of
-    the given degree, evaluated at the point (one row per multi-index;
-    the mild redundancy from the Euler relation is harmless for kernels).
-    """
-    monos = monomials_of_degree(degree)
-    rows = []
-    for order in range(r):
-        for alpha in _multi_indices(order):
-            row = []
-            for e in monos:
-                D = Poly3.monomial(field, e)
-                for var, times in enumerate(alpha):
-                    for _ in range(times):
-                        D = D.partial(var)
-                row.append(D.evaluate(point))
-            rows.append(row)
-    return rows
-
-
-def _multi_indices(order):
-    out = []
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            out.append((i, j, order - i - j))
-    return out
-
-
 def hesse_collinear_curves(m, p, t):
     """Existence of the 12 degree-m curves with the index-m multiplicities.
 
@@ -326,7 +300,9 @@ def hesse_collinear_curves(m, p, t):
         for i, (P, r) in enumerate(zip(pts, mults)):
             if r > 0:
                 if (i, r) not in point_rows:
-                    point_rows[i, r] = multiplicity_rows(P, m, r, field)
+                    # multiplicity >= r: every Hasse derivative of order < r
+                    point_rows[i, r] = hasse_rows(P, m, [
+                        a for order in range(r) for a in monomials_of_degree(order)])
                 rows.extend(point_rows[i, r])
         kern = kernel_basis(rows, field)
         if len(kern) < 1:
@@ -363,7 +339,7 @@ def conic_recovery_check(p, t, a_value):
     matched = 0
     for triple in hesse_collinear_triples(field):
         support = frozenset(range(9)) - frozenset(triple)
-        rows = [multiplicity_rows(data.points[i], 2, 1, field)[0]
+        rows = [hasse_rows(data.points[i], 2, [(0, 0, 0)])[0]
                 for i in sorted(support)]
         kern = kernel_basis(rows, field)
         if len(kern) != 1:

@@ -1,10 +1,11 @@
 import json
+from itertools import combinations, permutations
 
 import pytest
 
 from halphen.field import GF, QQ_EPS, FieldError, to_text
-from halphen.plane import ProjPoint, gens
-from halphen.chilean import (INFINITY, VerificationError,
+from halphen.plane import Poly3, ProjPoint, gens, plane_points
+from halphen.chilean import (INFINITY, VerificationError, _local_multiplicity,
                              branch_quintic, build_chilean,
                              check_good_parameter, conic_is_line_pair,
                              cross_ratio, cross_ratio_probe,
@@ -151,6 +152,128 @@ def test_branch_quintic_census():
     assert len(census) == 5
     assert kinds.count("cusp") == 1  # the tacnodal point has a repeated tangent
     assert kinds.count("node") == 4
+
+
+def substitute_linear(C, matrix):
+    """Oracle: C with x_i -> sum_j M[i][j] x_j, expanded term by term."""
+    F = C.field
+    X = gens(F)
+    images = [sum((X[j] * matrix[i][j] for j in range(3)), Poly3.zero(F, 1))
+              for i in range(3)]
+    out = Poly3.zero(F, C.degree)
+    for exp, c in C.terms.items():
+        term = Poly3(F, 0, {(0, 0, 0): c})
+        for v in range(3):
+            term = term * images[v] ** exp[v]
+        out = out + term
+    return out
+
+
+def substituted_multiplicity(C, P):
+    """Oracle: expand C(s*u + t*v + w*P), u and v the unit vectors of the
+    two non-pivot coordinates, and read the least (s, t)-order and, for a
+    double point, the (s^2, st, t^2) coefficients."""
+    F = C.field
+    pivot = next(i for i, c in enumerate(P.coords) if not c.is_zero())
+    u, v = (i for i in range(3) if i != pivot)
+    unit = lambda k, i: F.one() if i == k else F.zero()  # noqa: E731
+    local = substitute_linear(C, [[unit(u, i), unit(v, i), P.coords[i]]
+                                  for i in range(3)])
+    mult = min(i + j for i, j, _ in local.terms)
+    cone = None
+    if mult == 2:
+        cone = tuple(local.terms.get((i, 2 - i, C.degree - 2), F.zero())
+                     for i in (2, 1, 0))
+    return mult, cone
+
+
+def test_local_multiplicity_matches_the_substitution(configuration):
+    F = GF(13)
+    a = F.from_int(2)
+    X, Y, Z = gens(F)
+    sextic = configuration.special["cuspidal_sextic"].specialize(F, F.eps(), a)
+    pairs = [(C, P) for C in (sextic, branch_quintic(F, a))
+             for P, _, _ in singular_census(C)]
+    assert len(pairs) == 14
+    triple = Y * (X**3 + Z**3) + X**4 - Z**4  # at (0:1:0)
+    quadruple = Z * (X**4 - Y**4) + X**5 + 2 * Y**5  # at (0:0:1)
+    for C in (Z * Y**2 - X**3, Z * Y**2 - X**2 * (X + Z), triple, quadruple):
+        pairs += [(C, P) for P in plane_points(F) if C.evaluate(P).is_zero()]
+    assert len(pairs) > 50
+    for C, P in pairs:
+        assert _local_multiplicity(C, P) == substituted_multiplicity(C, P)
+    assert _local_multiplicity(triple, ProjPoint(F, (0, 1, 0))) == (3, None)
+    assert _local_multiplicity(quadruple, ProjPoint(F, (0, 0, 1))) == (4, None)
+
+
+def matrix_symmetries(data):
+    """Oracle: the sorted (point, conic) permutations of the closure of the
+    two generators as normalized 3x3 matrices, acting by matrix products
+    and linear substitution."""
+    F = data.field
+    e, one, zero = F.eps(), F.one(), F.zero()
+    s1 = ((zero, zero, one), (zero, one, zero), (one, zero, zero))
+    s2 = ((one, zero, zero), (zero, e, zero), (zero, zero, e * e))
+
+    def normalize(m):
+        inv = next(c for row in m for c in row if not c.is_zero()).inverse()
+        return tuple(tuple(c * inv for c in row) for row in m)
+
+    def mul(m, n):
+        return tuple(tuple(sum((m[i][k] * n[k][j] for k in range(3)), zero)
+                           for j in range(3)) for i in range(3))
+
+    identity = normalize(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [h for h in {normalize(mul(s, g)) for g in frontier for s in (s1, s2)}
+                    if h not in group]
+        group.update(frontier)
+    out = []
+    for g in group:
+        points = [data.points.index(ProjPoint(F, tuple(
+            sum((g[i][j] * P.coords[j] for j in range(3)), zero) for i in range(3))))
+            for P in data.points]
+        conics = [next(j for j, D in enumerate(data.conics)
+                       if substitute_linear(C, g).proportional_to(D))
+                  for C in data.conics]
+        out.append((points, conics))
+    return sorted(out)
+
+
+def test_symmetries_match_the_matrix_closure(symbolic_data):
+    F = GF(13)
+    for data in (symbolic_data, build_chilean(F, F.from_int(2))):
+        got = sorted((r["points"], r["conics"]) for r in verify_symmetries(data))
+        assert len(got) == 6
+        assert got == matrix_symmetries(data)
+
+
+def _ratio_orbit(R, field):
+    """Oracle: the cross ratios of the six reorderings of R's ordering."""
+    one = field.one()
+    out = [R, one - R]
+    if not R.is_zero():
+        out += [one / R, (R - one) / R]
+    if not (R - one).is_zero():
+        out += [one / (one - R), R / (R - one)]
+    return out
+
+
+def test_cross_ratio_verdict_matches_the_orbit_oracle(configuration):
+    # R^2 - R + 1 = 0 holds for R iff it holds somewhere on R's orbit
+    field = configuration.data.field
+    values = list(configuration.lambdas) + [INFINITY]
+    rep = cross_ratio_probe(configuration.lambdas, field)
+    verdicts = [r["equianharmonic"] for r in rep["subsets"]]
+    assert verdicts.count(True) == 1
+    for idx, verdict in zip(combinations(range(5), 4), verdicts):
+        for ordering in permutations(idx):
+            R = cross_ratio([values[i] for i in ordering], field)
+            orbit_hit = R != INFINITY and not R.is_zero() and any(
+                (T * T - T + 1).is_zero() for T in _ratio_orbit(R, field))
+            assert orbit_hit == verdict
+            assert (R != INFINITY and (R * R - R + 1).is_zero()) == verdict
 
 
 def test_degenerate_pencil_and_configuration():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
-                           FieldError, MixedContextError, QEpsElem, _gfp_poly_mulmod,
+                           FieldError, MixedContextError, QEpsElem, _gfp_poly_mulmod, _zquo,
                            find_irreducible, parse_element, pdeg, pdivmod, pgcd, pmul,
                            pnormalize, pscale, specialize_scalar, to_text)
 
@@ -25,6 +25,21 @@ def test_eps_relations():
     assert e * e * e == 1
     assert e + e * e == -1
     assert e * e == -1 - e
+
+
+def test_zquo_of_a_lower_degree_dividend():
+    # a dividend two or more terms shorter than q: zero divides with an int
+    # scale and an empty quotient, anything else is inexact
+    q = ((1, 0), (0, 0), (1, 0))  # a^2 + 1
+    s, quo = _zquo((), q)
+    assert (s, quo) == (1, ()) and type(s) is int
+    assert _zquo(((0, 0),), q) == (1, ())
+    with pytest.raises(FieldError):
+        _zquo(((2, 1),), q)
+    with pytest.raises(FieldError):
+        _zquo(((2, 1), (0, 3)), q)
+    s, quo = _zquo(((1, 0), (0, 0), (1, 0)), q)
+    assert (s, quo) == (1, ((1, 0),)) and type(s) is int
 
 
 def test_hesse_parameter_expression():

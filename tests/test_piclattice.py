@@ -50,7 +50,7 @@ def test_enumerations_agree(lattice, classes144):
     assert degree_histogram(classes144) == {0: 9, 1: 36, 2: 54, 3: 36, 4: 9}
     assert enumerate_minus1_bruteforce(lattice, d_max=4) == classes144
     assert enumerate_minus1_bruteforce(lattice, d_max=12) == classes144
-    free = enumerate_minus1_bruteforce(lattice, d_max=4, apply_constraints=False)
+    free = enumerate_minus1_bruteforce(_NO_MINUS2_CLASSES, d_max=4)
     assert len(free) > 144
 
 
@@ -81,9 +81,14 @@ def _ordered_solutions(d):
     return sorted(found)
 
 
-def _oracle_classes(lattice, d_max, apply_constraints):
+def _oracle_classes(lattice, d_max):
     return [D for d in range(d_max + 1) for D in _ordered_solutions(d)
-            if not apply_constraints or all(inner(D, R) >= 0 for R in lattice.minus2)]
+            if all(inner(D, R) >= 0 for R in lattice.minus2)]
+
+
+# a stand-in lattice with no (-2)-classes: the search then lists every
+# solution of D^2 = D.K = -1
+_NO_MINUS2_CLASSES = SimpleNamespace(minus2=())
 
 
 # rows with positive entries past e_0, so that the search bounds a free slot
@@ -103,13 +108,12 @@ _POSITIVE_ENTRY_ROWS = SimpleNamespace(minus2=(
     ids=["chilean", "index3", "positive-entries"])
 def test_bruteforce_matches_ordered_search(make_lattice, d_max):
     L = make_lattice()
-    assert enumerate_minus1_bruteforce(L, d_max) == _oracle_classes(L, d_max, True)
+    assert enumerate_minus1_bruteforce(L, d_max) == _oracle_classes(L, d_max)
 
 
 def test_unconstrained_bruteforce_matches_ordered_search():
-    # without the constraints the lattice is not read
-    got = enumerate_minus1_bruteforce(chilean_lattice(), 12, apply_constraints=False)
-    assert got == _oracle_classes(None, 12, False)
+    got = enumerate_minus1_bruteforce(_NO_MINUS2_CLASSES, 12)
+    assert got == _oracle_classes(_NO_MINUS2_CLASSES, 12)
     assert len(got) == 29592
 
 

@@ -1,11 +1,13 @@
 import random
+from math import factorial as factorial_of, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halphen.field import GF, QQ_EPS, QQ_EPS_A, MixedContextError
+from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, MixedContextError
+from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
-                           bf_divide_linear, gens, line_through,
+                           bf_divide_linear, gens, hasse_rows, line_through,
                            monomials_of_degree, plane_points,
                            poly3_to_binary_form, resultant)
 
@@ -167,14 +169,53 @@ def test_resultant_of_shared_component_vanishes():
     assert resultant(L * X, L * Y, 2).is_zero() or resultant(L * X, L * Y, 0).is_zero()
 
 
-def test_substitute_linear_permutation():
-    F = QQ_EPS
-    X, Y, Z = gens(F)
-    C = X**2 + 2 * Y * Z
-    swap = ((F.zero(), F.zero(), F.one()),
-            (F.zero(), F.one(), F.zero()),
-            (F.one(), F.zero(), F.zero()))
-    assert C.substitute_linear(swap) == Z**2 + 2 * Y * X
+def ordinary_derivative_rows(point, degree, r):
+    """Oracle: every ordinary partial of order < r of each monomial of the
+    degree, at the point, one row per multi-index (i, j, order - i - j)."""
+    field = point.field
+    rows = []
+    for order in range(r):
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                row = []
+                for e in monomials_of_degree(degree):
+                    D = Poly3(field, degree, {e: field.one()})
+                    for var, times in enumerate((i, j, order - i - j)):
+                        for _ in range(times):
+                            D = D.partial(var)
+                    row.append(D.evaluate(point))
+                rows.append(((i, j, order - i - j), row))
+    return rows
+
+
+def _points_over_each_field():
+    A, E = QQ_EPS_A, GFext(7, 2)
+    a, e, g = A.gen(), QQ_EPS.eps(), E.gen()
+    return [ProjPoint(GF(31), (3, 30, 7)),
+            ProjPoint(E, (g, g * g + 2, E.one())),
+            ProjPoint(QQ_EPS, (1 + e, QQ_EPS.from_int(-2), e / 3)),
+            ProjPoint(A, (a, A.eps() * a + 1, a * a - 2))]
+
+
+def test_hasse_rows_are_the_ordinary_partials_over_alpha_factorial():
+    for P in _points_over_each_field():
+        for degree in range(6):
+            for alpha, row in ordinary_derivative_rows(P, degree, 3):
+                hasse = hasse_rows(P, degree, [alpha])[0]
+                factorial = prod(factorial_of(n) for n in alpha)
+                assert row == [x * factorial for x in hasse]
+
+
+def test_hasse_rows_are_exact_in_characteristic_p():
+    # sextics with multiplicity >= 6 at (0:0:1) over GF(5) are the forms
+    # in x and y alone; the ordinary partials by x^5 and by y^5 carry the
+    # factor 5! = 0, so they miss x^5 z and y^5 z
+    F = GF(5)
+    P = ProjPoint(F, (0, 0, 1))
+    alphas = [a for order in range(6) for a in monomials_of_degree(order)]
+    assert len(kernel_basis(hasse_rows(P, 6, alphas), F)) == 7
+    ordinary = [row for _, row in ordinary_derivative_rows(P, 6, 6)]
+    assert len(kernel_basis(ordinary, F)) == 9
 
 
 def test_monomials_of_degree():

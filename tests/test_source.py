@@ -107,15 +107,11 @@ def test_every_top_level_definition_is_used_by_the_program():
     assert sorted(defined - used) == []
 
 
-def test_group_law_has_no_generic_path():
-    """The Hesse group law finds third intersections by closed forms only.
-
-    Restricting the cubic to the line and dividing out the known roots is
-    the test oracle `generic_third`, not a path of `cubic.py`.
-    """
-    tree = ast.parse((SRC / "cubic.py").read_text())
+def _module_names(module):
+    """Every name a module refers to or defines: names, attributes,
+    function and class names, and imported names."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -124,9 +120,18 @@ def test_group_law_has_no_generic_path():
             names.add(node.name)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+    return names
+
+
+def test_group_law_has_no_generic_path():
+    """The Hesse group law finds third intersections by closed forms only.
+
+    Restricting the cubic to the line and dividing out the known roots is
+    the test oracle `generic_third`, not a path of `cubic.py`.
+    """
     forbidden = {"restrict_to_line", "bf_divide_linear", "line_basis",
                  "coordinates_on_line", "generic_third"}
-    assert names & forbidden == set()
+    assert _module_names("cubic.py") & forbidden == set()
 
 
 def test_fraction_free_kernel_takes_no_gcd():
@@ -139,3 +144,14 @@ def test_fraction_free_kernel_takes_no_gcd():
     assert {"_exact_quotient", "_dot"} <= seen
     assert {"_zquo", "_lead_conjugate", "_zmul"} <= names
     assert names & {"_fraction", "_zgcd"} == set()
+
+
+def test_local_data_is_read_from_hasse_rows_only():
+    """Values, multiplicity conditions and tangent cones at a point come
+    from `plane.hasse_rows`: no module built on it takes symbolic partials,
+    builds monomials one by one or substitutes linear forms."""
+    forbidden = {"partial", "monomial", "substitute_linear"}
+    for module in ("torsion.py", "piclattice.py", "chilean.py"):
+        names = _module_names(module)
+        assert "hasse_rows" in names, module
+        assert names & forbidden == set(), module
