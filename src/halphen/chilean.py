@@ -21,8 +21,8 @@ from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
                     to_text)
 from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                     bf_divide_linear, gens, hasse_rows, line_through,
-                    monomials_of_degree, plane_points, poly3_to_binary_form,
-                    poly_in_var, resultant)
+                    plane_points, poly3_to_binary_form, poly_in_var,
+                    resultant)
 
 FIBERS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
 
@@ -688,24 +688,24 @@ def singular_census(C):
     'node', 'cusp' (double points with distinct/repeated tangents) or
     'mult3+' for higher multiplicity.  Characteristic 2 is refused since
     the tangent-cone discriminant needs 1/2.  The multiplicity and the
-    cone are read from the Hasse derivatives at the point
-    (`_local_multiplicity`), exact in every characteristic.
+    cone are read from the Hasse derivatives at each point where the curve
+    vanishes (`_local_multiplicity`), exact in every characteristic.  Its
+    order-1 test takes the two non-pivot partials only: on the curve,
+    Euler's relation sum x_i dC/dx_i = deg(C) C = 0 makes the pivot
+    partial vanish with them.
     """
     field = C.field
     if not field.is_finite:
         raise GeometryError("the census scans a finite plane")
     if field.characteristic == 2:
         raise GeometryError("census needs characteristic != 2")
-    grads = C.gradient()
-    singular = []
+    out = []
     for P in plane_points(field):
         if not C.evaluate(P).is_zero():
             continue
-        if all(g.evaluate(P).is_zero() for g in grads):
-            singular.append(P)
-    out = []
-    for P in singular:
         mult, cone = _local_multiplicity(C, P)
+        if mult == 1:
+            continue
         if mult == 2:
             alpha, beta, gamma = cone
             disc = beta * beta - 4 * alpha * gamma
@@ -717,20 +717,22 @@ def singular_census(C):
 
 
 def _local_multiplicity(C, P):
-    """Local multiplicity and degree-2 tangent cone coefficients at P.
+    """Local multiplicity and degree-2 tangent cone coefficients at a
+    point P of C.
 
     With u, v the two variables other than the first nonzero coordinate of
     P, the Taylor coefficient of u^i v^j in C(P + u e_u + v e_v) is the
     Hasse derivative D^alpha C(P) with alpha_u = i and alpha_v = j: the
-    multiplicity is the least order i + j with a nonzero one, and the cone
-    of a double point is its (u^2, uv, v^2) coefficients.
+    multiplicity is the least order i + j with a nonzero one (order 0 is
+    the value, zero on C), and the cone of a double point is its
+    (u^2, uv, v^2) coefficients.
     """
     field = C.field
     zero = field.zero()
     pivot = next(i for i, c in enumerate(P.rep) if not c.is_zero())
     u, v = (i for i in range(3) if i != pivot)
-    coeffs = [C.terms.get(e, zero) for e in monomials_of_degree(C.degree)]
-    for order in range(C.degree + 1):
+    coeffs = C.coefficients()
+    for order in range(1, C.degree + 1):
         alphas = []
         for i in range(order, -1, -1):
             alpha = [0, 0, 0]

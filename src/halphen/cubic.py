@@ -51,7 +51,7 @@ reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
 from math import gcd
 
 from .field import FieldError, GFpkElem, PrimeField
-from .plane import ProjPoint, gens
+from .plane import ProjPoint, cross, gens
 
 
 class CubicError(Exception):
@@ -178,8 +178,7 @@ def _closed_form_residual(a, b, t, is_zero, canonical):
     else:
         x2, y2, z2 = b
         coords = _chord(a, b)
-        normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
-                  x1 * y2 - y1 * x2)  # a x b; det(a, b, R) = normal . R
+        normal = cross(a, b)  # det(a, b, R) = normal . R
 
     def certified(coords):
         """coords in canonical form if they are the residual point, else None."""

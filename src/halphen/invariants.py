@@ -3,10 +3,10 @@ constants, and the binary incidence code in characteristic 2.
 
 Censuses are taken from exact geometry.  In candidate mode every pairwise
 intersection must be accounted for by known points, except along lines,
-where residual intersections are certified simple and private by
-discriminant and resultant tests (they may be irrational; only their
-count enters the census).  A full projective-plane scan provides the same
-census over finite fields, certified complete by the Bezout identity.
+where residual intersections are certified simple by a discriminant
+test and private by the census's own counts (they may be irrational;
+only their count enters the census).  Values and gradients at the
+candidates are dot products with `plane.hasse_rows`.
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
@@ -14,15 +14,21 @@ computed once per configuration.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .field import QQ_EPS, GFext
-from .plane import ProjPoint, bf_divide_linear, coordinates_on_line, line_basis
+from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, cross,
+                    hasse_rows, line_basis)
 from .chilean import (Configuration, VerificationError, conic_is_line_pair,
                       fourth_intersection)
 
 
 class ArrangementError(Exception):
     pass
+
+
+# the value and the three first partials of a form at a point
+_VALUE_AND_GRADIENT = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class ArrangementCombinatorics:
@@ -46,31 +52,6 @@ class ArrangementCombinatorics:
         return True
 
 
-def _bf_share_root(p, q, field):
-    """Whether two binary forms of degree <= 2 share a projective root.
-
-    Uses the closed resultant formulas (division-free; formal degrees, so
-    a common root at (1:0) shows up as a vanishing resultant too).
-    """
-    if all(c.is_zero() for c in p) or all(c.is_zero() for c in q):
-        return True
-    if len(p) > len(q):
-        p, q = q, p
-    if len(p) == 2 and len(q) == 2:
-        res = p[1] * q[0] - p[0] * q[1]
-    elif len(p) == 2 and len(q) == 3:
-        # res(ax + b, cx^2 + dx + e) with a=p[1], b=p[0]
-        res = (p[1] * p[1] * q[0] - p[1] * p[0] * q[1] + p[0] * p[0] * q[2])
-    elif len(p) == 3 and len(q) == 3:
-        t1 = p[2] * q[0] - p[0] * q[2]
-        t2 = p[1] * q[0] - p[0] * q[1]
-        t3 = p[2] * q[1] - p[1] * q[2]
-        res = t1 * t1 - t2 * t3
-    else:
-        raise ArrangementError("shared-root test limited to degree <= 2 forms")
-    return res.is_zero()
-
-
 def _assert_smooth_members(curves):
     for k, C in enumerate(curves):
         if C.degree == 1:
@@ -87,8 +68,21 @@ def extract_combinatorics(points, curves):
 
     `points` is the candidate list; every conic-conic intersection must be
     a candidate, while intersections along lines may remain anonymous and
-    are counted through their restriction forms after certifying they are
-    simple and lie on no third member.
+    are counted through their restriction forms.  Local data at a
+    candidate are read from `hasse_rows` once per member degree: a
+    member's value is the dot product of its coefficient vector with the
+    alpha = 0 row, and its gradient, for the transversality check at
+    every candidate on two or more members, with the three order-1 rows.
+
+    A residual root of a line and a conic is simple by the discriminant
+    test, and private (on no third member) by the other checks.  Take a
+    residual root R of line k and conic j; it is no candidate, since a
+    candidate on both is stripped from their form and survives only as a
+    double root, a tangency that the transversality check rejects.
+    - If R lay on a conic j2, the two conics would meet at R and so in at
+      most three candidates (Bezout), and the `accounted` check raises.
+    - If R lay on a line j2 != k, then R = k.j2 must be a candidate, or
+      the residual of the line pair raises; but R is no candidate.
     """
     if not curves:
         raise ArrangementError("empty arrangement")
@@ -98,77 +92,55 @@ def extract_combinatorics(points, curves):
     for P in points:
         if P not in candidates:
             candidates.append(P)
-    on_curve = [[C.evaluate(P).is_zero() for C in curves] for P in candidates]
-    grads = [C.gradient() for C in curves]
-
-    # transversality at every candidate on >= 2 members
-    for pi, P in enumerate(candidates):
-        through = [k for k in range(len(curves)) if on_curve[pi][k]]
-        gvals = {k: [g.evaluate(P) for g in grads[k]] for k in through}
-        for x in range(len(through)):
-            for y in range(x + 1, len(through)):
-                g1, g2 = gvals[through[x]], gvals[through[y]]
-                cross = (g1[1] * g2[2] - g1[2] * g2[1],
-                         g1[2] * g2[0] - g1[0] * g2[2],
-                         g1[0] * g2[1] - g1[1] * g2[0])
-                if all(c.is_zero() for c in cross):
-                    raise ArrangementError(
-                        f"tangency of curves {through[x]} and {through[y]} at {P}")
-
+    zero = field.zero()
+    coeffs = [C.coefficients() for C in curves]
+    degrees = {C.degree for C in curves}
     accounted = [[0] * len(curves) for _ in curves]
-    for pi in range(len(candidates)):
-        through = [k for k in range(len(curves)) if on_curve[pi][k]]
-        for x in range(len(through)):
-            for y in range(x + 1, len(through)):
-                accounted[through[x]][through[y]] += 1
+    t_counts = {}
+    on_curve = []  # per candidate, the members through it
+    for P in candidates:
+        rows = {d: hasse_rows(P, d, _VALUE_AND_GRADIENT) for d in degrees}
+        local = [rows[C.degree] for C in curves]
+        through = [k for k, c in enumerate(coeffs)
+                   if sum(map(mul, c, local[k][0]), zero).is_zero()]
+        on_curve.append(set(through))
+        grads = {k: [sum(map(mul, coeffs[k], row), zero) for row in local[k][1:]]
+                 for k in through}
+        for x, k1 in enumerate(through):
+            for k2 in through[x + 1:]:
+                if all(c.is_zero() for c in cross(grads[k1], grads[k2])):
+                    raise ArrangementError(
+                        f"tangency of curves {k1} and {k2} at {P}")
+                accounted[k1][k2] += 1
+        if len(through) >= 2:
+            t_counts[len(through)] = t_counts.get(len(through), 0) + 1
 
     anonymous_pairs = 0
-    lines = [k for k, C in enumerate(curves) if C.degree == 1]
-    line_forms = {}
-    for k in lines:
-        A, B = line_basis(field, _line_coefficients(curves[k]))
-        forms = {}
+    for k, L in enumerate(curves):
+        if L.degree != 1:
+            continue
+        A, B = line_basis(field, L.coefficients())
+        on_line = [(on, coordinates_on_line(P, A, B))
+                   for P, on in zip(candidates, on_curve) if k in on]
         for j, C in enumerate(curves):
             if j == k:
                 continue
-            forms[j] = C.restrict_to_line(A, B)
-        line_forms[k] = (A, B, forms)
-
-    residuals = {}
-    for k in lines:
-        A, B, forms = line_forms[k]
-        cand_on_line = [(pi, coordinates_on_line(candidates[pi], A, B))
-                        for pi in range(len(candidates)) if on_curve[pi][k]]
-        for j, form in forms.items():
-            stripped = list(form)
-            for pi, (u, v) in cand_on_line:
-                if on_curve[pi][j]:
-                    stripped = bf_divide_linear(stripped, (u, v), field)
-            residuals[(k, j)] = stripped
-
-    for k in lines:
-        A, B, forms = line_forms[k]
-        for j, form in forms.items():
-            stripped = residuals[(k, j)]
+            stripped = C.restrict_to_line(A, B)
+            for on, root in on_line:
+                if j in on:
+                    stripped = bf_divide_linear(stripped, root, field)
             extra = len(stripped) - 1
             if extra == 0:
                 continue
-            if curves[j].degree == 1:
+            if C.degree == 1:
                 raise ArrangementError(
                     f"lines {k} and {j} meet at an unknown point")
-            # simple roots: no repeated factor
+            # simple roots: no repeated factor; private by the docstring
             if extra == 2:
                 disc = stripped[1] * stripped[1] - 4 * stripped[0] * stripped[2]
                 if disc.is_zero():
                     raise ArrangementError(
                         f"line {k} is tangent to curve {j} off the candidates")
-            # private roots: no third member through a residual point
-            for j2, other in forms.items():
-                if j2 == j:
-                    continue
-                if _bf_share_root(stripped, other, field):
-                    raise ArrangementError(
-                        f"residual point of line {k} and curve {j} lies on {j2}")
             anonymous_pairs += extra
             accounted[min(k, j)][max(k, j)] += extra
 
@@ -180,11 +152,6 @@ def extract_combinatorics(points, curves):
                     f"curves {i} and {j}: {accounted[i][j]} of {expect} "
                     "intersections accounted for")
 
-    t_counts = {}
-    for pi in range(len(candidates)):
-        n = sum(1 for k in range(len(curves)) if on_curve[pi][k])
-        if n >= 2:
-            t_counts[n] = t_counts.get(n, 0) + 1
     if anonymous_pairs:
         t_counts[2] = t_counts.get(2, 0) + anonymous_pairs
 
@@ -294,18 +261,8 @@ def _degenerate_nodes_and_vertices(cfg):
     return nodes, vertices
 
 
-def _line_coefficients(L):
-    """(g0, g1, g2) of the linear form g0 x + g1 y + g2 z."""
-    zero = L.field.zero()
-    return [L.terms.get(e, zero) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-
-
 def _line_line_point(L1, L2):
-    field = L1.field
-    a, b = _line_coefficients(L1), _line_coefficients(L2)
-    return ProjPoint(field, (a[1] * b[2] - a[2] * b[1],
-                             a[2] * b[0] - a[0] * b[2],
-                             a[0] * b[1] - a[1] * b[0]))
+    return ProjPoint(L1.field, cross(L1.coefficients(), L2.coefficients()))
 
 
 def geometric_census(name, config):

@@ -14,7 +14,8 @@ The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
 factors -- the primitives behind intersection-point extraction -- and
 ``hasse_rows``, the one way local data at a point is read: values,
-multiplicity conditions and tangent cones are dot products with its rows.
+gradients, multiplicity conditions and tangent cones are dot products of
+``Poly3.coefficients`` with its rows.
 """
 
 from math import comb
@@ -145,6 +146,11 @@ class Poly3:
         ratio = self.terms[exp] / other.terms[exp]
         return all(self.terms[e] == ratio * other.terms[e] for e in other.terms)
 
+    def coefficients(self):
+        """The dense coefficient vector, in `monomials_of_degree` order."""
+        zero = self.field.zero()
+        return [self.terms.get(e, zero) for e in monomials_of_degree(self.degree)]
+
     def evaluate(self, point):
         if isinstance(point, ProjPoint) and point.field is self.field:
             coords = point.rep  # already elements of this field
@@ -171,23 +177,6 @@ class Poly3:
         for (i, j, k), c in self.terms.items():
             acc = acc + c * px[i] * py[j] * pz[k]
         return acc
-
-    def partial(self, var):
-        """Partial derivative with respect to variable index 0, 1 or 2."""
-        if var not in (0, 1, 2):
-            raise GeometryError("variable index must be 0, 1 or 2")
-        terms = {}
-        for exp, c in self.terms.items():
-            n = exp[var]
-            if n == 0:
-                continue
-            new = list(exp)
-            new[var] = n - 1
-            terms[tuple(new)] = c * n
-        return Poly3(self.field, max(self.degree - 1, 0), terms)
-
-    def gradient(self):
-        return [self.partial(i) for i in range(3)]
 
     def restrict_to_line(self, A, B):
         """Coefficients [c_0..c_d] of P(u*A + v*B) = sum c_i u^i v^(d-i)."""
@@ -350,11 +339,16 @@ def line_through(P, Q):
     """The linear form vanishing on two distinct points (cross product)."""
     if P == Q:
         raise GeometryError("two distinct points are needed to span a line")
-    F = P.field
-    (a1, a2, a3), (b1, b2, b3) = P.coords, Q.coords
-    co = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    X, Y, Z = gens(F)
+    X, Y, Z = gens(P.field)
+    co = cross(P.coords, Q.coords)
     return X.scale(co[0]) + Y.scale(co[1]) + Z.scale(co[2])
+
+
+def cross(u, v):
+    """The cross product of two coordinate triples: the line through two
+    points, the point on two lines, and zero iff they are proportional."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
 
 def are_collinear(points):

@@ -10,7 +10,7 @@ of degree m with prescribed multiplicities at the translated base points;
 multiplicity at least r is the vanishing of the Hasse derivatives of
 order below r (`plane.hasse_rows`), a condition exact in every
 characteristic (an ordinary partial is alpha! times it, zero when p
-divides alpha!).
+divides alpha!), and for p > m those of order r - 1 imply the rest.
 
 One order census answers every order question: a curve's rational points
 and their exact orders with x_7 as zero, from one `CubicGroup.orders`
@@ -272,6 +272,11 @@ def hesse_collinear_curves(m, p, t):
     point scanned.  The multiplicities sum to 3m, so the balance holds for
     any eta of order dividing 3m; the order of eta is certified on its
     own, by m*eta = 0 and (m/q)*eta != 0 for each prime q | m.
+
+    Multiplicity at least r takes the Hasse rows of order r - 1 only: by
+    Euler's relation sum_i (alpha_i + 1) x_i D^(alpha + e_i) F =
+    (m - |alpha|) D^alpha F, they force every lower one to vanish when p
+    does not divide m - |alpha|, which lies in 1..m; so p <= m raises.
     """
     field = GF(p)
     curve = HesseCubic(field, t)
@@ -292,6 +297,8 @@ def hesse_collinear_curves(m, p, t):
     pts = translated_points(group, eta)
     alpha, beta = index_multiplicities(m)
     triples = hesse_collinear_triples(field)
+    if p <= m:
+        raise TorsionError(f"the Euler relation needs p > m = {m}, not p = {p}")
     point_rows = {}  # (index, multiplicity) -> rows; shared by the triples
     results = []
     for triple in triples:
@@ -300,9 +307,8 @@ def hesse_collinear_curves(m, p, t):
         for i, (P, r) in enumerate(zip(pts, mults)):
             if r > 0:
                 if (i, r) not in point_rows:
-                    # multiplicity >= r: every Hasse derivative of order < r
-                    point_rows[i, r] = hasse_rows(P, m, [
-                        a for order in range(r) for a in monomials_of_degree(order)])
+                    # multiplicity >= r: the Hasse derivatives of order r - 1
+                    point_rows[i, r] = hasse_rows(P, m, monomials_of_degree(r - 1))
                 rows.extend(point_rows[i, r])
         kern = kernel_basis(rows, field)
         if len(kern) < 1:

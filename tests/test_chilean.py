@@ -14,6 +14,7 @@ from halphen.chilean import (INFINITY, VerificationError, _local_multiplicity,
                              hesse_parameter, pencil_membership,
                              singular_census, special_members,
                              verify_symmetries, base_points)
+from test_plane import gradient
 
 
 def test_conic_one_incidence(symbolic_data):
@@ -204,6 +205,38 @@ def test_local_multiplicity_matches_the_substitution(configuration):
         assert _local_multiplicity(C, P) == substituted_multiplicity(C, P)
     assert _local_multiplicity(triple, ProjPoint(F, (0, 1, 0))) == (3, None)
     assert _local_multiplicity(quadruple, ProjPoint(F, (0, 0, 1))) == (4, None)
+
+
+def gradient_census(C):
+    """Oracle: the points where C and its three ordinary partials vanish,
+    classified by the substituted local expansion."""
+    grads = gradient(C)
+    out = []
+    for P in plane_points(C.field):
+        if all(D.evaluate(P).is_zero() for D in [C] + grads):
+            mult, cone = substituted_multiplicity(C, P)
+            kind = "mult3+"
+            if mult == 2:
+                kind = ("cusp" if (cone[1] * cone[1] - 4 * cone[0] * cone[2]).is_zero()
+                        else "node")
+            out.append((P, mult, kind))
+    return out
+
+
+def test_singular_census_matches_the_gradient_oracle(configuration):
+    F = GF(13)
+    a = F.from_int(2)
+    X, Y, Z = gens(F)
+    sextic = configuration.special["cuspidal_sextic"].specialize(F, F.eps(), a)
+    curves = [sextic, branch_quintic(F, a), X * Y - Z**2, Z * Y**2 - X**3,
+              Z * Y**2 - X**2 * (X + Z), Y * (X**3 + Z**3) + X**4 - Z**4,
+              Z * (X**4 - Y**4) + X**5 + 2 * Y**5]
+    kinds = []
+    for C in curves:
+        census = singular_census(C)
+        assert census == gradient_census(C)
+        kinds += [kind for _, _, kind in census]
+    assert sorted(kinds) == ["cusp"] * 11 + ["mult3+"] * 2 + ["node"] * 6
 
 
 def matrix_symmetries(data):

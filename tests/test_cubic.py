@@ -11,6 +11,7 @@ from halphen import cubic
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
                            flex_line_incidence, hesse_collinear_triples,
                            hesse_flexes, hesse_singular_fibers, rational_points)
+from test_plane import gradient
 
 
 # repeated-addition oracles for the exact orders of `CubicGroup.orders`
@@ -125,7 +126,7 @@ def _hesse_form(curve):
     """The curve's Poly3 form and its gradient, built once per curve."""
     X, Y, Z = gens(curve.field)
     poly = X**3 + Y**3 + Z**3 + curve.t * X * Y * Z
-    return poly, poly.gradient()
+    return poly, gradient(poly)
 
 
 def generic_third(group, P, Q):

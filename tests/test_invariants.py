@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from halphen import invariants
 from halphen.field import GF, QQ_EPS
-from halphen.plane import ProjPoint, gens, plane_points
+from halphen.plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
+                           gens, line_basis, plane_points)
 from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
                                 EXPECTED_WEIGHT_ENUMERATOR, PUBLISHED_SLOPES,
                                 PUBLISHED_TN, PUBLISHED_VALUES,
@@ -102,6 +104,101 @@ def test_reports_are_copies_of_the_kept_censuses(configuration):
     assert sorted(configuration.censuses) == ["A0", "A1", "A2", "A3", "chilean"]
     with pytest.raises(ArrangementError):
         geometric_census("A4", configuration)
+
+
+def _bf_share_root(p, q, field):
+    """Oracle: whether two binary forms of degree <= 2 share a projective
+    root, by the closed resultant formulas (formal degrees, so a common
+    root at (1:0) shows up as a vanishing resultant too)."""
+    if all(c.is_zero() for c in p) or all(c.is_zero() for c in q):
+        return True
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 2 and len(q) == 2:
+        res = p[1] * q[0] - p[0] * q[1]
+    elif len(p) == 2 and len(q) == 3:
+        res = p[1] * p[1] * q[0] - p[1] * p[0] * q[1] + p[0] * p[0] * q[2]
+    else:
+        t1 = p[2] * q[0] - p[0] * q[2]
+        t2 = p[1] * q[0] - p[0] * q[1]
+        t3 = p[2] * q[1] - p[1] * q[2]
+        res = t1 * t1 - t2 * t3
+    return res.is_zero()
+
+
+def shared_residual_roots(points, curves):
+    """Oracle: the (line k, member j, member j2) with a residual root of
+    k and j, after the candidates on both are divided out, on j2 too."""
+    field = curves[0].field
+    on = [[C.evaluate(P).is_zero() for C in curves] for P in points]
+    found = []
+    for k, L in enumerate(curves):
+        if L.degree != 1:
+            continue
+        A, B = line_basis(field, L.coefficients())
+        forms = {j: C.restrict_to_line(A, B) for j, C in enumerate(curves) if j != k}
+        for j, form in forms.items():
+            for P, incident in zip(points, on):
+                if incident[k] and incident[j]:
+                    form = bf_divide_linear(form, coordinates_on_line(P, A, B), field)
+            if len(form) > 1:
+                found += [(k, j, j2) for j2, other in forms.items()
+                          if j2 != j and _bf_share_root(form, other, field)]
+    return found
+
+
+def _points(F, *coords):
+    return [ProjPoint(F, c) for c in coords]
+
+
+def _failing_arrangements():
+    F = QQ_EPS
+    X, Y, Z = gens(F)
+    # two smooth conics through the four points (+-1 : +-1 : 1)
+    C1, C2 = X**2 + Y**2 - 2 * Z**2, X**2 + 2 * Y**2 - 3 * Z**2
+    four = _points(F, (1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1))
+    parabola = Y * Z - X**2
+    return {
+        "tangency": (_points(F, (0, 0, 1)), [parabola, Y], "tangency of curves 0 and 1"),
+        "line pair": ([], [X, Y], "lines 0 and 1 meet at an unknown point"),
+        "tangent line": ([], [Y, parabola], "line 0 is tangent to curve 1 off"),
+        "conic pair": (four[1:], [C1, C2], "curves 0 and 1: 3 of 4"),
+        # x = z meets C1 and C2 at the candidate (1:-1:1) and at (1:1:1),
+        # which is on both conics but no candidate
+        "residual on a conic": (four[1:], [X - Z, C1, C2], "curves 1 and 2: 3 of 4"),
+        # y = z passes through that residual point (1:1:1) of x = z and C1
+        "residual on a line": (four[1:2], [X - Z, C1, Y - Z],
+                               "lines 0 and 2 meet at an unknown point"),
+    }
+
+
+@pytest.mark.parametrize("case", ["tangency", "line pair", "tangent line",
+                                  "conic pair", "residual on a conic",
+                                  "residual on a line"])
+def test_every_census_check_raises(case):
+    # the shared-root oracle fires on the two residual cases, which the
+    # census rejects by its counts
+    points, curves, message = _failing_arrangements()[case]
+    with pytest.raises(ArrangementError, match=message):
+        extract_combinatorics(points, curves)
+    assert bool(shared_residual_roots(points, curves)) == case.startswith("residual")
+
+
+def test_residuals_are_private_on_the_reference_arrangements(configuration,
+                                                             monkeypatch):
+    # the shared-root oracle finds nothing where the census passes
+    arguments, census = [], invariants.extract_combinatorics
+
+    def recording(points, curves):
+        arguments.append((points, curves))
+        return census(points, curves)
+
+    monkeypatch.setattr(invariants, "extract_combinatorics", recording)
+    for name in ("chilean", "A0", "A1", "A2", "A3"):
+        invariants._census_from_geometry(name, configuration)
+    assert len(arguments) == 5
+    for points, curves in arguments:
+        assert shared_residual_roots(points, curves) == []
 
 
 def test_census_consistency_guard():

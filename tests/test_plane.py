@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, MixedContextError
 from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
-                           bf_divide_linear, gens, hasse_rows, line_through,
-                           monomials_of_degree, plane_points,
+                           bf_divide_linear, cross, gens, hasse_rows,
+                           line_through, monomials_of_degree, plane_points,
                            poly3_to_binary_form, resultant)
 
 
@@ -71,10 +71,48 @@ def test_product_degree_and_terms():
     assert len(prod.terms) <= 9
 
 
+def partial(C, var):
+    """Oracle: the ordinary partial derivative by variable 0, 1 or 2."""
+    terms = {}
+    for exp, c in C.terms.items():
+        if exp[var]:
+            new = list(exp)
+            new[var] -= 1
+            terms[tuple(new)] = c * exp[var]
+    return Poly3(C.field, max(C.degree - 1, 0), terms)
+
+
+def gradient(C):
+    return [partial(C, var) for var in range(3)]
+
+
 def test_partial_derivative():
     F = QQ_EPS
     X, Y, Z = gens(F)
-    assert (X * Y * Z).partial(0) == Y * Z
+    assert partial(X * Y * Z, 0) == Y * Z
+    assert gradient(X**3 + 2 * X * Y * Z) == [3 * X**2 + 2 * Y * Z, 2 * X * Z,
+                                              2 * X * Y]
+    assert partial(Y**2, 0).is_zero() and partial(X, 0) == Poly3(F, 0, {(0, 0, 0): F.one()})
+
+
+def test_coefficients_follow_the_monomial_order():
+    F = GF(31)
+    X, Y, Z = gens(F)
+    C = 3 * X**2 + 5 * Y * Z - Z**2
+    assert C.coefficients() == [F.coerce(c) for c in (3, 0, 0, 0, 5, -1)]
+    assert dict(zip(monomials_of_degree(2), C.coefficients())) == {
+        e: C.terms.get(e, F.zero()) for e in monomials_of_degree(2)}
+    assert (2 * X - Y).coefficients() == [F.coerce(c) for c in (2, -1, 0)]
+
+
+def test_cross_product_meets_and_joins():
+    F = QQ_EPS
+    P, Q = ProjPoint(F, (1, 2, 3)), ProjPoint(F, (F.eps(), 0, 1))
+    u = cross(P.coords, Q.coords)
+    assert all(sum((a * b for a, b in zip(u, R.coords)), F.zero()).is_zero()
+               for R in (P, Q))
+    assert line_through(P, Q).coefficients() == list(u)
+    assert all(c.is_zero() for c in cross(P.coords, [2 * c for c in P.coords]))
 
 
 def test_degree_mismatch_on_add():
@@ -182,7 +220,7 @@ def ordinary_derivative_rows(point, degree, r):
                     D = Poly3(field, degree, {e: field.one()})
                     for var, times in enumerate((i, j, order - i - j)):
                         for _ in range(times):
-                            D = D.partial(var)
+                            D = partial(D, var)
                     row.append(D.evaluate(point))
                 rows.append(((i, j, order - i - j), row))
     return rows

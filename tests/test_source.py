@@ -147,11 +147,19 @@ def test_fraction_free_kernel_takes_no_gcd():
 
 
 def test_local_data_is_read_from_hasse_rows_only():
-    """Values, multiplicity conditions and tangent cones at a point come
-    from `plane.hasse_rows`: no module built on it takes symbolic partials,
-    builds monomials one by one or substitutes linear forms."""
-    forbidden = {"partial", "monomial", "substitute_linear"}
-    for module in ("torsion.py", "piclattice.py", "chilean.py"):
+    """Values, gradients, multiplicity conditions and tangent cones at a
+    point come from `plane.hasse_rows`: no module built on it takes
+    symbolic partials, builds monomials one by one, substitutes linear
+    forms or tests residual roots for a shared one, and `Poly3` has no
+    derivative to take."""
+    forbidden = {"partial", "gradient", "monomial", "substitute_linear",
+                 "_bf_share_root"}
+    for module in ("torsion.py", "piclattice.py", "chilean.py", "invariants.py"):
         names = _module_names(module)
         assert "hasse_rows" in names, module
         assert names & forbidden == set(), module
+    poly3 = next(node for node in ast.parse((SRC / "plane.py").read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "Poly3")
+    methods = {node.name for node in poly3.body if isinstance(node, ast.FunctionDef)}
+    assert "coefficients" in methods
+    assert methods & {"partial", "gradient"} == set()

@@ -3,7 +3,8 @@ import pytest
 from halphen import torsion
 from halphen.field import GF
 from halphen.cubic import CubicGroup, HesseCubic, hesse_flexes, rational_points
-from halphen.plane import ProjPoint
+from halphen.linalg import kernel_basis, rref
+from halphen.plane import ProjPoint, monomials_of_degree
 from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
                              conic_recovery_check,
                              find_specialization, good_primes,
@@ -215,6 +216,54 @@ def test_hesse_collinear_curves_certify_the_order_of_eta(monkeypatch):
     orders = {P: m if P == offered else 1 for P in points}
     monkeypatch.setattr(torsion, "_census", lambda field, t: (points, orders))
     with pytest.raises(TorsionError, match="exact order 4"):
+        hesse_collinear_curves(m, p, t)
+
+
+# (m, p, t) of the CLI's curve systems and of the benchmark's seeds 1-3
+EULER_CASES = ((4, 31, 1), (5, 37, 9), (5, 37, 11), (5, 139, 47),
+               (4, 151, 43), (4, 163, 127), (5, 37, 29), (4, 73, 17),
+               (5, 97, 9), (4, 163, 87), (4, 61, 55), (4, 127, 84),
+               (5, 157, 104), (5, 199, 57))
+
+
+def test_top_order_rows_have_the_kernel_of_all_lower_orders(monkeypatch):
+    # the Euler relation: for p > m the Hasse rows of order r - 1 cut out
+    # the same degree-m forms as all rows of order below r
+    calls, rows_of = [], torsion.hasse_rows
+
+    def recording(P, degree, alphas):
+        calls.append((P, degree, sum(alphas[0])))
+        return rows_of(P, degree, alphas)
+
+    monkeypatch.setattr(torsion, "hasse_rows", recording)
+    for m, p, t in EULER_CASES:
+        hesse_collinear_curves(m, p, t)
+        orders = {order for _, _, order in calls[-18:]}  # each point, both r
+        assert orders == {r - 1 for r in index_multiplicities(m)}
+    assert len(calls) == 18 * len(EULER_CASES)
+    for P, m, order in calls:
+        F = P.field
+        top = rows_of(P, m, monomials_of_degree(order))
+        every = rows_of(P, m, [a for k in range(order + 1)
+                               for a in monomials_of_degree(k)])
+        kernel = kernel_basis(top, F)
+        assert rref(kernel, F) == rref(kernel_basis(every, F), F)
+        # multiplicity r = order + 1 imposes r(r + 1)/2 conditions
+        assert len(kernel) == len(every[0]) - (order + 1) * (order + 2) // 2
+
+
+def test_hesse_collinear_curves_need_p_above_m(monkeypatch):
+    # no smooth Hesse cubic over GF(p), p <= m, has a point of order m
+    # prime to 3 (9m would divide its order), so a census offering x_1 as
+    # eta and a certificate accepting it reach the guard
+    m, p, t = 7, 7, 0
+    F = GF(p)
+    flexes = hesse_flexes(F)
+    points = _census(F, t)[0]
+    orders = {P: m if P == flexes[6] else 1 for P in points}
+    monkeypatch.setattr(torsion, "_census", lambda field, t: (points, orders))
+    monkeypatch.setattr(torsion, "prime_divisors", lambda n: [])
+    with pytest.raises(TorsionError, match="p > m"):
         hesse_collinear_curves(m, p, t)
 
 
