@@ -36,16 +36,20 @@ has the same residual point as PQ.  Bernstein-Kohel-Lange show that the
 two chords together are complete; the code does not rely on it, and a
 pair that no certificate decides raises CubicError.
 
-Over GF(p) the formulas, the certificates and `HesseCubic.contains` run
-on plain residues mod p, and points are built only for the answers;
-over every other field the same code runs on field elements.
+A `CubicGroup` picks one coordinate law at construction: the formulas
+and the certificates run on plain residues mod p over GF(p), as does
+`HesseCubic.contains`, and on field elements over every other field.
 
 `rational_points` walks the chart on plain residues mod p over a prime
 field, and on the int codes of `PrimeExtField` with its exponent,
 logarithm and Zech tables over GF(p^k); it certifies each hit with
 `HesseCubic.contains`.  `CubicGroup.orders` gives the exact order of every
-point from one walk P, 2P, ... per cyclic subgroup it meets: a walk that
-reaches zero after n steps also gives ord(kP) = n / gcd(n, k).
+point from one walk P, 2P, ... per cyclic subgroup it meets, on canonical
+coordinates under the law: (k+1)P is the residual of zero and of the
+residual of kP and P, so each input of a step is a listed point or a
+certified residual, and no point is built.  A walk that reaches zero
+after n steps also gives ord(kP) = n / gcd(n, k); a multiple that is not
+in the list raises.
 """
 
 from math import gcd
@@ -159,47 +163,6 @@ def hesse_collinear_triples(field):
     return [tuple(j for j in range(9) if row[j]) for row in incidence]
 
 
-def _closed_form_residual(a, b, t, is_zero, canonical):
-    """The residual point of the line ab on the Hesse cubic with parameter t.
-
-    a and b are the canonical coordinates of two points on the smooth
-    cubic, as ints mod p or as field elements; `is_zero` tests one value
-    and `canonical` scales a triple to canonical form, or gives None for
-    (0, 0, 0).  Returns a certified formula's point in canonical form, or
-    a or b itself where a residual rule decides, else None (see the module
-    docstring).
-    """
-    x1, y1, z1 = a
-    same = a == b
-    if same:
-        x3, y3, z3 = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
-        coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
-        normal = _hesse_gradient(a, t)
-    else:
-        x2, y2, z2 = b
-        coords = _chord(a, b)
-        normal = cross(a, b)  # det(a, b, R) = normal . R
-
-    def certified(coords):
-        """coords in canonical form if they are the residual point, else None."""
-        R = canonical(coords)
-        if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
-                and is_zero(_hesse_value(R, t))):
-            return R
-        return None
-
-    R = certified(coords)
-    if R is not None:
-        return R
-    if same:
-        return a if is_zero(x1 * y1 * z1) else None
-    if is_zero(_dot(_hesse_gradient(a, t), b)):
-        return a
-    if is_zero(_dot(_hesse_gradient(b, t), a)):
-        return b
-    return certified(_chord((y1, z1, x1), (z2, x2, y2)))
-
-
 def _chord(a, b):
     """The Joye-Quisquater chord formula at the coordinates a and b."""
     x1, y1, z1 = a
@@ -224,6 +187,90 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+class _ElementLaw:
+    """The closed forms on field elements: a point's coordinates are its
+    canonical `coords`, and t is the curve's parameter."""
+
+    def __init__(self, t):
+        self.t = t
+
+    def coords(self, P):
+        return P.coords
+
+    def is_zero(self, v):
+        return v.is_zero()
+
+    def canonical(self, v):
+        """v scaled to canonical form, or None for (0, 0, 0)."""
+        pivot = next((c for c in v if not c.is_zero()), None)
+        if pivot is None:
+            return None
+        inv = pivot.inverse()
+        return tuple(c * inv for c in v)
+
+    def residual(self, a, b):
+        """The residual point of the line ab on the smooth Hesse cubic.
+
+        a and b are the canonical coordinates of two of its points.
+        Returns a certified formula's point in canonical form, or a or b
+        itself where a residual rule decides (see the module docstring);
+        where none decides, CubicError.
+        """
+        t, is_zero = self.t, self.is_zero
+        x1, y1, z1 = a
+        same = a == b
+        if same:
+            x3, y3, z3 = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
+            coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
+            normal = _hesse_gradient(a, t)
+        else:
+            x2, y2, z2 = b
+            coords = _chord(a, b)
+            normal = cross(a, b)  # det(a, b, R) = normal . R
+
+        def certified(coords):
+            """coords in canonical form if they are the residual point, else None."""
+            R = self.canonical(coords)
+            if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
+                    and is_zero(_hesse_value(R, t))):
+                return R
+            return None
+
+        R = certified(coords)
+        if R is None and same:
+            R = a if is_zero(x1 * y1 * z1) else None
+        elif R is None:
+            R = (a if is_zero(_dot(_hesse_gradient(a, t), b)) else
+                 b if is_zero(_dot(_hesse_gradient(b, t), a)) else
+                 certified(_chord((y1, z1, x1), (z2, x2, y2))))
+        if R is None:
+            raise CubicError(f"no certified third intersection of {a}, {b}")
+        return R
+
+
+class _ResidueLaw(_ElementLaw):
+    """The closed forms over GF(p) on ints mod p: a point's coordinates
+    are the residues of its canonical `coords`."""
+
+    def __init__(self, t):
+        self.p = t.field.p
+        self.t = t.v
+
+    def coords(self, P):
+        return tuple(c.v for c in P.coords)
+
+    def is_zero(self, v):
+        return v % self.p == 0
+
+    def canonical(self, v):
+        p = self.p
+        pivot = next((c for c in v if c % p), None)
+        if pivot is None:
+            return None
+        inv = pow(pivot, -1, p)
+        return tuple(c * inv % p for c in v)
+
+
 class CubicGroup:
     """Chord-tangent group law on a smooth Hesse cubic with a chosen zero."""
 
@@ -234,64 +281,29 @@ class CubicGroup:
         self.curve = curve
         self.field = curve.field
         self.zero = zero
+        law = _ResidueLaw if isinstance(self.field, PrimeField) else _ElementLaw
+        self._law = law(curve.t)
 
     def third_intersection(self, P, Q):
         """The residual intersection of the line through P and Q.
 
         For P = Q the line is the tangent at P.  The answer comes from a
-        certified closed form or residual rule (see the module docstring);
-        where none decides, CubicError.  Over GF(p) the work is done on
-        plain residues mod p and only the result becomes a point; over any
-        other field on its elements.
+        certified closed form or residual rule (see the module docstring),
+        run on the coordinates of the group's law; only a new point is
+        built.  Where none decides, CubicError.
         """
         curve = self.curve
         curve.require_on_curve(P)
         curve.require_on_curve(Q)
-        if isinstance(self.field, PrimeField):
-            R = self._closed_form_residues(P, Q)
-        else:
-            R = self._closed_form_elements(P, Q)
-        if R is None:
-            raise CubicError(f"no certified third intersection of {P}, {Q}")
-        return R
-
-    def _closed_form_residues(self, P, Q):
-        field = self.field
-        p = field.p
-
-        def canonical(v):
-            pivot = next((c for c in v if c % p), None)
-            if pivot is None:
-                return None
-            inv = pow(pivot, -1, p)
-            return tuple(c * inv % p for c in v)
-
-        a = tuple(c.v for c in P.coords)
-        b = a if Q is P else tuple(c.v for c in Q.coords)
-        R = _closed_form_residual(a, b, self.curve.t.v,
-                                  lambda v: v % p == 0, canonical)
-        return self._as_point(R, P, Q, a, b)
-
-    def _closed_form_elements(self, P, Q):
-        field = self.field
-
-        def canonical(v):
-            if all(c.is_zero() for c in v):
-                return None
-            return ProjPoint(field, v).coords
-
-        a, b = P.coords, Q.coords
-        R = _closed_form_residual(a, b, self.curve.t, lambda v: v.is_zero(),
-                                  canonical)
-        return self._as_point(R, P, Q, a, b)
-
-    def _as_point(self, R, P, Q, a, b):
-        """`_closed_form_residual`'s answer R for P, Q with coordinates a, b."""
+        law = self._law
+        a = law.coords(P)
+        b = a if Q is P else law.coords(Q)
+        R = law.residual(a, b)
         if R is a:
             return P
         if R is b:
             return Q
-        return None if R is None else ProjPoint(self.field, R)
+        return ProjPoint(self.field, R)
 
     def add(self, P, Q):
         return self.third_intersection(self.zero, self.third_intersection(P, Q))
@@ -318,25 +330,35 @@ class CubicGroup:
     def orders(self, points):
         """{P: exact order of P} for every point of `points` (the group).
 
-        Each walk P, 2P, ..., nP = zero starts at a point not yet reached
-        and sets ord(kP) = n / gcd(n, k) for every multiple it passes.  A
-        walk longer than len(points) steps is an error: then `points` is
-        not the whole group, or P is not on the curve.
+        The walk runs on canonical coordinates: from a point P not yet
+        reached, (k+1)P is the residual of zero and of the residual of kP
+        and P, each certified by the law, until nP = zero; then
+        ord(kP) = n / gcd(n, k) for every multiple passed.  Each multiple
+        is looked up among `points`.  A point off the curve, a multiple
+        that is not in the list, or a walk longer than len(points) steps
+        is an error: then `points` is not the whole group.
         """
+        law = self._law
+        zero = law.coords(self.zero)
+        by_coords = {law.coords(P): P for P in points}
+        if not all(law.is_zero(_hesse_value(a, law.t)) for a in by_coords):
+            raise CubicError("a point of the list is not on the cubic")
         bound = len(points)
-        out = {}
-        for P in points:
-            if P in out:
+        found = {}  # coordinates -> exact order
+        for a, P in by_coords.items():
+            if a in found:
                 continue
-            multiples = [P]
-            while multiples[-1] != self.zero:
+            multiples = [a]
+            while multiples[-1] != zero:
                 if len(multiples) >= bound:
                     raise CubicError(f"{P} has no order <= {bound}")
-                multiples.append(self.add(multiples[-1], P))
+                multiples.append(law.residual(zero, law.residual(multiples[-1], a)))
             n = len(multiples)
-            for k, Q in enumerate(multiples, 1):
-                out.setdefault(Q, n // gcd(n, k))
-        return out
+            for k, v in enumerate(multiples, 1):
+                if v not in by_coords:
+                    raise CubicError(f"the multiple {v} of {P} is not in the list")
+                found.setdefault(v, n // gcd(n, k))
+        return {by_coords[a]: n for a, n in found.items()}
 
 
 def rational_points(curve):

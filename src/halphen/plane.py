@@ -152,31 +152,7 @@ class Poly3:
         return [self.terms.get(e, zero) for e in monomials_of_degree(self.degree)]
 
     def evaluate(self, point):
-        if isinstance(point, ProjPoint) and point.field is self.field:
-            coords = point.rep  # already elements of this field
-        else:
-            coords = point.rep if isinstance(point, ProjPoint) else point
-            coords = tuple(self.field.coerce(c) for c in coords)
-        field = self.field
-        if isinstance(field, PrimeField):
-            return GFpElem(field, self._evaluate_residues([c.v for c in coords]))
-        return self._evaluate_elements(coords)
-
-    def _evaluate_residues(self, coords):
-        """The value at int coordinates over GF(p), as an int mod p."""
-        p = self.field.p
-        px, py, pz = (_power_table(c, self.degree, 1, p) for c in coords)
-        return sum(c.v * px[i] * py[j] * pz[k]
-                   for (i, j, k), c in self.terms.items()) % p
-
-    def _evaluate_elements(self, coords):
-        """The value at coordinates that are elements of the field."""
-        acc = self.field.zero()
-        px, py, pz = (_power_table(c, self.degree, self.field.one())
-                      for c in coords)
-        for (i, j, k), c in self.terms.items():
-            acc = acc + c * px[i] * py[j] * pz[k]
-        return acc
+        return values_at([self], point)[0]
 
     def restrict_to_line(self, A, B):
         """Coefficients [c_0..c_d] of P(u*A + v*B) = sum c_i u^i v^(d-i)."""
@@ -233,6 +209,42 @@ def _power_table(x, n, one, p=None):
     return out
 
 
+def _point_tables(field, coords, degree):
+    """The power tables up to `degree` of three coordinates in `field`: of
+    their residues over GF(p), of the elements over any other field."""
+    if isinstance(field, PrimeField):
+        return [_power_table(c.v, degree, 1, field.p) for c in coords]
+    return [_power_table(c, degree, field.one()) for c in coords]
+
+
+def values_at(forms, point):
+    """The values of forms over one field at a point, sharing its tables.
+
+    `point` is a ProjPoint over the forms' field, whose `rep` is used, or
+    anything whose coordinates that field coerces.  One set of power
+    tables up to the top degree serves every form, and each value is the
+    sparse sum of a form's terms: on ints mod p over GF(p), wrapped once
+    at the end, and on field elements over any other field.  `evaluate`
+    is the one-form case.
+    """
+    field = forms[0].field
+    if any(F.field is not field for F in forms):
+        raise MixedContextError("forms over different fields")
+    if isinstance(point, ProjPoint) and point.field is field:
+        coords = point.rep  # already elements of this field
+    else:
+        coords = point.rep if isinstance(point, ProjPoint) else point
+        coords = tuple(field.coerce(c) for c in coords)
+    px, py, pz = _point_tables(field, coords, max(F.degree for F in forms))
+    if isinstance(field, PrimeField):
+        return [GFpElem(field, sum(c.v * px[i] * py[j] * pz[k]
+                                   for (i, j, k), c in F.terms.items()))
+                for F in forms]
+    zero = field.zero()
+    return [sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in F.terms.items()),
+                zero) for F in forms]
+
+
 def monomials_of_degree(d):
     return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
 
@@ -251,8 +263,9 @@ def hasse_rows(point, degree, alphas):
     least r there iff every row of order below r vanishes on it.
     """
     field = point.field
-    zero = field.zero()
-    px, py, pz = (_power_table(c, degree, field.one()) for c in point.rep)
+    residues = isinstance(field, PrimeField)  # ints mod p, wrapped at the end
+    zero = 0 if residues else field.zero()
+    px, py, pz = _point_tables(field, point.rep, degree)
     monos = monomials_of_degree(degree)
     rows = []
     for a0, a1, a2 in alphas:
@@ -265,6 +278,8 @@ def hasse_rows(point, degree, alphas):
             c = comb(e0, a0) * comb(e1, a1) * comb(e2, a2)
             row.append(value if c == 1 else value * c)
         rows.append(row)
+    if residues:
+        return [[GFpElem(field, v) for v in row] for row in rows]
     return rows
 
 

@@ -16,7 +16,9 @@ One order census answers every order question: a curve's rational points
 and their exact orders with x_7 as zero, from one `CubicGroup.orders`
 walk, built once and kept in a small cache keyed on (field, t).  The
 search reads its witness from it, the curve systems their translation
-point, and the locus and nine-torsion checks their orders.
+point, and the locus and nine-torsion checks their orders; those checks
+take their vanishing sets from one pass over its points, where the forms
+checked at a point share its power tables (`plane.values_at`).
 """
 
 from functools import lru_cache
@@ -27,7 +29,7 @@ from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF, GFext, prime_divisors
 from .linalg import kernel_basis
-from .plane import Poly3, gens, hasse_rows, monomials_of_degree
+from .plane import Poly3, gens, hasse_rows, monomials_of_degree, values_at
 
 
 class TorsionError(Exception):
@@ -155,7 +157,7 @@ def verify_torsion_locus(m, p, t, quadratic_extension=False):
     exact_m = set()
     for P in points:
         order = orders[P]
-        on = locus.evaluate(P).is_zero()
+        on = values_at([locus], P)[0].is_zero()
         exact = order == m
         if on:
             on_locus.add(P)
@@ -211,24 +213,19 @@ def verify_nine_torsion_cubics(p, t):
     cubics = nine_torsion_cubics(field, t)
     if cubics[0].evaluate(group.zero).is_zero():
         raise TorsionError("the zero point lies on the first cubic")
-    on_union = set()
-    exact9 = set()
-    per_cubic = []
+    per_cubic = [0] * len(cubics)
+    exact9 = 0
     points, orders = _census(field, t)
-    for C in cubics:
-        hits = {P for P in points if C.evaluate(P).is_zero()}
-        per_cubic.append(len(hits))
-        on_union |= hits
-    for P in points:
-        if orders[P] == 9:
-            exact9.add(P)
-    for P in on_union:
-        if P not in exact9:
+    for P in points:  # the eight cubics share the point's power tables
+        zeros = [value.is_zero() for value in values_at(cubics, P)]
+        per_cubic = [n + z for n, z in zip(per_cubic, zeros)]
+        exact = orders[P] == 9
+        if any(zeros) and not exact:
             raise TorsionError(f"cubic point {P} does not have order 9")
-    for P in exact9:
-        if P not in on_union:
+        if exact and not any(zeros):
             raise TorsionError(f"order-9 point {P} escapes the eight cubics")
-    return {"p": p, "t": t, "rational_order9": len(exact9),
+        exact9 += exact
+    return {"p": p, "t": t, "rational_order9": exact9,
             "per_cubic_counts": per_cubic}
 
 
@@ -299,24 +296,24 @@ def hesse_collinear_curves(m, p, t):
     triples = hesse_collinear_triples(field)
     if p <= m:
         raise TorsionError(f"the Euler relation needs p > m = {m}, not p = {p}")
-    point_rows = {}  # (index, multiplicity) -> rows; shared by the triples
+    local = {}  # (index, multiplicity) -> (rows, r * p_i); shared by the triples
     results = []
     for triple in triples:
         mults = [alpha if i in triple else beta for i in range(9)]
-        rows = []
         for i, (P, r) in enumerate(zip(pts, mults)):
-            if r > 0:
-                if (i, r) not in point_rows:
-                    # multiplicity >= r: the Hasse derivatives of order r - 1
-                    point_rows[i, r] = hasse_rows(P, m, monomials_of_degree(r - 1))
-                rows.extend(point_rows[i, r])
-        kern = kernel_basis(rows, field)
+            if (i, r) not in local:
+                # multiplicity >= r: the Hasse derivatives of order r - 1
+                # (none for r = 0)
+                local[i, r] = (hasse_rows(P, m, monomials_of_degree(r - 1)),
+                               group.scalar_mul(r, P))
+        kern = kernel_basis([row for i, r in enumerate(mults)
+                             for row in local[i, r][0]], field)
         if len(kern) < 1:
             raise TorsionError(
                 f"no degree-{m} curve for triple {triple} over GF({p})")
         balance = group.zero
-        for P, r in zip(pts, mults):
-            balance = group.add(balance, group.scalar_mul(r, P))
+        for i, r in enumerate(mults):
+            balance = group.add(balance, local[i, r][1])
         if balance != group.zero:
             raise TorsionError(f"group-law balance fails for triple {triple}")
         results.append({"triple": triple, "kernel_dim": len(kern)})

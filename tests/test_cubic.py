@@ -204,6 +204,9 @@ def test_closed_form_matches_generic_path():
             if not curve.is_smooth():
                 continue
             g = CubicGroup(curve, flexes[6])
+            # over GF(p) the element law is the oracle of the residue law
+            elements = (cubic._ElementLaw(curve.t)
+                        if isinstance(F, PrimeField) else None)
             pts = rational_points(curve)
             gradient = _hesse_form(curve)[1]
             grads = {P: [d.evaluate(P) for d in gradient] for P in pts}
@@ -215,8 +218,10 @@ def test_closed_form_matches_generic_path():
                         undecided += 1
                         continue
                     assert R == generic_third(g, P, Q)
-                    if isinstance(F, PrimeField):  # residues vs elements
-                        assert g._closed_form_elements(P, Q) == R
+                    if elements is not None:  # residues vs elements
+                        assert elements.residual(P.coords, Q.coords) == R.coords
+                        a, b = (tuple(c.v for c in X.coords) for X in (P, Q))
+                        assert g._law.residual(a, b) == tuple(c.v for c in R.coords)
                     kind, tangency = _tangency(grads, P, Q)
                     if kind is not None:
                         assert R == tangency
@@ -420,6 +425,32 @@ def test_orders_match_the_repeated_addition_oracles():
     assert checked > 1000
 
 
+def test_orders_walk_matches_repeated_addition():
+    # the coordinate walk against torsion_order, which adds points one at a
+    # time, with zero at x_1 and at x_7; a list missing a point raises
+    cases = [(GF(p), range(p)) for p in (13, 19, 31)]
+    cases += [(GFext(7, 2), range(3)), (GFext(13, 2), range(1, 2))]
+    rng = random.Random(5)
+    checked = 0
+    for F, t_values in cases:
+        flexes = hesse_flexes(F)
+        for t in t_values:
+            curve = HesseCubic(F, t)
+            if not curve.is_smooth():
+                continue
+            pts = rational_points(curve)
+            for zero in (flexes[0], flexes[6]):
+                g = CubicGroup(curve, zero)
+                orders = g.orders(pts)
+                assert set(orders) == set(pts)
+                assert all(torsion_order(g, P, len(pts)) == orders[P] for P in pts)
+                checked += len(pts)
+                missing = rng.randrange(len(pts))
+                with pytest.raises(CubicError):
+                    g.orders(pts[:missing] + pts[missing + 1:])
+    assert checked > 3000
+
+
 def test_orders_needs_the_whole_group():
     F = GF(13)
     curve = HesseCubic(F, 2)
@@ -428,6 +459,10 @@ def test_orders_needs_the_whole_group():
     assert g.orders([g.zero]) == {g.zero: 1}
     with pytest.raises(CubicError):
         g.orders([P])  # P, 2P, ... outruns a one-point "group"
+    off = ProjPoint(F, (1, 1, 0))  # the walk alone would give it order 2
+    assert not curve.contains(off)
+    with pytest.raises(CubicError):
+        g.orders(rational_points(curve) + [off])
 
 
 def test_point_enumeration_requires_finite_field():

@@ -1,5 +1,5 @@
 import random
-from math import factorial as factorial_of, prod
+from math import comb, factorial as factorial_of, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,7 @@ from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                            bf_divide_linear, cross, gens, hasse_rows,
                            line_through, monomials_of_degree, plane_points,
-                           poly3_to_binary_form, resultant)
+                           poly3_to_binary_form, resultant, values_at)
 
 
 def test_evaluate_at_flex():
@@ -41,25 +41,39 @@ def test_evaluate_rejects_points_over_another_field():
     assert (U**3 + V**3).evaluate(point) == QQ_EPS_A.one()
 
 
+def term_sum(form, coords):
+    """Oracle: a form's value at field-element coordinates, term by term."""
+    x, y, z = coords
+    return sum((c * x**i * y**j * z**k for (i, j, k), c in form.terms.items()),
+               form.field.zero())
+
+
 def test_evaluate_on_residues_matches_elements():
+    # evaluate at a point, at ints and at elements, and values_at with the
+    # forms of every degree sharing one set of tables, against the term sums
     rng = random.Random(3)
     for p in (7, 13, 199):
         F = GF(p)
+        forms = []
         for degree in range(9):
             monos = monomials_of_degree(degree)
             for _ in range(6):
                 terms = {e: F.from_int(rng.randrange(p))
                          for e in rng.sample(monos, rng.randint(0, len(monos)))}
-                P = Poly3(F, degree, terms)
-                for _ in range(4):
-                    ints = [rng.randrange(-p, 2 * p) for _ in range(3)]
-                    if all(c % p == 0 for c in ints):
-                        ints[2] = 1
-                    elems = tuple(F.from_int(c) for c in ints)
-                    value = P._evaluate_elements(elems)
-                    assert P.evaluate(ProjPoint(F, ints)) == value
-                    assert P.evaluate(ints) == value  # coerced tuples
-                    assert P.evaluate(elems) == value
+                forms.append(Poly3(F, degree, terms))
+        for _ in range(24):
+            ints = [rng.randrange(-p, 2 * p) for _ in range(3)]
+            if all(c % p == 0 for c in ints):
+                ints[2] = 1
+            elems = tuple(F.from_int(c) for c in ints)
+            shared = values_at(forms, ProjPoint(F, ints))
+            for P, value in zip(forms, shared):
+                assert value == term_sum(P, elems)
+                assert P.evaluate(ProjPoint(F, ints)) == value
+                assert P.evaluate(ints) == value  # coerced tuples
+                assert P.evaluate(elems) == value
+    with pytest.raises(MixedContextError):
+        values_at([forms[0], gens(GF(7))[0]], (1, 2, 3))
 
 
 def test_product_degree_and_terms():
@@ -254,6 +268,40 @@ def test_hasse_rows_are_exact_in_characteristic_p():
     assert len(kernel_basis(hasse_rows(P, 6, alphas), F)) == 7
     ordinary = [row for _, row in ordinary_derivative_rows(P, 6, 6)]
     assert len(kernel_basis(ordinary, F)) == 9
+
+
+def element_hasse_rows(point, degree, alphas):
+    """Oracle: the Hasse rows as products of field elements, the binomial
+    multiplied in through the field's coercion of an int."""
+    field = point.field
+    x, y, z = point.rep
+    rows = []
+    for a0, a1, a2 in alphas:
+        row = []
+        for e0, e1, e2 in monomials_of_degree(degree):
+            if e0 < a0 or e1 < a1 or e2 < a2:
+                row.append(field.zero())
+                continue
+            value = x**(e0 - a0) * y**(e1 - a1) * z**(e2 - a2)
+            row.append(value * (comb(e0, a0) * comb(e1, a1) * comb(e2, a2)))
+        rows.append(row)
+    return rows
+
+
+def test_hasse_rows_on_residues_match_the_element_products():
+    # the binomials reach p and beyond, and zero coordinates meet zero powers
+    rng = random.Random(11)
+    alphas = [a for order in range(3) for a in monomials_of_degree(order)]
+    for p in (5, 7, 13):
+        F = GF(p)
+        points = [ProjPoint(F, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                            (1, 0, 2), (0, 1, p - 1))]
+        points += rng.sample(list(plane_points(F)), 6)
+        for P in points:
+            for degree in range(1, 9):
+                rows = hasse_rows(P, degree, alphas)
+                assert rows == element_hasse_rows(P, degree, alphas)
+                assert all(v.field is F for row in rows for v in row)
 
 
 def test_monomials_of_degree():

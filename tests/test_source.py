@@ -134,6 +134,27 @@ def test_group_law_has_no_generic_path():
     assert _module_names("cubic.py") & forbidden == set()
 
 
+def test_order_walk_builds_no_points():
+    """`CubicGroup.orders` walks canonical coordinates under the group's
+    coordinate law: it builds no point, adds no points and re-checks no
+    point on the curve, and the per-field closed-form methods are gone."""
+    tree = ast.parse((SRC / "cubic.py").read_text())
+    classes = {node.name: node for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    methods = {node.name: node for node in classes["CubicGroup"].body
+               if isinstance(node, ast.FunctionDef)}
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(methods["orders"])
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert {"_law", "residual"} <= names
+    assert names & {"ProjPoint", "add", "third_intersection",
+                    "require_on_curve"} == set()
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined & {"_closed_form_residues", "_closed_form_elements"} == set()
+    assert {"_ElementLaw", "_ResidueLaw"} <= defined
+
+
 def test_fraction_free_kernel_takes_no_gcd():
     """The Q(e)(a) kernel of `linalg.py` stays on Z[e][a] polynomials.
 

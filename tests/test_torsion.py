@@ -1,10 +1,10 @@
 import pytest
 
 from halphen import torsion
-from halphen.field import GF
+from halphen.field import GF, GFext
 from halphen.cubic import CubicGroup, HesseCubic, hesse_flexes, rational_points
 from halphen.linalg import kernel_basis, rref
-from halphen.plane import ProjPoint, monomials_of_degree
+from halphen.plane import ProjPoint, monomials_of_degree, values_at
 from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
                              conic_recovery_check,
                              find_specialization, good_primes,
@@ -14,6 +14,7 @@ from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
                              torsion_locus, two_torsion_translation,
                              verify_nine_torsion_cubics, verify_torsion_locus)
 from test_cubic import has_exact_order
+from test_plane import term_sum
 
 # deterministic smallest instances, frozen from the scan itself
 SPEC4 = (31, 1)
@@ -126,8 +127,38 @@ def test_nine_torsion_cubics():
     assert all((1, 1, 1) not in C.terms for C in sym[:6])
 
 
+def test_nine_torsion_cubics_refute_a_wrong_order(monkeypatch):
+    # both inclusions read the census: a cubic point given order 3, or a
+    # point off the cubics given order 9, raises
+    points, orders = _census(GF(SPEC9[0]), SPEC9[1])
+    nine = next(P for P in points if orders[P] == 9)
+    other = next(P for P in points if orders[P] != 9)
+    for P, order, message in ((nine, 3, "does not have order 9"),
+                              (other, 9, "escapes the eight cubics")):
+        wrong = dict(orders)
+        wrong[P] = order
+        monkeypatch.setattr(torsion, "_census", lambda field, t: (points, wrong))
+        with pytest.raises(TorsionError, match=message):
+            verify_nine_torsion_cubics(*SPEC9)
+
+
+def test_shared_tables_match_evaluate_at_every_census_point():
+    # the two loci (degrees 4 and 8) and the eight cubics share one set of
+    # power tables per point, on residues and on GF(13^2) elements; the
+    # curves over GF(31), GF(37) and GF(13^2) have points of order 4 or 5
+    zeros = 0
+    for F, t in ((GF(13), 2), (GF(31), 1), (GF(37), 9), (GFext(13, 2), 1)):
+        forms = [torsion_locus(F, 4, t), torsion_locus(F, 5, t)]
+        forms += nine_torsion_cubics(F, t)
+        for P in rational_points(HesseCubic(F, t)):
+            values = values_at(forms, P)
+            assert values == [form.evaluate(P) for form in forms]
+            assert values == [term_sum(form, P.rep) for form in forms]
+            zeros += sum(value.is_zero() for value in values)
+    assert zeros > 0
+
+
 def test_census_cache_is_keyed_on_the_field_and_shared_safely():
-    from halphen.field import GFext
     t = 1
     base, ext = _census(GF(13), t), _census(GFext(13, 2), t)
     assert list(base[0]) == rational_points(HesseCubic(GF(13), t))
