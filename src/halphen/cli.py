@@ -18,11 +18,13 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from pathlib import Path
 
 from . import chilean, cubic, invariants, piclattice, plane, torsion
 from .field import (GF, QQ_EPS, BadSpecializationError, FieldError,
@@ -521,6 +523,20 @@ def _d_max_problem(d_max):
     return None
 
 
+def _output_problem(output):
+    """Why the report cannot be written to `output`, or None."""
+    if not output:
+        return None  # stdout
+    target = Path(output)
+    if target.is_dir():
+        return f"--output {output} is a directory"
+    if not target.parent.is_dir():
+        return f"--output {output}: no directory {target.parent}"
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        return f"--output {output} is not writable"
+    return None
+
+
 def _configuration_problem(args, a_value, suites, m_values):
     """Why the verify options cannot give a meaningful run, or None."""
     p = args.prime
@@ -598,6 +614,11 @@ def _parse_args(argv):
 
 def main(argv=None):
     parser, args = _parse_args(sys.argv[1:] if argv is None else argv)
+    output = getattr(args, "output", None)  # `code` has no --output
+    problem = _output_problem(output)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     rc = 0
     if args.command == "verify":
         suites = [s.strip() for s in args.suite_list if s.strip()]
@@ -660,7 +681,6 @@ def main(argv=None):
         parser.print_help()
         return 2
 
-    output = getattr(args, "output", None)  # `code` has no --output
     if output:
         with open(output, "w") as fh:
             fh.write(text)

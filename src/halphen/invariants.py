@@ -1,12 +1,13 @@
 """Arrangement combinatorics, logarithmic Chern numbers, Harbourne
 constants, and the binary incidence code in characteristic 2.
 
-Censuses are taken from exact geometry.  In candidate mode every pairwise
-intersection must be accounted for by known points, except along lines,
-where residual intersections are certified simple by a discriminant
-test and private by the census's own counts (they may be irrational;
-only their count enters the census).  Values and gradients at the
-candidates are dot products with `plane.hasse_rows`.
+Censuses are taken from exact geometry.  Every pairwise intersection
+must be a known candidate point, except where a line meets a conic:
+their points off the candidates are counted by Bezout, certified simple
+by a discriminant test or by transversality at a shared candidate, and
+private by the census's own counts (they may be irrational; only their
+count enters the census).  Values and gradients at the candidates are
+dot products with `plane.hasse_rows`.
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
@@ -17,8 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .field import QQ_EPS, GFext
-from .plane import (ProjPoint, bf_divide_linear, coordinates_on_line, cross,
-                    hasse_rows, line_basis)
+from .plane import ProjPoint, cross, hasse_rows, line_basis
 from .chilean import (Configuration, VerificationError, conic_is_line_pair,
                       fourth_intersection)
 
@@ -66,44 +66,41 @@ def _assert_smooth_members(curves):
 def extract_combinatorics(points, curves):
     """Census of n-fold points of a line/conic arrangement, exactly.
 
-    `points` is the candidate list; every conic-conic intersection must be
-    a candidate, while intersections along lines may remain anonymous and
-    are counted through their restriction forms.  Local data at a
-    candidate are read from `hasse_rows` once per member degree: a
-    member's value is the dot product of its coefficient vector with the
-    alpha = 0 row, and its gradient, for the transversality check at
-    every candidate on two or more members, with the three order-1 rows.
+    `points` is the candidate list; every conic-conic and line-line
+    intersection must be a candidate, while a line and a conic may meet at
+    anonymous points.  Local data at a candidate are read from
+    `hasse_rows` once per member degree: a member's value is the dot
+    product of its coefficient vector with the alpha = 0 row, and its
+    gradient, for the transversality check at every candidate on two or
+    more members, with the three order-1 rows.
 
-    A residual root of a line and a conic is simple by the discriminant
-    test, and private (on no third member) by the other checks.  Take a
-    residual root R of line k and conic j; it is no candidate, since a
-    candidate on both is stripped from their form and survives only as a
-    double root, a tangency that the transversality check rejects.
+    A line k and a conic j that share s candidates meet at 2 - s anonymous
+    points.  These are simple: for s = 0 the restriction of the conic to
+    the line has a nonzero discriminant, and for s = 1 a double root at
+    the shared candidate would be a tangency there, which the
+    transversality check rejects.  They are no candidates, and each is
+    private (on no third member), which the `accounted` Bezout check
+    proves.  Take an anonymous point R of k and j.
     - If R lay on a conic j2, the two conics would meet at R and so in at
-      most three candidates (Bezout), and the `accounted` check raises.
-    - If R lay on a line j2 != k, then R = k.j2 must be a candidate, or
-      the residual of the line pair raises; but R is no candidate.
+      most three candidates, and the check raises.
+    - If R lay on a line j2 != k, the one point of k and j2 would be R,
+      no candidate, and the check raises.
     """
     if not curves:
         raise ArrangementError("empty arrangement")
     field = curves[0].field
     _assert_smooth_members(curves)
-    candidates = []
-    for P in points:
-        if P not in candidates:
-            candidates.append(P)
+    candidates = list(dict.fromkeys(points))
     zero = field.zero()
     coeffs = [C.coefficients() for C in curves]
     degrees = {C.degree for C in curves}
     accounted = [[0] * len(curves) for _ in curves]
     t_counts = {}
-    on_curve = []  # per candidate, the members through it
     for P in candidates:
         rows = {d: hasse_rows(P, d, _VALUE_AND_GRADIENT) for d in degrees}
         local = [rows[C.degree] for C in curves]
         through = [k for k, c in enumerate(coeffs)
                    if sum(map(mul, c, local[k][0]), zero).is_zero()]
-        on_curve.append(set(through))
         grads = {k: [sum(map(mul, coeffs[k], row), zero) for row in local[k][1:]]
                  for k in through}
         for x, k1 in enumerate(through):
@@ -120,29 +117,18 @@ def extract_combinatorics(points, curves):
         if L.degree != 1:
             continue
         A, B = line_basis(field, L.coefficients())
-        on_line = [(on, coordinates_on_line(P, A, B))
-                   for P, on in zip(candidates, on_curve) if k in on]
         for j, C in enumerate(curves):
-            if j == k:
+            lo, hi = sorted((k, j))
+            shared = accounted[lo][hi]
+            if C.degree != 2 or shared >= 2:
                 continue
-            stripped = C.restrict_to_line(A, B)
-            for on, root in on_line:
-                if j in on:
-                    stripped = bf_divide_linear(stripped, root, field)
-            extra = len(stripped) - 1
-            if extra == 0:
-                continue
-            if C.degree == 1:
-                raise ArrangementError(
-                    f"lines {k} and {j} meet at an unknown point")
-            # simple roots: no repeated factor; private by the docstring
-            if extra == 2:
-                disc = stripped[1] * stripped[1] - 4 * stripped[0] * stripped[2]
-                if disc.is_zero():
+            if shared == 0:
+                form = C.restrict_to_line(A, B)
+                if (form[1] * form[1] - 4 * form[0] * form[2]).is_zero():
                     raise ArrangementError(
                         f"line {k} is tangent to curve {j} off the candidates")
-            anonymous_pairs += extra
-            accounted[min(k, j)][max(k, j)] += extra
+            anonymous_pairs += 2 - shared
+            accounted[lo][hi] = 2
 
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
@@ -306,12 +292,9 @@ def _a3_census(config):
     from .cubic import hesse_singular_fibers
     fibers = hesse_singular_fibers(QQ_EPS)
     curves = [L for triple in fibers for L in triple] + _harmonic_polars(config)
-    pts = []
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            P = _line_line_point(curves[i], curves[j])
-            if P not in pts:
-                pts.append(P)
+    pts = list(dict.fromkeys(
+        _line_line_point(curves[i], curves[j])
+        for i in range(len(curves)) for j in range(i + 1, len(curves))))
     return extract_combinatorics(pts, curves)
 
 

@@ -393,17 +393,6 @@ def line_basis(field, g):
     return ProjPoint(field, A), ProjPoint(field, B)
 
 
-def coordinates_on_line(P, A, B):
-    """(u, v) with P = u*A + v*B projectively, for P on the line AB."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
-        if not det.is_zero():
-            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
-            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
-            return (u, v)
-    raise GeometryError("degenerate line basis")
-
-
 # ---------------------------------------------------------------------------
 # binary forms: dense lists [c_0..c_d] meaning sum c_i U^i V^(d-i)
 

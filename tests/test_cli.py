@@ -199,6 +199,28 @@ def test_output_file(tmp_path):
     assert doc[0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("args", [["verify", "code"], ["config"]])
+@pytest.mark.parametrize("where, message", [
+    ("missing/report", "no directory"),
+    (".", "is a directory"),
+])
+def test_bad_output_path_is_a_configuration_error(capsys, monkeypatch, tmp_path,
+                                                  args, where, message):
+    import halphen.cli as cli
+
+    def no_work(*_):
+        raise AssertionError("a bad --output must stop before any work")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli.chilean, "Configuration", no_work)
+    path = tmp_path / where
+    assert main([*args, "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and str(path) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["enumerate", "minus1", "--d-max", "4"],
     ["config"],

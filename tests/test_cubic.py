@@ -5,13 +5,12 @@ import pytest
 
 from halphen.field import (GF, QQ_EPS, GFext, MixedContextError, PrimeField,
                            prime_divisors)
-from halphen.plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
-                           gens, line_basis)
+from halphen.plane import ProjPoint, bf_divide_linear, gens, line_basis
 from halphen import cubic
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
                            flex_line_incidence, hesse_collinear_triples,
                            hesse_flexes, hesse_singular_fibers, rational_points)
-from test_plane import gradient
+from test_plane import coordinates_on_line, gradient
 
 
 # repeated-addition oracles for the exact orders of `CubicGroup.orders`

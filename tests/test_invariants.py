@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from halphen import invariants
+from operator import mul
+
+from halphen import chilean, invariants
 from halphen.field import GF, QQ_EPS
-from halphen.plane import (ProjPoint, bf_divide_linear, coordinates_on_line,
-                           gens, line_basis, plane_points)
+from halphen.plane import (ProjPoint, bf_divide_linear, cross, gens,
+                           hasse_rows, line_basis, plane_points)
 from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
                                 EXPECTED_WEIGHT_ENUMERATOR, PUBLISHED_SLOPES,
                                 PUBLISHED_TN, PUBLISHED_VALUES,
@@ -16,6 +18,7 @@ from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
                                 log_chern_slope,
                                 published_arrangement, reference_report,
                                 weight_enumerator_string)
+from test_plane import coordinates_on_line
 
 
 def test_published_values_and_slopes():
@@ -147,6 +150,66 @@ def shared_residual_roots(points, curves):
     return found
 
 
+def census_by_restriction(points, curves):
+    """Oracle: the census that restricts every line to every other member
+    and divides out each shared candidate, raising on a residual root of
+    two lines or a repeated residual root of a line and a conic."""
+    field = curves[0].field
+    _assert_smooth_members(curves)
+    candidates = []
+    for P in points:
+        if P not in candidates:
+            candidates.append(P)
+    zero = field.zero()
+    coeffs = [C.coefficients() for C in curves]
+    accounted = [[0] * len(curves) for _ in curves]
+    t_counts, on_curve = {}, []
+    for P in candidates:
+        local = [hasse_rows(P, C.degree, ((0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                          (0, 0, 1))) for C in curves]
+        through = [k for k, c in enumerate(coeffs)
+                   if sum(map(mul, c, local[k][0]), zero).is_zero()]
+        on_curve.append(set(through))
+        grads = {k: [sum(map(mul, coeffs[k], row), zero) for row in local[k][1:]]
+                 for k in through}
+        for x, k1 in enumerate(through):
+            for k2 in through[x + 1:]:
+                if all(c.is_zero() for c in cross(grads[k1], grads[k2])):
+                    raise ArrangementError(f"tangency of curves {k1} and {k2}")
+                accounted[k1][k2] += 1
+        if len(through) >= 2:
+            t_counts[len(through)] = t_counts.get(len(through), 0) + 1
+    for k, L in enumerate(curves):
+        if L.degree != 1:
+            continue
+        A, B = line_basis(field, L.coefficients())
+        on_line = [(on, coordinates_on_line(P, A, B))
+                   for P, on in zip(candidates, on_curve) if k in on]
+        for j, C in enumerate(curves):
+            if j == k:
+                continue
+            stripped = C.restrict_to_line(A, B)
+            for on, root in on_line:
+                if j in on:
+                    stripped = bf_divide_linear(stripped, root, field)
+            extra = len(stripped) - 1
+            if extra and C.degree == 1:
+                raise ArrangementError(f"lines {k} and {j} meet at an unknown point")
+            if extra == 2 and (stripped[1] * stripped[1]
+                               - 4 * stripped[0] * stripped[2]).is_zero():
+                raise ArrangementError(f"line {k} is tangent to curve {j}")
+            t_counts[2] = t_counts.get(2, 0) + extra
+            accounted[min(k, j)][max(k, j)] += extra
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            if accounted[i][j] != curves[i].degree * curves[j].degree:
+                raise ArrangementError(f"curves {i} and {j} are not accounted for")
+    arr = ArrangementCombinatorics(
+        [(C.degree, 0, C.degree * C.degree) for C in curves], t_counts)
+    arr.check_consistency()
+    return arr
+
+
 def _points(F, *coords):
     return [ProjPoint(F, c) for c in coords]
 
@@ -160,7 +223,10 @@ def _failing_arrangements():
     parabola = Y * Z - X**2
     return {
         "tangency": (_points(F, (0, 0, 1)), [parabola, Y], "tangency of curves 0 and 1"),
-        "line pair": ([], [X, Y], "lines 0 and 1 meet at an unknown point"),
+        # x + y = 2z touches C1 at its one candidate (1:1:1)
+        "tangent at the shared candidate": (four[:1], [C1, X + Y - 2 * Z],
+                                            "tangency of curves 0 and 1"),
+        "line pair": ([], [X, Y], "curves 0 and 1: 0 of 1 intersections"),
         "tangent line": ([], [Y, parabola], "line 0 is tangent to curve 1 off"),
         "conic pair": (four[1:], [C1, C2], "curves 0 and 1: 3 of 4"),
         # x = z meets C1 and C2 at the candidate (1:-1:1) and at (1:1:1),
@@ -168,37 +234,76 @@ def _failing_arrangements():
         "residual on a conic": (four[1:], [X - Z, C1, C2], "curves 1 and 2: 3 of 4"),
         # y = z passes through that residual point (1:1:1) of x = z and C1
         "residual on a line": (four[1:2], [X - Z, C1, Y - Z],
-                               "lines 0 and 2 meet at an unknown point"),
+                               "curves 0 and 2: 0 of 1 intersections"),
     }
 
 
-@pytest.mark.parametrize("case", ["tangency", "line pair", "tangent line",
-                                  "conic pair", "residual on a conic",
-                                  "residual on a line"])
+def _passing_arrangements():
+    F = QQ_EPS
+    X, Y, Z = gens(F)
+    C1 = X**2 + Y**2 - 2 * Z**2
+    return {
+        # x = z meets C1 at the candidate (1:1:1) and at the anonymous (1:-1:1)
+        "one shared candidate": (_points(F, (1, 1, 1)), [C1, X - Z], {2: 2}),
+        # z = 0 meets C1 at the two points (1 : +-i : 0), which are not in Q(e)
+        "no shared candidate": ([], [C1, Z], {2: 2}),
+    }
+
+
+@pytest.mark.parametrize("case", list(_failing_arrangements()))
 def test_every_census_check_raises(case):
     # the shared-root oracle fires on the two residual cases, which the
-    # census rejects by its counts
+    # census rejects by its counts; the restriction oracle rejects all
     points, curves, message = _failing_arrangements()[case]
     with pytest.raises(ArrangementError, match=message):
         extract_combinatorics(points, curves)
+    with pytest.raises(ArrangementError):
+        census_by_restriction(points, curves)
     assert bool(shared_residual_roots(points, curves)) == case.startswith("residual")
 
 
-def test_residuals_are_private_on_the_reference_arrangements(configuration,
-                                                             monkeypatch):
-    # the shared-root oracle finds nothing where the census passes
-    arguments, census = [], invariants.extract_combinatorics
+@pytest.mark.parametrize("case", list(_passing_arrangements()))
+def test_small_censuses_match_the_restriction_oracle(case):
+    points, curves, t_counts = _passing_arrangements()[case]
+    assert extract_combinatorics(points, curves).t_counts == t_counts
+    assert census_by_restriction(points, curves).t_counts == t_counts
+    assert shared_residual_roots(points, curves) == []
 
-    def recording(points, curves):
-        arguments.append((points, curves))
-        return census(points, curves)
 
-    monkeypatch.setattr(invariants, "extract_combinatorics", recording)
-    for name in ("chilean", "A0", "A1", "A2", "A3"):
-        invariants._census_from_geometry(name, configuration)
+def _reference_calls(config):
+    """The (points, curves) of the five reference censuses of `config`."""
+    arguments = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "extract_combinatorics",
+                      lambda points, curves: arguments.append((points, curves)))
+        for name in ("chilean", "A0", "A1", "A2", "A3"):
+            invariants._census_from_geometry(name, config)
     assert len(arguments) == 5
-    for points, curves in arguments:
-        assert shared_residual_roots(points, curves) == []
+    return arguments
+
+
+@pytest.fixture(scope="module")
+def reference_calls(configuration):
+    """The five reference census calls over Q(e)(a) and at a = 2 over Q(e)."""
+    return {"symbolic": _reference_calls(configuration),
+            "specialized": _reference_calls(
+                chilean.Configuration(QQ_EPS, QQ_EPS.from_int(2)))}
+
+
+def test_reference_censuses_match_the_restriction_oracle(reference_calls):
+    expected = [{2: 12, 8: 9}, {2: 12, 7: 9}, {2: 72, 5: 12, 9: 9},
+                {2: 54, 5: 12, 8: 9}, PUBLISHED_TN["A3"]]
+    for calls in reference_calls.values():
+        for (points, curves), t_counts in zip(calls, expected):
+            assert extract_combinatorics(points, curves).t_counts == t_counts
+            assert census_by_restriction(points, curves).t_counts == t_counts
+
+
+def test_residuals_are_private_on_the_reference_arrangements(reference_calls):
+    # the shared-root oracle finds nothing where the census passes
+    for calls in reference_calls.values():
+        for points, curves in calls:
+            assert shared_residual_roots(points, curves) == []
 
 
 def test_census_consistency_guard():

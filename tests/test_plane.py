@@ -8,7 +8,7 @@ from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, MixedContextError
 from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                            bf_divide_linear, cross, gens, hasse_rows,
-                           line_through, monomials_of_degree, plane_points,
+                           line_basis, line_through, monomials_of_degree, plane_points,
                            poly3_to_binary_form, resultant, values_at)
 
 
@@ -98,6 +98,33 @@ def partial(C, var):
 
 def gradient(C):
     return [partial(C, var) for var in range(3)]
+
+
+def coordinates_on_line(P, A, B):
+    """Oracle helper: (u, v) with P = u*A + v*B projectively, for P on the
+    line AB."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
+        if not det.is_zero():
+            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
+            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
+            return (u, v)
+    raise GeometryError("degenerate line basis")
+
+
+def test_coordinates_on_line_span_the_point():
+    F = GF(13)
+    for g in ((1, 2, 3), (0, 1, 5), (0, 0, 1)):
+        A, B = line_basis(F, [F.from_int(c) for c in g])
+        L = Poly3(F, 1, {e: F.from_int(c) for e, c
+                         in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), g)})
+        on_line = [P for P in plane_points(F) if L.evaluate(P).is_zero()]
+        assert len(on_line) == 14
+        for P in on_line:
+            u, v = coordinates_on_line(P, A, B)
+            span = ProjPoint(F, tuple(u * a + v * b
+                                      for a, b in zip(A.coords, B.coords)))
+            assert span == P
 
 
 def test_partial_derivative():

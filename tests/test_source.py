@@ -184,3 +184,15 @@ def test_local_data_is_read_from_hasse_rows_only():
     methods = {node.name for node in poly3.body if isinstance(node, ast.FunctionDef)}
     assert "coefficients" in methods
     assert methods & {"partial", "gradient"} == set()
+
+
+def test_census_restricts_lines_only_to_conics():
+    """The arrangement census counts a line's points off the candidates by
+    Bezout: it restricts a line only to a conic it shares no candidate
+    with, divides out no root, and needs no coordinates on the line."""
+    forbidden = {"bf_divide_linear", "coordinates_on_line"}
+    assert _module_names("invariants.py") & forbidden == set()
+    assert "restrict_to_line" in _module_names("invariants.py")
+    defined = {node.name for node in ast.parse((SRC / "plane.py").read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "coordinates_on_line" not in defined
