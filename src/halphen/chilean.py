@@ -11,8 +11,9 @@ the whole family at once; finite-field specializations are used where a
 claim is about singularity types (see ``singular_census``).
 
 ``Configuration`` ties the chain together: it builds the data, the pencil,
-the nodes, the dual lines and the degeneration once each, on first use,
-and is what the suites and the invariants take.
+the nodes, the dual lines, the degeneration with its nodes and vertices and
+the harmonic polars once each, on first use, and is what the suites and the
+invariants take.
 """
 
 from functools import cached_property
@@ -20,7 +21,7 @@ from functools import cached_property
 from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
                     to_text)
 from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
-                    bf_divide_linear, gens, hasse_rows, line_through,
+                    bf_divide_linear, cross, gens, hasse_rows, line_through,
                     plane_points, poly3_to_binary_form, poly_in_var,
                     resultant)
 
@@ -675,6 +676,33 @@ class Configuration:
     @cached_property
     def degenerate(self):
         return degenerate_configuration()
+
+    @cached_property
+    def degenerate_nodes_and_vertices(self):
+        """Nodes of the surviving fibers plus the triangle vertices at a = -2."""
+        cfg = self.degenerate
+        points, conics, lines = cfg["points"], cfg["conics"], cfg["lines"]
+        out = []
+        for f in range(3):
+            fiber = conics[3 * f: 3 * f + 3]
+            for x in range(3):
+                for y in range(x + 1, 3):
+                    shared = [P for P in points
+                              if fiber[x].evaluate(P).is_zero()
+                              and fiber[y].evaluate(P).is_zero()]
+                    if len(shared) != 3:
+                        raise VerificationError(
+                            "degenerate fiber pair shares != 3 points")
+                    out.append(fourth_intersection(fiber[x], fiber[y], shared))
+        return out + [ProjPoint(QQ_EPS, cross(lines[i].coefficients(),
+                                              lines[j].coefficients()))
+                      for i in range(3) for j in range(i + 1, 3)]
+
+    @cached_property
+    def harmonic_polars(self):
+        """The nine dual lines at a = -2, over Q(e)."""
+        return [L.specialize(QQ_EPS, eps_image=QQ_EPS.eps(),
+                             a_image=QQ_EPS.from_int(-2)) for L in self.lines]
 
 
 # ---------------------------------------------------------------------------

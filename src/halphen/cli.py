@@ -556,13 +556,19 @@ def _configuration_problem(args, a_value, suites, m_values):
         return (f"--p-max {args.p_max} is too small for the cusp census: no"
                 f" good prime p <= {args.p_max} keeps the family parameter"
                 " good")
-    if "torsion" in suites:
-        for m in m_values:
-            p_min = torsion.min_prime_for_order(m)
-            if args.p_max < p_min:
-                return (f"--p-max {args.p_max} is too small for order {m}:"
-                        f" no Hesse cubic over GF(p) has a rational point of"
-                        f" order {m} unless p >= {p_min}")
+    if "torsion" not in suites:
+        flag = ("--m" if args.m is not None else "--with-quadratic-extension"
+                if args.with_quadratic_extension else None)
+        return flag and f"{flag} applies to the torsion suite, which is not run"
+    if args.with_quadratic_extension and not set(m_values) & {4, 5}:
+        return ("--with-quadratic-extension checks the loci of order 4 and"
+                f" 5 only, and --m {args.m} leaves neither")
+    for m in m_values:
+        p_min = torsion.min_prime_for_order(m)
+        if args.p_max < p_min:
+            return (f"--p-max {args.p_max} is too small for order {m}:"
+                    f" no Hesse cubic over GF(p) has a rational point of"
+                    f" order {m} unless p >= {p_min}")
     return None
 
 

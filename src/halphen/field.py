@@ -78,9 +78,6 @@ class Field:
     def elements(self):
         raise FieldError(f"{self} is not a finite field")
 
-    def random_element(self, rng):
-        raise NotImplementedError
-
 
 def _require_char_ok(p, allow_char2):
     if p == 3:
@@ -175,22 +172,11 @@ class QEpsField(Field):
         q = Fraction(q)
         return QEpsElem(self, q.numerator, 0, q.denominator)
 
-    def make(self, c0, c1=0):
-        c0, c1 = Fraction(c0), Fraction(c1)
-        d = lcm(c0.denominator, c1.denominator)
-        return QEpsElem(self, c0.numerator * (d // c0.denominator),
-                        c1.numerator * (d // c1.denominator), d)
-
     def has_eps(self):
         return True
 
     def eps(self):
         return QEpsElem(self, 0, 1)
-
-    def random_element(self, rng):
-        def frac():
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        return self.make(frac(), frac())
 
     def __repr__(self):
         return "Q(e)"
@@ -294,9 +280,6 @@ class QEpsElem(FieldElem):
 
     def __hash__(self):
         return _qe_hash(self.n0, self.n1, self.d)
-
-    def conjugate(self):
-        return QEpsElem(self.field, self.n0 - self.n1, -self.n1, self.d)
 
 
 QEpsElem._coercible = (int, Fraction, QEpsElem)
@@ -605,13 +588,6 @@ class RatFuncField(Field):
     def eps(self):
         return self.from_base(self._base.eps())
 
-    def random_element(self, rng):
-        num = [self._base.random_element(rng) for _ in range(rng.randint(1, 3))]
-        den = [self._base.random_element(rng) for _ in range(rng.randint(1, 3))]
-        if all(c.is_zero() for c in den):
-            den = [self._base.one()]
-        return self.from_coeffs(num, den)
-
     def __repr__(self):
         return "Q(e)(a)"
 
@@ -764,9 +740,6 @@ class PrimeField(Field):
     def elements(self):
         for v in range(self.p):
             yield GFpElem(self, v)
-
-    def random_element(self, rng):
-        return GFpElem(self, rng.randrange(self.p))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -1009,9 +982,6 @@ class PrimeExtField(Field):
     def elements(self):
         for code in range(self.size):
             yield GFpkElem(self, code)
-
-    def random_element(self, rng):
-        return GFpkElem(self, rng.randrange(self.size))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

@@ -11,7 +11,8 @@ dot products with `plane.hasse_rows`.
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
-computed once per configuration.
+computed once per configuration, from the degenerate nodes, vertices and
+harmonic polars the configuration builds once for all of them.
 """
 
 from fractions import Fraction
@@ -19,8 +20,7 @@ from operator import mul
 
 from .field import QQ_EPS, GFext
 from .plane import ProjPoint, cross, hasse_rows, line_basis
-from .chilean import (Configuration, VerificationError, conic_is_line_pair,
-                      fourth_intersection)
+from .chilean import Configuration, conic_is_line_pair
 
 
 class ArrangementError(Exception):
@@ -223,30 +223,6 @@ def published_arrangement(name):
     return ArrangementCombinatorics(PUBLISHED_CURVES[name], PUBLISHED_TN[name])
 
 
-def _degenerate_nodes_and_vertices(cfg):
-    """Nodes of the surviving fibers plus the triangle vertices at a = -2."""
-    field = cfg["field"]
-    conics = cfg["conics"]
-    points = cfg["points"]
-    nodes = []
-    for f in range(3):
-        fiber = conics[3 * f: 3 * f + 3]
-        for x in range(3):
-            for y in range(x + 1, 3):
-                shared = [P for P in points
-                          if fiber[x].evaluate(P).is_zero()
-                          and fiber[y].evaluate(P).is_zero()]
-                if len(shared) != 3:
-                    raise VerificationError("degenerate fiber pair shares != 3 points")
-                nodes.append(fourth_intersection(fiber[x], fiber[y], shared))
-    lines = cfg["lines"]
-    vertices = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            vertices.append(_line_line_point(lines[i], lines[j]))
-    return nodes, vertices
-
-
 def _line_line_point(L1, L2):
     return ProjPoint(L1.field, cross(L1.coefficients(), L2.coefficients()))
 
@@ -271,27 +247,21 @@ def _census_from_geometry(name, config):
                                      curves)
     if name in ("A0", "A2"):
         cfg = config.degenerate
-        nodes, vertices = _degenerate_nodes_and_vertices(cfg)
         curves = cfg["conics"] + cfg["lines"]
         if name == "A2":
-            curves += _harmonic_polars(config)
-        return extract_combinatorics(cfg["points"] + nodes + vertices, curves)
+            curves += config.harmonic_polars
+        return extract_combinatorics(
+            cfg["points"] + config.degenerate_nodes_and_vertices, curves)
     if name == "A3":
         return _a3_census(config)
     raise ArrangementError(f"unknown arrangement {name!r}")
-
-
-def _harmonic_polars(config):
-    """The nine dual lines at a = -2, over Q(e)."""
-    return [L.specialize(QQ_EPS, eps_image=QQ_EPS.eps(),
-                         a_image=QQ_EPS.from_int(-2)) for L in config.lines]
 
 
 def _a3_census(config):
     """Hesse triangle lines plus harmonic polars, all over Q(e)."""
     from .cubic import hesse_singular_fibers
     fibers = hesse_singular_fibers(QQ_EPS)
-    curves = [L for triple in fibers for L in triple] + _harmonic_polars(config)
+    curves = [L for triple in fibers for L in triple] + config.harmonic_polars
     pts = list(dict.fromkeys(
         _line_line_point(curves[i], curves[j])
         for i in range(len(curves)) for j in range(i + 1, len(curves))))

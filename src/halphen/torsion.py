@@ -2,27 +2,29 @@
 
 The m-torsion loci (m = 4, 5) and the eight nine-torsion cubics are
 verified against the chord-tangent group law at concrete specializations:
-a deterministic scan finds the smallest prime p = 1 mod 3 and curve
-parameter t carrying a rational point of exact order m, and the locus is
-then compared point-by-point with the order census of the rational
-points.  The same instances support the existence check for plane curves
-of degree m with prescribed multiplicities at the translated base points;
-multiplicity at least r is the vanishing of the Hasse derivatives of
-order below r (`plane.hasse_rows`), a condition exact in every
-characteristic (an ordinary partial is alpha! times it, zero when p
-divides alpha!), and for p > m those of order r - 1 imply the rest.
+a deterministic scan finds the smallest prime p = 1 mod 3 (from the first
+the Hasse bound allows) and curve parameter t carrying a rational point of
+exact order m, and the locus is then compared point-by-point with the
+order census of the rational points.  The same instances support the
+existence check for plane curves of degree m with prescribed
+multiplicities at the translated base points; multiplicity at least r is
+the vanishing of the Hasse derivatives of order below r
+(`plane.hasse_rows`), a condition exact in every characteristic (an
+ordinary partial is alpha! times it, zero when p divides alpha!), and for
+p > m those of order r - 1 imply the rest.
 
-One order census answers every order question: a curve's rational points
-and their exact orders with x_7 as zero, from one `CubicGroup.orders`
-walk, built once and kept in a small cache keyed on (field, t).  The
-search reads its witness from it, the curve systems their translation
-point, and the locus and nine-torsion checks their orders; those checks
-take their vanishing sets from one pass over its points, where the forms
-checked at a point share its power tables (`plane.values_at`).
+One order census and one group law answer every order question: a
+curve's rational points and their exact orders with x_7 as zero, from one
+`CubicGroup.orders` walk, built once and kept in a small cache keyed on
+(field, t).  The search reads its witness from it, the curve systems the
+same witness as their translation point, and the locus and nine-torsion
+checks their orders; those checks take their vanishing sets from one pass
+over its points, where the forms checked at a point share its power
+tables (`plane.values_at`).
 """
 
-from functools import lru_cache
-from math import isqrt
+from functools import lru_cache, reduce
+from math import gcd, isqrt
 from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
@@ -83,19 +85,17 @@ def good_primes(p_max):
     return out
 
 
-# Over GF(p), p = 1 mod 3, the nine flexes are rational, so E[3] is, and a
-# rational point of order m makes #E a multiple of these.
-TORSION_GROUP_ORDER = {4: 36, 5: 45, 9: 27}
-
-
 def min_prime_for_order(m):
     """Smallest good prime over which a Hesse cubic can have a point of order m.
 
-    By the Hasse bound #E <= p + 1 + 2*sqrt(p), so #E reaches
-    TORSION_GROUP_ORDER[m] only from this prime on; no curve is scanned.
+    E[3] is rational over GF(p), p = 1 mod 3, so a point P of order m
+    makes #E a multiple of |<P> + E[3]| = 9m / gcd(m, 3).  By the Hasse
+    bound #E <= p + 1 + 2*sqrt(p), #E reaches that only from this prime
+    on; no curve is scanned.
     """
-    need = TORSION_GROUP_ORDER[m]
-    return next(p for p in good_primes(need) if p + 1 + isqrt(4 * p) >= need)
+    need = 9 * m // gcd(m, 3)
+    return next(p for p in good_primes(2 * need)
+                if p + 1 + isqrt(4 * p) >= need)
 
 
 @lru_cache(maxsize=8)
@@ -114,14 +114,18 @@ def _census(field, t):
 def find_specialization(m, p_max=500):
     """Smallest (p, t) with a rational point of exact order m, plus witness.
 
-    Scans p = 1 mod 3 ascending, then t in 0..p-1 ascending, then the
-    canonical point order; raises with scan statistics when the range is
-    exhausted.  A curve whose point count m does not divide has no point
-    of order m (Lagrange) and is passed over; on the others the witness is
-    the first census point of order m, x_7 as zero.
+    Scans p = 1 mod 3 ascending from `min_prime_for_order(m)`, then t in
+    0..p-1 ascending, then the canonical point order; raises with scan
+    statistics when the range is exhausted.  A curve whose point count m
+    does not divide has no point of order m (Lagrange) and is passed over;
+    on the others the witness is the first census point of order m, x_7
+    as zero.
     """
+    p_min = min_prime_for_order(m)
     scanned = 0
     for p in good_primes(p_max):
+        if p < p_min:
+            continue
         field = GF(p)
         for t_int in range(p):
             curve = HesseCubic(field, t_int)
@@ -256,19 +260,27 @@ def translated_points(group, eta):
     return pts
 
 
+def collinear_balances(group, pts, alpha, beta):
+    """{triple: sum_i r_i p_i} for the Hesse-collinear triples, with
+    r_i = alpha on the triple and beta off it: beta * (p_1 + ... + p_9),
+    shared by the twelve triples, plus (alpha - beta) * (p_a + p_b + p_c)."""
+    total = group.scalar_mul(beta, reduce(group.add, pts))
+    return {triple: group.add(total, group.scalar_mul(
+                alpha - beta, reduce(group.add, (pts[i] for i in triple))))
+            for triple in hesse_collinear_triples(group.field)}
+
+
 def hesse_collinear_curves(m, p, t):
     """Existence of the 12 degree-m curves with the index-m multiplicities.
 
     For each Hesse-collinear triple the linear system of degree-m forms
     with the case multiplicities at p_i = x_i + eta must have a nonzero
     kernel; the multiplicity-weighted sum of the p_i must vanish in the
-    group law with x_1 as zero.  eta is the first census point of exact
-    order m in that group.  The census takes x_7 as zero, and translation
-    by x_1 maps the x_1 group isomorphically onto it, so the order of P
-    with x_1 as zero is the census order of P - x_1: one addition per
-    point scanned.  The multiplicities sum to 3m, so the balance holds for
-    any eta of order dividing 3m; the order of eta is certified on its
-    own, by m*eta = 0 and (m/q)*eta != 0 for each prime q | m.
+    census group law, x_7 as zero.  eta is the first census point of
+    exact order m, the witness of `find_specialization`.  The
+    multiplicities sum to 3m, so the balance holds for any eta of order
+    dividing 3m; the order of eta is certified on its own, by m*eta = 0
+    and (m/q)*eta != 0 for each prime q | m.
 
     Multiplicity at least r takes the Hasse rows of order r - 1 only: by
     Euler's relation sum_i (alpha_i + 1) x_i D^(alpha + e_i) F =
@@ -279,13 +291,9 @@ def hesse_collinear_curves(m, p, t):
     curve = HesseCubic(field, t)
     if not curve.is_smooth():
         raise TorsionError(f"t = {t} is singular over GF({p})")
-    flexes = hesse_flexes(field)
-    group = CubicGroup(curve, flexes[0])  # flex zero for the balance law
-    census = CubicGroup(curve, flexes[6])
-    minus_x1 = census.negate(flexes[0])
+    group = CubicGroup(curve, hesse_flexes(field)[6])
     points, orders = _census(field, t)
-    eta = next((P for P in points if orders[census.add(P, minus_x1)] == m),
-               None)
+    eta = next((P for P in points if orders[P] == m), None)
     if eta is None:
         raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")
     if group.scalar_mul(m, eta) != group.zero or any(
@@ -293,27 +301,22 @@ def hesse_collinear_curves(m, p, t):
         raise TorsionError(f"eta = {eta} is not of exact order {m} over GF({p})")
     pts = translated_points(group, eta)
     alpha, beta = index_multiplicities(m)
-    triples = hesse_collinear_triples(field)
     if p <= m:
         raise TorsionError(f"the Euler relation needs p > m = {m}, not p = {p}")
-    local = {}  # (index, multiplicity) -> (rows, r * p_i); shared by the triples
+    rows = {}  # (index, multiplicity) -> Hasse rows; shared by the triples
     results = []
-    for triple in triples:
+    for triple, balance in collinear_balances(group, pts, alpha, beta).items():
         mults = [alpha if i in triple else beta for i in range(9)]
-        for i, (P, r) in enumerate(zip(pts, mults)):
-            if (i, r) not in local:
+        for i, r in enumerate(mults):
+            if (i, r) not in rows:
                 # multiplicity >= r: the Hasse derivatives of order r - 1
                 # (none for r = 0)
-                local[i, r] = (hasse_rows(P, m, monomials_of_degree(r - 1)),
-                               group.scalar_mul(r, P))
+                rows[i, r] = hasse_rows(pts[i], m, monomials_of_degree(r - 1))
         kern = kernel_basis([row for i, r in enumerate(mults)
-                             for row in local[i, r][0]], field)
+                             for row in rows[i, r]], field)
         if len(kern) < 1:
             raise TorsionError(
                 f"no degree-{m} curve for triple {triple} over GF({p})")
-        balance = group.zero
-        for i, r in enumerate(mults):
-            balance = group.add(balance, local[i, r][1])
         if balance != group.zero:
             raise TorsionError(f"group-law balance fails for triple {triple}")
         results.append({"triple": triple, "kernel_dim": len(kern)})

@@ -81,6 +81,11 @@ def test_crash_is_an_error_not_a_failure(capsys, monkeypatch):
     (["--d-max", "3"], "--d-max >= 4"),
     (["torsion", "--m", "4", "--p-max", "5"], "too small for order 4"),
     (["pencil", "--p-max", "5"], "too small for the cusp census"),
+    (["lattice", "--m", "4"], "--m applies to the torsion suite"),
+    (["incidence", "code", "--with-quadratic-extension"],
+     "--with-quadratic-extension applies to the torsion suite"),
+    (["torsion", "--m", "9", "--with-quadratic-extension"],
+     "--m 9 leaves neither"),
 ])
 def test_bad_options_are_configuration_errors(capsys, monkeypatch, args, message):
     import halphen.cli as cli

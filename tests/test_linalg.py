@@ -7,6 +7,7 @@ from halphen import linalg
 from halphen.field import GF, QQ_EPS, QQ_EPS_A, FieldError, MixedContextError
 from halphen.linalg import (_rref_elements, invariant_factors, kernel_basis,
                             rref, smith_normal_form, solve)
+from test_field import qe
 
 
 def _matmul(X, Y):
@@ -154,7 +155,7 @@ def _qea_matrices(rng):
     F = QQ_EPS_A
 
     def coeff():
-        return QQ_EPS.make(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
+        return qe(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
 
     def poly():
         return F.from_coeffs([coeff() for _ in range(rng.randint(1, 3))])
@@ -170,7 +171,7 @@ def _qea_matrices(rng):
     def rand(m, n, rational=False):
         return [[entry(rational) for _ in range(n)] for _ in range(m)]
 
-    lead = F.from_coeffs([1, QQ_EPS.make(2, 3)])  # lead 2 + 3e
+    lead = F.from_coeffs([1, qe(2, 3)])  # lead 2 + 3e
     a = F.gen()
     out = [[[F.zero()] * 3 for _ in range(2)], rand(1, 1), rand(1, 5), rand(5, 2),
            [[lead, F.one()], [lead * lead, lead]],

@@ -75,36 +75,49 @@ def test_bruteforce_enumeration_is_independent_of_the_generative_one():
     assert names & forbidden == set()
 
 
-def test_every_top_level_definition_is_used_by_the_program():
-    """No function or class in the package is reached only from the tests.
+def _refers(node, own):
+    """Every name and attribute referred to under `node`, except `own`."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
 
-    Each top-level def and class of `src/halphen` must be referred to, as a
-    name or an attribute, outside its own definition somewhere in the
-    package, the demos or the benchmark, or be exported by the package's
-    `__init__`; an oracle that only tests call belongs in the tests.
+
+def test_every_top_level_definition_is_used_by_the_program():
+    """No function, class or method in the package is reached only from
+    the tests.
+
+    Each top-level def and class of `src/halphen`, and each method of its
+    classes but the dunders, must be referred to, as a name or an
+    attribute, outside its own definition somewhere in the package, the
+    demos or the benchmark, or be exported by the package's `__init__`; an
+    oracle that only tests call belongs in the tests.
     """
     root = SRC.parents[1]
-    defs = (ast.FunctionDef, ast.ClassDef)
-    defined = set()
+    defined, methods_defined = set(), set()
     used = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
             if isinstance(node, ast.ImportFrom) for alias in node.names}
     for folder in (SRC, root / "demos", root / "perfbench"):
         for path in sorted(folder.rglob("*.py")):
             for top in ast.parse(path.read_text(), filename=str(path)).body:
-                own = top.name if isinstance(top, defs) else None
-                if own and folder == SRC:
-                    defined.add(own)
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Name):
-                        name = node.id
-                    elif isinstance(node, ast.Attribute):
-                        name = node.attr
-                    else:
-                        continue
-                    if name != own:
-                        used.add(name)
-    assert len(defined) > 100
+                if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    used |= _refers(top, None)
+                    continue
+                methods = [node for node in top.body
+                           if isinstance(top, ast.ClassDef)
+                           and isinstance(node, ast.FunctionDef)]
+                for node in ast.iter_child_nodes(top):
+                    own = node.name if node in methods else None
+                    used |= _refers(node, own) - {top.name}
+                if folder == SRC:
+                    defined.add(top.name)
+                    methods_defined |= {
+                        f"{top.name}.{node.name}" for node in methods
+                        if not (node.name.startswith("__")
+                                and node.name.endswith("__"))}
+    assert len(defined) > 100 and len(methods_defined) > 50
     assert sorted(defined - used) == []
+    assert sorted(m for m in methods_defined
+                  if m.partition(".")[2] not in used) == []
 
 
 def _module_names(module):
@@ -196,3 +209,22 @@ def test_census_restricts_lines_only_to_conics():
     defined = {node.name for node in ast.parse((SRC / "plane.py").read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "coordinates_on_line" not in defined
+
+
+def test_torsion_questions_share_one_group_and_skip_hopeless_primes():
+    """`hesse_collinear_curves` builds one `CubicGroup`, the census law,
+    and names no `negate` in it or in the functions it reaches: there is no
+    second zero to translate to.  `find_specialization` starts its scan at
+    `min_prime_for_order`, below which no curve can answer."""
+    tree = ast.parse((SRC / "torsion.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    groups = [node for node in ast.walk(functions["hesse_collinear_curves"])
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "CubicGroup"]
+    assert len(groups) == 1
+    seen, names = _names_reached("torsion.py", ["hesse_collinear_curves"])
+    assert {"collinear_balances", "translated_points", "_census"} <= seen
+    assert "negate" not in names
+    _, names = _names_reached("torsion.py", ["find_specialization"])
+    assert "min_prime_for_order" in names

@@ -2,16 +2,18 @@ import pytest
 
 from halphen import torsion
 from halphen.field import GF, GFext
-from halphen.cubic import CubicGroup, HesseCubic, hesse_flexes, rational_points
+from halphen.cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
+                           hesse_flexes, rational_points)
 from halphen.linalg import kernel_basis, rref
 from halphen.plane import ProjPoint, monomials_of_degree, values_at
 from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
-                             conic_recovery_check,
+                             collinear_balances, conic_recovery_check,
                              find_specialization, good_primes,
                              hesse_collinear_curves, index_multiplicities,
                              min_prime_for_order,
                              nine_torsion_cubics,
-                             torsion_locus, two_torsion_translation,
+                             torsion_locus, translated_points,
+                             two_torsion_translation,
                              verify_nine_torsion_cubics, verify_torsion_locus)
 from test_cubic import has_exact_order
 from test_plane import term_sum
@@ -214,40 +216,47 @@ def test_census_order_of_the_x1_translate_is_the_x1_order():
 
 
 def test_hesse_collinear_curves_eta_is_pinned(monkeypatch):
-    # the first census point of exact order m with x_1 as zero
+    # the first census point of exact order m, x_7 as zero: the witness of
+    # the search
     etas, translate = [], torsion.translated_points
 
     def recording(group, eta):
-        etas.append(eta)
+        etas.append((group.zero, eta))
         return translate(group, eta)
 
     monkeypatch.setattr(torsion, "translated_points", recording)
-    for m, (p, t), eta in ((4, SPEC4, (1, 11, 29)), (5, SPEC5, (1, 4, 5))):
+    for m, (p, t), eta in ((4, SPEC4, (1, 10, 15)), (5, SPEC5, (1, 7, 11))):
         hesse_collinear_curves(m, p, t)
         F = GF(p)
-        assert etas.pop() == _point(F, eta)
-        group = CubicGroup(HesseCubic(F, t), hesse_flexes(F)[0])
-        points = _census(F, t)[0]
-        first = next(P for P in points if has_exact_order(group, P, m))
-        assert first == _point(F, eta)
+        assert etas.pop() == (hesse_flexes(F)[6], _point(F, eta))
+        assert find_specialization(m, p_max=p)["witness"] == _point(F, eta)
+    assert etas == []
 
 
 def test_hesse_collinear_curves_certify_the_order_of_eta(monkeypatch):
-    # a census that offers a point of x_1 order 3m as eta: the balance law
-    # holds for it, the order certificate does not
+    # a census that offers a point of order 3m labelled m as eta: the
+    # balance law holds for it, the order certificate does not
     m, (p, t) = 4, SPEC4
-    F = GF(p)
-    curve = HesseCubic(F, t)
-    flexes = hesse_flexes(F)
-    points = _census(F, t)[0]
-    x1_orders = CubicGroup(curve, flexes[0]).orders(points)
-    eta = next(P for P in points if x1_orders[P] == 3 * m)
-    census = CubicGroup(curve, flexes[6])
-    offered = census.add(eta, census.negate(flexes[0]))
-    orders = {P: m if P == offered else 1 for P in points}
-    monkeypatch.setattr(torsion, "_census", lambda field, t: (points, orders))
+    points, orders = _census(GF(p), t)
+    offered = next(P for P in points if orders[P] == 3 * m)
+    wrong = {P: m if P == offered else 1 for P in points}
+    monkeypatch.setattr(torsion, "_census", lambda field, t: (points, wrong))
     with pytest.raises(TorsionError, match="exact order 4"):
         hesse_collinear_curves(m, p, t)
+
+
+def test_no_point_of_order_m_below_the_hasse_bound_prime():
+    # the primes the search skips: no smooth Hesse cubic over them has a
+    # census point of order m
+    checked = 0
+    for m in (2, 4, 5, 7, 9):
+        for p in good_primes(min_prime_for_order(m) - 1):
+            F = GF(p)
+            for t in range(p):
+                if HesseCubic(F, t).is_smooth():
+                    assert m not in _census(F, t)[1].values(), (m, p, t)
+                    checked += 1
+    assert checked > 100
 
 
 # (m, p, t) of the CLI's curve systems and of the benchmark's seeds 1-3
@@ -255,6 +264,38 @@ EULER_CASES = ((4, 31, 1), (5, 37, 9), (5, 37, 11), (5, 139, 47),
                (4, 151, 43), (4, 163, 127), (5, 37, 29), (4, 73, 17),
                (5, 97, 9), (4, 163, 87), (4, 61, 55), (4, 127, 84),
                (5, 157, 104), (5, 199, 57))
+
+
+def nine_term_balances(group, pts, alpha, beta):
+    """sum_i r_i p_i for each Hesse-collinear triple, one r_i p_i at a time."""
+    out = {}
+    for triple in hesse_collinear_triples(group.field):
+        balance = group.zero
+        for i, P in enumerate(pts):
+            balance = group.add(balance, group.scalar_mul(
+                alpha if i in triple else beta, P))
+        out[triple] = balance
+    return out
+
+
+def test_shared_sum_balances_match_the_nine_term_sums():
+    # at eta of order m every balance is zero; at points whose order does
+    # not divide 3m (the balances are 3m times them) both sums are nonzero
+    nonzero = 0
+    for m, p, t in EULER_CASES:
+        F = GF(p)
+        group = CubicGroup(HesseCubic(F, t), hesse_flexes(F)[6])
+        points, orders = _census(F, t)
+        alpha, beta = index_multiplicities(m)
+        eta = next(P for P in points if orders[P] == m)
+        for P in [eta] + [P for P in points if 3 * m % orders[P]][:2]:
+            pts = translated_points(group, P)
+            shared = collinear_balances(group, pts, alpha, beta)
+            assert shared == nine_term_balances(group, pts, alpha, beta)
+            if P == eta:
+                assert set(shared.values()) == {group.zero}
+            nonzero += sum(b != group.zero for b in shared.values())
+    assert nonzero > 0
 
 
 def test_top_order_rows_have_the_kernel_of_all_lower_orders(monkeypatch):
@@ -285,8 +326,8 @@ def test_top_order_rows_have_the_kernel_of_all_lower_orders(monkeypatch):
 
 def test_hesse_collinear_curves_need_p_above_m(monkeypatch):
     # no smooth Hesse cubic over GF(p), p <= m, has a point of order m
-    # prime to 3 (9m would divide its order), so a census offering x_1 as
-    # eta and a certificate accepting it reach the guard
+    # prime to 3 (9m would divide its order), so a census offering the zero
+    # x_7 as eta and a certificate accepting it reach the guard
     m, p, t = 7, 7, 0
     F = GF(p)
     flexes = hesse_flexes(F)
