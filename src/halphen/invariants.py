@@ -309,7 +309,7 @@ def harbourne_report():
     from . import piclattice
     L = piclattice.chilean_lattice()
     e_classes = [piclattice.basis_e(i) for i in range(1, 10)]
-    total = [piclattice.scale(c, 1) for c in e_classes] + list(L.minus2)
+    total = e_classes + list(L.minus2)
     c_sq = sum(piclattice.inner(u, v) for u in total for v in total)
     crossings = sum(piclattice.inner(e, R) for e in e_classes for R in L.minus2)
     node_count = 12

@@ -6,14 +6,19 @@ convention d*e_0 - sum m_i e_i corresponds to the raw tuple
 (-2)-classes (index 2 and index 3), enumerates the 144 (-1)-classes by
 two independent methods, and verifies the group actions, coset
 structures, pairings and uniqueness statements built on them.
+
+The lattice algebra is on integers only, one construction per object:
+the translates E_i - sum_{j in I} R_j + |I| F_0 (`_translates`, read by
+the generative enumeration and the tropical space), the translation group
+as the nine products g_1^a g_2^b, and the deck involution at e_1 by
+intersection numbers.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .field import QQ_EPS
-from .linalg import invariant_factors, smith_normal_form, solve
+from .linalg import invariant_factors, smith_normal_form
 
 
 class LatticeError(Exception):
@@ -107,10 +112,6 @@ def basis_e(i):
     return tuple(1 if j == i else 0 for j in range(10))
 
 
-def degree(u):
-    return u[0]
-
-
 def mult(u, i):
     """Multiplicity m_i in the d*e_0 - sum m_i e_i reading."""
     return -u[i]
@@ -170,27 +171,30 @@ def fiber_components_missing(lattice, i):
     return out
 
 
+def _translates(lattice, i):
+    """(I, E_i - sum_{j in I} R_j + |I| F_0) for the 16 sets I of fiber
+    components missing e_i, each class checked against the (-1) predicate.
+
+    The sets come in the order of the 4-bit masks over the fibers.
+    """
+    missing = fiber_components_missing(lattice, i)
+    for mask in range(16):
+        I = tuple(j for f, j in enumerate(missing) if mask >> f & 1)
+        D = add(basis_e(i), scale(F0_CLASS, len(I)))
+        for j in I:
+            D = sub(D, lattice.minus2[j])
+        if not is_minus1_class(D, lattice):
+            raise LatticeError(f"translate {D} fails the (-1) predicate")
+        yield I, D
+
+
 # ---------------------------------------------------------------------------
 # the 144 (-1)-classes, two ways
 
 
 def enumerate_minus1_generative(lattice):
     """E_i - sum_{f in I} R_f^(0) + |I| F_0 over all i and I."""
-    classes = set()
-    for i in range(1, 10):
-        E = basis_e(i)
-        r0 = [lattice.minus2[j] for j in fiber_components_missing(lattice, i)]
-        for mask in range(16):
-            D = E
-            size = 0
-            for f in range(4):
-                if mask >> f & 1:
-                    D = sub(D, r0[f])
-                    size += 1
-            D = add(D, scale(F0_CLASS, size))
-            if not is_minus1_class(D, lattice):
-                raise LatticeError(f"generated class {D} fails the (-1) predicate")
-            classes.add(D)
+    classes = {D for i in range(1, 10) for _, D in _translates(lattice, i)}
     if len(classes) != 144:
         raise LatticeError(f"generative enumeration found {len(classes)} classes")
     return sorted(classes)
@@ -309,9 +313,11 @@ def triangle_integer_points():
 def ltrop(E, lattice):
     """Representatives of L^trop(E) modulo m*K, with their curve classes.
 
-    Returns a list of (coefficients over the 12 (-2)-classes, class),
-    where class = E + R + n*F_0 renormalized to self-intersection -1.
-    Verifies closure under the tropical (componentwise max) sum.
+    Returns a list of (coefficients over the 12 (-2)-classes, class, |I|):
+    the coefficients are -1 on a set I of fiber components missing E, and
+    the class is its translate E - sum_{j in I} R_j + |I| F_0, the
+    renormalization of E + R to self-intersection -1.  Verifies closure
+    under the tropical (componentwise max) sum.
     """
     if not is_minus1_class(E, lattice):
         raise LatticeError("L^trop is computed for (-1)-classes here")
@@ -321,23 +327,8 @@ def ltrop(E, lattice):
         raise LatticeError(f"triangle scan found {sorted(pts)}")
     if i is None:
         raise LatticeError("expected an exceptional basis class")
-    r0_cols = fiber_components_missing(lattice, i)
-    reps = []
-    for mask in range(16):
-        coeffs = [0] * 12
-        R = (0,) * 10
-        size = 0
-        for f in range(4):
-            if mask >> f & 1:
-                coeffs[r0_cols[f]] = -1
-                R = sub(R, lattice.minus2[r0_cols[f]])
-                size += 1
-        # D = E + R - (1/2)(2 E.R + R^2) F_0, with E.R = 0 and R^2 = -2|I|
-        n = -(2 * inner(E, R) + inner(R, R)) // 2
-        D = add(add(E, R), scale(F0_CLASS, n))
-        if not is_minus1_class(D, lattice):
-            raise LatticeError("tropical representative is not a (-1)-class")
-        reps.append((tuple(coeffs), D, size))
+    reps = [(tuple(-1 if j in I else 0 for j in range(12)), D, len(I))
+            for I, D in _translates(lattice, i)]
     if len({c for c, _, _ in reps}) != 16:
         raise LatticeError("tropical space has fewer than 16 representatives")
     # closure under the tropical sum
@@ -391,45 +382,28 @@ def compose_perm(p, q):
 
 
 def mw_group():
-    """The full permutation group generated by the two translations."""
-    g1, g2 = mw_generators()
+    """The products g_1^a g_2^b, a, b in 0..2, of the two translations.
+
+    With commuting generators of order 3 (`verify_mw_action` checks both)
+    these are the whole group they generate.
+    """
     identity = tuple(range(10))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in (g1, g2):
-                h = compose_perm(s, g)
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(group)
+    powers = [(identity, g, compose_perm(g, g)) for g in mw_generators()]
+    return sorted({compose_perm(a, b) for a in powers[0] for b in powers[1]})
 
 
 def mw_orbits(classes):
     """Orbit partition of a class set under the translation group."""
-    g1, g2 = mw_generators()
+    group = mw_group()
     class_set = set(classes)
     seen = set()
     orbits = []
     for D in sorted(class_set):
         if D in seen:
             continue
-        orbit = {D}
-        frontier = [D]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in (g1, g2):
-                    w = apply_perm(g, v)
-                    if w not in class_set:
-                        raise LatticeError(f"action leaves the class set at {w}")
-                    if w not in orbit:
-                        orbit.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        orbit = {apply_perm(g, D) for g in group}
+        if not orbit <= class_set:
+            raise LatticeError(f"action leaves the class set at {min(orbit - class_set)}")
         seen |= orbit
         orbits.append(sorted(orbit))
     return orbits
@@ -446,13 +420,10 @@ def verify_mw_action(classes):
             raise LatticeError("a translation generator has order != 3")
     if len(mw_group()) != 9:
         raise LatticeError("the translation group has order != 9")
-    # permutations of e_1..e_9 preserve the form; check on a basis sample
-    for g in (g1, g2):
-        for i in range(10):
-            for j in range(10):
-                u, v = basis_e(i), basis_e(j)
-                if inner(apply_perm(g, u), apply_perm(g, v)) != inner(u, v):
-                    raise LatticeError("generator is not an isometry")
+    # a permutation of coordinates keeps u_0 v_0 - sum u_i v_i for all u, v
+    # exactly when it fixes index 0
+    if any(g[0] != 0 for g in (g1, g2)):
+        raise LatticeError("generator is not an isometry")
     orbits = mw_orbits(classes)
     if len(orbits) != 16 or any(len(o) != 9 for o in orbits):
         raise LatticeError(
@@ -479,8 +450,7 @@ class CosetLabeller:
     def label(self, v):
         w = [sum(self.U[i][j] * v[j] for j in range(10)) for i in range(10)]
         out = []
-        for i in range(10):
-            d = self.diag[i] if i < len(self.diag) else 0
+        for i, d in enumerate(self.diag):
             if d == 0:
                 out.append(w[i])
             elif d == 1:
@@ -586,14 +556,8 @@ def fiber_labels(lattice):
     R^(0) is the component not met; the two met components are labelled
     in increasing column order.
     """
-    labels = []
-    for f in lattice.fibers:
-        missing = [j for j in f if lattice.minus2[j][1] == 0]
-        met = [j for j in f if lattice.minus2[j][1] != 0]
-        if len(missing) != 1 or len(met) != 2:
-            raise LatticeError("fiber incidence pattern is not 0/1/1")
-        labels.append((missing[0], met[0], met[1]))
-    return labels
+    return [(r0, *(j for j in f if j != r0))
+            for f, r0 in zip(lattice.fibers, fiber_components_missing(lattice, 1))]
 
 
 def third_divisor(pattern, labels, lattice):
@@ -812,43 +776,38 @@ def realize_low_degree_classes(classes, points):
 
 
 def galois_permutation(lattice):
-    """The index pairing of e_2..e_9 induced by the deck involution at e_1.
+    """The index permutation of e_0..e_9 induced by the deck involution at e_1.
 
     The involution fixes e_0, e_1 and each unmet fiber component, and
-    swaps the two met components of every fiber; its matrix is computed
-    over Q and must permute the exceptional classes in four 2-cycles.
+    swaps the two met components of every fiber.  These fourteen classes
+    span the lattice rationally and their images have the same Gram
+    matrix, so the swap is a well-defined isometry sigma, and sigma(e_i)
+    is the one e_j whose intersection numbers with the images are e_i's
+    with the originals.  It must pair e_2..e_9 in four 2-cycles.
     """
-    labels = fiber_labels(lattice)
-    # basis of Pic tensor Q: e_0, e_1 and nine of the (-2)-classes
-    basis = [basis_e(0), basis_e(1)]
-    images = [basis_e(0), basis_e(1)]
-    for (r0, r1, r2) in labels:
-        basis.extend([lattice.minus2[j] for j in (r0, r1, r2)])
-        images.extend([lattice.minus2[j] for j in (r0, r2, r1)])
-    # solve for each e_i in terms of the basis over Q, then map
-    perm = {0: 0, 1: 1}
-    cols = list(range(len(basis)))
-    # build matrix M with columns = basis vectors, solve M x = e_i
-    M = [[QQ_EPS.from_int(basis[c][r]) for c in cols] for r in range(10)]
+    basis, images = [basis_e(0), basis_e(1)], [basis_e(0), basis_e(1)]
+    for (r0, r1, r2) in fiber_labels(lattice):
+        basis.extend(lattice.minus2[j] for j in (r0, r1, r2))
+        images.extend(lattice.minus2[j] for j in (r0, r2, r1))
+    if len(invariant_factors(basis)) != 10:
+        raise LatticeError("e_0, e_1 and the (-2)-classes do not span the lattice")
+    if ([[inner(u, v) for v in images] for u in images]
+            != [[inner(u, v) for v in basis] for u in basis]):
+        raise LatticeError("the component swap does not keep the Gram matrix")
+    image_rows = {k: [inner(basis_e(k), v) for v in images] for k in range(2, 10)}
+    perm = [0, 1]
     for i in range(2, 10):
-        x = solve(M, [QQ_EPS.from_int(v) for v in basis_e(i)], QQ_EPS)
-        if x is None:
-            raise LatticeError("inconsistent rational system")
-        img = [sum((x[c] * images[c][r] for c in cols), QQ_EPS.zero())
-               for r in range(10)]
-        if any(v.c1 or v.c0.denominator != 1 for v in img):
-            raise LatticeError("involution image is not integral")
-        img = tuple(int(v.c0) for v in img)
-        j = next((k for k in range(2, 10) if img == basis_e(k)), None)
+        row = [inner(basis_e(i), u) for u in basis]
+        j = next((k for k, image_row in image_rows.items() if image_row == row), None)
         if j is None:
             raise LatticeError(f"involution does not permute e_{i}")
-        perm[i] = j
+        perm.append(j)
     for i in range(2, 10):
         if perm[perm[i]] != i:
             raise LatticeError("deck permutation is not an involution")
     if sum(1 for i in range(2, 10) if perm[i] != i) != 8:
         raise LatticeError("deck permutation must move all of e_2..e_9")
-    return perm
+    return tuple(perm)
 
 
 def table144(classes, lattice):
@@ -863,18 +822,14 @@ def table144(classes, lattice):
     for D in sorted(classes):
         d = D[0]
         n = inner(D, basis_e(1))
-        image = [0] * 10
-        for i in range(10):
-            image[perm.get(i, i)] = D[i]
-        invariant = tuple(image) == D
+        invariant = apply_perm(perm, D) == D
         if D == basis_e(1):
             n = 0
-            deg_c, v_c, u_c, a_s, a_sp = 0, 0, 0, 0, 0
+            v_c, u_c, a_s, a_sp = 0, 0, 0, 0
         elif invariant:
-            deg_c, v_c, u_c = (n + 2) // 2, n + 1, 0
+            v_c, u_c = n + 1, 0
             a_s, a_sp = n % 2, (n + 1) % 2
         else:
-            deg_c = 2 if n == 0 else 3
             v_c = (3 - d) if n == 0 else (4 - d)
             u_c, a_s, a_sp = n, 0, 0
         rows.append({"deg": d, "n": n, "v_C": v_c, "u_C": u_c,

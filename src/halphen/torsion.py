@@ -119,8 +119,14 @@ def find_specialization(m, p_max=500):
     statistics when the range is exhausted.  A curve whose point count m
     does not divide has no point of order m (Lagrange) and is passed over;
     on the others the witness is the first census point of order m, x_7
-    as zero.
+    as zero.  The scan runs once per (m, p_max); each call gets its own
+    copy of the answer.
     """
+    return dict(_specialization(m, p_max))
+
+
+@lru_cache(maxsize=8)
+def _specialization(m, p_max):
     p_min = min_prime_for_order(m)
     scanned = 0
     for p in good_primes(p_max):
@@ -212,10 +218,8 @@ def verify_torsion_locus_quadratic(m, p_max=100):
 def verify_nine_torsion_cubics(p, t):
     """The eight cubics cut exactly the rational points of order nine."""
     field = GF(p)
-    curve = HesseCubic(field, t)
-    group = CubicGroup(curve, hesse_flexes(field)[6])
     cubics = nine_torsion_cubics(field, t)
-    if cubics[0].evaluate(group.zero).is_zero():
+    if cubics[0].evaluate(hesse_flexes(field)[6]).is_zero():
         raise TorsionError("the zero point lies on the first cubic")
     per_cubic = [0] * len(cubics)
     exact9 = 0

@@ -5,17 +5,22 @@ from types import SimpleNamespace
 
 import pytest
 
+from halphen import piclattice
+from halphen.field import QQ_EPS
+from halphen.linalg import solve
 from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLUMNS,
                                 K_CLASS, LatticeError, ORBIT_MATRIX_P9,
-                                ORBIT_MATRIX_X9, CosetLabeller, add, basis_e,
+                                ORBIT_MATRIX_X9, CosetLabeller, _perm_from_cycles,
+                                add, apply_perm, basis_e,
                                 bertini_involution, branch_class,
                                 chilean_lattice, chilean_set_uniqueness,
-                                all_nine_cliques, degree_histogram,
+                                all_nine_cliques, compose_perm, degree_histogram,
                                 enumerate_minus1_bruteforce, fiber_labels,
                                 galois_permutation,
                                 index3_lattice, index3_section_check, inner,
                                 is_minus1_class, kperp_quotients, ltrop,
-                                mw_generators, mw_orbits, res_partition, scale,
+                                mw_generators, mw_group, mw_orbits, res_partition,
+                                scale,
                                 sorted_multiplicities, sub, table144,
                                 triangle_integer_points,
                                 verify_mw_action, verify_nine_class_theorem,
@@ -198,6 +203,50 @@ def test_mw_action(lattice, classes144):
         mw_orbits([basis_e(1)])  # not closed under the action
 
 
+def _bfs_orbits(classes):
+    """Oracle: orbits as breadth-first closures under the two generators."""
+    g1, g2 = mw_generators()
+    class_set, seen, orbits = set(classes), set(), []
+    for D in sorted(class_set):
+        if D in seen:
+            continue
+        orbit, frontier = {D}, [D]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for g in (g1, g2):
+                    w = apply_perm(g, v)
+                    assert w in class_set
+                    if w not in orbit:
+                        orbit.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def test_mw_orbits_match_the_breadth_first_closure(classes144):
+    assert mw_orbits(classes144) == _bfs_orbits(classes144)
+    # the nine products are the group the generators generate
+    group, frontier = {tuple(range(10))}, [tuple(range(10))]
+    while frontier:
+        frontier = [h for g in frontier for s in mw_generators()
+                    for h in [compose_perm(s, g)] if h not in group]
+        group.update(frontier)
+    assert mw_group() == sorted(group)
+
+
+def test_mw_action_refutes_a_generator_moving_e0(classes144, monkeypatch):
+    # 3-cycles on (e_0, e_1, e_2) and (e_3, e_4, e_5) commute, have order 3
+    # and generate nine permutations, but the first does not keep the form
+    cycles = (((0, 1, 2),), ((3, 4, 5),))
+    monkeypatch.setattr(piclattice, "mw_generators",
+                        lambda: tuple(_perm_from_cycles(c) for c in cycles))
+    with pytest.raises(LatticeError, match="not an isometry"):
+        verify_mw_action(classes144)
+
+
 def test_res_partition(lattice, classes144):
     cosets, pairing = res_partition(classes144, lattice)
     assert len(cosets) == 18
@@ -318,7 +367,7 @@ def test_fiber_labels_at_e1(lattice):
         assert lattice.minus2[r0][1] == 0
         assert lattice.minus2[r1][1] != 0 and lattice.minus2[r2][1] != 0
         assert r1 < r2
-    with pytest.raises(LatticeError, match="0/1/1"):
+    with pytest.raises(LatticeError, match="components missing e_1"):
         fiber_labels(index3_lattice())
 
 
@@ -328,6 +377,41 @@ def test_galois_permutation_pairs_eight_classes(lattice):
     moved = [i for i in range(2, 10) if perm[i] != i]
     assert len(moved) == 8
     assert all(perm[perm[i]] == i for i in range(2, 10))
+
+
+def _solved_galois_permutation(lattice):
+    """Oracle: the involution's matrix by solving for each e_i over Q(e)."""
+    basis, images = [basis_e(0), basis_e(1)], [basis_e(0), basis_e(1)]
+    for r0, r1, r2 in fiber_labels(lattice):
+        basis.extend(lattice.minus2[j] for j in (r0, r1, r2))
+        images.extend(lattice.minus2[j] for j in (r0, r2, r1))
+    M = [[QQ_EPS.from_int(b[r]) for b in basis] for r in range(10)]
+    perm = [0, 1]
+    for i in range(2, 10):
+        x = solve(M, [QQ_EPS.from_int(v) for v in basis_e(i)], QQ_EPS)
+        img = [sum((c * b[r] for c, b in zip(x, images)), QQ_EPS.zero())
+               for r in range(10)]
+        assert all(v.c1 == 0 and v.c0.denominator == 1 for v in img)
+        perm.append(tuple(int(v.c0) for v in img).index(1))
+    return tuple(perm)
+
+
+def test_galois_permutation_matches_the_rational_solve(lattice, classes144):
+    perm, solved = galois_permutation(lattice), _solved_galois_permutation(lattice)
+    assert perm == solved
+    assert ([apply_perm(perm, D) for D in classes144]
+            == [apply_perm(solved, D) for D in classes144])
+
+
+def test_galois_permutation_refutes_labels_across_fibers(lattice, monkeypatch):
+    # swapping met components of different fibers keeps the spanning set
+    # but not the Gram matrix: an unmet component meets its own fiber's
+    # met components once and the other fiber's not at all
+    (a0, a1, a2), (b0, b1, b2), *rest = fiber_labels(lattice)
+    crossed = [(a0, b1, a2), (b0, a1, b2), *rest]
+    monkeypatch.setattr(piclattice, "fiber_labels", lambda L: crossed)
+    with pytest.raises(LatticeError, match="Gram matrix"):
+        galois_permutation(lattice)
 
 
 def test_table144_row_profile(lattice, classes144):

@@ -71,8 +71,19 @@ def test_bruteforce_enumeration_is_independent_of_the_generative_one():
     seen, names = _names_reached("piclattice.py", ["enumerate_minus1_bruteforce"])
     assert {"enumerate_minus1_bruteforce", "inner"} <= seen
     forbidden = {"enumerate_minus1_generative", "fiber_components_missing",
-                 "F0_CLASS", "basis_e", "is_minus1_class"}
+                 "_translates", "F0_CLASS", "basis_e", "is_minus1_class"}
     assert names & forbidden == set()
+
+
+def test_lattice_algebra_is_on_integers():
+    """`piclattice` imports nothing from the field module and names
+    neither `QQ_EPS` nor `solve`: the deck involution is read off
+    intersection numbers, not solved for over Q(e)."""
+    tree = ast.parse((SRC / "piclattice.py").read_text())
+    sources = {node.module or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "field" not in sources
+    assert _module_names("piclattice.py") & {"QQ_EPS", "solve"} == set()
 
 
 def _refers(node, own):

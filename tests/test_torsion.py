@@ -35,6 +35,13 @@ def test_find_specialization_is_deterministic():
     assert (spec["p"], spec["t"]) == (13, 1)
 
 
+def test_find_specialization_answers_are_private_copies():
+    # the scan is cached; a caller that edits its answer changes no other
+    spec = find_specialization(4, p_max=100)
+    spec["p"] = 0
+    assert find_specialization(4, p_max=100)["p"] == SPEC4[0]
+
+
 def _point(F, coords):
     return ProjPoint(F, [F.from_int(c) for c in coords])
 
