@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import chilean, cubic, invariants, piclattice, plane, torsion
@@ -263,6 +264,11 @@ def _suite_lattice(config, ctx):
         orb = piclattice.verify_mw_action(classes144())
         cosets, pairing = piclattice.res_partition(classes144(), L)
         fac_lam, fac_full = piclattice.kperp_quotients(L)
+        # one element of K-perp / Lambda per coset; adding F_0 pairs them
+        if ((fac_lam, fac_full) != ([3, 6], [3, 3]) or prod(fac_lam) != len(cosets)
+                or 2 * prod(fac_full) != len(cosets)):
+            raise piclattice.LatticeError(
+                f"quotients {fac_lam} and {fac_full} against {len(cosets)} cosets")
         return (f"16 orbits of 9; 18 cosets of 8; quotients {fac_lam} and"
                 f" {fac_full}")
 

@@ -628,8 +628,8 @@ class RatFuncElem(FieldElem):
     def __add__(self, other):
         o = (other if isinstance(other, RatFuncElem) and other.field is self.field
              else self._check(other))
-        if o is NotImplemented:
-            return o
+        if o is NotImplemented or not self.num:
+            return o  # a sum from zero, as `sum` starts, costs nothing
         n1, n2 = self.nd, o.nd
         g = gcd(n1, n2)
         s, t = n2 // g, n1 // g  # num/n1 + onum/n2 = (s*num + t*onum)/lcm

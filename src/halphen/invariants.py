@@ -7,7 +7,8 @@ their points off the candidates are counted by Bezout, certified simple
 by a discriminant test or by transversality at a shared candidate, and
 private by the census's own counts (they may be irrational; only their
 count enters the census).  Values and gradients at the candidates are
-dot products with `plane.hasse_rows`.
+dot products with `plane.hasse_rows`, taken in one pass per candidate
+set, which every arrangement on that set reads.
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
@@ -15,8 +16,8 @@ computed once per configuration, from the degenerate nodes, vertices and
 harmonic polars the configuration builds once for all of them.
 """
 
+from collections import Counter
 from fractions import Fraction
-from operator import mul
 
 from .field import QQ_EPS, GFext
 from .plane import ProjPoint, cross, hasse_rows, line_basis
@@ -25,10 +26,6 @@ from .chilean import Configuration, conic_is_line_pair
 
 class ArrangementError(Exception):
     pass
-
-
-# the value and the three first partials of a form at a point
-_VALUE_AND_GRADIENT = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 class ArrangementCombinatorics:
@@ -63,6 +60,15 @@ def _assert_smooth_members(curves):
         raise ArrangementError("only lines and conics are supported")
 
 
+def _deciding_coordinates(P):
+    """(u, v): gradients g_1, g_2 of forms through P have g_1 x g_2 = 0
+    iff g_1[u] g_2[v] = g_1[v] g_2[u].  Both are orthogonal to P (Euler's
+    relation), so g_1 x g_2 is a multiple of P, decided by its component at
+    the first nonzero coordinate of `P.rep`, which u and v follow."""
+    axis = next(i for i, c in enumerate(P.rep) if not c.is_zero())
+    return (axis + 1) % 3, (axis + 2) % 3
+
+
 def extract_combinatorics(points, curves):
     """Census of n-fold points of a line/conic arrangement, exactly.
 
@@ -70,9 +76,10 @@ def extract_combinatorics(points, curves):
     intersection must be a candidate, while a line and a conic may meet at
     anonymous points.  Local data at a candidate are read from
     `hasse_rows` once per member degree: a member's value is the dot
-    product of its coefficient vector with the alpha = 0 row, and its
+    product of its nonzero coefficients with the alpha = 0 row, and its
     gradient, for the transversality check at every candidate on two or
-    more members, with the three order-1 rows.
+    more members, with the order-1 rows: only the two gradient components
+    that decide g_1 x g_2 = 0 are read (`_deciding_coordinates`).
 
     A line k and a conic j that share s candidates meet at 2 - s anonymous
     points.  These are simple: for s = 0 the restriction of the conic to
@@ -85,34 +92,40 @@ def extract_combinatorics(points, curves):
       most three candidates, and the check raises.
     - If R lay on a line j2 != k, the one point of k and j2 would be R,
       no candidate, and the check raises.
+    The census keeps what its pass found for `leading`.
     """
     if not curves:
         raise ArrangementError("empty arrangement")
     field = curves[0].field
     _assert_smooth_members(curves)
-    candidates = list(dict.fromkeys(points))
     zero = field.zero()
-    coeffs = [C.coefficients() for C in curves]
+    terms = [[(i, c) for i, c in enumerate(C.coefficients()) if not c.is_zero()]
+             for C in curves]
     degrees = {C.degree for C in curves}
     accounted = [[0] * len(curves) for _ in curves]
-    t_counts = {}
-    for P in candidates:
-        rows = {d: hasse_rows(P, d, _VALUE_AND_GRADIENT) for d in degrees}
-        local = [rows[C.degree] for C in curves]
-        through = [k for k, c in enumerate(coeffs)
-                   if sum(map(mul, c, local[k][0]), zero).is_zero()]
-        grads = {k: [sum(map(mul, coeffs[k], row), zero) for row in local[k][1:]]
-                 for k in through}
+    incidences = []
+    for P in dict.fromkeys(points):
+        u, v = _deciding_coordinates(P)
+        alphas = [(0, 0, 0)] + [tuple(int(i == w) for i in range(3)) for w in (u, v)]
+        rows = {d: hasse_rows(P, d, alphas) for d in degrees}
+        grads = {}
+        for k, C in enumerate(curves):
+            value_row, u_row, v_row = rows[C.degree]
+            if sum((c * value_row[i] for i, c in terms[k]), zero).is_zero():
+                grads[k] = (sum((c * u_row[i] for i, c in terms[k]), zero),
+                            sum((c * v_row[i] for i, c in terms[k]), zero))
+        through = list(grads)
         for x, k1 in enumerate(through):
+            g1u, g1v = grads[k1]
             for k2 in through[x + 1:]:
-                if all(c.is_zero() for c in cross(grads[k1], grads[k2])):
+                g2u, g2v = grads[k2]
+                if (g1u * g2v - g1v * g2u).is_zero():
                     raise ArrangementError(
                         f"tangency of curves {k1} and {k2} at {P}")
                 accounted[k1][k2] += 1
-        if len(through) >= 2:
-            t_counts[len(through)] = t_counts.get(len(through), 0) + 1
+        incidences.append(through)
 
-    anonymous_pairs = 0
+    anonymous = {}
     for k, L in enumerate(curves):
         if L.degree != 1:
             continue
@@ -127,7 +140,7 @@ def extract_combinatorics(points, curves):
                 if (form[1] * form[1] - 4 * form[0] * form[2]).is_zero():
                     raise ArrangementError(
                         f"line {k} is tangent to curve {j} off the candidates")
-            anonymous_pairs += 2 - shared
+            anonymous[lo, hi] = 2 - shared
             accounted[lo][hi] = 2
 
     for i in range(len(curves)):
@@ -137,14 +150,27 @@ def extract_combinatorics(points, curves):
                 raise ArrangementError(
                     f"curves {i} and {j}: {accounted[i][j]} of {expect} "
                     "intersections accounted for")
+    return CandidateCensus([C.degree for C in curves], incidences, anonymous)
 
-    if anonymous_pairs:
-        t_counts[2] = t_counts.get(2, 0) + anonymous_pairs
 
-    arr = ArrangementCombinatorics(
-        [(C.degree, 0, C.degree * C.degree) for C in curves], t_counts)
-    arr.check_consistency()
-    return arr
+class CandidateCensus(ArrangementCombinatorics):
+    """A census with what its pass found: the members through each
+    candidate and the anonymous points of each line-conic pair."""
+
+    def __init__(self, degrees, incidences, anonymous):
+        self.incidences, self.anonymous = incidences, anonymous
+        t_counts = Counter(len(t) for t in incidences if len(t) >= 2)
+        t_counts[2] += sum(anonymous.values())
+        super().__init__([(d, 0, d * d) for d in degrees], t_counts)
+        self.check_consistency()
+
+    def leading(self, n):
+        """The census of the first n members: the pass's checks on their
+        pairs are those of `extract_combinatorics` on them alone."""
+        return CandidateCensus(
+            [c[0] for c in self.curves[:n]],
+            [[k for k in through if k < n] for through in self.incidences],
+            {pair: c for pair, c in self.anonymous.items() if pair[1] < n})
 
 
 # ---------------------------------------------------------------------------
@@ -230,31 +256,28 @@ def _line_line_point(L1, L2):
 def geometric_census(name, config):
     """The census of one reference arrangement of `config`, from exact geometry.
 
-    Each census is computed once per configuration and kept in
-    `config.censuses`; every call returns a copy of its own.
+    The five censuses are computed together, once per configuration, and
+    kept in `config.censuses`; every call returns a copy of its own.
     """
-    census = config.censuses.get(name)
-    if census is None:
-        census = config.censuses[name] = _census_from_geometry(name, config)
+    if name not in PUBLISHED_TN:
+        raise ArrangementError(f"unknown arrangement {name!r}")
+    if not config.censuses:
+        config.censuses.update(_censuses_from_geometry(config))
+    census = config.censuses[name]
     return ArrangementCombinatorics(census.curves, census.t_counts)
 
 
-def _census_from_geometry(name, config):
-    if name in ("chilean", "A1"):
-        data = config.data
-        curves = list(data.conics) + (config.lines if name == "A1" else [])
-        return extract_combinatorics(list(data.points) + config.node_points,
-                                     curves)
-    if name in ("A0", "A2"):
-        cfg = config.degenerate
-        curves = cfg["conics"] + cfg["lines"]
-        if name == "A2":
-            curves += config.harmonic_polars
-        return extract_combinatorics(
-            cfg["points"] + config.degenerate_nodes_and_vertices, curves)
-    if name == "A3":
-        return _a3_census(config)
-    raise ArrangementError(f"unknown arrangement {name!r}")
+def _censuses_from_geometry(config):
+    """The five censuses of `config` from three candidate passes: the
+    chilean conics lead A1's members, and A0's lead A2's."""
+    data, cfg = config.data, config.degenerate
+    a1 = extract_combinatorics(list(data.points) + config.node_points,
+                               list(data.conics) + config.lines)
+    a2 = extract_combinatorics(cfg["points"] + config.degenerate_nodes_and_vertices,
+                               cfg["conics"] + cfg["lines"] + config.harmonic_polars)
+    return {"chilean": a1.leading(len(data.conics)),
+            "A0": a2.leading(len(cfg["conics"]) + len(cfg["lines"])),
+            "A1": a1, "A2": a2, "A3": _a3_census(config)}
 
 
 def _a3_census(config):

@@ -11,12 +11,15 @@ The lattice algebra is on integers only, one construction per object:
 the translates E_i - sum_{j in I} R_j + |I| F_0 (`_translates`, read by
 the generative enumeration and the tropical space), the translation group
 as the nine products g_1^a g_2^b, and the deck involution at e_1 by
-intersection numbers.
+intersection numbers.  Many intersection numbers at once are lanes of one
+int (`_packed`): the brute-force bounds and the Gram rows of the cliques.
+The conics through five base points are Steiner's, from the 36 lines.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from operator import mul
 
 from .linalg import invariant_factors, smith_normal_form
 
@@ -226,6 +229,14 @@ def sorted_multiplicities(d):
     return found
 
 
+def _packed(values, width):
+    """sum v_k 2^(width k): ints of either sign as lanes of one int, on
+    which sums and int multiples act lane by lane; with the bias
+    2^(width-1) added to each, a lane in [-2^(width-1), 2^(width-1)) is
+    read back exactly, and its top bit is set iff it is not negative."""
+    return sum(v << width * k for k, v in enumerate(values))
+
+
 def enumerate_minus1_bruteforce(lattice, d_max=12):
     """All integer solutions of D^2 = D.K = -1 with d <= d_max.
 
@@ -237,51 +248,57 @@ def enumerate_minus1_bruteforce(lattice, d_max=12):
     slots.  A partial ordering is cut once some (-2)-class R has D.R < 0
     for every completion: D.R is d R_0 + sum m_i R_i, and a free slot adds
     at most R_i times the largest value left where R_i > 0 and R_i times
-    the smallest where R_i < 0.  Every finished class is then checked
-    against each R exactly.  The search reads only `lattice.minus2` (with
-    none it lists every solution), and shares no code with
-    `enumerate_minus1_generative`.
+    the smallest where R_i < 0.  All the R are tested at once, one lane of
+    a `_packed` int each: |m_i| <= sqrt(d_max^2 + 1), so no bound leaves
+    [-reach, reach], and a lane is one bit wider.  A finished class has
+    passed the lane test of D.R >= 0, and is checked against each R exactly.
+    The search reads only `lattice.minus2` (with none it lists every
+    solution), and shares no code with `enumerate_minus1_generative`.
     """
     rows = lattice.minus2
-    # per R, the sums of max(R_i, 0) and of min(R_i, 0) over each set of
-    # slots i = 1..9, a set being a 9-bit mask
-    sums = []
-    for R in rows:
-        up, down = [0] * 512, [0] * 512
-        for mask in range(1, 512):
-            i, rest = (mask & -mask).bit_length(), mask & (mask - 1)
-            up[mask] = up[rest] + max(R[i], 0)
-            down[mask] = down[rest] + min(R[i], 0)
-        sums.append((up, down))
+    top = isqrt(d_max * d_max + 1)
+    reach = max((d_max * abs(R[0]) + top * sum(map(abs, R[1:])) for R in rows),
+                default=0)
+    width = reach.bit_length() + 1
+    sign = _packed([1 << width - 1] * len(rows), width)
+    cols = [_packed([R[i] for R in rows], width) for i in range(10)]
+    ups = [_packed([max(R[i], 0) for R in rows], width) for i in range(10)]
+    # per 9-bit mask of slots, the packed sums of R_i and of max(R_i, 0):
+    # hi max(R_i, 0) + lo min(R_i, 0) = (hi - lo) max(R_i, 0) + lo R_i
+    total, up = [0] * 512, [0] * 512
+    for mask in range(1, 512):
+        i, rest = (mask & -mask).bit_length(), mask & (mask - 1)
+        total[mask] = total[rest] + cols[i]
+        up[mask] = up[rest] + ups[i]
     out = []
     ms = [0] * 9  # the ordering being built; a leaf has set all nine slots
 
     def place(d, groups, free, fixed):
         # groups are the (value, count) pairs still to place on the free
-        # slots, largest value first; per R, fixed is d R_0 + sum m_i R_i
-        # over the placed slots.  With no group left the bound is D.R.
+        # slots, largest value first; fixed packs d R_0 + sum m_i R_i over
+        # the placed slots, per R.  With no group left the bound is D.R.
         if not groups:
             D = (d,) + tuple(-m for m in ms)
-            if all(inner(D, R) >= 0 for R in rows):
-                out.append(D)
+            if any(inner(D, R) < 0 for R in rows):
+                raise LatticeError(f"the lanes let {D} through: they overflowed")
+            out.append(D)
             return
         (v, count), rest = groups[0], groups[1:]
         hi, lo = (rest[0][0], rest[-1][0]) if rest else (0, 0)
         for chosen in combinations([1 << i for i in range(9) if free >> i & 1], count):
             c = sum(chosen)
             left = free ^ c
-            if any(a + v * (up[c] + down[c]) + hi * up[left] + lo * down[left] < 0
-                   for a, (up, down) in zip(fixed, sums)):
+            placed = fixed + v * total[c]
+            if (placed + (hi - lo) * up[left] + lo * total[left] + sign) & sign != sign:
                 continue
             for b in chosen:
                 ms[b.bit_length() - 1] = v
-            place(d, rest, left,
-                  [a + v * (up[c] + down[c]) for a, (up, down) in zip(fixed, sums)])
+            place(d, rest, left, placed)
 
     for d in range(d_max + 1):
         for tup in sorted_multiplicities(d):
             groups = [(v, tup.count(v)) for v in sorted(set(tup), reverse=True)]
-            place(d, groups, 511, [d * R[0] for R in rows])
+            place(d, groups, 511, d * cols[0])
     return sorted(out)
 
 
@@ -626,50 +643,74 @@ def verify_nine_class_theorem(lattice):
 # uniqueness of the orthogonal nine-set
 
 
-def all_nine_cliques(classes):
-    """All 9-sets of pairwise-orthogonal classes, by ordered backtracking."""
-    verts = sorted(classes)
+def _orthogonal_masks(verts):
+    """Per vertex, the bit mask of the vertices orthogonal to it.
+
+    Gram row u is inner(u, C), C_i packing coordinate i of every vertex
+    (`_packed`).  Biased and xored back, a lane y is zero iff u.v = 0, and
+    only then is the top bit of ((y & low) + low) | y clear.
+    """
     n = len(verts)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inner(verts[i], verts[j]) == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    top = max((abs(x) for u in verts for x in u), default=0)
+    reach = top * max((sum(map(abs, u)) for u in verts), default=0)  # >= |u.v|
+    width = reach.bit_length() + 1
+    high = _packed([1 << width - 1] * n, width)
+    low = high - _packed([1] * n, width)
+    cols = [_packed(col, width) for col in zip(*verts)]
+    masks = []
+    for u in verts:
+        y = (inner(u, cols) + high) ^ high
+        zeros = ~(((y & low) + low) | y) & high
+        mask = 0
+        while zeros:
+            bit = zeros & -zeros
+            mask |= 1 << bit.bit_length() // width - 1
+            zeros ^= bit
+        masks.append(mask)
+    return masks
+
+
+def all_nine_cliques(classes):
+    """All 9-sets of pairwise-orthogonal classes, by ordered backtracking
+    over the vertices in ascending degree, taking a vertex only when enough
+    candidates stay; returned sorted, as sorted tuples of sorted classes."""
+    verts = sorted(classes)
+    degrees = [m.bit_count() for m in _orthogonal_masks(verts)]
+    order = sorted(range(len(verts)), key=degrees.__getitem__)
+    adj = _orthogonal_masks([verts[k] for k in order])
     cliques = []
 
     def extend(chosen, cand):
         need = 9 - len(chosen)
         if need == 0:
-            cliques.append(tuple(verts[k] for k in chosen))
+            cliques.append(sorted(order[j] for j in chosen))
             return
         # candidates are popped lowest first, so every later one lies above j
         while cand.bit_count() >= need:
             low = cand & -cand
             j = low.bit_length() - 1
             cand ^= low
-            chosen.append(j)
-            extend(chosen, cand & adj[j])
-            chosen.pop()
+            nxt = cand & adj[j]
+            if nxt.bit_count() >= need - 1:
+                chosen.append(j)
+                extend(chosen, nxt)
+                chosen.pop()
 
-    full = (1 << n) - 1
-    extend([], full)
-    return cliques
+    extend([], (1 << len(verts)) - 1)
+    cliques.sort()
+    return [tuple(verts[k] for k in clique) for clique in cliques]
 
 
 def chilean_set_uniqueness(classes, lattice):
-    """Exactly one orthogonal nine-set meets every (-2)-class six times."""
+    """Exactly one orthogonal nine-set meets every (-2)-class six times;
+    its D.R_j are sums of rows of one table of D.R_j per class D."""
     cliques = all_nine_cliques(classes)
+    table = {D: [inner(D, R) for R in lattice.minus2] for D in classes}
     qualifying = []
     rejected = []
     for clique in cliques:
-        total = (0,) * 10
-        for D in clique:
-            total = add(total, D)
-        fiber_patterns = []
-        for f in lattice.fibers:
-            fiber_patterns.append(tuple(sorted(inner(total, lattice.minus2[j])
-                                               for j in f)))
+        total = [sum(x) for x in zip(*(table[D] for D in clique))]
+        fiber_patterns = [tuple(sorted(total[j] for j in f)) for f in lattice.fibers]
         if all(pat == (6, 6, 6) for pat in fiber_patterns):
             qualifying.append(clique)
         else:
@@ -729,42 +770,69 @@ def index3_section_check():
 # geometric realization of the low-degree classes
 
 
-def realize_low_degree_classes(classes, points):
-    """Check every degree <= 2 class against actual curves through the points.
-
-    Lines through two points and conics through five must exist (kernel
-    dimension exactly one) and avoid the remaining base points.  Each
-    point's monomial values are computed once per degree, as the alpha = 0
-    row of `hasse_rows` at its given representative `P.rep`, polynomial for
-    the symbolic points (vanishing does not depend on the representative):
-    the kernel rows are those values at the support, and the curve's value
-    at a point is their dot product with its coefficient vector.
-    """
+def line_table(points):
+    """{(i, j): (form, values)} for every pair i < j of the points: the
+    line through p_i and p_j, the kernel of their degree-1 value rows
+    (`hasse_rows` at `P.rep`), and its values at all points, zero at p_i
+    and p_j by construction."""
     from .linalg import kernel_basis
     from .plane import hasse_rows
 
     field = points[0].field
     zero = field.zero()
-    value_rows = {d: [hasse_rows(P, d, [(0, 0, 0)])[0] for P in points]
-                  for d in (1, 2)}
+    rows = [hasse_rows(P, 1, [(0, 0, 0)])[0] for P in points]
+    table = {}
+    for i, j in combinations(range(len(points)), 2):
+        kern = kernel_basis([rows[i], rows[j]], field)
+        if len(kern) != 1:
+            raise LatticeError(f"line p_{i + 1}p_{j + 1}: kernel dimension {len(kern)}")
+        form = kern[0]
+        table[i, j] = form, [zero if k in (i, j) else sum(map(mul, form, row), zero)
+                             for k, row in enumerate(rows)]
+    return table
+
+
+def steiner_conic(five, lines):
+    """(A, B, values): the conic through the points `five` = (p_1..p_5) is
+    Steiner's A L_12 L_34 - B L_13 L_24 of the lines L_ij of `line_table`,
+    with A = (L_13 L_24)(p_5) and B = (L_12 L_34)(p_5), and `values` maps
+    each other point to its value there.  It is unique, and nonzero, when
+    no three of the five are collinear, which the line values show: a
+    pencil of conics through them would contain a line pair."""
+    for pair in combinations(five, 2):
+        values = lines[pair][1]
+        if any(values[k].is_zero() for k in five if k not in pair):
+            raise LatticeError(f"three of the points {five} are collinear")
+    p1, p2, p3, p4, p5 = five
+    l12, l34, l13, l24 = (lines[pair][1]
+                          for pair in ((p1, p2), (p3, p4), (p1, p3), (p2, p4)))
+    A = l13[p5] * l24[p5]
+    B = l12[p5] * l34[p5]
+    return A, B, {k: A * (l12[k] * l34[k]) - B * (l13[k] * l24[k])
+                  for k in range(len(l12)) if k not in five}
+
+
+def realize_low_degree_classes(classes, points):
+    """Check every degree <= 2 class against actual curves through the points.
+
+    Lines through two points (`line_table`) and conics through five
+    (`steiner_conic`) must exist, be unique and avoid the remaining points.
+    """
+    lines = line_table(points)
     checked = 0
     for D in classes:
         d = D[0]
         if d not in (1, 2):
             continue
         mults = [mult(D, i) for i in range(1, 10)]
-        if any(m not in (0, 1) for m in mults):
+        if any(m not in (0, 1) for m in mults) or sum(mults) != 3 * d - 1:
             raise LatticeError(f"degree {d} class {D} has unexpected multiplicities")
-        support = [i for i, m in enumerate(mults) if m == 1]
-        rows = value_rows[d]
-        kern = kernel_basis([rows[i] for i in support], field)
-        if len(kern) != 1:
-            raise LatticeError(
-                f"class {D}: expected a unique curve, kernel dimension {len(kern)}")
-        for i, row in enumerate(rows):
-            value = sum((c * v for c, v in zip(kern[0], row)), zero)
-            if value.is_zero() != (i in support):
-                raise LatticeError(f"class {D}: curve support mismatch at p_{i + 1}")
+        support = tuple(i for i, m in enumerate(mults) if m == 1)
+        off = (steiner_conic(support, lines)[2] if d == 2 else
+               {k: v for k, v in enumerate(lines[support][1]) if k not in support})
+        for k, value in off.items():
+            if value.is_zero():
+                raise LatticeError(f"class {D}: curve support mismatch at p_{k + 1}")
         checked += 1
     if checked != 36 + 54:
         raise LatticeError(f"checked {checked} low-degree classes, expected 90")

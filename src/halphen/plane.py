@@ -8,7 +8,8 @@ lets curve equations be written as plain Python expressions:
     conic = X*Y - a*Z**2
 
 ProjPoint canonicalizes on construction (first nonzero coordinate scaled
-to 1) so equality and hashing are representative-independent.
+to 1) so equality and hashing are representative-independent; off GF(p)
+it keeps the values of the monomials `values_at` has met at it.
 
 The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
@@ -218,31 +219,40 @@ def _point_tables(field, coords, degree):
 
 
 def values_at(forms, point):
-    """The values of forms over one field at a point, sharing its tables.
+    """The values of forms over one field at a point.
 
     `point` is a ProjPoint over the forms' field, whose `rep` is used, or
-    anything whose coordinates that field coerces.  One set of power
-    tables up to the top degree serves every form, and each value is the
-    sparse sum of a form's terms: on ints mod p over GF(p), wrapped once
-    at the end, and on field elements over any other field.  `evaluate`
-    is the one-form case.
+    anything whose coordinates that field coerces.  Over GF(p) each value
+    is the sparse sum of a form's terms on ints mod p from one set of
+    power tables.  Over any other field each term's monomial value is read
+    from the table a ProjPoint keeps in `monomials` (exponent to value at
+    `rep`), filled from power tables when missing, so a form's value at a
+    point seen before costs one product per term.
     """
     field = forms[0].field
     if any(F.field is not field for F in forms):
         raise MixedContextError("forms over different fields")
-    if isinstance(point, ProjPoint) and point.field is field:
+    kept = isinstance(point, ProjPoint) and point.field is field
+    if kept:
         coords = point.rep  # already elements of this field
     else:
         coords = point.rep if isinstance(point, ProjPoint) else point
         coords = tuple(field.coerce(c) for c in coords)
-    px, py, pz = _point_tables(field, coords, max(F.degree for F in forms))
     if isinstance(field, PrimeField):
+        px, py, pz = _point_tables(field, coords, max(F.degree for F in forms))
         return [GFpElem(field, sum(c.v * px[i] * py[j] * pz[k]
                                    for (i, j, k), c in F.terms.items()))
                 for F in forms]
+    table = point.monomials if kept else {}
+    if table is None:
+        table = point.monomials = {}
+    missing = {e for F in forms for e in F.terms if e not in table}
+    if missing:
+        px, py, pz = _point_tables(field, coords, max(map(max, missing)))
+        for i, j, k in missing:
+            table[i, j, k] = px[i] * py[j] * pz[k]
     zero = field.zero()
-    return [sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in F.terms.items()),
-                zero) for F in forms]
+    return [sum((c * table[e] for e, c in F.terms.items()), zero) for F in forms]
 
 
 def monomials_of_degree(d):
@@ -296,7 +306,7 @@ class ProjPoint:
     kept in `rep` (evaluation at `rep` avoids the denominators the
     canonical form may introduce; vanishing is representative-free)."""
 
-    __slots__ = ("field", "coords", "rep")
+    __slots__ = ("field", "coords", "rep", "monomials")
 
     def __init__(self, field, coords):
         coords = tuple(field.coerce(c) for c in coords)
@@ -311,6 +321,7 @@ class ProjPoint:
             raise GeometryError("(0:0:0) is not a projective point")
         self.field = field
         self.rep = coords
+        self.monomials = None  # filled by `values_at`, off GF(p)
         if pivot == field.one():
             self.coords = coords
         else:

@@ -16,11 +16,12 @@ p > m those of order r - 1 imply the rest.
 One order census and one group law answer every order question: a
 curve's rational points and their exact orders with x_7 as zero, from one
 `CubicGroup.orders` walk, built once and kept in a small cache keyed on
-(field, t).  The search reads its witness from it, the curve systems the
-same witness as their translation point, and the locus and nine-torsion
-checks their orders; those checks take their vanishing sets from one pass
-over its points, where the forms checked at a point share its power
-tables (`plane.values_at`).
+(field, t), on the points the search's Lagrange filter enumerated.  The
+search reads its witness from it, the curve systems the same witness as
+their translation point, and the locus and nine-torsion checks their
+orders; those checks take their vanishing sets from one pass over its
+points, where the forms checked at a point share its power tables
+(`plane.values_at`).
 """
 
 from functools import lru_cache, reduce
@@ -98,6 +99,13 @@ def min_prime_for_order(m):
                 if p + 1 + isqrt(4 * p) >= need)
 
 
+@lru_cache(maxsize=1)
+def _curve_points(field, t):
+    """The rational points of the Hesse cubic t over `field`; the last
+    curve the search's Lagrange filter saw hands them on to `_census`."""
+    return tuple(rational_points(HesseCubic(field, t)))
+
+
 @lru_cache(maxsize=8)
 def _census(field, t):
     """(points, {P: exact order}) of the smooth Hesse cubic t over `field`.
@@ -105,9 +113,8 @@ def _census(field, t):
     The orders are taken with x_7 as zero; the table is read-only, since
     every caller of the same (field, t) shares it.
     """
-    curve = HesseCubic(field, t)
-    group = CubicGroup(curve, hesse_flexes(field)[6])
-    points = tuple(rational_points(curve))
+    group = CubicGroup(HesseCubic(field, t), hesse_flexes(field)[6])
+    points = _curve_points(field, t)
     return points, MappingProxyType(group.orders(points))
 
 
@@ -138,7 +145,7 @@ def _specialization(m, p_max):
             if not curve.is_smooth():
                 continue
             scanned += 1
-            if len(rational_points(curve)) % m:
+            if len(_curve_points(field, t_int)) % m:
                 continue
             points, orders = _census(field, t_int)
             witness = next((P for P in points if orders[P] == m), None)

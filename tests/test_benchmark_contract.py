@@ -36,3 +36,22 @@ def test_every_benchmark_target_is_bound():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_traced_workloads_call_every_required_layer(monkeypatch):
+    """The traced `verify_all` and `specialized_qe` runs record a call for
+    every counter their workload's `must_call` in `perfbench/run.py`
+    lists: a change that takes the last call off a listed layer (say the
+    last `kernel_basis` over Q(e)(a) or Q(e)) fails here, not first in a
+    traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+    workloads = [run.WORKLOADS[name](1) for name in ("verify_all", "specialized_qe")]
+    children = [subprocess.Popen(w.traced_argv(), cwd=ROOT, env=run._child_env(),
+                                 stdout=subprocess.PIPE, text=True) for w in workloads]
+    for workload, child in zip(workloads, children):
+        out, _ = child.communicate(timeout=120)
+        doc = json.loads(out)
+        assert doc["rc"] == 0, workload.name
+        idle = [stem for stem in workload.must_call if not doc["calls"].get(stem)]
+        assert idle == [], workload.name

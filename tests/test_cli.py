@@ -131,6 +131,30 @@ def test_byte_identical_output_with_no_timing(capsys):
     assert first == second
 
 
+def _verdict(thunk):
+    """A claim's verdict as `run` gives it; a crash propagates."""
+    import halphen.cli as cli
+    try:
+        thunk()
+    except cli.DOMAIN_ERRORS:
+        return "fail"
+    return "pass"
+
+
+# the quotients with the invariant factors 1 kept (the mutant f == 1 of
+# `kperp_quotients`), with the two swapped, and with too small an order
+@pytest.mark.parametrize("quotients", [([1] * 7, [1] * 7), ([3, 3], [3, 6]),
+                                       ([3, 3], [3, 3])])
+def test_translation_orbits_claim_refutes_wrong_quotients(monkeypatch, quotients):
+    import halphen.cli as cli
+    import halphen.piclattice as piclattice
+    thunk = {claim: thunk for claim, _, thunk
+             in cli.SUITES["lattice"](RunConfig(), None)}["translation orbits and cosets"]
+    assert _verdict(thunk) == "pass"
+    monkeypatch.setattr(piclattice, "kperp_quotients", lambda lattice: quotients)
+    assert _verdict(thunk) == "fail"
+
+
 def test_verify_invariants_takes_each_census_once(capsys, monkeypatch):
     import halphen.invariants as invariants
 
@@ -143,8 +167,9 @@ def test_verify_invariants_takes_each_census_once(capsys, monkeypatch):
 
     monkeypatch.setattr(invariants, "extract_combinatorics", counted)
     assert main(["verify", "invariants", "--no-timing"]) == 0
-    # two claims read the report, but the five censuses are taken once
-    assert len(calls) == 5
+    # two claims read the report, but the five censuses are taken once,
+    # from one pass per candidate set: chilean reads A1's, A0 reads A2's
+    assert len(calls) == 3
 
 
 def test_enumerate_minus1_csv(capsys):

@@ -270,33 +270,84 @@ def test_small_censuses_match_the_restriction_oracle(case):
     assert shared_residual_roots(points, curves) == []
 
 
+class _Recorded:
+    """Stands in for `extract_combinatorics`: keeps its arguments, and
+    those of each arrangement of leading members read from it."""
+
+    def __init__(self, points, curves):
+        self.points, self.curves = points, curves
+
+    def leading(self, n):
+        return _Recorded(self.points, self.curves[:n])
+
+
+REFERENCE_NAMES = ("chilean", "A0", "A1", "A2", "A3")
+
+
 def _reference_calls(config):
-    """The (points, curves) of the five reference censuses of `config`."""
-    arguments = []
+    """The (points, curves) of the five reference censuses of `config`,
+    each arrangement alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(invariants, "extract_combinatorics",
-                      lambda points, curves: arguments.append((points, curves)))
-        for name in ("chilean", "A0", "A1", "A2", "A3"):
-            invariants._census_from_geometry(name, config)
-    assert len(arguments) == 5
-    return arguments
+        patch.setattr(invariants, "extract_combinatorics", _Recorded)
+        recorded = invariants._censuses_from_geometry(config)
+    return [(recorded[name].points, recorded[name].curves) for name in REFERENCE_NAMES]
 
 
 @pytest.fixture(scope="module")
-def reference_calls(configuration):
+def specialized_configuration():
+    return chilean.Configuration(QQ_EPS, QQ_EPS.from_int(2))
+
+
+@pytest.fixture(scope="module")
+def reference_calls(configuration, specialized_configuration):
     """The five reference census calls over Q(e)(a) and at a = 2 over Q(e)."""
     return {"symbolic": _reference_calls(configuration),
-            "specialized": _reference_calls(
-                chilean.Configuration(QQ_EPS, QQ_EPS.from_int(2)))}
+            "specialized": _reference_calls(specialized_configuration)}
 
 
-def test_reference_censuses_match_the_restriction_oracle(reference_calls):
+def test_reference_censuses_match_the_restriction_oracle(
+        reference_calls, configuration, specialized_configuration):
+    # each census alone, and as read from its configuration's shared pass
+    # (chilean from A1's, A0 from A2's)
     expected = [{2: 12, 8: 9}, {2: 12, 7: 9}, {2: 72, 5: 12, 9: 9},
                 {2: 54, 5: 12, 8: 9}, PUBLISHED_TN["A3"]]
-    for calls in reference_calls.values():
-        for (points, curves), t_counts in zip(calls, expected):
-            assert extract_combinatorics(points, curves).t_counts == t_counts
+    configs = {"symbolic": configuration, "specialized": specialized_configuration}
+    for mode, calls in reference_calls.items():
+        for name, (points, curves), t_counts in zip(REFERENCE_NAMES, calls, expected):
+            alone = extract_combinatorics(points, curves)
+            shared = geometric_census(name, configs[mode])
+            assert alone.t_counts == t_counts
+            assert (shared.curves, shared.t_counts) == (alone.curves, t_counts)
             assert census_by_restriction(points, curves).t_counts == t_counts
+
+
+def test_one_cross_component_decides_transversality(reference_calls):
+    # at every candidate, for every pair of members through it, the one
+    # component the census reads vanishes exactly when g_1 x g_2 does; the
+    # pairs of chilean and A0 are among those of A1 and A2
+    alphas = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    F = QQ_EPS
+    X, Y, Z = gens(F)
+    tangent = [(_points(F, (0, 0, 1)), [Y * Z - X**2, Y]),
+               (_points(F, (1, 1, 1)), [X**2 + Y**2 - 2 * Z**2, X + Y - 2 * Z])]
+    cases = [call for calls in reference_calls.values() for call in calls[2:]] + tangent
+    pairs = {True: 0, False: 0}
+    for points, curves in cases:
+        for P in dict.fromkeys(points):
+            u, v = invariants._deciding_coordinates(P)
+            grads = []
+            for C in curves:
+                rows = hasse_rows(P, C.degree, alphas)
+                coeffs = C.coefficients()
+                if sum(map(mul, coeffs, rows[0]), C.field.zero()).is_zero():
+                    grads.append([sum(map(mul, coeffs, row), C.field.zero())
+                                  for row in rows[1:]])
+            for x, g1 in enumerate(grads):
+                for g2 in grads[x + 1:]:
+                    full = all(c.is_zero() for c in cross(g1, g2))
+                    assert (g1[u] * g2[v] - g1[v] * g2[u]).is_zero() == full
+                    pairs[full] += 1
+    assert pairs[True] == 2 and pairs[False] > 500
 
 
 def test_residuals_are_private_on_the_reference_arrangements(reference_calls):

@@ -7,7 +7,8 @@ import pytest
 
 from halphen import piclattice
 from halphen.field import QQ_EPS
-from halphen.linalg import solve
+from halphen.linalg import kernel_basis, solve
+from halphen.plane import Poly3, ProjPoint, hasse_rows, monomials_of_degree
 from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLUMNS,
                                 K_CLASS, LatticeError, ORBIT_MATRIX_P9,
                                 ORBIT_MATRIX_X9, CosetLabeller, _perm_from_cycles,
@@ -18,10 +19,12 @@ from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLU
                                 enumerate_minus1_bruteforce, fiber_labels,
                                 galois_permutation,
                                 index3_lattice, index3_section_check, inner,
-                                is_minus1_class, kperp_quotients, ltrop,
+                                is_minus1_class, kperp_quotients, line_table,
+                                ltrop,
                                 mw_generators, mw_group, mw_orbits, res_partition,
                                 scale,
-                                sorted_multiplicities, sub, table144,
+                                sorted_multiplicities, steiner_conic, sub,
+                                table144,
                                 triangle_integer_points,
                                 verify_mw_action, verify_nine_class_theorem,
                                 verify_orbit_matrices, verify_torsion_vectors)
@@ -116,6 +119,32 @@ def test_bruteforce_matches_ordered_search(make_lattice, d_max):
     assert enumerate_minus1_bruteforce(L, d_max) == _oracle_classes(L, d_max)
 
 
+# Rows whose D.R reach the bound the lanes are sized for: every |m_i| is
+# at most top = isqrt(d_max^2 + 1), so |D.R| <= d_max |R_0| + top sum |R_i|
+# = reach, and a lane is reach.bit_length() + 1 bits wide.  At d_max = 1
+# the lines e_0 - e_i - e_j have m_i = top = 1, so (0, 7, 0, ...) reaches
+# +-7 = +-(2^3 - 1) in a lane of 4 bits; R_0 = 5 alone reaches 30 at d = 6.
+_EDGE_ROWS = {
+    "slot": ((tuple([0, 7] + [0] * 8), tuple([0, -7] + [0] * 8)), 1),
+    "slot-d0": ((tuple([0, 0, 7] + [0] * 7),), 0),
+    "degree": ((tuple([5] + [0] * 9), tuple([0, 1, 1, -1] + [0] * 6)), 6),
+    "mixed": ((tuple([3, -2, 2, 0, 1, -1, 0, 0, 1, -1]),
+               tuple([-1, 1, 1, 1, 0, 0, 0, 0, 0, 0])), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_ROWS))
+def test_bruteforce_lanes_at_their_width_match_ordered_search(case):
+    rows, d_max = _EDGE_ROWS[case]
+    if case != "mixed":  # the lane's top value bit is used
+        top = isqrt(d_max * d_max + 1)
+        reach = max(d_max * abs(R[0]) + top * sum(map(abs, R[1:])) for R in rows)
+        assert reach == max(abs(inner(D, R)) for R in rows
+                            for D in _oracle_classes(_NO_MINUS2_CLASSES, d_max))
+    L = SimpleNamespace(minus2=rows)
+    assert enumerate_minus1_bruteforce(L, d_max) == _oracle_classes(L, d_max)
+
+
 def test_unconstrained_bruteforce_matches_ordered_search():
     got = enumerate_minus1_bruteforce(_NO_MINUS2_CLASSES, 12)
     assert got == _oracle_classes(_NO_MINUS2_CLASSES, 12)
@@ -166,6 +195,17 @@ def test_nine_cliques_match_the_ordered_search(classes144):
     cliques = all_nine_cliques(classes144)
     assert len(cliques) == 544
     assert cliques == _ordered_nine_cliques(classes144)
+
+
+def test_fiber_patterns_match_the_summed_classes(lattice, classes144):
+    # the table rows of D.R_j, summed, against D.R_j of the summed classes
+    rep = chilean_set_uniqueness(classes144, lattice)
+    for clique, patterns in rep["rejected"]:
+        total = (0,) * 10
+        for D in clique:
+            total = add(total, D)
+        assert patterns == [tuple(sorted(inner(total, lattice.minus2[j]) for j in f))
+                            for f in lattice.fibers]
 
 
 def test_every_class_satisfies_the_predicate(lattice, classes144):
@@ -350,6 +390,48 @@ def test_low_degree_classes_realized(classes144, symbolic_data, monkeypatch):
     assert symbolic_data.points[0].field is field.QQ_EPS_A
     assert realize_low_degree_classes(classes144, symbolic_data.points) == 90
     assert calls == []
+
+
+def _form(field, vector):
+    """The form whose dense coefficient vector is `vector`."""
+    degree = {3: 1, 6: 2}[len(vector)]
+    return Poly3(field, degree, dict(zip(monomials_of_degree(degree), vector)))
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+def test_steiner_conics_match_the_kernel_oracle(classes144, configuration, mode):
+    from halphen.chilean import Configuration
+    config = (configuration if mode == "symbolic"
+              else Configuration(QQ_EPS, QQ_EPS.from_int(2)))
+    points = config.data.points
+    field = points[0].field
+    lines = line_table(points)
+    rows = [hasse_rows(P, 2, [(0, 0, 0)])[0] for P in points]
+    conics = [D for D in classes144 if D[0] == 2]
+    assert len(conics) == 54
+    for D in conics:
+        five = tuple(i for i in range(9) if D[i + 1] == -1)
+        A, B, values = steiner_conic(five, lines)
+        p1, p2, p3, p4, _ = five
+        L = {pair: _form(field, lines[pair][0])
+             for pair in ((p1, p2), (p3, p4), (p1, p3), (p2, p4))}
+        conic = A * L[p1, p2] * L[p3, p4] - B * L[p1, p3] * L[p2, p4]
+        oracle = kernel_basis([rows[i] for i in five], field)
+        assert len(oracle) == 1
+        assert conic.proportional_to(_form(field, oracle[0]))
+        assert values == {k: conic.evaluate(points[k])
+                          for k in range(9) if k not in five}
+
+
+def test_steiner_conic_refuses_three_collinear_points():
+    F = QQ_EPS
+    points = [ProjPoint(F, c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                                        (1, 2, 3))]
+    with pytest.raises(LatticeError, match="collinear"):
+        steiner_conic((0, 1, 2, 3, 4), line_table(points))
+    points[2] = ProjPoint(F, (1, 1, 1))
+    A, B, values = steiner_conic((0, 1, 2, 3, 4), line_table(points))
+    assert values == {} and not A.is_zero() and not B.is_zero()
 
 
 def test_low_degree_classes_reject_misplaced_points(classes144, symbolic_data):

@@ -76,6 +76,29 @@ def test_evaluate_on_residues_matches_elements():
         values_at([forms[0], gens(GF(7))[0]], (1, 2, 3))
 
 
+def test_values_at_kept_monomial_tables_match_term_sums():
+    # off GF(p) a point keeps its monomial values: a second evaluation, of
+    # overlapping forms of other degrees, reads them and must agree
+    rng = random.Random(5)
+    for F in (QQ_EPS, QQ_EPS_A, GFext(13, 2)):
+        elems = [F.from_int(c) for c in range(-3, 4)] + [F.eps(), F.eps() + 2]
+        if F is QQ_EPS_A:
+            elems.append(F.gen())
+        forms = [Poly3(F, d, {e: rng.choice(elems)
+                              for e in rng.sample(monomials_of_degree(d), d + 1)})
+                 for d in (1, 2, 3, 2, 4)]
+        for _ in range(6):
+            coords = [rng.choice(elems) for _ in range(3)]
+            if all(c.is_zero() for c in coords):
+                coords[0] = F.one()
+            point = ProjPoint(F, coords)
+            first = values_at(forms[:3], point)
+            assert point.monomials  # kept for the next forms
+            second = values_at(forms[2:], point)
+            assert first + second[1:] == [term_sum(P, point.rep) for P in forms]
+            assert values_at(forms, tuple(point.rep)) == first + second[1:]
+
+
 def test_product_degree_and_terms():
     A = QQ_EPS_A
     a = A.gen()
