@@ -10,6 +10,13 @@ The default coefficient field is Q(e)(a), which certifies every claim for
 the whole family at once; finite-field specializations are used where a
 claim is about singularity types (see ``singular_census``).
 
+Each object has one construction.  ``ChileanData`` is points, conics and
+fibers with their incidence (one ``plane.incidence_rows`` table, checked
+against the expected supports); the a = -2 degeneration is one as well,
+with its three surviving fibers, and ``fiber_nodes`` finds the nodes of
+both.  The cross ratio works on homogeneous pairs (lambda : 1) and
+(1 : 0), and the symmetry group is the six products s^i d^j.
+
 ``Configuration`` ties the chain together: it builds the data, the pencil,
 the nodes, the dual lines, the degeneration with its nodes and vertices and
 the harmonic polars once each, on first use, and is what the suites and the
@@ -18,10 +25,12 @@ invariants take.
 
 from functools import cached_property
 
+from .cubic import hesse_singular_fibers
 from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
                     to_text)
 from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
-                    bf_divide_linear, cross, gens, hasse_rows, line_through,
+                    bf_divide_linear, cross, gens, hasse_rows,
+                    incidence_rows, line_through, monomials_of_degree,
                     plane_points, poly3_to_binary_form, poly_in_var,
                     resultant)
 
@@ -34,10 +43,8 @@ class VerificationError(Exception):
 
 def _expected_supports():
     from .piclattice import CONIC_CLASS_COLUMNS
-    supports = []
-    for col in CONIC_CLASS_COLUMNS:
-        supports.append(frozenset(i for i in range(1, 10) if col[i] == -1))
-    return supports
+    return [frozenset(i for i in range(1, 10) if col[i] == -1)
+            for col in CONIC_CLASS_COLUMNS]
 
 
 def base_points(field, a):
@@ -106,15 +113,30 @@ def check_good_parameter(field, a):
 
 
 class ChileanData:
-    """Base points, conics, fiber grouping and the verified incidence."""
+    """Base points, conics, their fibers and the verified incidence.
 
-    def __init__(self, field, a, points, conics, incidence):
+    Conic j meets exactly the base points `supports[j]` (numbered from 1),
+    so each point lies on two conics of every fiber; `incidence` is the
+    points x conics matrix of 0/1.
+    """
+
+    def __init__(self, field, a, points, conics, fibers, supports):
+        if len(set(points)) != 9:
+            raise VerificationError("base points are not distinct")
+        incidence = incidence_rows(points, conics, row_sum=2 * len(fibers),
+                                   column_sum=6)
+        for j, support in enumerate(supports):
+            meets = {i + 1 for i, row in enumerate(incidence) if row[j]}
+            if meets != support:
+                raise VerificationError(
+                    f"conic {j + 1} meets points {sorted(meets)}, "
+                    f"expected {sorted(support)}")
         self.field = field
         self.a = a
         self.points = points
         self.conics = conics
-        self.incidence = incidence  # 9 x 12 matrix of 0/1
-        self.fibers = FIBERS
+        self.fibers = fibers
+        self.incidence = incidence
 
 
 def build_chilean(field=None, a=None):
@@ -131,41 +153,15 @@ def build_chilean(field=None, a=None):
         raise FieldError(f"{field} lacks a primitive cube root of unity")
     a = field.coerce(a)
     check_good_parameter(field, a)
-
-    points = base_points(field, a)
-    conics = conic_equations(field, a)
-
-    if len(set(points)) != 9:
-        raise VerificationError("base points are not distinct")
-
-    expected = _expected_supports()
-    incidence = [[0] * 12 for _ in range(9)]
-    for j, C in enumerate(conics):
-        support = set()
-        for i, P in enumerate(points):
-            if C.evaluate(P).is_zero():
-                support.add(i + 1)
-                incidence[i][j] = 1
-        if support != set(expected[j]):
-            raise VerificationError(
-                f"conic {j + 1} meets points {sorted(support)}, "
-                f"expected {sorted(expected[j])}")
-    for i in range(9):
-        if sum(incidence[i]) != 8:
-            raise VerificationError(f"point {i + 1} lies on {sum(incidence[i])} conics, not 8")
-    for j in range(12):
-        if sum(incidence[i][j] for i in range(9)) != 6:
-            raise VerificationError(f"conic {j + 1} passes through != 6 points")
+    data = ChileanData(field, a, base_points(field, a),
+                       conic_equations(field, a), FIBERS, _expected_supports())
 
     # every base point lies on the Hesse cubic with t = -(a^3+2)/a
     t = hesse_parameter(field, a)
     X, Y, Z = gens(field)
-    hesse = X**3 + Y**3 + Z**3 + t * X * Y * Z
-    for i, P in enumerate(points):
-        if not hesse.evaluate(P).is_zero():
-            raise VerificationError(f"p_{i + 1} misses the Hesse member")
-
-    return ChileanData(field, a, points, conics, incidence)
+    incidence_rows(data.points, [X**3 + Y**3 + Z**3 + t * X * Y * Z],
+                   column_sum=9)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +218,7 @@ def fiber_product_lambdas(data, pair):
     found by exact linear solves and returned in fiber order.
     """
     out = []
-    for fiber in FIBERS:
+    for fiber in data.fibers:
         prod = data.conics[fiber[0]] * data.conics[fiber[1]] * data.conics[fiber[2]]
         lam = pencil_membership(pair, prod)
         if lam is None or lam == INFINITY:
@@ -235,60 +231,48 @@ def fiber_product_lambdas(data, pair):
     return out
 
 
-def cross_ratio(z, field):
-    """Cross ratio (z1-z3)(z2-z4) / ((z2-z3)(z1-z4)) with INFINITY support."""
-    def diff(u, v):
-        if u == INFINITY and v == INFINITY:
-            raise VerificationError("cross ratio of coincident points")
-        if u == INFINITY or v == INFINITY:
-            return INFINITY
-        return u - v
-    pieces = (diff(z[0], z[2]), diff(z[1], z[3]), diff(z[1], z[2]), diff(z[0], z[3]))
-    num, den = field.one(), field.one()
-    balance = 0
-    for i, x in enumerate(pieces):
-        if x == INFINITY:
-            balance += 1 if i < 2 else -1
-        elif i < 2:
-            num = num * x
-        else:
-            den = den * x
-    if balance > 0 or den.is_zero():
-        return INFINITY
-    if balance < 0:
-        return field.zero()
-    return num / den
+def cross_ratio(z):
+    """The cross ratio R = N/D of four points z_k = (u : v) of the line.
+
+    N = [z0, z2][z1, z3] and D = [z1, z2][z0, z3] with [u, w] = u0 w1 -
+    u1 w0; returns (N, D), and R is infinite when D = 0.
+    """
+    def bracket(u, w):
+        return u[0] * w[1] - u[1] * w[0]
+    return (bracket(z[0], z[2]) * bracket(z[1], z[3]),
+            bracket(z[1], z[2]) * bracket(z[0], z[3]))
 
 
 def cross_ratio_probe(lams, field):
     """Which four of the five special pencil parameters are equianharmonic.
 
     The five values are the four conic-triple parameters `lams` (from
-    `fiber_product_lambdas`, over `field`) and INFINITY (the double
-    member).  For each 4-subset the probe reports the cross ratio R of a
-    reference ordering and whether R^2 - R + 1 = 0.  The six reorderings
-    act on R through R -> 1 - R and R -> 1/R, which swap the two roots
-    -e and -e^2 of that equation, so the verdict does not depend on the
+    `fiber_product_lambdas`, over `field`) as (lambda : 1) and the double
+    member as (1 : 0).  For each 4-subset the probe reports the cross
+    ratio R = N/D of a reference ordering and whether R^2 - R + 1 = 0,
+    that is N^2 - ND + D^2 = (N + eD)(N + e^2 D) = 0.  The six reorderings
+    act on R through R -> 1 - R and R -> 1/R, which swap the two roots -e
+    and -e^2 of that equation, so the verdict does not depend on the
     ordering; it is checked on a second ordering.
     """
-    values = list(lams) + [INFINITY]
+    one, e = field.one(), field.eps()
+    values = [(l, one) for l in lams] + [(one, field.zero())]
     names = ["lambda0", "lambda1", "lambda2", "lambda3", "infinity"]
     report = []
     from itertools import combinations
     for idx in combinations(range(5), 4):
-        subset = [values[i] for i in idx]
         verdicts = []
         for ordering in ((0, 1, 2, 3), (1, 0, 2, 3)):
-            z = [subset[k] for k in ordering]
-            R = cross_ratio(z, field)
-            verdicts.append((R, R != INFINITY and (R * R - R + 1).is_zero()))
-        if verdicts[0][1] != verdicts[1][1]:
+            N, D = cross_ratio([values[idx[k]] for k in ordering])
+            verdicts.append((N, D, (N + e * D).is_zero()
+                             or (N + e * e * D).is_zero()))
+        if verdicts[0][2] != verdicts[1][2]:
             raise VerificationError("cross-ratio verdict depends on the ordering")
-        R = verdicts[0][0]
+        N, D, equianharmonic = verdicts[0]
         report.append({
             "subset": [names[i] for i in idx],
-            "ratio": to_text(R) if R != INFINITY else "infinity",
-            "equianharmonic": verdicts[0][1],
+            "ratio": "infinity" if D.is_zero() else to_text(N / D),
+            "equianharmonic": equianharmonic,
         })
     return {"lambdas": [to_text(l) for l in lams], "subsets": report}
 
@@ -319,7 +303,6 @@ def fourth_intersection(C, D, shared):
     known roots (all divisions re-verified), and resolves the remaining
     coordinate by gcd of the univariate restrictions.
     """
-    field = C.field
     last_err = None
     for var in (2, 1, 0):
         try:
@@ -395,12 +378,12 @@ def _poly_divide_root(p, r, field):
 
 
 def fiber_nodes(data):
-    """The 12 extra intersection points, 3 per fiber, in pair order.
+    """The extra intersection points, 3 per fiber, in pair order.
 
     Returns a list of (pair, point) with pair = (i, j) conic indices.
     """
     out = []
-    for fiber in FIBERS:
+    for fiber in data.fibers:
         for idx in range(3):
             i, j = sorted(set(fiber) - {fiber[2 - idx]})
             shared = [data.points[k] for k in range(9)
@@ -413,12 +396,12 @@ def fiber_nodes(data):
                 raise VerificationError(f"node of ({i + 1},{j + 1}) is a base point")
             out.append(((i, j), node))
     nodes = [n for _, n in out]
-    if len(set(nodes)) != 12:
-        raise VerificationError("the 12 fiber nodes are not distinct")
+    if len(set(nodes)) != len(nodes):
+        raise VerificationError(f"the {len(nodes)} fiber nodes are not distinct")
     # each node lies on exactly the two conics that define it
-    for (i, j), node in out:
-        on = [k for k in range(12) if data.conics[k].evaluate(node).is_zero()]
-        if on != sorted((i, j)):
+    for ((i, j), _), row in zip(out, incidence_rows(nodes, data.conics)):
+        on = [k for k, hit in enumerate(row) if hit]
+        if on != [i, j]:
             raise VerificationError(
                 f"node of ({i + 1},{j + 1}) lies on conics {on}")
     return out
@@ -434,7 +417,7 @@ def dual_hesse_lines(data, nodes):
     lines = []
     for i in range(9):
         quad = []
-        for fiber in FIBERS:
+        for fiber in data.fibers:
             through = [j for j in fiber if data.incidence[i][j]]
             if len(through) != 2:
                 raise VerificationError(
@@ -445,23 +428,11 @@ def dual_hesse_lines(data, nodes):
                 f"p_{i + 1} and its four nodes are not collinear")
         lines.append(line_through(quad[0], quad[1]))
 
-    node_list = [n for _, n in nodes]
-    incidence = [[1 if L.evaluate(n).is_zero() else 0 for n in node_list]
-                 for L in lines]
-    for i, row in enumerate(incidence):
-        if sum(row) != 4:
-            raise VerificationError(f"line {i + 1} passes through {sum(row)} nodes")
-    for j in range(12):
-        hits = sum(incidence[i][j] for i in range(9))
-        if hits != 3:
-            raise VerificationError(f"node {j + 1} lies on {hits} lines")
-    # each line contains its own base point and no other
-    for i, L in enumerate(lines):
-        on_base = [k for k in range(9) if L.evaluate(data.points[k]).is_zero()]
-        if on_base != [i]:
-            raise VerificationError(
-                f"line {i + 1} meets base points {[k + 1 for k in on_base]}")
-    return lines, incidence
+    by_node = incidence_rows([n for _, n in nodes], lines, row_sum=3,
+                             column_sum=4)
+    # line i passes through p_i (collinear above) and through no other
+    incidence_rows(data.points, lines, column_sum=1)
+    return lines, [list(column) for column in zip(*by_node)]
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +473,20 @@ def degenerate_pencil(sym=None):
     elif sym.field is not QQ_EPS_A:
         raise FieldError("the a = 1 limit needs the symbolic configuration")
     field = QQ_EPS
-    e = field.eps()
     one = field.one()
     X, Y, Z = gens(field)
     conics = [X**2 - Y * Z, Z**2 - X * Y, Y**2 - X * Z]
     cubic = X**3 + Y**3 + Z**3 - 3 * X * Y * Z
-    triple_points = [ProjPoint(field, (one, one, one)),
-                     ProjPoint(field, (e, e * e, one)),
-                     ProjPoint(field, (e * e, e, one))]
-    for C in conics:
-        for P in triple_points:
-            if not C.evaluate(P).is_zero():
-                raise VerificationError("degenerate conic misses a triple point")
-    vertices = [ProjPoint(field, (one, field.zero(), field.zero())),
-                ProjPoint(field, (field.zero(), one, field.zero())),
-                ProjPoint(field, (field.zero(), field.zero(), one))]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            meet = [v for v in vertices
-                    if conics[i].evaluate(v).is_zero() and conics[j].evaluate(v).is_zero()]
-            if len(meet) != 1:
-                raise VerificationError("degenerate conics do not meet at one vertex")
+    # the nine base points collapse onto three, each on all three conics
+    triple_points = list(dict.fromkeys(base_points(field, one)))
+    incidence_rows(triple_points, conics, row_sum=3, column_sum=3)
+    vertices = [ProjPoint(field, [one if k == i else field.zero() for k in range(3)])
+                for i in range(3)]
+    # each vertex lies on two of the conics, a different two each: every
+    # pair of conics meets at exactly one vertex
+    at_vertices = incidence_rows(vertices, conics, row_sum=2)
+    if len({tuple(row) for row in at_vertices}) != 3:
+        raise VerificationError("degenerate conics do not meet at one vertex")
     # the product agrees with the a = 1 limit of the sextic generator
     f6_spec = (sym.conics[0] * sym.conics[1] * sym.conics[2]).specialize(
         field, eps_image=field.eps(), a_image=field.one())
@@ -588,39 +552,32 @@ def degenerate_configuration():
     """The 9 conics + 3 lines at the simple-root parameter a = -2.
 
     At a = -2 exactly one fiber of conics breaks into pairs of the lines
-    of the triangle member x^3 + y^3 + z^3 - 3xyz; the configuration keeps
-    the other nine conics and the three triangle lines.
+    of the triangle member x^3 + y^3 + z^3 - 3xyz, the triple
+    `hesse_singular_fibers(Q(e))[1]`.  Returns (data, lines): the other
+    nine conics as a ChileanData over Q(e), its fibers the three that
+    survive, and the three triangle lines.
     """
     field = QQ_EPS
-    e = field.eps()
     a = field.from_int(-2)
-    points = base_points(field, a)
     conics = conic_equations(field, a)
-    X, Y, Z = gens(field)
-    lines = [X + Y + Z, X + e * Y + e * e * Z, X + e * e * Y + e * Z]
-
-    degenerate_fibers = []
-    for f, fiber in enumerate(FIBERS):
-        if all(conic_is_line_pair(conics[j]) for j in fiber):
-            degenerate_fibers.append(f)
-    if len(degenerate_fibers) != 1:
+    lines = hesse_singular_fibers(field)[1]
+    broken = [fiber for fiber in FIBERS
+              if all(conic_is_line_pair(conics[j]) for j in fiber)]
+    if len(broken) != 1:
         raise VerificationError(
-            f"expected exactly one degenerate fiber at a = -2, got {degenerate_fibers}")
-    keep = [j for f, fiber in enumerate(FIBERS) if f != degenerate_fibers[0]
-            for j in fiber]
+            f"expected exactly one degenerate fiber at a = -2, got {broken}")
     # the degenerate fiber's conics are exactly the pairwise line products
-    bad = FIBERS[degenerate_fibers[0]]
-    pair_products = {frozenset((i, j)): lines[i] * lines[j]
-                     for i in range(3) for j in range(i + 1, 3)}
-    matched = set()
-    for j in bad:
-        for key, prod in pair_products.items():
-            if conics[j].proportional_to(prod):
-                matched.add(key)
+    pair_products = [lines[i] * lines[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+    matched = {k for j in broken[0] for k, prod in enumerate(pair_products)
+               if conics[j].proportional_to(prod)}
     if len(matched) != 3:
         raise VerificationError("degenerate fiber is not the triangle line pairs")
-    return {"field": field, "points": points,
-            "conics": [conics[j] for j in keep], "lines": lines}
+    keep = [j for fiber in FIBERS if fiber != broken[0] for j in fiber]
+    supports = _expected_supports()
+    data = ChileanData(field, a, base_points(field, a),
+                       [conics[j] for j in keep], FIBERS[:3],
+                       [supports[j] for j in keep])
+    return data, lines
 
 
 # ---------------------------------------------------------------------------
@@ -680,23 +637,11 @@ class Configuration:
     @cached_property
     def degenerate_nodes_and_vertices(self):
         """Nodes of the surviving fibers plus the triangle vertices at a = -2."""
-        cfg = self.degenerate
-        points, conics, lines = cfg["points"], cfg["conics"], cfg["lines"]
-        out = []
-        for f in range(3):
-            fiber = conics[3 * f: 3 * f + 3]
-            for x in range(3):
-                for y in range(x + 1, 3):
-                    shared = [P for P in points
-                              if fiber[x].evaluate(P).is_zero()
-                              and fiber[y].evaluate(P).is_zero()]
-                    if len(shared) != 3:
-                        raise VerificationError(
-                            "degenerate fiber pair shares != 3 points")
-                    out.append(fourth_intersection(fiber[x], fiber[y], shared))
-        return out + [ProjPoint(QQ_EPS, cross(lines[i].coefficients(),
-                                              lines[j].coefficients()))
-                      for i in range(3) for j in range(i + 1, 3)]
+        data, lines = self.degenerate
+        return [n for _, n in fiber_nodes(data)] + [
+            ProjPoint(QQ_EPS, cross(lines[i].coefficients(),
+                                    lines[j].coefficients()))
+            for i, j in ((0, 1), (0, 2), (1, 2))]
 
     @cached_property
     def harmonic_polars(self):
@@ -777,32 +722,41 @@ def _local_multiplicity(C, P):
 # the symmetry group of the configuration
 
 
+# d = diag(e^k for k in D_POWERS) scales the coordinates by powers of e
+D_POWERS = (0, 1, 2)
+
+
+def _compose(g, h):
+    """The monomial map h after g, normalized to c_0 = 1.
+
+    (t, d) after (s, c) sends x_i to d_i c_{t_i} x_{s_{t_i}}.
+    """
+    (s, c), (t, d) = g, h
+    scale = (d[0] * c[t[0]]).inverse()
+    return (tuple(s[k] for k in t),
+            tuple(d[i] * c[t[i]] * scale for i in range(3)))
+
+
 def symmetry_group(field):
-    """Closure of (x:y:z)->(z:y:x) and (x:y:z)->(x:ey:e^2z).
+    """The six products s^i d^j, s = (z:y:x) and d = (x : ey : e^2 z).
 
     Both are monomial maps x -> (c_0 x_{s_0} : c_1 x_{s_1} : c_2 x_{s_2}),
-    and so is every composite: (t, d) after (s, c) sends x_i to
-    d_i c_{t_i} x_{s_{t_i}}.  An element is the pair (s, c), normalized to
-    c_0 = 1.
+    and so is every composite (`_compose`).  An element is the pair
+    (s, c), normalized to c_0 = 1.  With s^2 = d^3 = 1 and sds = d^2, all
+    checked, the six products are the whole group s and d generate.
     """
-    e = field.eps()
-    one = field.one()
+    e, one = field.eps(), field.one()
     identity = ((0, 1, 2), (one, one, one))
-    generators = (((2, 1, 0), (one, one, one)), ((0, 1, 2), (one, e, e * e)))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for s, c in frontier:
-            for t, d in generators:
-                scale = (d[0] * c[t[0]]).inverse()
-                h = (tuple(s[k] for k in t),
-                     tuple(d[i] * c[t[i]] * scale for i in range(3)))
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(group, key=lambda g: (g[0], [to_text(x) for x in g[1]]))
+    s = ((2, 1, 0), (one, one, one))
+    d = ((0, 1, 2), tuple(e ** k for k in D_POWERS))
+    d2 = _compose(d, d)
+    if (_compose(s, s) != identity or _compose(d2, d) != identity
+            or _compose(_compose(s, d), s) != d2):
+        raise VerificationError("the generators break s^2 = d^3 = 1, sds = d^2")
+    group = [_compose(a, b) for a in (identity, s) for b in (identity, d, d2)]
+    if len(set(group)) != 6:
+        raise VerificationError(f"symmetry group has order {len(set(group))}, expected 6")
+    return group
 
 
 def verify_symmetries(data):
@@ -810,36 +764,41 @@ def verify_symmetries(data):
 
     The symmetry (s, c) moves a point P to (c_0 P_{s_0} : c_1 P_{s_1} :
     c_2 P_{s_2}) and a conic C to C(c_0 x_{s_0}, c_1 x_{s_1}, c_2 x_{s_2}):
-    its term k x^e becomes k c^e x^f with f_{s_i} = e_i.
+    its term k x^e becomes k c^e x^f with f_{s_i} = e_i.  The image of C
+    vanishes at P exactly where C vanishes at the image of P, so it can
+    only be the conic whose support is the preimage of C's support; the
+    twelve supports are distinct, and the image must be proportional to
+    that conic.
     """
-    group = symmetry_group(data.field)
+    supports = [frozenset(i for i, row in enumerate(data.incidence) if row[j])
+                for j in range(len(data.conics))]
+    by_support = {S: j for j, S in enumerate(supports)}
+    if len(by_support) != len(supports):
+        raise VerificationError("two conics meet the same base points")
+    index = {P: i for i, P in enumerate(data.points)}
     reports = []
-    for s, c in group:
-        point_perm = []
-        for P in data.points:
-            img = ProjPoint(data.field, tuple(c[i] * P.rep[s[i]] for i in range(3)))
-            if img not in data.points:
-                raise VerificationError("a symmetry moves a base point off the set")
-            point_perm.append(data.points.index(img))
+    for s, c in symmetry_group(data.field):
+        point_perm = [index.get(ProjPoint(data.field, tuple(c[i] * P.rep[s[i]]
+                                                            for i in range(3))))
+                      for P in data.points]
+        if None in point_perm:
+            raise VerificationError("a symmetry moves a base point off the set")
+        scale = {e: c[0] ** e[0] * c[1] ** e[1] * c[2] ** e[2]
+                 for e in monomials_of_degree(2)}  # c^e of every conic term
         conic_perm = []
-        for C in data.conics:
-            terms = {}
-            for e, k in C.terms.items():
-                f = [0, 0, 0]
-                for i in range(3):
-                    f[s[i]] = e[i]
-                terms[tuple(f)] = k * c[0] ** e[0] * c[1] ** e[1] * c[2] ** e[2]
-            img = Poly3(data.field, C.degree, terms)
-            matches = [j for j, D in enumerate(data.conics) if img.proportional_to(D)]
-            if len(matches) != 1:
+        for C, support in zip(data.conics, supports):
+            img = Poly3(data.field, C.degree, {
+                tuple(e[s.index(v)] for v in range(3)): k * scale[e]
+                for e, k in C.terms.items()})
+            j = by_support.get(frozenset(
+                i for i, image in enumerate(point_perm) if image in support))
+            if j is None or not img.proportional_to(data.conics[j]):
                 raise VerificationError("a symmetry moves a conic off the set")
-            conic_perm.append(matches[0])
-        for fiber in FIBERS:
+            conic_perm.append(j)
+        for fiber in data.fibers:
             if len({conic_perm[j] // 3 for j in fiber}) != 1:
                 raise VerificationError("a symmetry breaks the fiber partition")
         reports.append({"points": point_perm, "conics": conic_perm})
-    if len(group) != 6:
-        raise VerificationError(f"symmetry group has order {len(group)}, expected 6")
     return reports
 
 
@@ -847,19 +806,16 @@ def verify_symmetries(data):
 # export
 
 
-def export_configuration(data, nodes=None, lines=None):
+def export_configuration(data, nodes, lines):
     """JSON-ready dict with canonical-text coefficients."""
-    doc = {
+    return {
         "field": repr(data.field),
         "a": to_text(data.a),
         "points": [p.to_text() for p in data.points],
         "conics": [c.to_text() for c in data.conics],
-        "fibers": [list(f) for f in FIBERS],
+        "fibers": [list(f) for f in data.fibers],
         "incidence": data.incidence,
+        "nodes": [{"conics": [i + 1, j + 1], "point": n.to_text()}
+                  for (i, j), n in nodes],
+        "dual_hesse_lines": [L.to_text() for L in lines],
     }
-    if nodes is not None:
-        doc["nodes"] = [{"conics": [i + 1, j + 1], "point": n.to_text()}
-                        for (i, j), n in nodes]
-    if lines is not None:
-        doc["dual_hesse_lines"] = [L.to_text() for L in lines]
-    return doc

@@ -204,24 +204,31 @@ def _suite_pencil(config, ctx):
         return f"9 cusps over GF({p}) at a = {a.v}"
 
     def quintic_census():
-        F = GF(13)
-        W = chilean.branch_quintic(F, F.from_int(2))
-        cen = chilean.singular_census(W)
-        kinds = sorted(k for _, _, k in cen)
-        if len(cen) != 5 or kinds.count("cusp") != 1 or kinds.count("node") != 4:
-            raise chilean.VerificationError(f"census found {kinds}")
+        # a second good prime: a wrong coefficient may agree mod 13 at a = 2
+        for p in (13, 19):
+            F = GF(p)
+            W = chilean.branch_quintic(F, F.from_int(2))
+            kinds = sorted(k for _, _, k in chilean.singular_census(W))
+            if kinds != ["cusp"] + ["node"] * 4:
+                raise chilean.VerificationError(
+                    f"census over GF({p}) found {kinds}")
         return "tacnodal point plus four nodes over GF(13), a = 2"
 
     def degenerations():
         # a symbolic run's configuration is the one the a = 1 limit needs
         chilean.degenerate_pencil(ctx.data if config.mode == "symbolic" else None)
-        cfg = ctx.degenerate
-        return (f"{len(cfg['conics'])} conics and {len(cfg['lines'])} lines at"
+        data, lines = ctx.degenerate
+        return (f"{len(data.conics)} conics and {len(lines)} lines at"
                 " the simple-root parameter; triple-point pencil at a = 1")
 
     def probe():
         rep = chilean.cross_ratio_probe(ctx.lambdas, ctx.data.field)
         hits = [r for r in rep["subsets"] if r["equianharmonic"]]
+        # the four conic-triple parameters, and only they
+        if [r["subset"] for r in hits] != [["lambda0", "lambda1", "lambda2",
+                                            "lambda3"]]:
+            raise chilean.VerificationError(
+                f"{len(hits)} equianharmonic subsets, not the four lambdas")
         return (f"{len(hits)} of 5 subsets equianharmonic: "
                 + "; ".join(f"{{{', '.join(r['subset'])}}} with R = {r['ratio']}"
                             for r in hits))

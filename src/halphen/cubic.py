@@ -55,7 +55,7 @@ in the list raises.
 from math import gcd
 
 from .field import FieldError, GFpkElem, PrimeField
-from .plane import ProjPoint, cross, gens
+from .plane import ProjPoint, cross, gens, incidence_rows
 
 
 class CubicError(Exception):
@@ -118,12 +118,9 @@ def hesse_singular_fibers(field):
     e = field.eps()
     X, Y, Z = gens(field)
     eps_pow = [field.one(), e, e * e]
-    # group the nine twisted lines by i + j mod 3
-    grouped = {0: [], 1: [], 2: []}
-    for i in range(3):
-        for j in range(3):
-            grouped[(i + j) % 3].append(X + eps_pow[i] * Y + eps_pow[j] * Z)
-    fibers = [[X, Y, Z], grouped[0], grouped[1], grouped[2]]
+    # the nine twisted lines, grouped by i + j mod 3 and ordered by i
+    fibers = [[X, Y, Z]] + [[X + eps_pow[i] * Y + eps_pow[(k - i) % 3] * Z
+                             for i in range(3)] for k in range(3)]
     for triple in fibers:
         _pencil_member_coords(triple[0] * triple[1] * triple[2], field)
     return fibers
@@ -141,20 +138,12 @@ def _pencil_member_coords(cubic, field):
 
 
 def flex_line_incidence(field):
-    """Verify the (9_4, 12_3) incidence of flexes and triangle lines."""
-    flexes = hesse_flexes(field)
-    fibers = hesse_singular_fibers(field)
-    lines = [L for triple in fibers for L in triple]
-    incidence = [[1 if L.evaluate(P).is_zero() else 0 for P in flexes]
-                 for L in lines]
-    for i, row in enumerate(incidence):
-        if sum(row) != 3:
-            raise CubicError(f"line {i} contains {sum(row)} flexes, expected 3")
-    for j in range(9):
-        col = sum(incidence[i][j] for i in range(12))
-        if col != 4:
-            raise CubicError(f"flex {j} lies on {col} lines, expected 4")
-    return incidence
+    """Verify the (9_4, 12_3) incidence of flexes and triangle lines; one
+    row per line, one column per flex."""
+    lines = [L for triple in hesse_singular_fibers(field) for L in triple]
+    by_flex = incidence_rows(hesse_flexes(field), lines, row_sum=4,
+                             column_sum=3)
+    return [list(column) for column in zip(*by_flex)]
 
 
 def hesse_collinear_triples(field):

@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .field import QQ_EPS, GFext
-from .plane import ProjPoint, cross, hasse_rows, line_basis
+from .plane import ProjPoint, cross, hasse_rows, incidence_rows, line_basis
 from .chilean import Configuration, conic_is_line_pair
 
 
@@ -270,13 +270,13 @@ def geometric_census(name, config):
 def _censuses_from_geometry(config):
     """The five censuses of `config` from three candidate passes: the
     chilean conics lead A1's members, and A0's lead A2's."""
-    data, cfg = config.data, config.degenerate
+    data, (degenerate, lines) = config.data, config.degenerate
     a1 = extract_combinatorics(list(data.points) + config.node_points,
                                list(data.conics) + config.lines)
-    a2 = extract_combinatorics(cfg["points"] + config.degenerate_nodes_and_vertices,
-                               cfg["conics"] + cfg["lines"] + config.harmonic_polars)
+    a2 = extract_combinatorics(degenerate.points + config.degenerate_nodes_and_vertices,
+                               degenerate.conics + lines + config.harmonic_polars)
     return {"chilean": a1.leading(len(data.conics)),
-            "A0": a2.leading(len(cfg["conics"]) + len(cfg["lines"])),
+            "A0": a2.leading(len(degenerate.conics) + len(lines)),
             "A1": a1, "A2": a2, "A3": _a3_census(config)}
 
 
@@ -371,21 +371,13 @@ def char2_code():
         raise ArrangementError("the 21 configuration points are not distinct")
     points.sort(key=_point_sort_key)
 
-    def incidence_word(curve):
-        word = 0
-        for idx, P in enumerate(points):
-            if curve.evaluate(P).is_zero():
-                word |= 1 << idx
-        return word
+    def words(curves, weight):
+        rows = incidence_rows(points, curves, column_sum=weight)
+        return [sum(bit << idx for idx, bit in enumerate(column))
+                for column in zip(*rows)]
 
-    line_words = [incidence_word(L) for L in config.lines]
-    for w in line_words:
-        if bin(w).count("1") != 5:
-            raise ArrangementError("a line word does not have weight 5")
-    conic_words = [incidence_word(C) for C in config.data.conics]
-    for w in conic_words:
-        if bin(w).count("1") != 8:
-            raise ArrangementError("a conic word does not have weight 8")
+    line_words = words(config.lines, 5)
+    conic_words = words(config.data.conics, 8)
 
     # dimension by elimination over GF(2)
     basis = []

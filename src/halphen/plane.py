@@ -255,6 +255,24 @@ def values_at(forms, point):
     return [sum((c * table[e] for e, c in F.terms.items()), zero) for F in forms]
 
 
+def incidence_rows(points, curves, row_sum=None, column_sum=None):
+    """The 0/1 incidence of points and curves: one row per point, one
+    column per curve, from one `values_at` call per point.  With `row_sum`
+    every point lies on exactly that many of the curves, and with
+    `column_sum` every curve passes through exactly that many of the
+    points; GeometryError otherwise."""
+    rows = [[int(v.is_zero()) for v in values_at(curves, P)] for P in points]
+    for want, lines, what in ((row_sum, rows, "point"),
+                              (column_sum, zip(*rows), "curve")):
+        if want is None:
+            continue
+        for k, line in enumerate(lines):
+            if sum(line) != want:
+                raise GeometryError(f"{what} {k + 1} has {sum(line)}"
+                                    f" incidences, expected {want}")
+    return rows
+
+
 def monomials_of_degree(d):
     return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
 

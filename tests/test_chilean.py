@@ -3,16 +3,20 @@ from itertools import combinations, permutations
 
 import pytest
 
-from halphen.field import GF, QQ_EPS, FieldError, to_text
-from halphen.plane import Poly3, ProjPoint, gens, plane_points
-from halphen.chilean import (INFINITY, VerificationError, _local_multiplicity,
-                             branch_quintic, build_chilean,
-                             check_good_parameter, conic_is_line_pair,
-                             cross_ratio, cross_ratio_probe,
-                             degenerate_configuration, degenerate_pencil,
-                             export_configuration, fiber_product_lambdas,
-                             hesse_parameter, pencil_membership,
-                             singular_census, special_members,
+from halphen.cubic import flex_line_incidence, hesse_flexes, hesse_singular_fibers
+from halphen.field import GF, QQ_EPS, FieldError, GFext, to_text
+from halphen.plane import (GeometryError, Poly3, ProjPoint, gens, incidence_rows,
+                           plane_points)
+from halphen.chilean import (INFINITY, Configuration, VerificationError,
+                             _local_multiplicity, branch_quintic,
+                             build_chilean, check_good_parameter,
+                             conic_is_line_pair, cross_ratio,
+                             cross_ratio_probe, degenerate_configuration,
+                             degenerate_pencil, export_configuration,
+                             fiber_nodes, fiber_product_lambdas,
+                             fourth_intersection, hesse_parameter,
+                             pencil_membership, singular_census,
+                             special_members, symmetry_group,
                              verify_symmetries, base_points)
 from test_plane import gradient
 
@@ -293,20 +297,63 @@ def _ratio_orbit(R, field):
     return out
 
 
-def test_cross_ratio_verdict_matches_the_orbit_oracle(configuration):
-    # R^2 - R + 1 = 0 holds for R iff it holds somewhere on R's orbit
-    field = configuration.data.field
-    values = list(configuration.lambdas) + [INFINITY]
-    rep = cross_ratio_probe(configuration.lambdas, field)
-    verdicts = [r["equianharmonic"] for r in rep["subsets"]]
-    assert verdicts.count(True) == 1
-    for idx, verdict in zip(combinations(range(5), 4), verdicts):
-        for ordering in permutations(idx):
-            R = cross_ratio([values[i] for i in ordering], field)
-            orbit_hit = R != INFINITY and not R.is_zero() and any(
-                (T * T - T + 1).is_zero() for T in _ratio_orbit(R, field))
-            assert orbit_hit == verdict
-            assert (R != INFINITY and (R * R - R + 1).is_zero()) == verdict
+def affine_cross_ratio(z, field):
+    """Oracle: (z1-z3)(z2-z4) / ((z2-z3)(z1-z4)) on values or INFINITY,
+    with the infinite differences cancelled in pairs."""
+    def diff(u, v):
+        if u == INFINITY and v == INFINITY:
+            raise VerificationError("cross ratio of coincident points")
+        if u == INFINITY or v == INFINITY:
+            return INFINITY
+        return u - v
+    pieces = (diff(z[0], z[2]), diff(z[1], z[3]), diff(z[1], z[2]), diff(z[0], z[3]))
+    num, den = field.one(), field.one()
+    balance = 0
+    for i, x in enumerate(pieces):
+        if x == INFINITY:
+            balance += 1 if i < 2 else -1
+        elif i < 2:
+            num = num * x
+        else:
+            den = den * x
+    if balance > 0 or den.is_zero():
+        return INFINITY
+    if balance < 0:
+        return field.zero()
+    return num / den
+
+
+def homogeneous_ratio(z, field):
+    """R = N/D of `cross_ratio` on (value : 1) and (1 : 0) for INFINITY."""
+    one, zero = field.one(), field.zero()
+    N, D = cross_ratio([(one, zero) if x == INFINITY else (x, one) for x in z])
+    return INFINITY if D.is_zero() else N / D
+
+
+@pytest.fixture(scope="module")
+def specialized_lambdas():
+    return Configuration(QQ_EPS, QQ_EPS.from_int(2)).lambdas
+
+
+def test_cross_ratio_verdict_matches_the_orbit_oracle(configuration,
+                                                     specialized_lambdas):
+    # R^2 - R + 1 = 0 holds for R iff it holds somewhere on R's orbit, and
+    # the homogeneous R is the affine one on all 120 orderings
+    for field, lams in ((configuration.data.field, configuration.lambdas),
+                        (QQ_EPS, specialized_lambdas)):
+        values = list(lams) + [INFINITY]
+        rep = cross_ratio_probe(lams, field)
+        verdicts = [r["equianharmonic"] for r in rep["subsets"]]
+        assert verdicts.count(True) == 1
+        for idx, verdict in zip(combinations(range(5), 4), verdicts):
+            for ordering in permutations(idx):
+                z = [values[i] for i in ordering]
+                R = homogeneous_ratio(z, field)
+                assert R == affine_cross_ratio(z, field)
+                orbit_hit = R != INFINITY and not R.is_zero() and any(
+                    (T * T - T + 1).is_zero() for T in _ratio_orbit(R, field))
+                assert orbit_hit == verdict
+                assert (R != INFINITY and (R * R - R + 1).is_zero()) == verdict
 
 
 def test_degenerate_pencil_and_configuration():
@@ -319,10 +366,39 @@ def test_degenerate_pencil_and_configuration():
     assert rep["conics"][0].evaluate(vertex).is_zero()
     assert rep["conics"][2].evaluate(vertex).is_zero()
 
-    cfg = degenerate_configuration()
-    assert len(cfg["conics"]) == 9
-    assert len(cfg["lines"]) == 3
-    assert all(not conic_is_line_pair(C) for C in cfg["conics"])
+    data, lines = degenerate_configuration()
+    assert len(data.conics) == 9
+    assert len(lines) == 3
+    assert data.fibers == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+    assert [sum(row) for row in data.incidence] == [6] * 9
+    assert all(not conic_is_line_pair(C) for C in data.conics)
+    X, Y, Z = gens(QQ_EPS)
+    e = QQ_EPS.eps()
+    assert lines == [X + Y + Z, X + e * Y + e * e * Z, X + e * e * Y + e * Z]
+
+
+def shared_point_nodes(points, conics):
+    """Oracle: the fourth point of each pair of conics in consecutive
+    triples, from the base points both conics pass through."""
+    out = []
+    for f in range(len(conics) // 3):
+        fiber = conics[3 * f: 3 * f + 3]
+        for x in range(3):
+            for y in range(x + 1, 3):
+                shared = [P for P in points
+                          if fiber[x].evaluate(P).is_zero()
+                          and fiber[y].evaluate(P).is_zero()]
+                assert len(shared) == 3
+                out.append(fourth_intersection(fiber[x], fiber[y], shared))
+    return out
+
+
+def test_degenerate_nodes_match_the_shared_point_loop(configuration):
+    data, _ = configuration.degenerate
+    nodes = [n for _, n in fiber_nodes(data)]
+    assert len(nodes) == 9
+    assert nodes == shared_point_nodes(data.points, data.conics)
+    assert configuration.degenerate_nodes_and_vertices[:9] == nodes
 
 
 def test_degenerate_pencil_reuses_the_symbolic_configuration(symbolic_data):
@@ -368,10 +444,90 @@ def test_cross_ratio_probe(configuration):
 
 def test_cross_ratio_infinity_handling():
     F = QQ_EPS
-    z = [F.zero(), F.one(), F.from_int(2), INFINITY]
-    R = cross_ratio(z, F)
+    one, zero = F.one(), F.zero()
+    z = [(zero, one), (one, one), (F.from_int(2), one), (one, zero)]
+    N, D = cross_ratio(z)
     # (0-2)(1-oo)/((1-2)(0-oo)) -> (0-2)/(1-2) = 2
-    assert R == F.from_int(2)
+    assert N / D == F.from_int(2)
+    assert affine_cross_ratio([zero, one, F.from_int(2), INFINITY], F) == N / D
+    # z1 = z2 makes D = 0 and R infinite
+    N, D = cross_ratio([(zero, one), (one, zero), (one, zero), (one, one)])
+    assert D.is_zero() and not N.is_zero()
+
+
+def closure_symmetries(field):
+    """Oracle: the breadth-first closure of the two generators under the
+    monomial-map composition."""
+    e, one = field.eps(), field.one()
+    identity = ((0, 1, 2), (one, one, one))
+    generators = (((2, 1, 0), (one, one, one)), ((0, 1, 2), (one, e, e * e)))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for s, c in frontier:
+            for t, d in generators:
+                scale = (d[0] * c[t[0]]).inverse()
+                h = (tuple(s[k] for k in t),
+                     tuple(d[i] * c[t[i]] * scale for i in range(3)))
+                if h not in group:
+                    group.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return group
+
+
+def test_symmetry_products_are_the_closure(symbolic_data):
+    for field in (QQ_EPS, GF(13), symbolic_data.field):
+        group = symmetry_group(field)
+        assert len(group) == 6
+        assert set(group) == closure_symmetries(field)
+
+
+def evaluate_table(points, curves):
+    """Oracle: the incidence of points and curves, one `evaluate` per pair."""
+    return [[1 if C.evaluate(P).is_zero() else 0 for C in curves]
+            for P in points]
+
+
+def test_incidence_rows_match_the_per_pair_loops(configuration):
+    data, nodes, lines = configuration.data, configuration.node_points, configuration.lines
+    degenerate, triangle = configuration.degenerate
+    pencil_rep = degenerate_pencil(data)
+    flex_lines = [L for triple in hesse_singular_fibers(QQ_EPS) for L in triple]
+    F16 = GFext(2, 4, allow_char2=True)
+    char2 = Configuration(F16, F16.gen())
+    cases = [
+        (data.points, data.conics),  # build_chilean
+        (nodes, data.conics),  # fiber_nodes
+        (nodes, lines), (data.points, lines),  # dual_hesse_lines
+        (hesse_flexes(QQ_EPS), flex_lines),  # flex_line_incidence
+        (pencil_rep["triple_points"], pencil_rep["conics"]),  # degenerate_pencil
+        (pencil_rep["vertices"], pencil_rep["conics"]),
+        (degenerate.points, degenerate.conics),  # degenerate_configuration
+        (configuration.degenerate_nodes_and_vertices, degenerate.conics),
+        (list(char2.data.points) + char2.node_points,
+         char2.lines + char2.data.conics),  # char2_code
+    ]
+    for points, curves in cases:
+        assert incidence_rows(points, curves) == evaluate_table(points, curves)
+    assert data.incidence == evaluate_table(data.points, data.conics)
+    assert degenerate.incidence == evaluate_table(degenerate.points, degenerate.conics)
+    by_line = [list(col) for col in zip(*evaluate_table(nodes, lines))]
+    assert configuration.lines_and_incidence[1] == by_line
+    assert flex_line_incidence(QQ_EPS) == [
+        list(col) for col in zip(*evaluate_table(hesse_flexes(QQ_EPS), flex_lines))]
+
+
+def test_incidence_rows_check_the_counts():
+    X, Y, Z = gens(QQ_EPS)
+    one, zero = QQ_EPS.one(), QQ_EPS.zero()
+    points = [ProjPoint(QQ_EPS, (one, zero, zero)), ProjPoint(QQ_EPS, (zero, one, zero))]
+    assert incidence_rows(points, [X, Y, Z], row_sum=2) == [[0, 1, 1], [1, 0, 1]]
+    assert incidence_rows(points, [X, Y], row_sum=1, column_sum=1) == [[0, 1], [1, 0]]
+    with pytest.raises(GeometryError, match="point 1 has 2 incidences, expected 1"):
+        incidence_rows(points, [X, Y, Z], row_sum=1)
+    with pytest.raises(GeometryError, match="curve 3 has 2 incidences, expected 1"):
+        incidence_rows(points, [X, Y, Z], column_sum=1)
 
 
 def test_export_round_trips_through_json(symbolic_data, nodes, dual_lines):

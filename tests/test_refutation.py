@@ -1,0 +1,101 @@
+"""Each claim below fails when the one datum it is checked against is wrong.
+
+A case changes that datum (by monkeypatching, or by setting it on the
+configuration), runs the claim's thunk from `cli.SUITES` on a fresh
+`chilean.Configuration`, and requires the verdict "fail": a domain error,
+not a crash and not a pass.  The same thunk passes on the shared
+`configuration` fixture.
+"""
+
+import pytest
+
+from halphen import chilean, cli
+from halphen.plane import ProjPoint, gens
+
+
+def claim_thunk(suite, claim, ctx):
+    thunks = {name: thunk for name, _, thunk in cli.SUITES[suite](cli.RunConfig(), ctx)}
+    return thunks[claim]
+
+
+def verdict(thunk):
+    try:
+        thunk()
+    except cli.DOMAIN_ERRORS:
+        return "fail"
+    except Exception:  # noqa: BLE001 - a crash is the verdict "error"
+        return "error"
+    return "pass"
+
+
+def one_conic(monkeypatch, ctx):
+    """Conic 1, xy - a z^2, becomes xy + a z^2."""
+    original = chilean.conic_equations
+
+    def conics(field, a):
+        out = original(field, a)
+        out[0] = out[0] + 2 * field.coerce(a) * gens(field)[2] ** 2
+        return out
+    monkeypatch.setattr(chilean, "conic_equations", conics)
+
+
+def scale_of_d(monkeypatch, ctx):
+    """d = diag(1, e, e) in place of diag(1, e, e^2)."""
+    monkeypatch.setattr(chilean, "D_POWERS", (0, 1, 1))
+
+
+def one_node(monkeypatch, ctx):
+    """The node of conics 1 and 2 moves to (1 : 2 : 3)."""
+    nodes = list(ctx.nodes)
+    nodes[0] = (nodes[0][0], ProjPoint(ctx.data.field, (1, 2, 3)))
+    ctx.nodes = nodes
+
+
+def one_degenerate_line(monkeypatch, ctx):
+    """The triangle line x + y + z becomes x + y + 2z."""
+    original = chilean.hesse_singular_fibers
+
+    def fibers(field):
+        out = original(field)
+        out[1][0] = out[1][0] + gens(field)[2]
+        return out
+    monkeypatch.setattr(chilean, "hesse_singular_fibers", fibers)
+
+
+def one_lambda(monkeypatch, ctx):
+    """The fourth conic-triple parameter moves by one."""
+    lams = list(ctx.lambdas)
+    lams[3] = lams[3] + 1
+    ctx.lambdas = lams
+
+
+def quintic_coefficient(monkeypatch, ctx):
+    """The x^2 z^3 coefficient with 16 + a^3 for 16 a^3, which agrees with
+    the true one mod 13 at a = 2."""
+    original = chilean.branch_quintic
+
+    def quintic(field, a):
+        X, _, Z = gens(field)
+        a = field.coerce(a)
+        return original(field, a) + field.eps() * (15 * a**3 - 16) * X**2 * Z**3
+    monkeypatch.setattr(chilean, "branch_quintic", quintic)
+
+
+CASES = [
+    ("incidence", "conic-point incidence (12_6, 9_8)", one_conic),
+    ("incidence", "symmetry group of order 6", scale_of_d),
+    ("incidence", "dual configuration (9_4, 12_3)", one_node),
+    ("pencil", "degenerate pencils", one_degenerate_line),
+    ("pencil", "cross-ratio probe", one_lambda),
+    ("pencil", "branch quintic census", quintic_coefficient),
+]
+
+
+@pytest.mark.parametrize("suite, claim, mutate", CASES,
+                         ids=[mutate.__name__ for _, _, mutate in CASES])
+def test_a_wrong_datum_fails_its_claim(configuration, monkeypatch, suite,
+                                       claim, mutate):
+    assert verdict(claim_thunk(suite, claim, configuration)) == "pass"
+    ctx = chilean.Configuration()
+    mutate(monkeypatch, ctx)
+    assert verdict(claim_thunk(suite, claim, ctx)) == "fail"

@@ -239,3 +239,24 @@ def test_torsion_questions_share_one_group_and_skip_hopeless_primes():
     assert "negate" not in names
     _, names = _names_reached("torsion.py", ["find_specialization"])
     assert "min_prime_for_order" in names
+
+
+def test_configuration_objects_have_one_construction():
+    """The a = -2 nodes come from `fiber_nodes`, which builds every node,
+    with no shared-point loop beside it; `cross_ratio` works on homogeneous
+    pairs with no INFINITY bookkeeping; the symmetry group is six products,
+    with no closure loop."""
+    tree = ast.parse((SRC / "chilean.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    configuration = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                         and node.name == "Configuration")
+    method = next(node for node in configuration.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "degenerate_nodes_and_vertices")
+    names = _refers(method, method.name)
+    assert "fiber_nodes" in names
+    assert "fourth_intersection" not in names
+    assert "INFINITY" not in _refers(functions["cross_ratio"], "cross_ratio")
+    assert not any(isinstance(node, ast.While)
+                   for node in ast.walk(functions["symmetry_group"]))
