@@ -6,9 +6,11 @@ order nine.  Everything is verified over the smallest finite fields that
 carry rational points of the right order, found by a deterministic scan.
 """
 
-from halphen.torsion import (conic_recovery_check, find_specialization,
-                             hesse_collinear_curves, two_torsion_translation,
-                             verify_nine_torsion_cubics, verify_torsion_locus)
+from halphen.chilean import build_chilean
+from halphen.field import GF
+from halphen.torsion import (find_specialization, hesse_collinear_curves,
+                             two_torsion_conics, verify_nine_torsion_cubics,
+                             verify_torsion_locus)
 
 for m in (4, 5):
     spec = find_specialization(m, p_max=200)
@@ -33,7 +35,8 @@ for m in (4, 5):
           f" twelve systems, kernel dimensions {dims}")
 
 print("\nthe m = 2 case recovers the twelve conics themselves:")
-rep = two_torsion_translation(13, 1, 12)
-print("  p_i = x_i + tau with tau =", rep["tau"], "over GF(13)")
-rec = conic_recovery_check(13, 1, 12)
-print(f"  {rec['matched']} of 12 conics matched through their six points")
+F = GF(13)
+tau = two_torsion_conics(build_chilean(F, F.from_int(12)))
+print("  at a = 12 (t = 1) over GF(13): p_i = x_i + tau with tau =", tau,
+      "(x_7 as zero),")
+print("  and each of the 12 conics is the only conic through its six points")

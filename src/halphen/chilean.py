@@ -184,15 +184,11 @@ class PencilPair:
         return self.F6 + self.G3_squared.scale(self.field.coerce(lam))
 
 
-INFINITY = "infinity"
-
-
 def pencil_membership(pair, S):
-    """lambda with S proportional to F6 + lambda*G3^2, INFINITY, or None."""
+    """lambda with S proportional to F6 + lambda*G3^2, or None when S is no
+    finite member (G3^2 itself, or not in the pencil)."""
     if S.degree != 6:
         raise GeometryError("pencil members are sextics")
-    if S.proportional_to(pair.G3_squared):
-        return INFINITY
     field = pair.field
     monos = sorted(set(S.terms) | set(pair.F6.terms) | set(pair.G3_squared.terms))
     rows = [[pair.F6.terms.get(m, field.zero()),
@@ -204,10 +200,9 @@ def pencil_membership(pair, S):
         return None
     alpha, beta = sol
     # re-verify the claimed identity exactly
-    if not S.proportional_to(pair.F6.scale(alpha) + pair.G3_squared.scale(beta)):
+    if alpha.is_zero() or not S.proportional_to(
+            pair.F6.scale(alpha) + pair.G3_squared.scale(beta)):
         return None
-    if alpha.is_zero():
-        return INFINITY
     return beta / alpha
 
 
@@ -221,7 +216,7 @@ def fiber_product_lambdas(data, pair):
     for fiber in data.fibers:
         prod = data.conics[fiber[0]] * data.conics[fiber[1]] * data.conics[fiber[2]]
         lam = pencil_membership(pair, prod)
-        if lam is None or lam == INFINITY:
+        if lam is None:
             raise VerificationError(f"fiber {fiber} product is not a finite member")
         out.append(lam)
     if not out[0].is_zero():
@@ -440,7 +435,7 @@ def dual_hesse_lines(data, nodes):
 
 
 def special_members(data, pair):
-    """The nine-cusped sextic, the Caylean cubic, and the dual cubic."""
+    """The nine-cusped sextic and the Caylean cubic."""
     field, a = data.field, data.a
     X, Y, Z = gens(field)
     sextic = (X**6 + Y**6 + Z**6
@@ -448,18 +443,13 @@ def special_members(data, pair):
               - 6 * a**2 * (X**4 * Y * Z + X * Y**4 * Z + X * Y * Z**4)
               - 3 * a * (a**3 - 4) * (X * Y * Z)**2)
     caylean = X**3 + Y**3 + Z**3 - ((a**3 + 2) / a) * X * Y * Z
-    dual_cubic = X**3 + Y**3 + Z**3 - 3 * a * X * Y * Z
 
     lam = pencil_membership(pair, sextic)
-    if lam is None or lam == INFINITY:
+    if lam is None:
         raise VerificationError("the nine-cusped sextic is not a finite member")
     if not caylean.proportional_to(pair.G3):
         raise VerificationError("the Caylean cubic does not generate the double member")
-    # the dual cubic is smooth for every good a: its Hesse parameter is -3a
-    if ((-3 * a)**3 + 27).is_zero():
-        raise VerificationError("dual cubic is singular at this parameter")
-    return {"cuspidal_sextic": sextic, "caylean": caylean,
-            "dual_cubic": dual_cubic, "lambda": lam}
+    return {"cuspidal_sextic": sextic, "caylean": caylean, "lambda": lam}
 
 
 def degenerate_pencil(sym=None):
@@ -476,7 +466,6 @@ def degenerate_pencil(sym=None):
     one = field.one()
     X, Y, Z = gens(field)
     conics = [X**2 - Y * Z, Z**2 - X * Y, Y**2 - X * Z]
-    cubic = X**3 + Y**3 + Z**3 - 3 * X * Y * Z
     # the nine base points collapse onto three, each on all three conics
     triple_points = list(dict.fromkeys(base_points(field, one)))
     incidence_rows(triple_points, conics, row_sum=3, column_sum=3)
@@ -493,7 +482,7 @@ def degenerate_pencil(sym=None):
     prod = conics[0] * conics[1] * conics[2]
     if not f6_spec.proportional_to(prod):
         raise VerificationError("a = 1 limit of F6 disagrees")
-    return {"conics": conics, "cubic": cubic, "triple_points": triple_points,
+    return {"conics": conics, "triple_points": triple_points,
             "vertices": vertices}
 
 

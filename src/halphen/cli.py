@@ -139,8 +139,8 @@ def _suite_incidence(config, ctx):
             specs = [(config.prime, _good_parameter_over(config.prime))]
         else:
             specs = default_specializations()
-        for p, a in specs:
-            chilean.build_chilean(GF(p), a)
+        for p, a in specs:  # the conics are the m = 2 curve systems
+            torsion.two_torsion_conics(chilean.build_chilean(GF(p), a))
         chilean.build_chilean(QQ_EPS, QQ_EPS.from_fraction(config.a_value))
         return f"a = {config.a_value} over Q(e) and {[(p, a.v) for p, a in specs]}"
 
@@ -260,6 +260,10 @@ def _suite_lattice(config, ctx):
         bf = piclattice.enumerate_minus1_bruteforce(L, d_max=config.d_max)
         if gen != bf:
             raise piclattice.LatticeError("the two enumerations disagree")
+        perm = piclattice.galois_permutation(L)
+        if {piclattice.apply_perm(perm, D) for D in gen} != set(gen):
+            raise piclattice.LatticeError(
+                "the deck involution does not permute the 144 classes")
         hist = piclattice.degree_histogram(gen)
         return f"144 classes, degree histogram {hist}, d_max = {config.d_max}"
 
@@ -294,7 +298,7 @@ def _suite_lattice(config, ctx):
                 f" {len(rep['qualifying'])} with all conic degrees 2")
 
     def index3():
-        L3 = piclattice.index3_lattice()
+        piclattice.index3_lattice()
         piclattice.index3_section_check()
         piclattice.verify_torsion_vectors()
         return "12 classes in 4 triples summing to -3K; section matrix checks"

@@ -548,10 +548,6 @@ class RatFuncField(Field):
         self._base = QQ_EPS
         self._zero = RatFuncElem(self, (), 1, _ONE, 1)
 
-    @property
-    def base(self):
-        return self._base
-
     def coerce(self, x):
         if isinstance(x, (Fraction, QEpsElem)):
             return self.from_base(self._base.coerce(x))

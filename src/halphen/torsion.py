@@ -22,6 +22,11 @@ their translation point, and the locus and nine-torsion checks their
 orders; those checks take their vanishing sets from one pass over its
 points, where the forms checked at a point share its power tables
 (`plane.values_at`).
+
+The index-2 systems are the configuration's conics: over GF(p) its base
+points are the flexes translated by a 2-torsion point, and each conic
+spans the degree-2 system through the six off a Hesse-collinear triple
+(`two_torsion_conics`).
 """
 
 from functools import lru_cache, reduce
@@ -281,6 +286,24 @@ def collinear_balances(group, pts, alpha, beta):
             for triple in hesse_collinear_triples(group.field)}
 
 
+def _collinear_kernels(pts, m, triples):
+    """{triple: kernel basis} of the degree-m forms with multiplicity alpha
+    at the p_i of each Hesse-collinear triple and beta at the other six,
+    (alpha, beta) = `index_multiplicities(m)`; multiplicity r is read from
+    the Hasse rows of order r - 1 (see `hesse_collinear_curves`)."""
+    alpha, beta = index_multiplicities(m)
+    rows = {}  # (index, multiplicity) -> Hasse rows; shared by the triples
+    kernels = {}
+    for triple in triples:
+        mults = [alpha if i in triple else beta for i in range(9)]
+        for i, r in enumerate(mults):
+            if (i, r) not in rows:
+                rows[i, r] = hasse_rows(pts[i], m, monomials_of_degree(r - 1))
+        kernels[triple] = kernel_basis([row for i, r in enumerate(mults)
+                                        for row in rows[i, r]], pts[0].field)
+    return kernels
+
+
 def hesse_collinear_curves(m, p, t):
     """Existence of the 12 degree-m curves with the index-m multiplicities.
 
@@ -314,17 +337,11 @@ def hesse_collinear_curves(m, p, t):
     alpha, beta = index_multiplicities(m)
     if p <= m:
         raise TorsionError(f"the Euler relation needs p > m = {m}, not p = {p}")
-    rows = {}  # (index, multiplicity) -> Hasse rows; shared by the triples
+    balances = collinear_balances(group, pts, alpha, beta)
+    kernels = _collinear_kernels(pts, m, balances)
     results = []
-    for triple, balance in collinear_balances(group, pts, alpha, beta).items():
-        mults = [alpha if i in triple else beta for i in range(9)]
-        for i, r in enumerate(mults):
-            if (i, r) not in rows:
-                # multiplicity >= r: the Hasse derivatives of order r - 1
-                # (none for r = 0)
-                rows[i, r] = hasse_rows(pts[i], m, monomials_of_degree(r - 1))
-        kern = kernel_basis([row for i, r in enumerate(mults)
-                             for row in rows[i, r]], field)
+    for triple, balance in balances.items():
+        kern = kernels[triple]
         if len(kern) < 1:
             raise TorsionError(
                 f"no degree-{m} curve for triple {triple} over GF({p})")
@@ -335,62 +352,31 @@ def hesse_collinear_curves(m, p, t):
             "systems": results}
 
 
-def conic_recovery_check(p, t, a_value):
-    """The m = 2 case of the linear systems recovers the twelve conics.
+def two_torsion_conics(data):
+    """The m = 2 curve systems of a GF(p) configuration are its conics.
 
-    With multiplicity one at the six points off a Hesse-collinear triple,
-    the degree-2 kernel is one-dimensional and spans the specialized conic
-    of the configuration with the complementary support.
+    In the law of the Hesse cubic t = -(a^3 + 2)/a, x_7 as zero, tau =
+    p_1 - x_1 must be nonzero 2-torsion with p_i = x_i + tau index by
+    index; the conics through the six p_i off each Hesse-collinear triple
+    must be one, the conic of `data` with that support.  Returns tau.
     """
-    from .chilean import build_chilean
-    field = GF(p)
-    a = field.coerce(a_value)
-    data = build_chilean(field, a)
-    curve = HesseCubic(field, t)
+    field, a = data.field, data.a
     flexes = hesse_flexes(field)
-    group = CubicGroup(curve, flexes[0])
+    group = CubicGroup(HesseCubic(field, -(a**3 + 2) / a), flexes[6])
     tau = group.add(data.points[0], group.negate(flexes[0]))
-    supports = [frozenset(i for i in range(9) if data.incidence[i][j])
-                for j in range(12)]
+    if tau == group.zero or group.scalar_mul(2, tau) != group.zero:
+        raise TorsionError(f"p_1 - x_1 = {tau} is not a 2-torsion point")
+    if translated_points(group, tau) != list(data.points):
+        raise TorsionError("the base points are not the flexes translated by tau")
+    conic_on = {frozenset(i for i, row in enumerate(data.incidence) if row[j]): C
+                for j, C in enumerate(data.conics)}
     monos = monomials_of_degree(2)
-    matched = 0
-    for triple in hesse_collinear_triples(field):
+    triples = hesse_collinear_triples(field)
+    for triple, kern in _collinear_kernels(data.points, 2, triples).items():
         support = frozenset(range(9)) - frozenset(triple)
-        rows = [hasse_rows(data.points[i], 2, [(0, 0, 0)])[0]
-                for i in sorted(support)]
-        kern = kernel_basis(rows, field)
-        if len(kern) != 1:
-            raise TorsionError(f"conic through {sorted(support)} is not unique")
-        conic = Poly3(field, 2, dict(zip(monos, kern[0])))
-        j = supports.index(support)
-        if not conic.proportional_to(data.conics[j]):
-            raise TorsionError(f"recovered conic differs from conic {j + 1}")
-        matched += 1
-    if matched != 12:
-        raise TorsionError("some conics were not recovered")
-    return {"p": p, "t": t, "a": a_value, "tau": tau, "matched": matched}
-
-
-def two_torsion_translation(p, t, a_value):
-    """Match the conic-configuration base points with flex translates.
-
-    Over GF(p) with a = a_value a root of X^3 + tX + 2, the nine base
-    points must equal x_i + tau for the 2-torsion point tau = p_1 - x_1
-    (flex zero), index by index.
-    """
-    from .chilean import build_chilean
-    field = GF(p)
-    a = field.coerce(a_value)
-    if not (a**3 + t * a + 2).is_zero():
-        raise TorsionError("a_value is not a root of X^3 + tX + 2")
-    curve = HesseCubic(field, t)
-    flexes = hesse_flexes(field)
-    group = CubicGroup(curve, flexes[0])
-    data = build_chilean(field, a)
-    tau = group.add(data.points[0], group.negate(flexes[0]))
-    if tau == group.zero or group.add(tau, tau) != group.zero:
-        raise TorsionError("p_1 - x_1 is not a 2-torsion point")
-    for i in range(9):
-        if group.add(flexes[i], tau) != data.points[i]:
-            raise TorsionError(f"p_{i + 1} != x_{i + 1} + tau")
-    return {"p": p, "t": t, "a": a_value, "tau": tau}
+        conic = conic_on.get(support)
+        if (len(kern) != 1 or conic is None or not conic.proportional_to(
+                Poly3(field, 2, dict(zip(monos, kern[0]))))):
+            raise TorsionError(f"the conics off triple {triple} are not"
+                               " one conic of the configuration")
+    return tau

@@ -9,7 +9,7 @@ not a crash and not a pass.  The same thunk passes on the shared
 
 import pytest
 
-from halphen import chilean, cli
+from halphen import chilean, cli, piclattice, torsion
 from halphen.plane import ProjPoint, gens
 
 
@@ -81,13 +81,33 @@ def quintic_coefficient(monkeypatch, ctx):
     monkeypatch.setattr(chilean, "branch_quintic", quintic)
 
 
+def flex_order(monkeypatch, ctx):
+    """The flexes x_2 and x_3 trade places, so that p_i = x_i + tau fails
+    at i = 2 while tau = p_1 - x_1 stays the 2-torsion point."""
+    original = torsion.hesse_flexes
+
+    def flexes(field):
+        out = original(field)
+        out[1], out[2] = out[2], out[1]
+        return out
+    monkeypatch.setattr(torsion, "hesse_flexes", flexes)
+
+
+def deck_permutation(monkeypatch, ctx):
+    """The deck involution pairs e_2..e_9 as (2 3)(4 5)(6 7)(8 9)."""
+    monkeypatch.setattr(piclattice, "galois_permutation",
+                        lambda lattice: (0, 1, 3, 2, 5, 4, 7, 6, 9, 8))
+
+
 CASES = [
     ("incidence", "conic-point incidence (12_6, 9_8)", one_conic),
     ("incidence", "symmetry group of order 6", scale_of_d),
     ("incidence", "dual configuration (9_4, 12_3)", one_node),
+    ("incidence", "incidence at specializations", flex_order),
     ("pencil", "degenerate pencils", one_degenerate_line),
     ("pencil", "cross-ratio probe", one_lambda),
     ("pencil", "branch quintic census", quintic_coefficient),
+    ("lattice", "144 minus-one classes", deck_permutation),
 ]
 
 

@@ -1,19 +1,20 @@
 import pytest
 
 from halphen import torsion
+from halphen.chilean import build_chilean
 from halphen.field import GF, GFext
 from halphen.cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                            hesse_flexes, rational_points)
 from halphen.linalg import kernel_basis, rref
 from halphen.plane import ProjPoint, monomials_of_degree, values_at
 from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
-                             collinear_balances, conic_recovery_check,
+                             collinear_balances,
                              find_specialization, good_primes,
                              hesse_collinear_curves, index_multiplicities,
                              min_prime_for_order,
                              nine_torsion_cubics,
                              torsion_locus, translated_points,
-                             two_torsion_translation,
+                             two_torsion_conics,
                              verify_nine_torsion_cubics, verify_torsion_locus)
 from test_cubic import has_exact_order
 from test_plane import term_sum
@@ -363,11 +364,28 @@ def test_hesse_collinear_curves_m5():
 
 
 def test_two_torsion_translation_and_conic_recovery():
-    rep = two_torsion_translation(13, 1, 12)
-    assert rep["tau"] == ProjPoint(GF(13), (GF(13).one(), GF(13).from_int(12),
-                                            GF(13).from_int(12)))
-    rec = conic_recovery_check(13, 1, 12)
-    assert rec["matched"] == 12
+    # a = 12 = -1 gives t = -(a^3 + 2)/a = 1
+    F = GF(13)
+    data = build_chilean(F, F.from_int(12))
+    tau = two_torsion_conics(data)
+    assert tau == ProjPoint(F, (F.one(), F.one(), F.from_int(12)))
+    group = CubicGroup(HesseCubic(F, 1), hesse_flexes(F)[6])
+    assert tau != group.zero and group.add(tau, tau) == group.zero
+    assert translated_points(group, tau) == data.points
+
+
+@pytest.mark.parametrize("p, a", [(43, 40), (109, 3), (199, 198)])
+def test_two_torsion_conics_at_good_parameters(p, a):
+    F = GF(p)
+    two_torsion_conics(build_chilean(F, F.from_int(a)))
+
+
+def test_two_torsion_conics_refute_a_wrong_conic():
+    F = GF(13)
+    data = build_chilean(F, F.from_int(12))
+    data.conics = [data.conics[1]] + data.conics[1:]
+    with pytest.raises(TorsionError, match="not one conic of the configuration"):
+        two_torsion_conics(data)
 
 
 def test_m2_collinear_systems_are_the_conics():
