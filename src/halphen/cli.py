@@ -338,6 +338,10 @@ def _suite_torsion(config, ctx):
                 return (f"p = {rep['p']}, t = {rep['t']}, census"
                         f" {rep['order_census']}")
             rep = torsion.verify_nine_torsion_cubics(spec["p"], spec["t"])
+            # at (73, 6), where t != 0, each cubic carries 9 of 72 points
+            full = torsion.verify_nine_torsion_cubics(73, 6)["per_cubic_counts"]
+            if full != [9] * 8:
+                raise torsion.TorsionError(f"GF(73), t = 6: {full} points per cubic")
             return (f"p = {rep['p']}, t = {rep['t']},"
                     f" {rep['rational_order9']} rational points of order 9")
         return thunk

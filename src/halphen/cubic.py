@@ -37,8 +37,10 @@ two chords together are complete; the code does not rely on it, and a
 pair that no certificate decides raises CubicError.
 
 A `CubicGroup` picks one coordinate law at construction: the formulas
-and the certificates run on plain residues mod p over GF(p), as does
-`HesseCubic.contains`, and on field elements over every other field.
+and the certificates, written once, run on plain residues mod p over
+GF(p), as does `HesseCubic.contains`, on ints packed in g over GF(p^k)
+(`field.Packing`: only a zero test or a scaling reduces), and on field
+elements over every other field.
 
 `rational_points` walks the chart on plain residues mod p over a prime
 field, and on the int codes of `PrimeExtField` with its exponent,
@@ -180,6 +182,8 @@ class _ElementLaw:
     """The closed forms on field elements: a point's coordinates are its
     canonical `coords`, and t is the curve's parameter."""
 
+    element = None  # coordinates are elements already
+
     def __init__(self, t):
         self.t = t
 
@@ -238,21 +242,30 @@ class _ElementLaw:
 
 
 class _ResidueLaw(_ElementLaw):
-    """The closed forms over GF(p) on ints mod p: a point's coordinates
-    are the residues of its canonical `coords`."""
+    """The closed forms on ints: a point's coordinates are the residues mod
+    p of its canonical `coords` over GF(p), packed in g over GF(p^k), where
+    `element` maps one back to the field."""
 
     def __init__(self, t):
-        self.p = t.field.p
-        self.t = t.v
+        if isinstance(t, GFpkElem):  # the formulas multiply at most 4 elements
+            self.p, self.packing = None, t.field.packing(4)
+            self.t, self.element = self.packing.packed[t.code], self.packing.element
+        else:
+            self.p, self.t = t.field.p, t.v
 
     def coords(self, P):
+        if self.p is None:
+            return tuple(self.packing.packed[c.code] for c in P.coords)
         return tuple(c.v for c in P.coords)
 
     def is_zero(self, v):
-        return v % self.p == 0
+        return v % self.p == 0 if self.p else self.element(v).is_zero()
 
     def canonical(self, v):
         p = self.p
+        if p is None:  # scale the reduced elements, then pack them
+            R = super().canonical([self.element(c) for c in v])
+            return R and tuple(self.packing.packed[c.code] for c in R)
         pivot = next((c for c in v if c % p), None)
         if pivot is None:
             return None
@@ -270,7 +283,7 @@ class CubicGroup:
         self.curve = curve
         self.field = curve.field
         self.zero = zero
-        law = _ResidueLaw if isinstance(self.field, PrimeField) else _ElementLaw
+        law = _ResidueLaw if self.field.is_finite else _ElementLaw
         self._law = law(curve.t)
 
     def third_intersection(self, P, Q):
@@ -292,7 +305,7 @@ class CubicGroup:
             return P
         if R is b:
             return Q
-        return ProjPoint(self.field, R)
+        return ProjPoint(self.field, R if law.element is None else map(law.element, R))
 
     def add(self, P, Q):
         return self.third_intersection(self.zero, self.third_intersection(P, Q))

@@ -25,6 +25,7 @@ with a parser for the same syntax.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -979,6 +980,11 @@ class PrimeExtField(Field):
         for code in range(self.size):
             yield GFpkElem(self, code)
 
+    @lru_cache(maxsize=None)
+    def packing(self, degree):
+        """The `Packing` of products of up to `degree` elements, built once."""
+        return Packing(self, degree)
+
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
@@ -1075,6 +1081,43 @@ class GFpkElem(FieldElem):
 
 
 GFpkElem._coercible = (int, GFpkElem)
+
+
+class Packing:
+    """GF(p^k) elements as polynomials in g, each packed into one int.
+
+    c_0 + c_1 g + ... is sum c_i 2^(w i), so +, - and * are polynomial
+    operations.  A sum of at most 3^D products of D = `degree` reduced
+    elements has degree <= D (k - 1) in g and coefficients below
+    (3k(p - 1))^D in absolute value, which w bits and a sign hold.
+    `element` reduces mod p and the modulus.
+    """
+
+    def __init__(self, field, degree):
+        p, k, lanes = field.p, field.k, degree * (field.k - 1) + 1
+        w = self.w = ((3 * k * (p - 1)) ** degree).bit_length() + 1
+        b = (lanes * (p - 1) ** 2).bit_length()  # holds `lanes` products
+        self.field, self.half, self.bmask = field, 1 << (w - 1), (1 << b) - 1
+        self.offset = sum(self.half << (w * i) for i in range(lanes))
+        self.packed = [sum(c << (w * i) for i, c in enumerate(_digits(code, p, k)))
+                       for code in range(field.size)]  # code -> packed int
+        self.rows = [sum(c << (b * i) for i, c in enumerate(_gfp_poly_mulmod(
+            [0] * j + [1], [1], field.modulus, p))) for j in range(lanes)]  # g^j
+        self.digits = [(b * i, p**i) for i in range(k)]  # shift, place value
+
+    def element(self, v):
+        """The element v stands for; v must fit the lanes."""
+        p, w, half = self.field.p, self.w, self.half
+        v += self.offset  # lane i holds c_i + half
+        total, mask = 0, 2 * half - 1
+        for row in self.rows:  # the sum of (c_i mod p) g^i, residues in b-bit lanes
+            total += ((v & mask) - half) % p * row
+            v >>= w
+        assert v == 0, "a packed value outgrew its lanes"
+        code = 0
+        for shift, unit in self.digits:
+            code += (total >> shift & self.bmask) % p * unit
+        return GFpkElem(self.field, code)
 
 
 # shared context instances; Q(e) and Q(e)(a) are canonical singletons

@@ -8,8 +8,9 @@ lets curve equations be written as plain Python expressions:
     conic = X*Y - a*Z**2
 
 ProjPoint canonicalizes on construction (first nonzero coordinate scaled
-to 1) so equality and hashing are representative-independent; off GF(p)
-it keeps the values of the monomials `values_at` has met at it.
+to 1) so equality and hashing are representative-independent; over Q(e)
+and Q(e)(a) it keeps the values of the monomials `values_at` has met at
+it, while over GF(p) and GF(p^k) a value is one sum on ints.
 
 The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
@@ -224,10 +225,12 @@ def values_at(forms, point):
     `point` is a ProjPoint over the forms' field, whose `rep` is used, or
     anything whose coordinates that field coerces.  Over GF(p) each value
     is the sparse sum of a form's terms on ints mod p from one set of
-    power tables.  Over any other field each term's monomial value is read
-    from the table a ProjPoint keeps in `monomials` (exponent to value at
-    `rep`), filled from power tables when missing, so a form's value at a
-    point seen before costs one product per term.
+    power tables.  Over GF(p^k) it is the same sum on ints packed in g
+    (`field.Packing`), reduced once per value.  Over Q(e) and Q(e)(a) each
+    term's monomial value is read from the table a ProjPoint keeps in
+    `monomials` (exponent to value at `rep`), filled from power tables
+    when missing, so a form's value at a point seen before costs one
+    product per term.
     """
     field = forms[0].field
     if any(F.field is not field for F in forms):
@@ -242,6 +245,14 @@ def values_at(forms, point):
         px, py, pz = _point_tables(field, coords, max(F.degree for F in forms))
         return [GFpElem(field, sum(c.v * px[i] * py[j] * pz[k]
                                    for (i, j, k), c in F.terms.items()))
+                for F in forms]
+    if field.is_finite:  # GF(p^k)
+        degree = max(F.degree for F in forms)
+        packing = field.packing(degree + 1)  # a term is degree + 1 elements
+        packed = packing.packed
+        px, py, pz = (_power_table(packed[c.code], degree, 1) for c in coords)
+        return [packing.element(sum(packed[c.code] * px[i] * py[j] * pz[k]
+                                    for (i, j, k), c in F.terms.items()))
                 for F in forms]
     table = point.monomials if kept else {}
     if table is None:
@@ -339,7 +350,7 @@ class ProjPoint:
             raise GeometryError("(0:0:0) is not a projective point")
         self.field = field
         self.rep = coords
-        self.monomials = None  # filled by `values_at`, off GF(p)
+        self.monomials = None  # filled by `values_at`, over Q(e) and Q(e)(a)
         if pivot == field.one():
             self.coords = coords
         else:

@@ -11,7 +11,9 @@ multiplicities at the translated base points; multiplicity at least r is
 the vanishing of the Hasse derivatives of order below r
 (`plane.hasse_rows`), a condition exact in every characteristic (an
 ordinary partial is alpha! times it, zero when p divides alpha!), and for
-p > m those of order r - 1 imply the rest.
+p > m those of order r - 1 imply the rest.  The twelve systems share the
+rows of the lower multiplicity at all nine points: their kernel is taken
+once, and each triple eliminates only its own rows on it.
 
 One order census and one group law answer every order question: a
 curve's rational points and their exact orders with x_7 as zero, from one
@@ -31,11 +33,12 @@ spans the degree-2 system through the six off a Hesse-collinear triple
 
 from functools import lru_cache, reduce
 from math import gcd, isqrt
+from operator import mul
 from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
-from .field import GF, GFext, prime_divisors
+from .field import GF, GFext, GFpElem, prime_divisors
 from .linalg import kernel_basis
 from .plane import Poly3, gens, hasse_rows, monomials_of_degree, values_at
 
@@ -287,20 +290,36 @@ def collinear_balances(group, pts, alpha, beta):
 
 
 def _collinear_kernels(pts, m, triples):
-    """{triple: kernel basis} of the degree-m forms with multiplicity alpha
-    at the p_i of each Hesse-collinear triple and beta at the other six,
-    (alpha, beta) = `index_multiplicities(m)`; multiplicity r is read from
-    the Hasse rows of order r - 1 (see `hesse_collinear_curves`)."""
+    """{triple: kernel basis} of the degree-m forms over GF(p) with
+    multiplicity alpha at the p_i of each Hesse-collinear triple and beta
+    at the other six, (alpha, beta) = `index_multiplicities(m)`, from the
+    Hasse rows of order r - 1 at multiplicity r.  The rows of order
+    min(alpha, beta) - 1 at all nine points are eliminated once; each
+    triple eliminates only its own rows (r > min), on that kernel's basis,
+    and maps its solutions back (for p > m the shared rows at its own
+    points change no kernel; for m = 2 nothing is shared)."""
     alpha, beta = index_multiplicities(m)
-    rows = {}  # (index, multiplicity) -> Hasse rows; shared by the triples
+    low, field = min(alpha, beta), pts[0].field
+    shared = [row for P in pts for row in hasse_rows(P, m, monomials_of_degree(low - 1))]
+    zero_row = [field.zero()] * len(monomials_of_degree(m))  # kernel: every form
+    basis = [[x.v for x in v] for v in kernel_basis(shared or [zero_row], field)]
+    columns = list(zip(*basis))
+
+    def combine(vectors, columns):  # each vector dotted with each column, mod p
+        return [[GFpElem(field, sum(map(mul, [x.v for x in v], c)) % field.p)
+                 for c in columns] for v in vectors]
+
+    rows = {}  # (index, multiplicity) -> own rows on the shared basis
     kernels = {}
     for triple in triples:
         mults = [alpha if i in triple else beta for i in range(9)]
         for i, r in enumerate(mults):
-            if (i, r) not in rows:
-                rows[i, r] = hasse_rows(pts[i], m, monomials_of_degree(r - 1))
-        kernels[triple] = kernel_basis([row for i, r in enumerate(mults)
-                                        for row in rows[i, r]], pts[0].field)
+            if r > low and (i, r) not in rows:
+                rows[i, r] = combine(hasse_rows(pts[i], m, monomials_of_degree(r - 1)),
+                                     basis)
+        kern = kernel_basis([row for i, r in enumerate(mults) if r > low
+                             for row in rows[i, r]], field)
+        kernels[triple] = combine(kern, columns)
     return kernels
 
 

@@ -9,9 +9,11 @@ assignment, and every ==, !=, <, <=, > and >= of a comparison.  It draws
 applies a single swap (+ <-> -, * -> +, == <-> !=, < <-> <=, > <-> >=),
 writes the mutated module back with `ast.unparse`, and runs
 `python -m halphen verify all --no-timing --format json` on the copy.
-A mutant survives when that run exits 0, that is, every claim passes;
-one that outlasts the timeout (ten times the unmutated run, at least
-30 s) is reported apart.  The survivors are printed with their line and
+A mutant survives when that run exits 0, that is, every claim passes,
+and prints the unmutated run's ledger byte for byte; one that passes with
+a changed ledger (say, a witness moved to another prime) is killed as
+"ledger changed".  One that outlasts the timeout (ten times the unmutated
+run, at least 30 s) is reported apart.  The survivors are printed with their line and
 swap.  Standard library only; pytest does not collect this file.
 """
 
@@ -69,21 +71,22 @@ def mutate(source, index):
 
 
 def run_ledger(copy, timeout):
-    """(exit code or None on timeout, the verdict counts) of one run."""
+    """(exit code or None on timeout, the verdict counts, the ledger text)
+    of one run."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     try:
         done = subprocess.run([sys.executable, *COMMAND], cwd=copy, env=env,
                               capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return None, {}
+        return None, {}, None
     verdicts = {}
     try:
         for entry in json.loads(done.stdout):
             verdicts[entry["verdict"]] = verdicts.get(entry["verdict"], 0) + 1
     except (ValueError, KeyError, TypeError):
         pass
-    return done.returncode, verdicts
+    return done.returncode, verdicts, done.stdout
 
 
 def main(argv=None):
@@ -106,7 +109,7 @@ def main(argv=None):
                                                         min(args.sites, total)))
 
         t0 = time.perf_counter()
-        rc, _ = run_ledger(copy, None)
+        rc, _, clean = run_ledger(copy, None)
         if rc != 0:
             sys.exit(f"the unmutated ledger does not pass (exit {rc})")
         timeout = max(30.0, 10 * (time.perf_counter() - t0))
@@ -115,16 +118,17 @@ def main(argv=None):
         for index in chosen:
             mutant, where = mutate(source, index)
             target.write_text(mutant)
-            rc, verdicts = run_ledger(copy, timeout)
+            rc, verdicts, ledger = run_ledger(copy, timeout)
+            changed = rc == 0 and ledger != clean
             if rc is None:
                 timed_out.append(where)
-            elif rc == 0:
+            elif rc == 0 and not changed:
                 survivors.append(where)
             else:
                 killed += 1
             print(f"site {index}: {where}: "
-                  f"{'timeout' if rc is None else f'exit {rc}'} {verdicts}",
-                  flush=True)
+                  f"{'timeout' if rc is None else f'exit {rc}'} {verdicts}"
+                  f"{' ledger changed' if changed else ''}", flush=True)
         target.write_text(source)
 
     print(f"\n{name}.py: {len(chosen)} of {total} sites (seed {args.seed}):"

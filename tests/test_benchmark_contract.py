@@ -39,14 +39,17 @@ def test_every_benchmark_target_is_bound():
 
 
 def test_traced_workloads_call_every_required_layer(monkeypatch):
-    """The traced `verify_all` and `specialized_qe` runs record a call for
+    """The traced runs of all three workloads exit 0, record a call for
     every counter their workload's `must_call` in `perfbench/run.py`
-    lists: a change that takes the last call off a listed layer (say the
-    last `kernel_basis` over Q(e)(a) or Q(e)) fails here, not first in a
-    traced benchmark run."""
+    lists, and give output that the workload's own check passes: a change
+    that takes the last call off a listed layer (say the last
+    `kernel_basis` over Q(e)(a) or Q(e), or the last `GFpkElem.inverse`
+    of the torsion census) fails here, not first in a traced benchmark
+    run."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import run
-    workloads = [run.WORKLOADS[name](1) for name in ("verify_all", "specialized_qe")]
+    workloads = [run.WORKLOADS[name](1)
+                 for name in ("verify_all", "specialized_qe", "torsion_census")]
     children = [subprocess.Popen(w.traced_argv(), cwd=ROOT, env=run._child_env(),
                                  stdout=subprocess.PIPE, text=True) for w in workloads]
     for workload, child in zip(workloads, children):
@@ -55,3 +58,4 @@ def test_traced_workloads_call_every_required_layer(monkeypatch):
         assert doc["rc"] == 0, workload.name
         idle = [stem for stem in workload.must_call if not doc["calls"].get(stem)]
         assert idle == [], workload.name
+        assert workload.check(doc["rc"], doc["stdout"])[0] == 0, workload.name

@@ -450,6 +450,35 @@ def test_orders_walk_matches_repeated_addition():
     assert checked > 3000
 
 
+def test_packed_law_matches_the_element_law():
+    # over GF(p^2) the closed forms run on ints packed in g: on every
+    # ordered pair of points the residual is the element law's, and the
+    # order walk gives the element law's orders, t off GF(p) included
+    cases = [(GFext(7, 2), (3, 9, 20, 37)), (GFext(13, 2), (40,))]
+    pairs = 0
+    for F, codes in cases:
+        flexes = hesse_flexes(F)
+        elems = list(F.elements())
+        for code in codes:
+            curve = HesseCubic(F, elems[code])
+            assert curve.is_smooth()
+            pts = rational_points(curve)
+            g = CubicGroup(curve, flexes[6])
+            law, elements = g._law, cubic._ElementLaw(curve.t)
+            assert law.p is None  # the packed law, not the element law
+            packed = {P: law.coords(P) for P in pts}
+            for P in pts:
+                for Q in pts:
+                    R = law.residual(packed[P], packed[Q])
+                    assert tuple(map(law.element, R)) == elements.residual(
+                        P.coords, Q.coords)
+                    pairs += 1
+            oracle = CubicGroup(curve, flexes[6])
+            oracle._law = elements
+            assert g.orders(pts) == oracle.orders(pts)
+    assert pairs > 40000
+
+
 def test_orders_needs_the_whole_group():
     F = GF(13)
     curve = HesseCubic(F, 2)

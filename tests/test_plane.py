@@ -77,8 +77,9 @@ def test_evaluate_on_residues_matches_elements():
 
 
 def test_values_at_kept_monomial_tables_match_term_sums():
-    # off GF(p) a point keeps its monomial values: a second evaluation, of
-    # overlapping forms of other degrees, reads them and must agree
+    # over Q(e) and Q(e)(a) a point keeps its monomial values: a second
+    # evaluation, of overlapping forms of other degrees, reads them and must
+    # agree; over GF(p^k) the values are packed sums and nothing is kept
     rng = random.Random(5)
     for F in (QQ_EPS, QQ_EPS_A, GFext(13, 2)):
         elems = [F.from_int(c) for c in range(-3, 4)] + [F.eps(), F.eps() + 2]
@@ -93,10 +94,34 @@ def test_values_at_kept_monomial_tables_match_term_sums():
                 coords[0] = F.one()
             point = ProjPoint(F, coords)
             first = values_at(forms[:3], point)
-            assert point.monomials  # kept for the next forms
+            assert bool(point.monomials) == (F is not GFext(13, 2))
             second = values_at(forms[2:], point)
             assert first + second[1:] == [term_sum(P, point.rep) for P in forms]
             assert values_at(forms, tuple(point.rep)) == first + second[1:]
+
+
+def test_packed_values_match_term_sums():
+    # over GF(p^k) a value is a sum on ints packed in g, reduced once: dense
+    # forms of degree 0 to 8 (the degree-8 torsion locus) against the term
+    # sums, with points that have zero coordinates and the element whose
+    # residues are all p - 1, which makes the packed coefficients largest
+    rng = random.Random(11)
+    for F in (GFext(13, 2), GFext(2, 4, allow_char2=True)):
+        elems = list(F.elements())
+        top = elems[-1]
+        for d in range(9):
+            forms = [Poly3(F, d, dict.fromkeys(monomials_of_degree(d), top))]
+            forms += [Poly3(F, d, {e: rng.choice(elems) for e in monomials_of_degree(d)})
+                      for _ in range(2)]
+            points = [(top, top, top), (F.zero(), top, F.one()),
+                      (F.zero(), F.zero(), rng.choice(elems[1:]))]
+            points += [[rng.choice(elems) for _ in range(3)] for _ in range(4)]
+            for coords in points:
+                if all(c.is_zero() for c in coords):
+                    continue
+                point = ProjPoint(F, coords)
+                assert values_at(forms, point) == [term_sum(P, point.rep) for P in forms]
+                assert point.monomials is None
 
 
 def test_product_degree_and_terms():

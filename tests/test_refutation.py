@@ -99,6 +99,27 @@ def deck_permutation(monkeypatch, ctx):
                         lambda lattice: (0, 1, 3, 2, 5, 4, 7, 6, 9, 8))
 
 
+def _add_to_nine_torsion_cubic(monkeypatch, index, change):
+    """Cubic `index` of the eight gains change(e, t, X, Y, Z)."""
+    original = torsion.nine_torsion_cubics
+
+    def cubics(field, t):
+        out = original(field, t)
+        out[index] = out[index] + change(field.eps(), field.coerce(t), *gens(field))
+        return out
+    monkeypatch.setattr(torsion, "nine_torsion_cubics", cubics)
+
+
+def fourth_cubic_sign(monkeypatch, ctx):
+    """+ e X Z^2 becomes - e X Z^2 in the fourth nine-torsion cubic."""
+    _add_to_nine_torsion_cubic(monkeypatch, 3, lambda e, t, X, Y, Z: -2 * e * X * Z**2)
+
+
+def seventh_cubic_t_term(monkeypatch, ctx):
+    """(e + 2) t becomes (e - 2) t in the seventh cubic: invisible at t = 0."""
+    _add_to_nine_torsion_cubic(monkeypatch, 6, lambda e, t, X, Y, Z: -4 * t * X * Y * Z)
+
+
 CASES = [
     ("incidence", "conic-point incidence (12_6, 9_8)", one_conic),
     ("incidence", "symmetry group of order 6", scale_of_d),
@@ -108,6 +129,8 @@ CASES = [
     ("pencil", "cross-ratio probe", one_lambda),
     ("pencil", "branch quintic census", quintic_coefficient),
     ("lattice", "144 minus-one classes", deck_permutation),
+    ("torsion", "nine-torsion cubics", fourth_cubic_sign),
+    ("torsion", "nine-torsion cubics", seventh_cubic_t_term),
 ]
 
 

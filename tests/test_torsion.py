@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from halphen import torsion
@@ -6,7 +8,7 @@ from halphen.field import GF, GFext
 from halphen.cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                            hesse_flexes, rational_points)
 from halphen.linalg import kernel_basis, rref
-from halphen.plane import ProjPoint, monomials_of_degree, values_at
+from halphen.plane import ProjPoint, hasse_rows, monomials_of_degree, values_at
 from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
                              collinear_balances,
                              find_specialization, good_primes,
@@ -330,6 +332,44 @@ def test_top_order_rows_have_the_kernel_of_all_lower_orders(monkeypatch):
         assert rref(kernel, F) == rref(kernel_basis(every, F), F)
         # multiplicity r = order + 1 imposes r(r + 1)/2 conditions
         assert len(kernel) == len(every[0]) - (order + 1) * (order + 2) // 2
+
+
+def test_shared_elimination_matches_the_per_triple_systems():
+    # each triple's own rows, eliminated on the basis of the kernel the
+    # nine points share and mapped back, span the kernel of its whole
+    # system: every Hasse row of order below the multiplicity at each
+    # point; the flexes themselves, in special position, give kernels of
+    # dimension 2
+    rng = random.Random(7)
+    primes = [p for p in good_primes(200) if p > 5]
+    cases = [(m, hesse_flexes(GF(31))) for m in (4, 5)]
+    while len(cases) < 8:
+        p = rng.choice(primes)
+        t = rng.randrange(p)
+        curve = HesseCubic(GF(p), t)
+        if not curve.is_smooth():
+            continue
+        points, orders = _census(curve.field, t)
+        for m in (4, 5):
+            eta = next((P for P in points if orders[P] == m), None)
+            if eta is not None and sum(c[0] == m for c in cases) < 4:
+                group = CubicGroup(curve, hesse_flexes(curve.field)[6])
+                cases.append((m, translated_points(group, eta)))
+    dims = set()
+    for m, pts in cases:
+        F = pts[0].field
+        alpha, beta = index_multiplicities(m)
+        kernels = torsion._collinear_kernels(pts, m, hesse_collinear_triples(F))
+        assert len(kernels) == 12
+        for triple, kern in kernels.items():
+            rows = [row for i, P in enumerate(pts)
+                    for k in range(alpha if i in triple else beta)
+                    for row in hasse_rows(P, m, monomials_of_degree(k))]
+            want = kernel_basis(rows, F)
+            assert len(kern) == len(want) >= 1
+            assert rref(kern, F) == rref(want, F)
+            dims.add(len(kern))
+    assert dims == {1, 2}
 
 
 def test_hesse_collinear_curves_need_p_above_m(monkeypatch):
