@@ -180,9 +180,6 @@ class PencilPair:
         self.G3 = a * (X**3 + Y**3 + Z**3) - (a**3 + 2) * X * Y * Z
         self.G3_squared = self.G3 * self.G3
 
-    def member(self, lam):
-        return self.F6 + self.G3_squared.scale(self.field.coerce(lam))
-
 
 def pencil_membership(pair, S):
     """lambda with S proportional to F6 + lambda*G3^2, or None when S is no
@@ -452,16 +449,13 @@ def special_members(data, pair):
     return {"cuspidal_sextic": sextic, "caylean": caylean, "lambda": lam}
 
 
-def degenerate_pencil(sym=None):
+def degenerate_pencil():
     """The a = 1 limit: three conics with three collapsed triple points.
 
-    `sym` is the symbolic configuration, `build_chilean()`, which is built
-    when not given.
+    The conics' coefficients are polynomials in a, so the a = 1 limit of
+    the sextic generator F6 is the product of the first three conics at
+    a = 1; no symbolic configuration is needed.
     """
-    if sym is None:
-        sym = build_chilean()
-    elif sym.field is not QQ_EPS_A:
-        raise FieldError("the a = 1 limit needs the symbolic configuration")
     field = QQ_EPS
     one = field.one()
     X, Y, Z = gens(field)
@@ -477,10 +471,9 @@ def degenerate_pencil(sym=None):
     if len({tuple(row) for row in at_vertices}) != 3:
         raise VerificationError("degenerate conics do not meet at one vertex")
     # the product agrees with the a = 1 limit of the sextic generator
-    f6_spec = (sym.conics[0] * sym.conics[1] * sym.conics[2]).specialize(
-        field, eps_image=field.eps(), a_image=field.one())
+    limit = conic_equations(field, one)[:3]
     prod = conics[0] * conics[1] * conics[2]
-    if not f6_spec.proportional_to(prod):
+    if not (limit[0] * limit[1] * limit[2]).proportional_to(prod):
         raise VerificationError("a = 1 limit of F6 disagrees")
     return {"conics": conics, "triple_points": triple_points,
             "vertices": vertices}

@@ -215,8 +215,7 @@ def _suite_pencil(config, ctx):
         return "tacnodal point plus four nodes over GF(13), a = 2"
 
     def degenerations():
-        # a symbolic run's configuration is the one the a = 1 limit needs
-        chilean.degenerate_pencil(ctx.data if config.mode == "symbolic" else None)
+        chilean.degenerate_pencil()
         data, lines = ctx.degenerate
         return (f"{len(data.conics)} conics and {len(lines)} lines at"
                 " the simple-root parameter; triple-point pencil at a = 1")
@@ -327,59 +326,49 @@ def _suite_lattice(config, ctx):
 
 
 def _suite_torsion(config, ctx):
-    m_values = config.m_values
+    def spec(m):
+        found = torsion.find_specialization(m, p_max=config.p_max)
+        return found["p"], found["t"]
+
+    def locus(m):
+        rep = torsion.verify_torsion_locus(m, *spec(m))
+        return f"p = {rep['p']}, t = {rep['t']}, census {rep['order_census']}"
+
+    def nine_torsion():
+        rep = torsion.verify_nine_torsion_cubics(*spec(9))
+        # at (73, 6), where t != 0, each cubic carries 9 of 72 points
+        full = torsion.verify_nine_torsion_cubics(73, 6)["per_cubic_counts"]
+        if full != [9] * 8:
+            raise torsion.TorsionError(f"GF(73), t = 6: {full} points per cubic")
+        return (f"p = {rep['p']}, t = {rep['t']},"
+                f" {rep['rational_order9']} rational points of order 9")
+
+    def curves(m):
+        rep = torsion.hesse_collinear_curves(m, *spec(m))
+        dims = sorted({s["kernel_dim"] for s in rep["systems"]})
+        return (f"p = {rep['p']}, multiplicities {rep['multiplicities']},"
+                f" kernel dimensions {dims}")
+
+    def quadratic(m):
+        rep = torsion.verify_torsion_locus_quadratic(m, p_max=config.p_max)
+        return f"{rep['field']}, t = {rep['t']}, census {rep['order_census']}"
+
     claims = []
-
-    def make_locus_check(m):
-        def thunk():
-            spec = torsion.find_specialization(m, p_max=config.p_max)
-            if m in (4, 5):
-                rep = torsion.verify_torsion_locus(m, spec["p"], spec["t"])
-                return (f"p = {rep['p']}, t = {rep['t']}, census"
-                        f" {rep['order_census']}")
-            rep = torsion.verify_nine_torsion_cubics(spec["p"], spec["t"])
-            # at (73, 6), where t != 0, each cubic carries 9 of 72 points
-            full = torsion.verify_nine_torsion_cubics(73, 6)["per_cubic_counts"]
-            if full != [9] * 8:
-                raise torsion.TorsionError(f"GF(73), t = 6: {full} points per cubic")
-            return (f"p = {rep['p']}, t = {rep['t']},"
-                    f" {rep['rational_order9']} rational points of order 9")
-        return thunk
-
-    for m in m_values:
+    for m in config.m_values:
         if m in (4, 5):
             claims.append((f"torsion locus m = {m}", "locus cuts exactly the"
-                           f" points of order {m}", make_locus_check(m)))
+                           f" points of order {m}", functools.partial(locus, m)))
         elif m == 9:
             claims.append(("nine-torsion cubics", "eight cubics cover the"
-                           " rational nine-torsion", make_locus_check(9)))
-
-    def make_curve_check(m):
-        def thunk():
-            spec = torsion.find_specialization(m, p_max=config.p_max)
-            rep = torsion.hesse_collinear_curves(m, spec["p"], spec["t"])
-            dims = sorted({s["kernel_dim"] for s in rep["systems"]})
-            return (f"p = {rep['p']}, multiplicities {rep['multiplicities']},"
-                    f" kernel dimensions {dims}")
-        return thunk
-
-    for m in (m for m in m_values if m in (4, 5)):
-        claims.append((f"degree-{m} curves at translated points",
-                       "twelve linear systems with the index multiplicities",
-                       make_curve_check(m)))
-
+                           " rational nine-torsion", nine_torsion))
+    loci = [m for m in config.m_values if m in (4, 5)]
+    claims += [(f"degree-{m} curves at translated points",
+                "twelve linear systems with the index multiplicities",
+                functools.partial(curves, m)) for m in loci]
     if config.with_quadratic_extension:
-        def make_quadratic_check(m):
-            def thunk():
-                rep = torsion.verify_torsion_locus_quadratic(m, p_max=config.p_max)
-                return (f"{rep['field']}, t = {rep['t']},"
-                        f" census {rep['order_census']}")
-            return thunk
-
-        for m in (m for m in m_values if m in (4, 5)):
-            claims.append((f"torsion locus m = {m} over the quadratic extension",
-                           "the same inclusions for points of degree two",
-                           make_quadratic_check(m)))
+        claims += [(f"torsion locus m = {m} over the quadratic extension",
+                    "the same inclusions for points of degree two",
+                    functools.partial(quadratic, m)) for m in loci]
     return claims
 
 

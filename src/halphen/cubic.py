@@ -52,8 +52,12 @@ residual of kP and P, so each input of a step is a listed point or a
 certified residual, and no point is built.  A walk that reaches zero
 after n steps also gives ord(kP) = n / gcd(n, k); a multiple that is not
 in the list raises.
+
+`hesse_collinear_triples` reads the twelve flex triples off the flex-line
+incidence once per field, and every curve system shares the tuple.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .field import FieldError, GFpkElem, PrimeField
@@ -148,10 +152,12 @@ def flex_line_incidence(field):
     return [list(column) for column in zip(*by_flex)]
 
 
+@lru_cache(maxsize=None)
 def hesse_collinear_triples(field):
-    """The 12 index-triples of flexes lying on the triangle lines."""
-    incidence = flex_line_incidence(field)
-    return [tuple(j for j in range(9) if row[j]) for row in incidence]
+    """The 12 index-triples of flexes on the triangle lines, built once per
+    field: the callers share the tuple."""
+    return tuple(tuple(j for j, on in enumerate(row) if on)
+                 for row in flex_line_incidence(field))
 
 
 def _chord(a, b):

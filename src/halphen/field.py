@@ -58,9 +58,6 @@ class Field:
     def one(self):
         return self.from_int(1)
 
-    def from_int(self, n):
-        raise NotImplementedError
-
     def coerce(self, x):
         """Coerce an int or element of this field; raise otherwise."""
         if isinstance(x, int):
@@ -68,16 +65,6 @@ class Field:
         if isinstance(x, FieldElem) and x.field is self:
             return x
         raise MixedContextError(f"cannot coerce {x!r} into {self}")
-
-    def has_eps(self):
-        """True if the field contains a primitive cube root of unity."""
-        raise NotImplementedError
-
-    def eps(self):
-        raise NotImplementedError
-
-    def elements(self):
-        raise FieldError(f"{self} is not a finite field")
 
 
 def _require_char_ok(p, allow_char2):
@@ -882,7 +869,8 @@ def prime_divisors(m):
 
 
 class PrimeExtField(Field):
-    """GF(p^k) = GF(p)[g]/(modulus), each element an int code below q = p^k.
+    """GF(p^k) = GF(p)[g]/(modulus), each element an int code below q = p^k;
+    the modulus is `find_irreducible(p, k)`.
 
     c_0 + c_1 g + ... has the code c_0 + c_1 p + ..., so code order is the
     order of `elements()`.  With n = q - 1 and h the primitive element of
@@ -894,24 +882,16 @@ class PrimeExtField(Field):
 
     is_finite = True
 
-    def __init__(self, p, modulus=None, k=None, allow_char2=False):
+    def __init__(self, p, k, allow_char2=False):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        _require_char_ok(p, allow_char2)
-        if modulus is None:
-            if k is None or k < 2:
-                raise FieldError("an extension degree k >= 2 or a modulus is required")
-            modulus = find_irreducible(p, k, allow_char2=allow_char2)
-        modulus = tuple(c % p for c in modulus)
-        if modulus[-1] != 1:
-            raise FieldError("extension modulus must be monic")
-        if not _gfp_poly_is_irreducible(list(modulus), p):
-            raise FieldError("extension modulus is reducible")
+        if k < 2:
+            raise FieldError("an extension degree k >= 2 is required")
         self.p = p
         self.characteristic = p
-        self.modulus = modulus
-        self.k = len(modulus) - 1
-        self.size = p ** self.k
+        self.modulus = find_irreducible(p, k, allow_char2=allow_char2)
+        self.k = k
+        self.size = p ** k
         self._build_tables()
 
     def _code(self, coeffs):

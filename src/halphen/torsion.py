@@ -18,12 +18,12 @@ once, and each triple eliminates only its own rows on it.
 One order census and one group law answer every order question: a
 curve's rational points and their exact orders with x_7 as zero, from one
 `CubicGroup.orders` walk, built once and kept in a small cache keyed on
-(field, t), on the points the search's Lagrange filter enumerated.  The
-search reads its witness from it, the curve systems the same witness as
-their translation point, and the locus and nine-torsion checks their
-orders; those checks take their vanishing sets from one pass over its
-points, where the forms checked at a point share its power tables
-(`plane.values_at`).
+(field, t), on the points the search's Lagrange filter enumerated; the
+census is also where a singular t raises.  The search reads its witness
+from it, the curve systems the same witness as their translation point,
+and the locus and nine-torsion checks their orders: both are one cut check
+(`_cut_exactly`), one pass over the census points where the forms checked
+at a point share its power tables (`plane.values_at`).
 
 The index-2 systems are the configuration's conics: over GF(p) its base
 points are the flexes translated by a 2-torsion point, and each conic
@@ -109,21 +109,35 @@ def min_prime_for_order(m):
 
 @lru_cache(maxsize=1)
 def _curve_points(field, t):
-    """The rational points of the Hesse cubic t over `field`; the last
-    curve the search's Lagrange filter saw hands them on to `_census`."""
+    """The rational points of the Hesse cubic t over `field`, whose count
+    two scans read (the search's Lagrange filter, the quadratic search's
+    #E(GF(p))); the last curve seen hands its points on to `_census`."""
     return tuple(rational_points(HesseCubic(field, t)))
 
 
 @lru_cache(maxsize=8)
 def _census(field, t):
-    """(points, {P: exact order}) of the smooth Hesse cubic t over `field`.
+    """(points, {P: exact order}) of the Hesse cubic t over `field`.
 
-    The orders are taken with x_7 as zero; the table is read-only, since
-    every caller of the same (field, t) shares it.
+    A singular t raises.  The orders are taken with x_7 as zero; the table
+    is read-only, since every caller of the same (field, t) shares it.
     """
-    group = CubicGroup(HesseCubic(field, t), hesse_flexes(field)[6])
+    curve = HesseCubic(field, t)
+    if not curve.is_smooth():
+        raise TorsionError(f"t = {t} is singular over {field}")
+    group = CubicGroup(curve, hesse_flexes(field)[6])
     points = _curve_points(field, t)
     return points, MappingProxyType(group.orders(points))
+
+
+def _smooth_curves(p_min, p_max):
+    """(GF(p), t) of each smooth Hesse cubic t over GF(p), for the good
+    primes p from p_min to p_max ascending, then t in 0..p-1 ascending."""
+    for p in good_primes(p_max):
+        if p >= p_min:
+            field = GF(p)
+            yield from ((field, t) for t in range(p)
+                        if HesseCubic(field, t).is_smooth())
 
 
 def find_specialization(m, p_max=500):
@@ -142,89 +156,60 @@ def find_specialization(m, p_max=500):
 
 @lru_cache(maxsize=8)
 def _specialization(m, p_max):
-    p_min = min_prime_for_order(m)
     scanned = 0
-    for p in good_primes(p_max):
-        if p < p_min:
-            continue
-        field = GF(p)
-        for t_int in range(p):
-            curve = HesseCubic(field, t_int)
-            if not curve.is_smooth():
-                continue
-            scanned += 1
-            if len(_curve_points(field, t_int)) % m:
-                continue
-            points, orders = _census(field, t_int)
+    curves = _smooth_curves(min_prime_for_order(m), p_max)
+    for scanned, (field, t) in enumerate(curves, 1):
+        if len(_curve_points(field, t)) % m == 0:
+            points, orders = _census(field, t)
             witness = next((P for P in points if orders[P] == m), None)
             if witness is not None:
-                return {"p": p, "t": t_int, "witness": witness}
+                return {"p": field.p, "t": t, "witness": witness}
     raise TorsionError(
         f"no order-{m} point found for p <= {p_max} ({scanned} curves scanned)")
 
 
-def verify_torsion_locus(m, p, t, quadratic_extension=False):
-    """Both inclusions between the locus and the exact-order-m points.
-
-    Returns the order census of the rational points on the locus and the
-    counts in both directions; any rational counterexample is an error
-    naming the witness.  With `quadratic_extension` the same two
-    inclusions are checked over GF(p^2) instead.
-    """
-    field = GFext(p, 2) if quadratic_extension else GF(p)
-    curve = HesseCubic(field, t)
-    if not curve.is_smooth():
-        raise TorsionError(f"t = {t} is singular over {field}")
+def _cut_exactly(forms, field, t, m):
+    """(per-form counts, points cut) of `forms` on the census points of the
+    Hesse cubic t over `field`, in one pass where the forms share each
+    point's power tables.  A point is cut when some form vanishes there;
+    unless the points cut are exactly those of order m, TorsionError names
+    a rational counterexample."""
     points, orders = _census(field, t)
-    locus = torsion_locus(field, m, t)
-    census = {}
-    on_locus = set()
-    exact_m = set()
+    counts, cut = [0] * len(forms), 0
     for P in points:
-        order = orders[P]
-        on = values_at([locus], P)[0].is_zero()
-        exact = order == m
-        if on:
-            on_locus.add(P)
-            census[order] = census.get(order, 0) + 1
-        if exact:
-            exact_m.add(P)
-        if on and not exact:
-            raise TorsionError(f"locus point {P} has order != {m} over {field}")
-        if exact and not on:
-            raise TorsionError(f"order-{m} point {P} misses the locus over {field}")
+        zeros = [value.is_zero() for value in values_at(forms, P)]
+        counts = [n + z for n, z in zip(counts, zeros)]
+        on = any(zeros)
+        if on != (orders[P] == m):
+            raise TorsionError(f"order-{orders[P]} point {P} is"
+                               f"{'' if on else ' not'} cut over {field}, m = {m}")
+        cut += on
+    return counts, cut
+
+
+def verify_torsion_locus(m, p, t, quadratic_extension=False):
+    """Both inclusions between the locus and the exact-order-m points, over
+    GF(p), or over GF(p^2) with `quadratic_extension`: the order census of
+    the rational points on the locus and the counts in both directions."""
+    field = GFext(p, 2) if quadratic_extension else GF(p)
+    (n,), cut = _cut_exactly([torsion_locus(field, m, t)], field, t, m)
     return {"m": m, "p": p, "t": t, "field": repr(field),
-            "points_on_locus": len(on_locus),
-            "points_of_exact_order": len(exact_m), "order_census": census,
+            "points_on_locus": n, "points_of_exact_order": cut,
+            "order_census": {m: n} if n else {},
             "expected_full_count": EXPECTED_PRIMITIVE_COUNT[m]}
-
-
-def curve_order_over_extension(p, t):
-    """#E(GF(p^2)) from #E(GF(p)) via N * (2p + 2 - N)."""
-    field = GF(p)
-    curve = HesseCubic(field, t)
-    if not curve.is_smooth():
-        raise TorsionError(f"t = {t} is singular over GF({p})")
-    n = len(rational_points(curve))
-    return n * (2 * p + 2 - n)
 
 
 def verify_torsion_locus_quadratic(m, p_max=100):
     """The locus inclusions over GF(p^2) at the smallest usable instance.
 
-    Candidates are filtered by m | #E(GF(p^2)), computed from the cheap
-    prime-field count; the first instance whose extension group actually
+    Candidates are filtered by m | #E(GF(p^2)) = N (2p + 2 - N), from the
+    prime-field count N; the first instance whose extension group actually
     carries points of exact order m is verified and returned.
     """
-    for p in good_primes(p_max):
-        field = GF(p)
-        for t_int in range(p):
-            curve = HesseCubic(field, t_int)
-            if not curve.is_smooth():
-                continue
-            if curve_order_over_extension(p, t_int) % m != 0:
-                continue
-            rep = verify_torsion_locus(m, p, t_int, quadratic_extension=True)
+    for field, t in _smooth_curves(0, p_max):
+        n, p = len(_curve_points(field, t)), field.p
+        if n * (2 * p + 2 - n) % m == 0:
+            rep = verify_torsion_locus(m, p, t, quadratic_extension=True)
             if rep["points_of_exact_order"] > 0:
                 return rep
     raise TorsionError(f"no quadratic instance for m = {m} with p <= {p_max}")
@@ -236,18 +221,7 @@ def verify_nine_torsion_cubics(p, t):
     cubics = nine_torsion_cubics(field, t)
     if cubics[0].evaluate(hesse_flexes(field)[6]).is_zero():
         raise TorsionError("the zero point lies on the first cubic")
-    per_cubic = [0] * len(cubics)
-    exact9 = 0
-    points, orders = _census(field, t)
-    for P in points:  # the eight cubics share the point's power tables
-        zeros = [value.is_zero() for value in values_at(cubics, P)]
-        per_cubic = [n + z for n, z in zip(per_cubic, zeros)]
-        exact = orders[P] == 9
-        if any(zeros) and not exact:
-            raise TorsionError(f"cubic point {P} does not have order 9")
-        if exact and not any(zeros):
-            raise TorsionError(f"order-9 point {P} escapes the eight cubics")
-        exact9 += exact
+    per_cubic, exact9 = _cut_exactly(cubics, field, t, 9)
     return {"p": p, "t": t, "rational_order9": exact9,
             "per_cubic_counts": per_cubic}
 
@@ -341,11 +315,8 @@ def hesse_collinear_curves(m, p, t):
     does not divide m - |alpha|, which lies in 1..m; so p <= m raises.
     """
     field = GF(p)
-    curve = HesseCubic(field, t)
-    if not curve.is_smooth():
-        raise TorsionError(f"t = {t} is singular over GF({p})")
-    group = CubicGroup(curve, hesse_flexes(field)[6])
     points, orders = _census(field, t)
+    group = CubicGroup(HesseCubic(field, t), hesse_flexes(field)[6])
     eta = next((P for P in points if orders[P] == m), None)
     if eta is None:
         raise TorsionError(f"GF({p}), t = {t} has no point of exact order {m}")

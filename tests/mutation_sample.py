@@ -13,8 +13,8 @@ A mutant survives when that run exits 0, that is, every claim passes,
 and prints the unmutated run's ledger byte for byte; one that passes with
 a changed ledger (say, a witness moved to another prime) is killed as
 "ledger changed".  One that outlasts the timeout (ten times the unmutated
-run, at least 30 s) is reported apart.  The survivors are printed with their line and
-swap.  Standard library only; pytest does not collect this file.
+run, at least 30 s) is reported apart.  The survivors are printed with their site
+index, line and swap.  Standard library only; pytest does not collect this file.
 """
 
 import argparse
@@ -66,7 +66,9 @@ def mutate(source, index):
     else:
         node.ops[slot] = new
     swap = f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
-    where = f"line {node.lineno} col {node.col_offset}"
+    # nested operators can share a line and column (the two products of
+    # y * y * y), so the site index tells them apart
+    where = f"site {index} line {node.lineno} col {node.col_offset}"
     return ast.unparse(tree) + "\n", f"{where}: {swap}"
 
 
@@ -126,7 +128,7 @@ def main(argv=None):
                 survivors.append(where)
             else:
                 killed += 1
-            print(f"site {index}: {where}: "
+            print(f"{where}: "
                   f"{'timeout' if rc is None else f'exit {rc}'} {verdicts}"
                   f"{' ledger changed' if changed else ''}", flush=True)
         target.write_text(source)

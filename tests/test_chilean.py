@@ -4,13 +4,13 @@ from itertools import combinations, permutations
 import pytest
 
 from halphen.cubic import flex_line_incidence, hesse_flexes, hesse_singular_fibers
-from halphen.field import GF, QQ_EPS, FieldError, GFext, to_text
+from halphen.field import GF, QQ_EPS, GFext, to_text
 from halphen.plane import (GeometryError, Poly3, ProjPoint, gens, incidence_rows,
                            plane_points)
 from halphen.chilean import (Configuration, VerificationError,
                              _local_multiplicity, branch_quintic,
                              build_chilean, check_good_parameter,
-                             conic_is_line_pair, cross_ratio,
+                             conic_equations, conic_is_line_pair, cross_ratio,
                              cross_ratio_probe, degenerate_configuration,
                              degenerate_pencil, export_configuration,
                              fiber_nodes, fiber_product_lambdas,
@@ -67,7 +67,7 @@ def test_fiber_lambdas_distinct_and_finite(symbolic_data, pencil):
     assert lams[0].is_zero()
     assert len({to_text(l) for l in lams}) == 4
     # members at the four values are pairwise non-proportional
-    members = [pencil.member(l) for l in lams]
+    members = [pencil.F6 + pencil.G3_squared.scale(l) for l in lams]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not members[i].proportional_to(members[j])
@@ -117,7 +117,7 @@ def test_special_members(symbolic_data, pencil):
     sp = special_members(symbolic_data, pencil)
     assert sp["caylean"].proportional_to(pencil.G3)
     lam = sp["lambda"]
-    member = pencil.member(lam)
+    member = pencil.F6 + pencil.G3_squared.scale(lam)
     assert sp["cuspidal_sextic"].proportional_to(member)
     assert set(sp) == {"cuspidal_sextic", "caylean", "lambda"}
 
@@ -401,12 +401,17 @@ def test_degenerate_nodes_match_the_shared_point_loop(configuration):
     assert configuration.degenerate_nodes_and_vertices[:9] == nodes
 
 
-def test_degenerate_pencil_reuses_the_symbolic_configuration(symbolic_data):
-    rep = degenerate_pencil(symbolic_data)
-    assert rep["conics"] == degenerate_pencil()["conics"]
-    F = GF(13)
-    with pytest.raises(FieldError):  # a specialized instance has no a = 1
-        degenerate_pencil(build_chilean(F, F.from_int(2)))
+def test_degenerate_pencil_limit_is_the_specialized_sextic_generator(symbolic_data):
+    # the conics are polynomial in a: the product of the first three at
+    # a = 1 is F6 over Q(e)(a) specialized at a = 1, as degenerate_pencil
+    # assumes
+    conics = symbolic_data.conics
+    f6_at_1 = (conics[0] * conics[1] * conics[2]).specialize(
+        QQ_EPS, eps_image=QQ_EPS.eps(), a_image=QQ_EPS.one())
+    limit = conic_equations(QQ_EPS, 1)[:3]
+    assert f6_at_1 == limit[0] * limit[1] * limit[2]
+    degenerate = degenerate_pencil()["conics"]
+    assert f6_at_1.proportional_to(degenerate[0] * degenerate[1] * degenerate[2])
 
 
 def test_bad_parameters_rejected():
@@ -492,7 +497,7 @@ def evaluate_table(points, curves):
 def test_incidence_rows_match_the_per_pair_loops(configuration):
     data, nodes, lines = configuration.data, configuration.node_points, configuration.lines
     degenerate, triangle = configuration.degenerate
-    pencil_rep = degenerate_pencil(data)
+    pencil_rep = degenerate_pencil()
     flex_lines = [L for triple in hesse_singular_fibers(QQ_EPS) for L in triple]
     F16 = GFext(2, 4, allow_char2=True)
     char2 = Configuration(F16, F16.gen())

@@ -69,6 +69,16 @@ def test_flex_line_incidence_is_9_4_12_3():
     assert triples[0] == (0, 1, 2)
 
 
+def test_hesse_collinear_triples_are_built_once_per_field():
+    # the callers share one tuple of tuples, which none of them can change
+    for F in (QQ_EPS, GF(13), GF(31)):
+        triples = hesse_collinear_triples(F)
+        assert triples is hesse_collinear_triples(F)
+        assert isinstance(triples, tuple)
+        assert all(isinstance(triple, tuple) for triple in triples)
+        assert triples == hesse_collinear_triples(QQ_EPS)
+
+
 def test_smoothness_criterion():
     assert HesseCubic(GF(7), 3).is_smooth()
     assert not HesseCubic(GF(7), 4).is_smooth()  # 4^3 = 64 = 1 = -27 mod 7

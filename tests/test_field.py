@@ -206,8 +206,10 @@ def test_extension_eps_is_the_first_cube_root_in_code_order(p, k):
 
 def test_irreducible_modulus_guard():
     from halphen.field import PrimeExtField
-    with pytest.raises(FieldError):
-        PrimeExtField(5, modulus=(4, 0, 1))  # x^2 + 4 = (x - 1)(x + 1) over GF(5)
+    for p, k in ((5, 1), (5, 0), (3, 2), (2, 2), (6, 2)):
+        with pytest.raises(FieldError):  # k < 2, char 3, char 2 unasked, not prime
+            PrimeExtField(p, k)
+    assert PrimeExtField(5, 2).modulus == find_irreducible(5, 2)
     assert find_irreducible(2, 4, allow_char2=True) == (1, 1, 0, 0, 1)
 
 

@@ -39,6 +39,20 @@ def one_conic(monkeypatch, ctx):
     monkeypatch.setattr(chilean, "conic_equations", conics)
 
 
+def limit_conic(monkeypatch, ctx):
+    """Conic 3, yz - a x^2, gains (a + 2) xy: the a = -2 degeneration
+    keeps its conics, but at a = 1 the first three no longer multiply to
+    the triple-point pencil's sextic."""
+    original = chilean.conic_equations
+
+    def conics(field, a):
+        out = original(field, a)
+        X, Y, _ = gens(field)
+        out[2] = out[2] + (field.coerce(a) + 2) * X * Y
+        return out
+    monkeypatch.setattr(chilean, "conic_equations", conics)
+
+
 def scale_of_d(monkeypatch, ctx):
     """d = diag(1, e, e) in place of diag(1, e, e^2)."""
     monkeypatch.setattr(chilean, "D_POWERS", (0, 1, 1))
@@ -126,6 +140,7 @@ CASES = [
     ("incidence", "dual configuration (9_4, 12_3)", one_node),
     ("incidence", "incidence at specializations", flex_order),
     ("pencil", "degenerate pencils", one_degenerate_line),
+    ("pencil", "degenerate pencils", limit_conic),
     ("pencil", "cross-ratio probe", one_lambda),
     ("pencil", "branch quintic census", quintic_coefficient),
     ("lattice", "144 minus-one classes", deck_permutation),

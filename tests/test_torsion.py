@@ -139,19 +139,40 @@ def test_nine_torsion_cubics():
     assert all((1, 1, 1) not in C.terms for C in sym[:6])
 
 
-def test_nine_torsion_cubics_refute_a_wrong_order(monkeypatch):
-    # both inclusions read the census: a cubic point given order 3, or a
-    # point off the cubics given order 9, raises
-    points, orders = _census(GF(SPEC9[0]), SPEC9[1])
-    nine = next(P for P in points if orders[P] == 9)
-    other = next(P for P in points if orders[P] != 9)
-    for P, order, message in ((nine, 3, "does not have order 9"),
-                              (other, 9, "escapes the eight cubics")):
+def refute_both_inclusions(monkeypatch, check, p, t, m, other_order):
+    """Both inclusions of the cut check read the census: a cut point given
+    another order, or a point that is not cut given order m, raises."""
+    points, orders = _census(GF(p), t)
+    cut = next(P for P in points if orders[P] == m)
+    left = next(P for P in points if orders[P] != m)
+    for P, order, message in ((cut, other_order, f"order-{other_order} point .* is cut"),
+                              (left, m, f"order-{m} point .* is not cut")):
         wrong = dict(orders)
         wrong[P] = order
         monkeypatch.setattr(torsion, "_census", lambda field, t: (points, wrong))
         with pytest.raises(TorsionError, match=message):
-            verify_nine_torsion_cubics(*SPEC9)
+            check()
+
+
+def test_nine_torsion_cubics_refute_a_wrong_order(monkeypatch):
+    refute_both_inclusions(monkeypatch, lambda: verify_nine_torsion_cubics(*SPEC9),
+                           *SPEC9, 9, 3)
+
+
+@pytest.mark.parametrize("m, spec", [(4, SPEC4), (5, SPEC5)])
+def test_torsion_locus_refute_a_wrong_order(monkeypatch, m, spec):
+    refute_both_inclusions(monkeypatch, lambda: verify_torsion_locus(m, *spec),
+                           *spec, m, 1)
+
+
+def test_a_singular_curve_raises_in_the_census():
+    # 4^3 = 64 = -27 mod 7: every torsion question on it raises one text
+    for check in (lambda: verify_torsion_locus(4, 7, 4),
+                  lambda: verify_torsion_locus(4, 7, 4, quadratic_extension=True),
+                  lambda: verify_nine_torsion_cubics(7, 4),
+                  lambda: hesse_collinear_curves(4, 7, 4)):
+        with pytest.raises(TorsionError, match="t = 4 is singular over GF"):
+            check()
 
 
 def test_shared_tables_match_evaluate_at_every_census_point():
@@ -436,15 +457,10 @@ def test_m2_collinear_systems_are_the_conics():
 
 
 def test_extension_order_formula():
-    from halphen.torsion import curve_order_over_extension
-    F = GF(13)
-    curve = HesseCubic(F, 1)
-    n = len(rational_points(curve))
-    assert curve_order_over_extension(13, 1) == n * (2 * 13 + 2 - n)
-    from halphen.field import GFext
-    ext = GFext(13, 2)
-    n2 = len(rational_points(HesseCubic(ext, 1)))
-    assert n2 == curve_order_over_extension(13, 1)
+    # #E(GF(p^2)) = N (2p + 2 - N), the filter of the quadratic search
+    n = len(rational_points(HesseCubic(GF(13), 1)))
+    n2 = len(rational_points(HesseCubic(GFext(13, 2), 1)))
+    assert n2 == n * (2 * 13 + 2 - n)
 
 
 def test_quadratic_extension_locus_m5():
