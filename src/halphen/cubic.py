@@ -42,16 +42,14 @@ GF(p), as does `HesseCubic.contains`, on ints packed in g over GF(p^k)
 (`field.Packing`: only a zero test or a scaling reduces), and on field
 elements over every other field.
 
-`rational_points` walks the chart on plain residues mod p over a prime
-field, and on the int codes of `PrimeExtField` with its exponent,
-logarithm and Zech tables over GF(p^k); it certifies each hit with
-`HesseCubic.contains`.  `CubicGroup.orders` gives the exact order of every
-point from one walk P, 2P, ... per cyclic subgroup it meets, on canonical
-coordinates under the law: (k+1)P is the residual of zero and of the
-residual of kP and P, so each input of a step is a listed point or a
-certified residual, and no point is built.  A walk that reaches zero
-after n steps also gives ord(kP) = n / gcd(n, k); a multiple that is not
-in the list raises.
+`rational_points` finds the points over any finite field in O(q) field
+operations, on elements and per-field tables of elements only.
+`CubicGroup.orders` gives the exact order of every point from one walk
+P, 2P, ... per cyclic subgroup it meets, on canonical coordinates under
+the law: (k+1)P is the residual of zero and of the residual of kP and P,
+so each input of a step is a listed point or a certified residual, and
+no point is built.  A walk that reaches zero after n steps also gives
+ord(kP) = n / gcd(n, k); a multiple that is not in the list raises.
 
 `hesse_collinear_triples` reads the twelve flex triples off the flex-line
 incidence once per field, and every curve system shares the tuple.
@@ -370,71 +368,52 @@ class CubicGroup:
 
 
 def rational_points(curve):
-    """All points of the cubic over its finite coefficient field.
+    """All points of the cubic over its finite field, in O(q) operations.
 
-    Walks the affine chart x = 1 with precomputed cubes (the Hesse form
-    needs one multiplication per point), then the line x = 0: y ascending,
-    then z ascending, in the order of `field.elements()`.
+    On the chart x = 1, u = y + z and v = yz turn the equation into
+    1 + u^3 + (t - 3u) v = 0, as y^3 + z^3 = u^3 - 3uv.  Where 3u != t,
+    v = (1 + u^3) / (3u - t), and y, z = u/2 +- s where s^2 = u^2/4 - v
+    is a square; where 3u = t and 1 + u^3 = 0, t is singular and the line
+    y + z = u lies on the curve.  Points come y, then z ascending in the
+    order of `field.elements()`, then the (0 : 1 : z) with z^3 = -1; each
+    is certified.  Needs characteristic != 2, 3, as `HesseCubic` does.
     """
     field = curve.field
     if not field.is_finite:
         raise CubicError("point enumeration needs a finite field")
-    if isinstance(field, PrimeField):
-        return _prime_field_points(curve)
-    return _extension_field_points(curve)
-
-
-def _prime_field_points(curve):
-    """`rational_points` over GF(p), walking plain residues mod p.
-
-    Only the hits become points, and each is certified on the curve by
-    `HesseCubic.contains` from the coordinates the point was built with.
-    """
-    field = curve.field
-    p, t = field.p, curve.t.v
-    cubes = [v * v * v % p for v in range(p)]
-    hits = []
-    for y in range(p):
-        base, ty = 1 + cubes[y], t * y
-        hits.extend((1, y, z) for z in range(p)
-                    if (base + cubes[z] + ty * z) % p == 0)
-    hits.extend((0, 1, z) for z in range(p) if (1 + cubes[z]) % p == 0)
-    pts = [ProjPoint(field, [field.from_int(c) for c in h]) for h in hits]
+    rank, rows, root, line = _chart_tables(field)
+    t = curve.t
+    hits = []  # (rank of y, rank of z, y, z); no two share both ranks
+    for u, h, u3, hh, w in rows:
+        d = u3 - t
+        if not d.is_zero():
+            s = root.get(hh - w * d.inverse())
+            if s is not None:
+                y, z = h + s, h - s
+                i, j = rank[y], rank[z]
+                hits.append((i, j, y, z))
+                if i != j:
+                    hits.append((j, i, z, y))
+        elif w.is_zero():  # t is singular: the line y + z = u
+            hits += [(i, rank[u - y], y, u - y) for y, i in rank.items()]
+    hits.sort()
+    one, zero = field.one(), field.zero()
+    pts = [ProjPoint(field, (one, y, z)) for _, _, y, z in hits]
+    pts += [ProjPoint(field, (zero, one, z)) for z in line]
     for P in pts:
         curve.require_on_curve(P)
     return pts
 
 
-def _extension_field_points(curve):
-    """`rational_points` over GF(p^k), walking int codes.
-
-    On the chart x = 1, z is a hit iff z^3 + s*z = r with s = t*y and
-    r = -(1 + y^3); for s, z != 0 the left side is
-    h^(3 log z) * (1 + h^(log s - 2 log z)), one Zech lookup.  Each hit is
-    certified on the curve by `HesseCubic.contains`.
-    """
-    field = curve.field
-    q, exp, log, zech = field.size, field.exp, field.log, field.zech
-    nonzero = range(1, q)
-    cube_log = [None] + [3 * log[z] % (q - 1) for z in nonzero]
-    cubes = [0] + [exp[c] for c in cube_log[1:]]
-    shift = [None] + [-2 * log[z] % (q - 1) for z in nonzero]
-    one, t = field.one(), curve.t
-    hits = []
-    for y in field.elements():
-        r, s = (-(one + y * y * y)).code, (t * y).code
-        if s:
-            ls = log[s]
-            zs = [z for z in nonzero
-                  if exp[cube_log[z] + zech[ls + shift[z]]] == r]
-            if not r:
-                zs.insert(0, 0)
-        else:
-            zs = [z for z in range(q) if cubes[z] == r]
-        hits.extend((1, y.code, z) for z in zs)
-    minus_one = (-one).code
-    hits.extend((0, 1, z) for z in range(q) if cubes[z] == minus_one)
-    pts = [ProjPoint(field, [GFpkElem(field, c) for c in h]) for h in hits]
-    for P in pts:
-        curve.require_on_curve(P)
-    return pts
+@lru_cache(maxsize=None)
+def _chart_tables(field):
+    """The t-free tables of `rational_points`, built once per field: the
+    rank of each element, a row (u, u/2, 3u, u^2/4, 1 + u^3) per element
+    u, a square root of each square, and the z with z^3 = -1."""
+    elems = tuple(field.elements())
+    one, half, three = field.one(), field.from_int(2).inverse(), field.from_int(3)
+    rows = tuple((u, h, three * u, h * h, one + u * u * u)
+                 for u, h in zip(elems, (half * u for u in elems)))
+    root = {hh: h for _, h, _, hh, _ in rows}  # h = u/2 runs over the field
+    line = tuple(u for u, *_, w in rows if w.is_zero())
+    return {c: i for i, c in enumerate(elems)}, rows, root, line

@@ -4,8 +4,14 @@
 
 Copies `src/` to a temporary directory and lists the operator sites of
 `src/halphen/<module>.py`: every +, - and * of a binary or augmented
-assignment, and every ==, !=, <, <=, > and >= of a comparison.  It draws
---sites of them with `random.Random(--seed)` and, one mutant at a time,
+assignment, and every ==, !=, <, <=, > and >= of a comparison.  A site's
+key is the qualified name of the function around it (`<module>` outside
+any), its operator and its ordinal among that function's sites of that
+operator, so an edit of another function, or of another operator, leaves
+the key as it is.  The --sites drawn are the keys of least
+sha256(--seed, key): each key's rank depends on the seed and the key
+alone, so one --seed draws the same sites before and after an edit,
+except where a new key outranks one of them.  One mutant at a time, it
 applies a single swap (+ <-> -, * -> +, == <-> !=, < <-> <=, > <-> >=),
 writes the mutated module back with `ast.unparse`, and runs
 `python -m halphen verify all --no-timing --format json` on the copy.
@@ -13,15 +19,15 @@ A mutant survives when that run exits 0, that is, every claim passes,
 and prints the unmutated run's ledger byte for byte; one that passes with
 a changed ledger (say, a witness moved to another prime) is killed as
 "ledger changed".  One that outlasts the timeout (ten times the unmutated
-run, at least 30 s) is reported apart.  The survivors are printed with their site
-index, line and swap.  Standard library only; pytest does not collect this file.
+run, at least 30 s) is reported apart.  The survivors are printed with their
+key, line and swap.  Standard library only; pytest does not collect this file.
 """
 
 import argparse
 import ast
+import hashlib
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -40,25 +46,57 @@ COMMAND = ["-m", "halphen", "verify", "all", "--no-timing", "--format", "json"]
 
 
 def sites(tree):
-    """(node, slot) of every swappable operator, in `ast.walk` order.
+    """{key: (node, slot)} of every swappable operator, in key order.
 
-    The slot is None for the `op` of a BinOp or AugAssign, else the index
-    into a Compare's `ops`.
+    A key is (qualified function name, operator, ordinal); the ordinal
+    counts the function's sites of that operator in pre-order, so the
+    outer product of y * y * y comes first.  The slot is None for the `op`
+    of a BinOp or AugAssign, else the index into a Compare's `ops`.
     """
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-            out.append((node, None))
-        elif isinstance(node, ast.Compare):
-            out.extend((node, k) for k, op in enumerate(node.ops)
-                       if type(op) in SWAPS)
-    return out
+    found = {}  # (function, operator) -> [(node, slot)]
+
+    def visit(node, function, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, function, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)):
+                ops = [(child.op, None)]
+            elif isinstance(child, ast.Compare):
+                ops = [(op, k) for k, op in enumerate(child.ops)]
+            else:
+                ops = []
+            for op, slot in ops:
+                if type(op) in SWAPS:
+                    found.setdefault((function, SYMBOLS[type(op)]), []).append(
+                        (child, slot))
+            visit(child, function, prefix)
+
+    visit(tree, "<module>", "")
+    return {(function, symbol, k): site
+            for (function, symbol), group in sorted(found.items())
+            for k, site in enumerate(group)}
 
 
-def mutate(source, index):
-    """The source with site `index` swapped, and a description of the swap."""
+def label(key):
+    function, symbol, k = key
+    return f"{function} {symbol} #{k}"
+
+
+def draw(keys, count, seed):
+    """The `count` keys of least sha256(seed, key), in key order."""
+    def rank(key):
+        return hashlib.sha256(f"{seed} {label(key)}".encode()).digest()
+    return sorted(sorted(keys, key=rank)[:count])
+
+
+def mutate(source, key):
+    """The source with site `key` swapped, and a description of the swap."""
     tree = ast.parse(source)
-    node, slot = sites(tree)[index]
+    node, slot = sites(tree)[key]
     old = node.op if slot is None else node.ops[slot]
     new = SWAPS[type(old)]()
     if slot is None:
@@ -66,9 +104,7 @@ def mutate(source, index):
     else:
         node.ops[slot] = new
     swap = f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
-    # nested operators can share a line and column (the two products of
-    # y * y * y), so the site index tells them apart
-    where = f"site {index} line {node.lineno} col {node.col_offset}"
+    where = f"{label(key)} (line {node.lineno} col {node.col_offset})"
     return ast.unparse(tree) + "\n", f"{where}: {swap}"
 
 
@@ -106,9 +142,9 @@ def main(argv=None):
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         target = copy / "src" / "halphen" / f"{name}.py"
         source = target.read_text()
-        total = len(sites(ast.parse(source)))
-        chosen = sorted(random.Random(args.seed).sample(range(total),
-                                                        min(args.sites, total)))
+        keys = list(sites(ast.parse(source)))
+        total = len(keys)
+        chosen = draw(keys, args.sites, args.seed)
 
         t0 = time.perf_counter()
         rc, _, clean = run_ledger(copy, None)
@@ -117,8 +153,8 @@ def main(argv=None):
         timeout = max(30.0, 10 * (time.perf_counter() - t0))
 
         survivors, timed_out, killed = [], [], 0
-        for index in chosen:
-            mutant, where = mutate(source, index)
+        for key in chosen:
+            mutant, where = mutate(source, key)
             target.write_text(mutant)
             rc, verdicts, ledger = run_ledger(copy, timeout)
             changed = rc == 0 and ledger != clean

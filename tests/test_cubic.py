@@ -79,6 +79,12 @@ def test_hesse_collinear_triples_are_built_once_per_field():
         assert triples == hesse_collinear_triples(QQ_EPS)
 
 
+def test_chart_tables_are_built_once_per_field():
+    # every curve over one field reads the same t-free tables
+    for F in (GF(13), GF(31), GFext(7, 2)):
+        assert cubic._chart_tables(F) is cubic._chart_tables(F)
+
+
 def test_smoothness_criterion():
     assert HesseCubic(GF(7), 3).is_smooth()
     assert not HesseCubic(GF(7), 4).is_smooth()  # 4^3 = 64 = 1 = -27 mod 7
@@ -398,10 +404,14 @@ def _element_points(curve):
 
 def test_integer_point_walk_matches_the_field_element_walk():
     # every t, the singular ones included: the same points in the same order;
-    # over GF(13^2) the t that tests/test_torsion.py checks there
+    # over GF(13^2) the t that tests/test_torsion.py checks there; over
+    # GF(7^3) (k = 3) and GF(97) a few t, the singular t = -3 among them
     cases = [(GF(p), list(GF(p).elements())) for p in (7, 13, 19, 31)]
     cases += [(F, list(F.elements())) for F in (GFext(5, 2), GFext(7, 2))]
     cases.append((GFext(13, 2), [GFext(13, 2).from_int(1)]))
+    F = GFext(7, 3)
+    cases.append((F, [F.from_int(-3), F.from_int(1), F.from_coeffs([2, 5, 1])]))
+    cases.append((GF(97), [-3, 0, 1, 5, 40]))
     for F, t_values in cases:
         for t in t_values:
             curve = HesseCubic(F, t)

@@ -1,7 +1,12 @@
-"""Golden tests: canonical text of key polynomials and the claim ledger are
-frozen on disk."""
+"""Golden tests: canonical text of key polynomials, the claim ledgers and
+every other product output are frozen on disk."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from halphen.cli import main
 from halphen.field import parse_expression
@@ -46,3 +51,37 @@ def test_verify_all_ledger_is_byte_identical(capsys):
     assert main(["verify", "all", "--no-timing", "--format", "json"]) == 0
     golden = (FIXTURES / "verify_all_no_timing.json").read_text()
     assert capsys.readouterr().out == golden
+
+
+# every product output besides `verify all`, with the fixture it must equal
+OUTPUTS = [
+    (["verify", "incidence", "pencil", "lattice", "invariants", "--mode",
+      "specialized", "--a", "2", "--no-timing", "--format", "json"],
+     "verify_specialized_a2_no_timing.json"),
+    (["verify", "pencil", "--mode", "specialized", "--a", "3", "--no-timing",
+      "--format", "json"], "verify_pencil_a3_no_timing.json"),
+    (["verify", "torsion", "--m", "9", "--no-timing", "--format", "json"],
+     "verify_torsion_m9_no_timing.json"),
+    (["verify", "torsion", "--with-quadratic-extension", "--no-timing",
+      "--format", "json"], "verify_torsion_quadratic_no_timing.json"),
+    (["config"], "config.json"),
+    (["code"], "code.txt"),
+    (["invariants"], "invariants.txt"),
+    (["enumerate", "minus1", "--format", "csv"], "enumerate_minus1.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, name", OUTPUTS, ids=[name for _, name in OUTPUTS])
+def test_product_output_is_byte_identical(capsys, argv, name):
+    assert main(argv) == 0
+    # read_bytes: the csv rows end in \r\n, which read_text would translate
+    assert capsys.readouterr().out == (FIXTURES / name).read_bytes().decode()
+
+
+def test_config_output_is_byte_identical_under_another_hash_seed():
+    # a fresh interpreter whose set and dict orders of strings differ
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="1")
+    done = subprocess.run([sys.executable, "-m", "halphen", "config"], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == (FIXTURES / "config.json").read_text()

@@ -9,7 +9,7 @@ not a crash and not a pass.  The same thunk passes on the shared
 
 import pytest
 
-from halphen import chilean, cli, piclattice, torsion
+from halphen import chilean, cli, cubic, piclattice, torsion
 from halphen.plane import ProjPoint, gens
 
 
@@ -113,6 +113,18 @@ def deck_permutation(monkeypatch, ctx):
                         lambda lattice: (0, 1, 3, 2, 5, 4, 7, 6, 9, 8))
 
 
+def degree_histogram(monkeypatch, ctx):
+    """One class of degree 2 is counted at degree 3."""
+    monkeypatch.setattr(piclattice, "degree_histogram",
+                        lambda classes: {0: 9, 1: 36, 2: 53, 3: 37, 4: 9})
+
+
+def chord_law(monkeypatch, ctx):
+    """The group's add is the chord map P, Q -> third point of PQ, which is
+    commutative but not associative."""
+    monkeypatch.setattr(cubic.CubicGroup, "add", cubic.CubicGroup.third_intersection)
+
+
 def _add_to_nine_torsion_cubic(monkeypatch, index, change):
     """Cubic `index` of the eight gains change(e, t, X, Y, Z)."""
     original = torsion.nine_torsion_cubics
@@ -139,11 +151,13 @@ CASES = [
     ("incidence", "symmetry group of order 6", scale_of_d),
     ("incidence", "dual configuration (9_4, 12_3)", one_node),
     ("incidence", "incidence at specializations", flex_order),
+    ("incidence", "chord-tangent group law sanity", chord_law),
     ("pencil", "degenerate pencils", one_degenerate_line),
     ("pencil", "degenerate pencils", limit_conic),
     ("pencil", "cross-ratio probe", one_lambda),
     ("pencil", "branch quintic census", quintic_coefficient),
     ("lattice", "144 minus-one classes", deck_permutation),
+    ("lattice", "144 minus-one classes", degree_histogram),
     ("torsion", "nine-torsion cubics", fourth_cubic_sign),
     ("torsion", "nine-torsion cubics", seventh_cubic_t_term),
 ]
