@@ -11,7 +11,8 @@ from halphen.chilean import Configuration
 from halphen.invariants import (char2_code, harbourne_report,
                                 reference_report, weight_enumerator_string)
 
-rows = reference_report(Configuration())  # the symbolic family over Q(e)(a)
+configuration = Configuration()  # the symbolic family over Q(e)(a)
+rows = reference_report(configuration)
 print(f"{'arrangement':<12} {'c1bar^2':>8} {'c2bar':>6} {'slope':>7}   geometry check")
 for r in rows:
     c1, c2 = r["published_log_chern"]
@@ -23,7 +24,7 @@ print("\nThe A1/A2 difference is forced: each of the nine lines passes"
       "\nthan the published censuses record.  The published value pairs are"
       "\nreproduced from the published censuses either way.")
 
-rep = harbourne_report()
+rep = harbourne_report(len(configuration.nodes))
 print("\nHarbourne constants: ", rep["chilean"], "and", rep["degenerate"],
       "from self-intersections", rep["c_squared"],
       "and double point counts", rep["double_points"])

@@ -643,11 +643,11 @@ def singular_census(C):
     'node', 'cusp' (double points with distinct/repeated tangents) or
     'mult3+' for higher multiplicity.  Characteristic 2 is refused since
     the tangent-cone discriminant needs 1/2.  The multiplicity and the
-    cone are read from the Hasse derivatives at each point where the curve
-    vanishes (`_local_multiplicity`), exact in every characteristic.  Its
-    order-1 test takes the two non-pivot partials only: on the curve,
-    Euler's relation sum x_i dC/dx_i = deg(C) C = 0 makes the pivot
-    partial vanish with them.
+    cone are read from the Hasse derivatives (`_local_multiplicity`), exact
+    in every characteristic, at each point that one `incidence_rows` pass
+    over the plane finds on the curve.  Its order-1 test takes the two
+    non-pivot partials only: on the curve, Euler's relation
+    sum x_i dC/dx_i = deg(C) C = 0 makes the pivot partial vanish with them.
     """
     field = C.field
     if not field.is_finite:
@@ -655,8 +655,9 @@ def singular_census(C):
     if field.characteristic == 2:
         raise GeometryError("census needs characteristic != 2")
     out = []
-    for P in plane_points(field):
-        if not C.evaluate(P).is_zero():
+    points = list(plane_points(field))
+    for P, (on,) in zip(points, incidence_rows(points, [C])):
+        if not on:
             continue
         mult, cone = _local_multiplicity(C, P)
         if mult == 1:

@@ -22,10 +22,10 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chilean, cubic, invariants, piclattice, plane, torsion
 from .field import (GF, QQ_EPS, BadSpecializationError, FieldError,
@@ -41,8 +41,7 @@ DOMAIN_ERRORS = (FieldError, chilean.VerificationError, piclattice.LatticeError,
                  cubic.CubicError, plane.GeometryError)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str = "symbolic"
     a_value: Fraction = Fraction(2)
     prime: int = None
@@ -56,8 +55,7 @@ class RunConfig:
     m_values: tuple = TORSION_INDICES
 
 
-@dataclass
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     claim: str
     anchor: str
     verdict: str
@@ -65,9 +63,9 @@ class LedgerEntry:
     ms: int
 
 
-@dataclass
 class VerificationLedger:
-    entries: list = dataclass_field(default_factory=list)
+    def __init__(self):
+        self.entries = []
 
     def passed(self):
         """True iff some claim was checked and every claim passed."""
@@ -296,6 +294,9 @@ def _suite_lattice(config, ctx):
 
     def uniqueness():
         rep = piclattice.chilean_set_uniqueness(classes144(), L)
+        if rep["total_cliques"] != 544:
+            raise piclattice.LatticeError(
+                f"{rep['total_cliques']} orthogonal nine-sets, not 544")
         return (f"{rep['total_cliques']} orthogonal nine-sets,"
                 f" {len(rep['qualifying'])} with all conic degrees 2")
 
@@ -393,7 +394,7 @@ def _suite_invariants(config, ctx):
                 f" incidence: {detail}")
 
     def harbourne():
-        rep = invariants.harbourne_report()
+        rep = invariants.harbourne_report(len(ctx.nodes))
         return f"chilean {rep['chilean']}, degenerate {rep['degenerate']}"
 
     return [

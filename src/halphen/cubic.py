@@ -45,11 +45,13 @@ elements over every other field.
 `rational_points` finds the points over any finite field in O(q) field
 operations, on elements and per-field tables of elements only.
 `CubicGroup.orders` gives the exact order of every point from one walk
-P, 2P, ... per cyclic subgroup it meets, on canonical coordinates under
-the law: (k+1)P is the residual of zero and of the residual of kP and P,
-so each input of a step is a listed point or a certified residual, and
-no point is built.  A walk that reaches zero after n steps also gives
-ord(kP) = n / gcd(n, k); a multiple that is not in the list raises.
+per cyclic subgroup it meets, on canonical coordinates under the law.
+Its zero is a flex, so the residual point X * Y of X and Y is -(X + Y):
+-(k+1)P = kP * P and (k+1)P = (-kP) * (-P), one residual per multiple,
+and the walk takes kP and -kP together until kP meets -(k-1)P or -kP.
+Each input of a step is a listed point or a certified residual, and no
+point is built.  The order n of P
+gives ord(jP) = n / gcd(n, j); a multiple that is not in the list raises.
 
 `hesse_collinear_triples` reads the twelve flex triples off the flex-line
 incidence once per field, and every curve system shares the tuple.
@@ -336,34 +338,39 @@ class CubicGroup:
     def orders(self, points):
         """{P: exact order of P} for every point of `points` (the group).
 
-        The walk runs on canonical coordinates: from a point P not yet
-        reached, (k+1)P is the residual of zero and of the residual of kP
-        and P, each certified by the law, until nP = zero; then
-        ord(kP) = n / gcd(n, k) for every multiple passed.  Each multiple
-        is looked up among `points`.  A point off the curve, a multiple
-        that is not in the list, or a walk longer than len(points) steps
-        is an error: then `points` is not the whole group.
+        The zero must be a flex, so that X * Y = -(X + Y) for the residual
+        X * Y.  The walk runs on canonical coordinates and takes kP and -kP
+        together from a point P not yet reached: -P = zero * P, then
+        (k+1)P = (-kP) * (-P) and -(k+1)P = kP * P, each certified by the
+        law, until kP = -(k-1)P (order n = 2k - 1) or kP = -kP (n = 2k);
+        then ord(jP) = ord(-jP) = n / gcd(n, j).  Each multiple is looked
+        up among `points`.  A point off the curve, a multiple that is not
+        in the list, or a walk longer than len(points) is an error: then
+        `points` is not the whole group.
         """
         law = self._law
         zero = law.coords(self.zero)
+        if law.residual(zero, zero) != zero:
+            raise CubicError(f"the zero {self.zero} is not a flex")
         by_coords = {law.coords(P): P for P in points}
         if not all(law.is_zero(_hesse_value(a, law.t)) for a in by_coords):
             raise CubicError("a point of the list is not on the cubic")
-        bound = len(points)
         found = {}  # coordinates -> exact order
         for a, P in by_coords.items():
             if a in found:
                 continue
-            multiples = [a]
-            while multiples[-1] != zero:
-                if len(multiples) >= bound:
-                    raise CubicError(f"{P} has no order <= {bound}")
-                multiples.append(law.residual(zero, law.residual(multiples[-1], a)))
-            n = len(multiples)
-            for k, v in enumerate(multiples, 1):
+            pos, neg = [zero, a], [zero, law.residual(zero, a)]  # jP, -jP
+            while pos[-1] != neg[-2] and pos[-1] != neg[-1]:
+                if 2 * len(pos) > len(points) + 1:
+                    raise CubicError(f"{P} has no order <= {len(points)}")
+                pos.append(law.residual(neg[-1], neg[1]))
+                neg.append(law.residual(pos[-2], a))
+            k = len(pos) - 1
+            n = 2 * k - (pos[-1] == neg[-2])
+            for j, v in enumerate(pos[1:] + neg[:n - k][::-1], 1):
                 if v not in by_coords:
                     raise CubicError(f"the multiple {v} of {P} is not in the list")
-                found.setdefault(v, n // gcd(n, k))
+                found.setdefault(v, n // gcd(n, j))
         return {by_coords[a]: n for a, n in found.items()}
 
 

@@ -8,9 +8,12 @@ lets curve equations be written as plain Python expressions:
     conic = X*Y - a*Z**2
 
 ProjPoint canonicalizes on construction (first nonzero coordinate scaled
-to 1) so equality and hashing are representative-independent; over Q(e)
-and Q(e)(a) it keeps the values of the monomials `values_at` has met at
-it, while over GF(p) and GF(p^k) a value is one sum on ints.
+to 1) so equality and hashing are representative-independent.
+
+``values_at`` is the one evaluator: it takes forms and a point set, reads
+the forms' terms once on the field's int form and returns one row of
+values per point; ``Poly3.evaluate`` is its one-point call, and
+``incidence_rows`` reads its zeros.
 
 The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
@@ -154,7 +157,7 @@ class Poly3:
         return [self.terms.get(e, zero) for e in monomials_of_degree(self.degree)]
 
     def evaluate(self, point):
-        return values_at([self], point)[0]
+        return values_at([self], [point])[0][0]
 
     def restrict_to_line(self, A, B):
         """Coefficients [c_0..c_d] of P(u*A + v*B) = sum c_i u^i v^(d-i)."""
@@ -211,68 +214,49 @@ def _power_table(x, n, one, p=None):
     return out
 
 
-def _point_tables(field, coords, degree):
-    """The power tables up to `degree` of three coordinates in `field`: of
-    their residues over GF(p), of the elements over any other field."""
-    if isinstance(field, PrimeField):
-        return [_power_table(c.v, degree, 1, field.p) for c in coords]
-    return [_power_table(c, degree, field.one()) for c in coords]
+def values_at(forms, points):
+    """The values of forms over one field at points: one row per point,
+    one value per form.
 
-
-def values_at(forms, point):
-    """The values of forms over one field at a point.
-
-    `point` is a ProjPoint over the forms' field, whose `rep` is used, or
-    anything whose coordinates that field coerces.  Over GF(p) each value
-    is the sparse sum of a form's terms on ints mod p from one set of
-    power tables.  Over GF(p^k) it is the same sum on ints packed in g
-    (`field.Packing`), reduced once per value.  Over Q(e) and Q(e)(a) each
-    term's monomial value is read from the table a ProjPoint keeps in
-    `monomials` (exponent to value at `rep`), filled from power tables
-    when missing, so a form's value at a point seen before costs one
-    product per term.
+    A point is a ProjPoint over the forms' field, whose `rep` is used, or
+    anything whose coordinates that field coerces.  The forms' terms are
+    read once, on the field's int form: residues mod p over GF(p), ints
+    packed in g (`field.Packing`) over GF(p^k), the elements themselves
+    over Q(e) and Q(e)(a).  Per point, one set of power tables serves
+    every form, and each value is one sparse sum of a form's terms,
+    reduced once.
     """
     field = forms[0].field
     if any(F.field is not field for F in forms):
         raise MixedContextError("forms over different fields")
-    kept = isinstance(point, ProjPoint) and point.field is field
-    if kept:
-        coords = point.rep  # already elements of this field
-    else:
-        coords = point.rep if isinstance(point, ProjPoint) else point
-        coords = tuple(field.coerce(c) for c in coords)
+    degree, p = max(F.degree for F in forms), None
     if isinstance(field, PrimeField):
-        px, py, pz = _point_tables(field, coords, max(F.degree for F in forms))
-        return [GFpElem(field, sum(c.v * px[i] * py[j] * pz[k]
-                                   for (i, j, k), c in F.terms.items()))
-                for F in forms]
-    if field.is_finite:  # GF(p^k)
-        degree = max(F.degree for F in forms)
-        packing = field.packing(degree + 1)  # a term is degree + 1 elements
-        packed = packing.packed
-        px, py, pz = (_power_table(packed[c.code], degree, 1) for c in coords)
-        return [packing.element(sum(packed[c.code] * px[i] * py[j] * pz[k]
-                                    for (i, j, k), c in F.terms.items()))
-                for F in forms]
-    table = point.monomials if kept else {}
-    if table is None:
-        table = point.monomials = {}
-    missing = {e for F in forms for e in F.terms if e not in table}
-    if missing:
-        px, py, pz = _point_tables(field, coords, max(map(max, missing)))
-        for i, j, k in missing:
-            table[i, j, k] = px[i] * py[j] * pz[k]
-    zero = field.zero()
-    return [sum((c * table[e] for e, c in F.terms.items()), zero) for F in forms]
+        p, read, wrap = field.p, (lambda c: c.v), (lambda v: GFpElem(field, v))
+    elif field.is_finite:  # GF(p^k): a term is degree + 1 elements
+        packing = field.packing(degree + 1)
+        read, wrap = (lambda c: packing.packed[c.code]), packing.element
+    else:
+        read, wrap = (lambda c: c), (lambda v: v)
+    zero, one = read(field.zero()), read(field.one())
+    terms = [[(e, read(c)) for e, c in F.terms.items()] for F in forms]
+    rows = []
+    for P in points:
+        coords = P.rep if isinstance(P, ProjPoint) else P
+        if not (isinstance(P, ProjPoint) and P.field is field):
+            coords = [field.coerce(c) for c in coords]  # rejects other fields
+        px, py, pz = (_power_table(read(c), degree, one, p) for c in coords)
+        rows.append([wrap(sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in T), zero))
+                     for T in terms])
+    return rows
 
 
 def incidence_rows(points, curves, row_sum=None, column_sum=None):
     """The 0/1 incidence of points and curves: one row per point, one
-    column per curve, from one `values_at` call per point.  With `row_sum`
-    every point lies on exactly that many of the curves, and with
-    `column_sum` every curve passes through exactly that many of the
-    points; GeometryError otherwise."""
-    rows = [[int(v.is_zero()) for v in values_at(curves, P)] for P in points]
+    column per curve, from one `values_at` call.  With `row_sum` every
+    point lies on exactly that many of the curves, and with `column_sum`
+    every curve passes through exactly that many of the points;
+    GeometryError otherwise."""
+    rows = [[int(v.is_zero()) for v in row] for row in values_at(curves, points)]
     for want, lines, what in ((row_sum, rows, "point"),
                               (column_sum, zip(*rows), "curve")):
         if want is None:
@@ -303,8 +287,8 @@ def hasse_rows(point, degree, alphas):
     """
     field = point.field
     residues = isinstance(field, PrimeField)  # ints mod p, wrapped at the end
-    zero = 0 if residues else field.zero()
-    px, py, pz = _point_tables(field, point.rep, degree)
+    zero, one, p = (0, 1, field.p) if residues else (field.zero(), field.one(), None)
+    px, py, pz = (_power_table(c.v if residues else c, degree, one, p) for c in point.rep)
     monos = monomials_of_degree(degree)
     rows = []
     for a0, a1, a2 in alphas:
@@ -335,7 +319,7 @@ class ProjPoint:
     kept in `rep` (evaluation at `rep` avoids the denominators the
     canonical form may introduce; vanishing is representative-free)."""
 
-    __slots__ = ("field", "coords", "rep", "monomials")
+    __slots__ = ("field", "coords", "rep")
 
     def __init__(self, field, coords):
         coords = tuple(field.coerce(c) for c in coords)
@@ -350,7 +334,6 @@ class ProjPoint:
             raise GeometryError("(0:0:0) is not a projective point")
         self.field = field
         self.rep = coords
-        self.monomials = None  # filled by `values_at`, over Q(e) and Q(e)(a)
         if pivot == field.one():
             self.coords = coords
         else:

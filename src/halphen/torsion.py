@@ -22,8 +22,8 @@ curve's rational points and their exact orders with x_7 as zero, from one
 census is also where a singular t raises.  The search reads its witness
 from it, the curve systems the same witness as their translation point,
 and the locus and nine-torsion checks their orders: both are one cut check
-(`_cut_exactly`), one pass over the census points where the forms checked
-at a point share its power tables (`plane.values_at`).
+(`_cut_exactly`) on one `plane.incidence_rows` table of the census points
+and the forms.
 
 The index-2 systems are the configuration's conics: over GF(p) its base
 points are the flexes translated by a 2-torsion point, and each conic
@@ -40,7 +40,7 @@ from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF, GFext, GFpElem, prime_divisors
 from .linalg import kernel_basis
-from .plane import Poly3, gens, hasse_rows, monomials_of_degree, values_at
+from .plane import Poly3, gens, hasse_rows, incidence_rows, monomials_of_degree
 
 
 class TorsionError(Exception):
@@ -170,21 +170,16 @@ def _specialization(m, p_max):
 
 def _cut_exactly(forms, field, t, m):
     """(per-form counts, points cut) of `forms` on the census points of the
-    Hesse cubic t over `field`, in one pass where the forms share each
-    point's power tables.  A point is cut when some form vanishes there;
-    unless the points cut are exactly those of order m, TorsionError names
-    a rational counterexample."""
+    Hesse cubic t over `field`, read from one `incidence_rows` table.  A
+    point is cut when some form vanishes there; unless the points cut are
+    exactly those of order m, TorsionError names a rational counterexample."""
     points, orders = _census(field, t)
-    counts, cut = [0] * len(forms), 0
-    for P in points:
-        zeros = [value.is_zero() for value in values_at(forms, P)]
-        counts = [n + z for n, z in zip(counts, zeros)]
-        on = any(zeros)
-        if on != (orders[P] == m):
+    rows = incidence_rows(points, forms)
+    for P, row in zip(points, rows):
+        if any(row) != (orders[P] == m):
             raise TorsionError(f"order-{orders[P]} point {P} is"
-                               f"{'' if on else ' not'} cut over {field}, m = {m}")
-        cut += on
-    return counts, cut
+                               f"{'' if any(row) else ' not'} cut over {field}, m = {m}")
+    return [sum(column) for column in zip(*rows)], sum(map(any, rows))
 
 
 def verify_torsion_locus(m, p, t, quadratic_extension=False):

@@ -143,9 +143,9 @@ def test_criterion_10_log_chern(configuration):
     _criterion(10, 10.0, "log Chern numbers of the five arrangements", check)
 
 
-def test_criterion_11_harbourne():
+def test_criterion_11_harbourne(configuration):
     def check():
-        rep = invariants.harbourne_report()
+        rep = invariants.harbourne_report(len(configuration.nodes))
         assert rep["chilean"] == Fraction(-67, 28)
         assert rep["degenerate"] == Fraction(-61, 25)
         return "-67/28 and -61/25"

@@ -446,9 +446,10 @@ def test_orders_match_the_repeated_addition_oracles():
 
 def test_orders_walk_matches_repeated_addition():
     # the coordinate walk against torsion_order, which adds points one at a
-    # time, with zero at x_1 and at x_7; a list missing a point raises
+    # time, with zero at x_1 and at x_7; a list missing a point raises.
+    # GF(37), t = 11 has points of orders 3, 5 and 15
     cases = [(GF(p), range(p)) for p in (13, 19, 31)]
-    cases += [(GFext(7, 2), range(3)), (GFext(13, 2), range(1, 2))]
+    cases += [(GFext(7, 2), range(3)), (GFext(13, 2), range(1, 2)), (GF(37), (11,))]
     rng = random.Random(5)
     checked = 0
     for F, t_values in cases:
@@ -497,6 +498,18 @@ def test_packed_law_matches_the_element_law():
             oracle._law = elements
             assert g.orders(pts) == oracle.orders(pts)
     assert pairs > 40000
+
+
+def test_orders_needs_a_flex_as_zero():
+    # the walk reads X * Y as -(X + Y), which holds only with a flex as zero
+    F = GF(37)
+    curve = HesseCubic(F, 11)
+    pts = rational_points(curve)
+    assert sorted(set(CubicGroup(curve, hesse_flexes(F)[6]).orders(pts).values())) == [
+        1, 3, 5, 15]
+    off_flex = next(P for P in pts if not any(c.is_zero() for c in P.coords))
+    with pytest.raises(CubicError, match="not a flex"):
+        CubicGroup(curve, off_flex).orders(pts)
 
 
 def test_orders_needs_the_whole_group():

@@ -394,7 +394,7 @@ def test_scan_census_matches_symbolic(symbolic_data, nodes):
     assert checked >= 5
 
 
-def test_harbourne_values():
+def test_harbourne_values(configuration):
     assert harbourne(135, [2] * 84) == Fraction(-67, 28)
     assert harbourne(117, [2] * 75) == Fraction(-61, 25)
     assert harbourne(0, [2]) == Fraction(-4)
@@ -402,7 +402,7 @@ def test_harbourne_values():
         harbourne(10, [])
     with pytest.raises(ArrangementError):
         harbourne(10, [1])
-    rep = harbourne_report()
+    rep = harbourne_report(len(configuration.nodes))
     assert rep["chilean"] == Fraction(-67, 28)
     assert rep["degenerate"] == Fraction(-61, 25)
 

@@ -1,5 +1,6 @@
 import random
 from math import comb, factorial as factorial_of, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,20 +67,20 @@ def test_evaluate_on_residues_matches_elements():
             if all(c % p == 0 for c in ints):
                 ints[2] = 1
             elems = tuple(F.from_int(c) for c in ints)
-            shared = values_at(forms, ProjPoint(F, ints))
+            shared = values_at(forms, [ProjPoint(F, ints)])[0]
             for P, value in zip(forms, shared):
                 assert value == term_sum(P, elems)
                 assert P.evaluate(ProjPoint(F, ints)) == value
                 assert P.evaluate(ints) == value  # coerced tuples
                 assert P.evaluate(elems) == value
     with pytest.raises(MixedContextError):
-        values_at([forms[0], gens(GF(7))[0]], (1, 2, 3))
+        values_at([forms[0], gens(GF(7))[0]], [(1, 2, 3)])
 
 
 def test_values_at_kept_monomial_tables_match_term_sums():
-    # over Q(e) and Q(e)(a) a point keeps its monomial values: a second
-    # evaluation, of overlapping forms of other degrees, reads them and must
-    # agree; over GF(p^k) the values are packed sums and nothing is kept
+    # two evaluations of overlapping forms of other degrees at one point,
+    # and one at its raw coordinates, agree with the term sums over Q(e),
+    # Q(e)(a) and GF(p^k)
     rng = random.Random(5)
     for F in (QQ_EPS, QQ_EPS_A, GFext(13, 2)):
         elems = [F.from_int(c) for c in range(-3, 4)] + [F.eps(), F.eps() + 2]
@@ -93,11 +94,10 @@ def test_values_at_kept_monomial_tables_match_term_sums():
             if all(c.is_zero() for c in coords):
                 coords[0] = F.one()
             point = ProjPoint(F, coords)
-            first = values_at(forms[:3], point)
-            assert bool(point.monomials) == (F is not GFext(13, 2))
-            second = values_at(forms[2:], point)
+            first = values_at(forms[:3], [point])[0]
+            second = values_at(forms[2:], [point])[0]
             assert first + second[1:] == [term_sum(P, point.rep) for P in forms]
-            assert values_at(forms, tuple(point.rep)) == first + second[1:]
+            assert values_at(forms, [tuple(point.rep)])[0] == first + second[1:]
 
 
 def test_packed_values_match_term_sums():
@@ -120,8 +120,43 @@ def test_packed_values_match_term_sums():
                 if all(c.is_zero() for c in coords):
                     continue
                 point = ProjPoint(F, coords)
-                assert values_at(forms, point) == [term_sum(P, point.rep) for P in forms]
-                assert point.monomials is None
+                assert values_at(forms, [point])[0] == [term_sum(P, point.rep) for P in forms]
+
+
+def test_values_at_matches_the_hasse_row_oracle():
+    # the one evaluator against an oracle outside it: a value is the dense
+    # coefficient vector dotted with the alpha = 0 Hasse row at the point.
+    # Sparse forms of degree 0 to 8 (and a zero form), points with zero
+    # coordinates, and raw tuples of elements and of ints, in one call
+    rng = random.Random(17)
+    for F in (GF(7), GFext(13, 2), QQ_EPS, QQ_EPS_A):
+        zero, one = F.zero(), F.one()
+        elems = [F.from_int(c) for c in range(-2, 4)] + [F.eps(), F.eps() - 3]
+        if F is QQ_EPS_A:
+            elems += [F.gen(), one / (F.gen() + 1)]
+        forms = [Poly3(F, d, {e: rng.choice(elems) for e in rng.sample(
+            monomials_of_degree(d), rng.randint(1, min(4, d + 1)))}) for d in range(9)]
+        forms.append(Poly3.zero(F, 3))
+        points = [ProjPoint(F, c) for c in ((zero, one, rng.choice(elems)),
+                                            (zero, zero, F.eps()), (one, zero, one))]
+        points += [ProjPoint(F, [rng.choice(elems[1:]) for _ in range(3)])
+                   for _ in range(3)]
+        raw = [tuple(points[0].rep), tuple(points[-1].rep), (0, 1, 2), (3, 0, -1)]
+        rows = values_at(forms, points + raw)
+        assert len(rows) == len(points) + len(raw)
+        for P, row in zip(points + raw, rows):
+            point = P if isinstance(P, ProjPoint) else ProjPoint(F, P)
+            oracle = [sum(map(mul, form.coefficients(),
+                              hasse_rows(point, form.degree, [(0, 0, 0)])[0]), zero)
+                      for form in forms]
+            assert row == oracle
+            assert [form.evaluate(P) for form in forms] == row
+            assert values_at(forms, [P]) == [row]
+    with pytest.raises(MixedContextError):
+        values_at([gens(GF(7))[0], gens(QQ_EPS)[0]], [(1, 2, 3)])
+    with pytest.raises(MixedContextError):
+        values_at([gens(GF(7))[0]], [ProjPoint(GF(7), (1, 2, 3)),
+                                     ProjPoint(GF(13), (1, 2, 3))])
 
 
 def test_product_degree_and_terms():

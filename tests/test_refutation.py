@@ -119,6 +119,19 @@ def degree_histogram(monkeypatch, ctx):
                         lambda classes: {0: 9, 1: 36, 2: 53, 3: 37, 4: 9})
 
 
+def one_clique_fewer(monkeypatch, ctx):
+    """The last orthogonal nine-set, a rejected one, goes missing: 543
+    cliques, and the exceptional set still the one that qualifies."""
+    original = piclattice.all_nine_cliques
+    monkeypatch.setattr(piclattice, "all_nine_cliques",
+                        lambda classes: original(classes)[:-1])
+
+
+def one_node_fewer(monkeypatch, ctx):
+    """The configuration loses its last fiber node: 11 of 12."""
+    ctx.nodes = list(ctx.nodes)[:-1]
+
+
 def chord_law(monkeypatch, ctx):
     """The group's add is the chord map P, Q -> third point of PQ, which is
     commutative but not associative."""
@@ -158,8 +171,10 @@ CASES = [
     ("pencil", "branch quintic census", quintic_coefficient),
     ("lattice", "144 minus-one classes", deck_permutation),
     ("lattice", "144 minus-one classes", degree_histogram),
+    ("lattice", "unique orthogonal nine-set", one_clique_fewer),
     ("torsion", "nine-torsion cubics", fourth_cubic_sign),
     ("torsion", "nine-torsion cubics", seventh_cubic_t_term),
+    ("invariants", "Harbourne constants", one_node_fewer),
 ]
 
 

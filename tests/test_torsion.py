@@ -183,8 +183,8 @@ def test_shared_tables_match_evaluate_at_every_census_point():
     for F, t in ((GF(13), 2), (GF(31), 1), (GF(37), 9), (GFext(13, 2), 1)):
         forms = [torsion_locus(F, 4, t), torsion_locus(F, 5, t)]
         forms += nine_torsion_cubics(F, t)
-        for P in rational_points(HesseCubic(F, t)):
-            values = values_at(forms, P)
+        points = rational_points(HesseCubic(F, t))
+        for P, values in zip(points, values_at(forms, points)):
             assert values == [form.evaluate(P) for form in forms]
             assert values == [term_sum(form, P.rep) for form in forms]
             zeros += sum(value.is_zero() for value in values)
