@@ -36,11 +36,10 @@ has the same residual point as PQ.  Bernstein-Kohel-Lange show that the
 two chords together are complete; the code does not rely on it, and a
 pair that no certificate decides raises CubicError.
 
-A `CubicGroup` picks one coordinate law at construction: the formulas
-and the certificates, written once, run on plain residues mod p over
-GF(p), as does `HesseCubic.contains`, on ints packed in g over GF(p^k)
-(`field.Packing`: only a zero test or a scaling reduces), and on field
-elements over every other field.
+The formulas and certificates are written once, in one law class, and
+run, as `HesseCubic.contains` does, in the inner-loop form of the
+curve's field (`Field.packing`), where only a zero test or a scaling
+reduces.
 
 `rational_points` finds the points over any finite field in O(q) field
 operations, on elements and per-field tables of elements only.
@@ -60,7 +59,7 @@ incidence once per field, and every curve system shares the tuple.
 from functools import lru_cache
 from math import gcd
 
-from .field import FieldError, GFpkElem, PrimeField
+from .field import FieldError
 from .plane import ProjPoint, cross, gens, incidence_rows
 
 
@@ -79,18 +78,13 @@ class HesseCubic:
         return not (self.t**3 + 27).is_zero()
 
     def contains(self, P):
-        # x^3 + y^3 + z^3 + t*xyz at the representative; a point's rep
-        # already holds elements of its field (over GF(p), evaluated on
-        # their residues), and anything else is coerced (which rejects
-        # other fields)
-        field = self.field
-        if isinstance(P, ProjPoint) and P.field is field:
-            if isinstance(field, PrimeField):
-                v = _hesse_value([c.v for c in P.rep], self.t.v)
-                return v % field.p == 0
-            return _hesse_value(P.rep, self.t).is_zero()
+        # x^3 + y^3 + z^3 + t*xyz at the representative, in the field's
+        # inner-loop form; anything but a point of the field is coerced
+        field, form = self.field, self.field.packing(4)
         coords = P.rep if isinstance(P, ProjPoint) else P
-        return _hesse_value([field.coerce(c) for c in coords], self.t).is_zero()
+        if not (isinstance(P, ProjPoint) and P.field is field):
+            coords = [field.coerce(c) for c in coords]  # rejects other fields
+        return form.is_zero(_hesse_value(map(form.pack, coords), form.pack(self.t)))
 
     def require_on_curve(self, P):
         if not self.contains(P):
@@ -184,28 +178,16 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-class _ElementLaw:
-    """The closed forms on field elements: a point's coordinates are its
-    canonical `coords`, and t is the curve's parameter."""
+class _Law:
+    """The closed forms in a field's inner-loop form (`Field.packing`): a
+    point's coordinates are its packed canonical `coords`, and t is the
+    curve's parameter, packed."""
 
-    element = None  # coordinates are elements already
-
-    def __init__(self, t):
-        self.t = t
+    def __init__(self, t, form):
+        self.form, self.t = form, form.pack(t)
 
     def coords(self, P):
-        return P.coords
-
-    def is_zero(self, v):
-        return v.is_zero()
-
-    def canonical(self, v):
-        """v scaled to canonical form, or None for (0, 0, 0)."""
-        pivot = next((c for c in v if not c.is_zero()), None)
-        if pivot is None:
-            return None
-        inv = pivot.inverse()
-        return tuple(c * inv for c in v)
+        return tuple(map(self.form.pack, P.coords))
 
     def residual(self, a, b):
         """The residual point of the line ab on the smooth Hesse cubic.
@@ -215,7 +197,7 @@ class _ElementLaw:
         itself where a residual rule decides (see the module docstring);
         where none decides, CubicError.
         """
-        t, is_zero = self.t, self.is_zero
+        t, is_zero, canonical = self.t, self.form.is_zero, self.form.canonical
         x1, y1, z1 = a
         same = a == b
         if same:
@@ -229,7 +211,7 @@ class _ElementLaw:
 
         def certified(coords):
             """coords in canonical form if they are the residual point, else None."""
-            R = self.canonical(coords)
+            R = canonical(coords)
             if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
                     and is_zero(_hesse_value(R, t))):
                 return R
@@ -247,38 +229,6 @@ class _ElementLaw:
         return R
 
 
-class _ResidueLaw(_ElementLaw):
-    """The closed forms on ints: a point's coordinates are the residues mod
-    p of its canonical `coords` over GF(p), packed in g over GF(p^k), where
-    `element` maps one back to the field."""
-
-    def __init__(self, t):
-        if isinstance(t, GFpkElem):  # the formulas multiply at most 4 elements
-            self.p, self.packing = None, t.field.packing(4)
-            self.t, self.element = self.packing.packed[t.code], self.packing.element
-        else:
-            self.p, self.t = t.field.p, t.v
-
-    def coords(self, P):
-        if self.p is None:
-            return tuple(self.packing.packed[c.code] for c in P.coords)
-        return tuple(c.v for c in P.coords)
-
-    def is_zero(self, v):
-        return v % self.p == 0 if self.p else self.element(v).is_zero()
-
-    def canonical(self, v):
-        p = self.p
-        if p is None:  # scale the reduced elements, then pack them
-            R = super().canonical([self.element(c) for c in v])
-            return R and tuple(self.packing.packed[c.code] for c in R)
-        pivot = next((c for c in v if c % p), None)
-        if pivot is None:
-            return None
-        inv = pow(pivot, -1, p)
-        return tuple(c * inv % p for c in v)
-
-
 class CubicGroup:
     """Chord-tangent group law on a smooth Hesse cubic with a chosen zero."""
 
@@ -289,8 +239,7 @@ class CubicGroup:
         self.curve = curve
         self.field = curve.field
         self.zero = zero
-        law = _ResidueLaw if self.field.is_finite else _ElementLaw
-        self._law = law(curve.t)
+        self._law = _Law(curve.t, self.field.packing(4))  # products of <= 4 elements
 
     def third_intersection(self, P, Q):
         """The residual intersection of the line through P and Q.
@@ -311,7 +260,7 @@ class CubicGroup:
             return P
         if R is b:
             return Q
-        return ProjPoint(self.field, R if law.element is None else map(law.element, R))
+        return ProjPoint(self.field, map(law.form.element, R))
 
     def add(self, P, Q):
         return self.third_intersection(self.zero, self.third_intersection(P, Q))
@@ -353,7 +302,7 @@ class CubicGroup:
         if law.residual(zero, zero) != zero:
             raise CubicError(f"the zero {self.zero} is not a flex")
         by_coords = {law.coords(P): P for P in points}
-        if not all(law.is_zero(_hesse_value(a, law.t)) for a in by_coords):
+        if not all(law.form.is_zero(_hesse_value(a, law.t)) for a in by_coords):
             raise CubicError("a point of the list is not on the cubic")
         found = {}  # coordinates -> exact order
         for a, P in by_coords.items():

@@ -18,6 +18,10 @@ Supported fields:
 Characteristic 3 is always rejected.  Characteristic 2 is rejected unless
 requested explicitly (it is needed only for the binary incidence code).
 
+Inner loops compute in each field's one form, `Field.packing`: the
+elements (`Elements`), ints mod p over GF(p) (`Residues`), or ints
+packed in g over GF(p^k) (`Packing`); no other module picks one.
+
 Elements overload +, -, *, / and ==; integers coerce automatically, so
 formulas can be written as plain Python expressions.  A canonical text
 form (e.g. ``(-1 - 1*e)*a^2``) is provided for every element together
@@ -25,9 +29,10 @@ with a parser for the same syntax.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class FieldError(Exception):
@@ -65,6 +70,10 @@ class Field:
         if isinstance(x, FieldElem) and x.field is self:
             return x
         raise MixedContextError(f"cannot coerce {x!r} into {self}")
+
+    def packing(self, degree):
+        """The inner-loop form of sums of products of up to `degree` elements."""
+        return Elements(self)
 
 
 def _require_char_ok(p, allow_char2):
@@ -141,6 +150,43 @@ class FieldElem:
 
     def __repr__(self):
         return to_text(self)
+
+
+class Elements:
+    """The inner-loop form of Q(e) and Q(e)(a): the elements themselves.
+
+    Every form has six operations: `pack` maps an element to a value and
+    `element` maps a value (a sum of products within the form's degree)
+    back; `reduce`, `is_zero` and `inverse` (ZeroDivisionError on zero)
+    act on values, and `canonical` scales a triple to first nonzero entry
+    1, or gives None for (0, 0, 0).  Here those four go through `element`,
+    so a form of packed elements needs only its own `pack` and `element`.
+    """
+
+    def __init__(self, field):
+        self.field = field
+
+    def pack(self, x):
+        return x
+
+    element = pack  # the identity both ways
+
+    def reduce(self, v):
+        return self.pack(self.element(v))
+
+    def is_zero(self, v):
+        return self.element(v).is_zero()
+
+    def inverse(self, v):
+        return self.pack(self.element(v).inverse())
+
+    def canonical(self, v):
+        v = [self.element(c) for c in v]
+        pivot = next((c for c in v if not c.is_zero()), None)
+        if pivot is None:
+            return None
+        inv = pivot.inverse()
+        return tuple(self.pack(c * inv) for c in v)
 
 
 class QEpsField(Field):
@@ -725,6 +771,11 @@ class PrimeField(Field):
         for v in range(self.p):
             yield GFpElem(self, v)
 
+    @lru_cache(maxsize=None)
+    def packing(self, degree):
+        """`Residues`, the inner-loop form of GF(p), for any degree."""
+        return Residues(self)
+
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -793,6 +844,34 @@ class GFpElem(FieldElem):
 
 
 GFpElem._coercible = (int, GFpElem)
+
+
+class Residues(Elements):
+    """GF(p) as ints, each standing for its residue mod p, with int
+    operations (see `Elements`); `pack`, `element` and `reduce` are bound
+    to C callables, which inner loops call without a Python frame."""
+
+    def __init__(self, field):
+        self.field, self.p = field, field.p
+        self.pack, self.element = attrgetter("v"), partial(GFpElem, field)
+        self.reduce = field.p.__rmod__  # v % p
+
+    def is_zero(self, v):
+        return v % self.p == 0
+
+    def inverse(self, v):
+        try:
+            return pow(v, -1, self.p)
+        except ValueError:  # v is 0 mod p
+            raise ZeroDivisionError(f"inverse of zero in {self.field}") from None
+
+    def canonical(self, v):
+        p = self.p
+        pivot = next((c for c in v if c % p), None)
+        if pivot is None:
+            return None
+        inv = self.inverse(pivot)
+        return tuple(c * inv % p for c in v)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,14 +1142,16 @@ class GFpkElem(FieldElem):
 GFpkElem._coercible = (int, GFpkElem)
 
 
-class Packing:
-    """GF(p^k) elements as polynomials in g, each packed into one int.
+class Packing(Elements):
+    """GF(p^k)'s inner-loop form: elements as polynomials in g, each
+    packed into one int.
 
     c_0 + c_1 g + ... is sum c_i 2^(w i), so +, - and * are polynomial
     operations.  A sum of at most 3^D products of D = `degree` reduced
     elements has degree <= D (k - 1) in g and coefficients below
     (3k(p - 1))^D in absolute value, which w bits and a sign hold.
-    `element` reduces mod p and the modulus.
+    `element` reduces mod p and the modulus; the other operations on
+    values go through it (see `Elements`).
     """
 
     def __init__(self, field, degree):
@@ -1084,6 +1165,9 @@ class Packing:
         self.rows = [sum(c << (b * i) for i, c in enumerate(_gfp_poly_mulmod(
             [0] * j + [1], [1], field.modulus, p))) for j in range(lanes)]  # g^j
         self.digits = [(b * i, p**i) for i in range(k)]  # shift, place value
+
+    def pack(self, x):
+        return self.packed[x.code]
 
     def element(self, v):
         """The element v stands for; v must fit the lanes."""

@@ -1,21 +1,20 @@
 """Exact linear algebra over a coefficient field, plus integer Smith normal
 form with transformation matrices.
 
-`rref` eliminates over GF(p) on plain residues mod p, one `pow(x, -1, p)`
-per pivot, and over every other field on field elements; `solve` goes
-through `rref`, and so does `kernel_basis`, except over Q(e)(a).  There
-`kernel_basis` clears each row's denominators and runs Bareiss's
-fraction-free elimination on the Z[e][a] polynomials of `field.py`: every
-division is exact and checked, and every kernel vector is verified
-against the rows.  Every entry must be an element of the given field, or
-`MixedContextError` is raised.
+`rref` is one Gauss-Jordan elimination in the field's inner-loop form
+(`Field.packing`); `solve` goes through `rref`, and so does
+`kernel_basis`, except over Q(e)(a).  There `kernel_basis` clears each
+row's denominators and runs Bareiss's fraction-free elimination on the
+Z[e][a] polynomials of `field.py`: every division is exact and checked,
+and every kernel vector is verified against the rows.  Every entry must
+be an element of the given field, or `MixedContextError` is raised.
 """
 
 from math import lcm
 
-from .field import (FieldElem, FieldError, GFpElem, MixedContextError,
-                    PrimeField, RatFuncElem, RatFuncField, _ONE,
-                    _lead_conjugate, _zlin, _zmul, _zquo, _zscale)
+from .field import (FieldElem, FieldError, MixedContextError, RatFuncElem,
+                    RatFuncField, _ONE, _lead_conjugate, _zlin, _zmul, _zquo,
+                    _zscale)
 
 
 def _require_entries_of(rows, field):
@@ -29,58 +28,35 @@ def rref(rows, field):
     """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
     rows = [list(r) for r in rows]
     _require_entries_of(rows, field)
-    if isinstance(field, PrimeField):
-        red, pivots = _rref_residues([[x.v for x in r] for r in rows], field.p)
-        return [[GFpElem(field, x) for x in r] for r in red], pivots
-    return _rref_elements(rows)
+    form = field.packing(2)  # a row operation multiplies two entries
+    red, pivots = _eliminate([[form.pack(x) for x in r] for r in rows], form)
+    return [[form.element(x) for x in r] for r in red], pivots
 
 
-def _rref_residues(rows, p):
-    """`rref` of lists of ints reduced mod p (the lists are replaced)."""
-    def scale(row, c):
-        inv = pow(row[c], -1, p)
-        return [x * inv % p for x in row]
-
-    def subtract(row, f, pivot):
-        return [(x - f * y) % p for x, y in zip(row, pivot)]
-
-    return _eliminate(rows, bool, scale, subtract)
-
-
-def _rref_elements(rows):
-    """`rref` of lists of elements of any one field (the lists are replaced)."""
-    def scale(row, c):
-        inv = row[c].inverse()
-        return [x * inv for x in row]
-
-    def subtract(row, f, pivot):
-        return [x - f * y for x, y in zip(row, pivot)]
-
-    return _eliminate(rows, lambda x: not x.is_zero(), scale, subtract)
-
-
-def _eliminate(rows, nonzero, scale, subtract):
-    """Gauss-Jordan elimination of `rows` in place, given its row operations.
+def _eliminate(rows, form):
+    """Gauss-Jordan elimination of `rows`, lists of values of a field's
+    inner-loop `form`, in place: each row operation reduces its results.
 
     The pivot of each column is its first nonzero entry at or below the
-    current row; `scale(row, c)` returns the row divided by its entry c
-    and `subtract(row, f, pivot)` returns row - f * pivot.
+    current row.
     """
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    is_zero, reduce = form.is_zero, form.reduce
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if nonzero(rows[i][c])),
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])),
                          None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r] = scale(rows[r], c)
+        inv = form.inverse(rows[r][c])
+        pivot = rows[r] = [reduce(x * inv) for x in rows[r]]
         for i, row in enumerate(rows):
-            if i != r and nonzero(row[c]):
-                rows[i] = subtract(row, row[c], pivot)
+            f = row[c]
+            if i != r and not is_zero(f):
+                rows[i] = [reduce(x - f * y) for x, y in zip(row, pivot)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -10,23 +10,22 @@ lets curve equations be written as plain Python expressions:
 ProjPoint canonicalizes on construction (first nonzero coordinate scaled
 to 1) so equality and hashing are representative-independent.
 
-``values_at`` is the one evaluator: it takes forms and a point set, reads
-the forms' terms once on the field's int form and returns one row of
+``values_at`` is the one evaluator: it packs the forms' terms once in
+the field's inner-loop form (``Field.packing``) and returns one row of
 values per point; ``Poly3.evaluate`` is its one-point call, and
 ``incidence_rows`` reads its zeros.
 
 The module also provides restriction of a form to a parametrized line,
 elimination resultants, and exact division of binary forms by linear
 factors -- the primitives behind intersection-point extraction -- and
-``hasse_rows``, the one way local data at a point is read: values,
-gradients, multiplicity conditions and tangent cones are dot products of
-``Poly3.coefficients`` with its rows.
+``hasse_rows``, in the same form, the one way local data at a point is
+read: values, gradients, multiplicity conditions and tangent cones are
+dot products of ``Poly3.coefficients`` with its rows.
 """
 
 from math import comb
 
-from .field import (GFpElem, MixedContextError, PrimeField, pmul, pnormalize,
-                    specialize_scalar, to_text)
+from .field import MixedContextError, pmul, pnormalize, specialize_scalar, to_text
 
 
 class GeometryError(Exception):
@@ -206,11 +205,11 @@ class Poly3:
         return self.to_text()
 
 
-def _power_table(x, n, one, p=None):
-    """[1, x, ..., x^n] of a field element, or of an int reduced mod p."""
+def _power_table(x, n, one):
+    """[1, x, ..., x^n], unreduced, of a value of a field's inner-loop form."""
     out = [one]
     for _ in range(n):
-        out.append(out[-1] * x if p is None else out[-1] * x % p)
+        out.append(out[-1] * x)
     return out
 
 
@@ -220,32 +219,26 @@ def values_at(forms, points):
 
     A point is a ProjPoint over the forms' field, whose `rep` is used, or
     anything whose coordinates that field coerces.  The forms' terms are
-    read once, on the field's int form: residues mod p over GF(p), ints
-    packed in g (`field.Packing`) over GF(p^k), the elements themselves
-    over Q(e) and Q(e)(a).  Per point, one set of power tables serves
-    every form, and each value is one sparse sum of a form's terms,
-    reduced once.
+    packed once in the field's inner-loop form (`Field.packing`, for
+    products of degree + 1 elements).  Per point, one set of unreduced
+    power tables serves every form, and each value is one sparse sum of a
+    form's terms, mapped back to an element once.
     """
     field = forms[0].field
     if any(F.field is not field for F in forms):
         raise MixedContextError("forms over different fields")
-    degree, p = max(F.degree for F in forms), None
-    if isinstance(field, PrimeField):
-        p, read, wrap = field.p, (lambda c: c.v), (lambda v: GFpElem(field, v))
-    elif field.is_finite:  # GF(p^k): a term is degree + 1 elements
-        packing = field.packing(degree + 1)
-        read, wrap = (lambda c: packing.packed[c.code]), packing.element
-    else:
-        read, wrap = (lambda c: c), (lambda v: v)
-    zero, one = read(field.zero()), read(field.one())
-    terms = [[(e, read(c)) for e, c in F.terms.items()] for F in forms]
+    degree = max(F.degree for F in forms)
+    form = field.packing(degree + 1)  # a term is degree + 1 factors
+    pack, element = form.pack, form.element
+    zero, one = pack(field.zero()), pack(field.one())
+    terms = [[(e, pack(c)) for e, c in F.terms.items()] for F in forms]
     rows = []
     for P in points:
         coords = P.rep if isinstance(P, ProjPoint) else P
         if not (isinstance(P, ProjPoint) and P.field is field):
             coords = [field.coerce(c) for c in coords]  # rejects other fields
-        px, py, pz = (_power_table(read(c), degree, one, p) for c in coords)
-        rows.append([wrap(sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in T), zero))
+        px, py, pz = (_power_table(pack(c), degree, one) for c in coords)
+        rows.append([element(sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in T), zero))
                      for T in terms])
     return rows
 
@@ -286,9 +279,9 @@ def hasse_rows(point, degree, alphas):
     least r there iff every row of order below r vanishes on it.
     """
     field = point.field
-    residues = isinstance(field, PrimeField)  # ints mod p, wrapped at the end
-    zero, one, p = (0, 1, field.p) if residues else (field.zero(), field.one(), None)
-    px, py, pz = (_power_table(c.v if residues else c, degree, one, p) for c in point.rep)
+    form = field.packing(degree + 1)  # a value times its C(e, alpha) fits too
+    zero, one = field.zero(), form.pack(field.one())
+    px, py, pz = (_power_table(form.pack(c), degree, one) for c in point.rep)
     monos = monomials_of_degree(degree)
     rows = []
     for a0, a1, a2 in alphas:
@@ -299,10 +292,8 @@ def hasse_rows(point, degree, alphas):
                 continue
             value = px[e0 - a0] * py[e1 - a1] * pz[e2 - a2]
             c = comb(e0, a0) * comb(e1, a1) * comb(e2, a2)
-            row.append(value if c == 1 else value * c)
+            row.append(form.element(value if c == 1 else value * c))
         rows.append(row)
-    if residues:
-        return [[GFpElem(field, v) for v in row] for row in rows]
     return rows
 
 

@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
-from .field import GF, GFext, GFpElem, prime_divisors
+from .field import GF, GFext, prime_divisors
 from .linalg import kernel_basis
 from .plane import Poly3, gens, hasse_rows, incidence_rows, monomials_of_degree
 
@@ -85,13 +85,9 @@ EXPECTED_PRIMITIVE_COUNT = {4: 12, 5: 24, 9: 72}
 
 
 def good_primes(p_max):
-    out = []
-    p = 5
-    while p <= p_max:
-        if all(p % q for q in range(2, isqrt(p) + 1)) and p % 3 == 1:
-            out.append(p)
-        p += 2
-    return out
+    """The primes p = 1 mod 3 up to p_max, ascending, each found when read."""
+    return (p for p in range(7, p_max + 1, 6)
+            if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
 def min_prime_for_order(m):
@@ -271,12 +267,13 @@ def _collinear_kernels(pts, m, triples):
     low, field = min(alpha, beta), pts[0].field
     shared = [row for P in pts for row in hasse_rows(P, m, monomials_of_degree(low - 1))]
     zero_row = [field.zero()] * len(monomials_of_degree(m))  # kernel: every form
-    basis = [[x.v for x in v] for v in kernel_basis(shared or [zero_row], field)]
+    form = field.packing(2)  # GF(p)'s residues hold any sum of products
+    basis = [list(map(form.pack, v)) for v in kernel_basis(shared or [zero_row], field)]
     columns = list(zip(*basis))
 
-    def combine(vectors, columns):  # each vector dotted with each column, mod p
-        return [[GFpElem(field, sum(map(mul, [x.v for x in v], c)) % field.p)
-                 for c in columns] for v in vectors]
+    def combine(vectors, columns):  # each vector dotted with each column
+        packed = [list(map(form.pack, v)) for v in vectors]
+        return [[form.element(sum(map(mul, v, c))) for c in columns] for v in packed]
 
     rows = {}  # (index, multiplicity) -> own rows on the shared basis
     kernels = {}

@@ -3,8 +3,8 @@ from functools import cache
 
 import pytest
 
-from halphen.field import (GF, QQ_EPS, GFext, MixedContextError, PrimeField,
-                           prime_divisors)
+from halphen.field import (GF, QQ_EPS, Elements, GFext, MixedContextError,
+                           Packing, PrimeField, prime_divisors)
 from halphen.plane import ProjPoint, bf_divide_linear, gens, line_basis
 from halphen import cubic
 from halphen.cubic import (CubicError, CubicGroup, HesseCubic,
@@ -220,7 +220,7 @@ def test_closed_form_matches_generic_path():
                 continue
             g = CubicGroup(curve, flexes[6])
             # over GF(p) the element law is the oracle of the residue law
-            elements = (cubic._ElementLaw(curve.t)
+            elements = (cubic._Law(curve.t, Elements(F))
                         if isinstance(F, PrimeField) else None)
             pts = rational_points(curve)
             gradient = _hesse_form(curve)[1]
@@ -485,13 +485,14 @@ def test_packed_law_matches_the_element_law():
             assert curve.is_smooth()
             pts = rational_points(curve)
             g = CubicGroup(curve, flexes[6])
-            law, elements = g._law, cubic._ElementLaw(curve.t)
-            assert law.p is None  # the packed law, not the element law
+            law, elements = g._law, cubic._Law(curve.t, Elements(F))
+            # the packed law, not the element law
+            assert isinstance(law.form, Packing) and law.form is F.packing(4)
             packed = {P: law.coords(P) for P in pts}
             for P in pts:
                 for Q in pts:
                     R = law.residual(packed[P], packed[Q])
-                    assert tuple(map(law.element, R)) == elements.residual(
+                    assert tuple(map(law.form.element, R)) == elements.residual(
                         P.coords, Q.coords)
                     pairs += 1
             oracle = CubicGroup(curve, flexes[6])

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halphen.field import (GF, GFext, QQ_EPS, QQ_EPS_A, BadSpecializationError,
-                           FieldError, GFpElem, GFpkElem, MixedContextError,
-                           PrimeExtField, PrimeField, QEpsElem, _gfp_poly_mulmod, _zquo,
-                           find_irreducible, parse_element, pdeg, pdivmod, pgcd, pmul,
-                           pnormalize, pscale, specialize_scalar, to_text)
+                           Elements, FieldError, GFpElem, GFpkElem, MixedContextError,
+                           Packing, PrimeExtField, PrimeField, QEpsElem, Residues,
+                           _gfp_poly_mulmod, _zquo, find_irreducible, parse_element,
+                           pdeg, pdivmod, pgcd, pmul, pnormalize, pscale,
+                           specialize_scalar, to_text)
+from halphen.plane import ProjPoint
 
 
 def qe(c0, c1=0):
@@ -335,6 +337,70 @@ def test_random_elements_are_valid():
         for _ in range(20):
             x = random_element(field, rng)
             assert (x - x).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the inner-loop forms of `Field.packing`
+
+FORM_FIELDS = [GF(7), GF(13), GF(199), GFext(7, 2), GFext(13, 2), GFext(5, 3),
+               QQ_EPS, QQ_EPS_A]
+
+
+@pytest.mark.parametrize("field", FORM_FIELDS, ids=repr)
+def test_inner_loop_forms_match_the_elements(field):
+    """Each form's six operations agree with the element arithmetic, on
+    sums of products of up to `degree` factors, zero sums included."""
+    rng = random.Random(repr(field))
+    degree = 4
+    form = field.packing(degree)
+    kind = {PrimeField: Residues, PrimeExtField: Packing}.get(type(field), Elements)
+    assert type(form) is kind
+    small = field is QQ_EPS_A  # its products are slow
+    xs = [field.zero(), field.one(), -field.one()]
+    xs += [random_element(field, rng) for _ in range(8 if small else 40)]
+    for x in xs:
+        assert form.element(form.pack(x)) == x
+
+    def draw():  # (value, element): a sum of signed products
+        value, elem = form.pack(field.zero()), field.zero()
+        for _ in range(rng.randint(1, 3)):
+            factors = [rng.choice(xs) for _ in range(rng.randint(1, degree))]
+            term, prod = form.pack(factors[0]), factors[0]
+            for x in factors[1:]:
+                term, prod = term * form.pack(x), prod * x
+            if rng.random() < 0.5:
+                term, prod = -term, -prod
+            value, elem = value + term, elem + prod
+        return value, elem
+
+    draws = [draw() for _ in range(20 if small else 300)]
+    draws += [(v - v, elem - elem) for v, elem in draws[:10]]  # zero, unreduced
+    for v, elem in draws:
+        assert form.element(v) == elem
+        assert form.reduce(v) == form.pack(elem)
+        assert form.is_zero(v) == elem.is_zero()
+        if elem.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                form.inverse(v)
+        else:
+            assert form.element(form.inverse(v)) == elem.inverse()
+    for _ in range(20 if small else 200):
+        triple = [rng.choice(draws) for _ in range(3)]
+        if rng.random() < 0.2:
+            triple[rng.randrange(3)] = rng.choice(draws[-10:])
+        coords = [elem for _, elem in triple]
+        got = form.canonical([v for v, _ in triple])
+        if all(c.is_zero() for c in coords):
+            assert got is None
+        else:
+            assert got == tuple(map(form.pack, ProjPoint(field, coords).coords))
+    zero = form.pack(field.zero())
+    assert form.canonical((zero, zero, zero)) is None
+    with pytest.raises(ZeroDivisionError):
+        form.inverse(zero)
+    if kind is Residues:  # which is why the form checks
+        with pytest.raises(ValueError):
+            pow(0, -1, field.p)
 
 
 # ---------------------------------------------------------------------------

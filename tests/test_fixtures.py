@@ -4,6 +4,7 @@ every other product output are frozen on disk."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,24 @@ def test_verify_all_ledger_is_byte_identical(capsys):
     assert main(["verify", "all", "--no-timing", "--format", "json"]) == 0
     golden = (FIXTURES / "verify_all_no_timing.json").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_a_large_p_max_scans_only_the_primes_read(capsys):
+    # every scan stops at a small prime, so --p-max 10^9 gives the default
+    # ledger in about the default time; listing the primes first took hours
+    start = time.perf_counter()
+    assert main(["verify", "all", "--no-timing", "--format", "json"]) == 0
+    default = time.perf_counter() - start
+    capsys.readouterr()
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "halphen", "verify", "all", "--p-max",
+                           "1000000000", "--no-timing", "--format", "json"],
+                          env=env, capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert time.perf_counter() - start < 4 * default + 2  # a child imports anew
+    assert done.stdout == (FIXTURES / "verify_all_no_timing.json").read_text()
 
 
 # every product output besides `verify all`, with the fixture it must equal

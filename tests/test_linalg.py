@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from halphen import linalg
-from halphen.field import GF, QQ_EPS, QQ_EPS_A, FieldError, MixedContextError
-from halphen.linalg import (_rref_elements, invariant_factors, kernel_basis,
-                            rref, smith_normal_form, solve)
+from halphen.field import (GF, QQ_EPS, QQ_EPS_A, Elements, FieldError, GFext,
+                           MixedContextError, Packing)
+from halphen.linalg import (_eliminate, invariant_factors, kernel_basis, rref,
+                            smith_normal_form, solve)
 from test_field import qe
 
 
@@ -81,11 +82,13 @@ def test_field_linear_algebra():
     assert solve([row(1, 1), row(2, 2)], row(1, 3), F) is None
 
 
-def _random_matrices(F, rng):
-    """Zero, rank-deficient, wide, tall and random matrices over F."""
+def _random_matrices(F, rng, elements=None):
+    """Zero, rank-deficient, wide, tall and random matrices over F, with
+    entries drawn from `elements`, or else from the residues mod p."""
     def rand(m, n, density=1.0):
-        return [[F.from_int(rng.randrange(F.p)) if rng.random() < density
-                 else F.zero() for _ in range(n)] for _ in range(m)]
+        return [[(rng.choice(elements) if elements else F.from_int(rng.randrange(F.p)))
+                 if rng.random() < density else F.zero() for _ in range(n)]
+                for _ in range(m)]
 
     out = [rand(3, 4, 0.0), rand(1, 1), rand(1, 6), rand(7, 2)]
     for _ in range(40):
@@ -107,14 +110,27 @@ def test_rref_on_residues_matches_elements(monkeypatch):
         assert any(len(rref(A, F)[1]) < min(len(A), len(A[0])) for A in mats)
         for A in mats:
             red, pivots = rref(A, F)
-            oracle = _rref_elements([list(r) for r in A])
+            oracle = _eliminate([list(r) for r in A], Elements(F))
             assert (red, pivots) == oracle
             assert all(x.field is F for r in red for x in r)
         kernels = [kernel_basis(A, F) for A in mats]
         monkeypatch.setattr(linalg, "rref", lambda rows, field:
-                            _rref_elements([list(r) for r in rows]))
+                            _eliminate([list(r) for r in rows], Elements(field)))
         assert [kernel_basis(A, F) for A in mats] == kernels
         monkeypatch.undo()
+
+
+def test_rref_on_packed_ints_matches_elements():
+    # over GF(p^k) the elimination runs on ints packed in g
+    rng = random.Random(7)
+    for F in (GFext(7, 2), GFext(13, 2), GFext(5, 3)):
+        assert isinstance(F.packing(2), Packing)
+        mats = _random_matrices(F, rng, list(F.elements()))
+        assert any(len(rref(A, F)[1]) < min(len(A), len(A[0])) for A in mats)
+        for A in mats:
+            red, pivots = rref(A, F)
+            assert (red, pivots) == _eliminate([list(r) for r in A], Elements(F))
+            assert all(x.field is F for r in red for x in r)
 
 
 def test_elimination_rejects_entries_of_another_field():
@@ -135,10 +151,10 @@ def test_elimination_rejects_entries_of_another_field():
 
 
 def _element_kernel(rows, field):
-    """The kernel on the element path: rref by `_rref_elements`, each vector
-    1 at its own free column and 0 at the other free columns."""
+    """The kernel on the element path: `_eliminate` on the `Elements` form,
+    each vector 1 at its own free column and 0 at the other free columns."""
     ncols = len(rows[0])
-    red, pivots = _rref_elements([list(r) for r in rows])
+    red, pivots = _eliminate([list(r) for r in rows], Elements(field))
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [field.zero()] * ncols

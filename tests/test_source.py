@@ -161,7 +161,8 @@ def test_group_law_has_no_generic_path():
 def test_order_walk_builds_no_points():
     """`CubicGroup.orders` walks canonical coordinates under the group's
     coordinate law: it builds no point, adds no points and re-checks no
-    point on the curve, and the per-field closed-form methods are gone."""
+    point on the curve; the per-field closed-form methods are gone, and
+    one law class serves every field."""
     tree = ast.parse((SRC / "cubic.py").read_text())
     classes = {node.name: node for node in tree.body
                if isinstance(node, ast.ClassDef)}
@@ -176,7 +177,7 @@ def test_order_walk_builds_no_points():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined & {"_closed_form_residues", "_closed_form_elements"} == set()
-    assert {"_ElementLaw", "_ResidueLaw"} <= defined
+    assert {name for name in classes if "Law" in name} == {"_Law"}
 
 
 def test_fraction_free_kernel_takes_no_gcd():
@@ -260,3 +261,19 @@ def test_configuration_objects_have_one_construction():
     assert "INFINITY" not in _refers(functions["cross_ratio"], "cross_ratio")
     assert not any(isinstance(node, ast.While)
                    for node in ast.walk(functions["symmetry_group"]))
+
+
+def test_only_the_field_module_knows_the_field_kinds():
+    """Each field's inner-loop form is chosen in `field.py` alone, by
+    `Field.packing`: no other module names the finite fields' element and
+    form classes, and the modules that compute in the forms read no
+    element's residue (`.v`) or code (`.code`) and no packing table
+    (`.packed`)."""
+    kinds = {"PrimeField", "GFpElem", "GFpkElem", "Packing"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "field.py":
+            assert _module_names(path.name) & kinds == set(), path.name
+    for module in ("plane.py", "cubic.py", "linalg.py", "torsion.py"):
+        read = {node.attr for node in ast.walk(ast.parse((SRC / module).read_text()))
+                if isinstance(node, ast.Attribute)}
+        assert read & {"v", "code", "packed"} == set(), module
