@@ -23,13 +23,14 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from pathlib import Path
 from typing import NamedTuple
 
 from . import chilean, cubic, invariants, piclattice, plane, torsion
 from .field import (GF, QQ_EPS, BadSpecializationError, FieldError,
-                    rational_to_field, to_text)
+                    specialize_scalar, to_text)
 
 SUITE_ORDER = ("incidence", "pencil", "lattice", "torsion", "invariants", "code")
 TORSION_INDICES = (4, 5, 9)  # the orders with a stored locus or cubics
@@ -86,38 +87,23 @@ def _good_parameter_over(p):
     raise chilean.VerificationError(f"no good parameter over GF({p})")
 
 
-def default_specializations():
-    """The first three primes p = 1 mod 3 below 200 with a good parameter."""
-    out = []
-    for p in torsion.good_primes(200):
-        try:
-            out.append((p, _good_parameter_over(p)))
-        except chilean.VerificationError:
-            continue
-        if len(out) == 3:
-            break
-    return out
+def good_specializations(p_max, a_value=None):
+    """(p, a) for each good prime p <= p_max with a good parameter a over GF(p).
 
-
-def _census_prime(mode, a_value, p_max):
-    """(p, a): the first good prime up to p_max with a good parameter a.
-
-    In specialized mode a is the image of `a_value`, which must stay good
-    over GF(p); otherwise it is the smallest good parameter.  Returns None
-    when no prime up to p_max qualifies.
+    a is the image of the rational `a_value`, skipped where it is not good
+    over GF(p), or the smallest good parameter when `a_value` is None.
     """
     for p in torsion.good_primes(p_max):
         F = GF(p)
         try:
-            if mode == "specialized":
-                a = rational_to_field(a_value, F)
-            else:
+            if a_value is None:
                 a = _good_parameter_over(p)
-            chilean.check_good_parameter(F, a)
+            else:
+                a = specialize_scalar(QQ_EPS.from_fraction(a_value), F)
+                chilean.check_good_parameter(F, a)
         except (chilean.VerificationError, BadSpecializationError):
             continue
-        return p, a
-    return None
+        yield p, a
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +122,7 @@ def _suite_incidence(config, ctx):
         if config.prime is not None:
             specs = [(config.prime, _good_parameter_over(config.prime))]
         else:
-            specs = default_specializations()
+            specs = list(islice(good_specializations(200), 3))
         for p, a in specs:  # the conics are the m = 2 curve systems
             torsion.two_torsion_conics(chilean.build_chilean(GF(p), a))
         chilean.build_chilean(QQ_EPS, QQ_EPS.from_fraction(config.a_value))
@@ -190,7 +176,8 @@ def _suite_pencil(config, ctx):
 
     def cusp_census():
         sp = ctx.special
-        found = _census_prime(config.mode, config.a_value, config.p_max)
+        a_value = config.a_value if config.mode == "specialized" else None
+        found = next(good_specializations(config.p_max, a_value), None)
         if found is None:
             raise chilean.VerificationError("no census prime available")
         p, a = found
@@ -565,8 +552,9 @@ def _configuration_problem(args, a_value, suites, m_values):
     problem = _d_max_problem(args.d_max)
     if problem:
         return problem
-    if "pencil" in suites and _census_prime(args.mode, a_value,
-                                            args.p_max) is None:
+    census_a = a_value if args.mode == "specialized" else None
+    if "pencil" in suites and next(good_specializations(args.p_max, census_a),
+                                   None) is None:
         return (f"--p-max {args.p_max} is too small for the cusp census: no"
                 f" good prime p <= {args.p_max} keeps the family parameter"
                 " good")

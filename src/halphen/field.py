@@ -23,9 +23,16 @@ elements (`Elements`), ints mod p over GF(p) (`Residues`), or ints
 packed in g over GF(p^k) (`Packing`); no other module picks one.
 
 Elements overload +, -, *, / and ==; integers coerce automatically, so
-formulas can be written as plain Python expressions.  A canonical text
-form (e.g. ``(-1 - 1*e)*a^2``) is provided for every element together
-with a parser for the same syntax.
+formulas can be written as plain Python expressions.
+
+One map goes out of Q(e) and Q(e)(a): `specialize_scalar`, the ring
+homomorphism e -> eps_image, a -> a_image, which reads a Q(e) element as
+a constant of Q(e)(a).  `to_text` prints every element as canonical text
+(e.g. ``(-1 - 1*e)*a^2``), with one printer for polynomials in a and in g,
+and `parse_element` reads it back through the standard library's parser:
++ - * /, unary + and -, parentheses, decimal int literals, the field's
+names e, a and g, and ^ with a decimal int exponent.  Anything else
+raises FieldError.
 """
 
 from fractions import Fraction
@@ -911,13 +918,10 @@ def _gfp_poly_is_irreducible(poly, p):
     d = len(poly) - 1
     if d < 1:
         return False
-    field = GF(p, allow_char2=True)
-    fp = [field.from_int(c) for c in poly]
     for ddeg in range(1, d // 2 + 1):
         for code in range(p ** ddeg):
-            divisor = [field.from_int(c) for c in _digits(code, p, ddeg)]
-            _, rem = pdivmod(fp, divisor + [field.one()], field)
-            if not rem:
+            # poly mod the monic divisor, as poly * 1 reduced by it
+            if not any(_gfp_poly_mulmod(poly, [1], _digits(code, p, ddeg) + [1], p)):
                 return False
     return True
 
@@ -1212,16 +1216,6 @@ def GFext(p, k, allow_char2=False):
 # specialization: ring homomorphisms into concrete fields
 
 
-def rational_to_field(q, target):
-    q = Fraction(q)
-    num = target.from_int(q.numerator)
-    den = target.from_int(q.denominator)
-    if den.is_zero():
-        raise BadSpecializationError(
-            f"denominator {q.denominator} vanishes in {target}")
-    return num / den
-
-
 def specialize_scalar(x, target, eps_image=None, a_image=None):
     """Map a Q(e) or Q(e)(a) element into `target` via e -> eps_image, a -> a_image.
 
@@ -1230,41 +1224,34 @@ def specialize_scalar(x, target, eps_image=None, a_image=None):
     """
     if isinstance(x, int):
         return target.from_int(x)
-    if isinstance(x, QEpsElem):
-        num = target.from_int(x.n0)
-        if x.n1 != 0:
-            if eps_image is None:
-                raise BadSpecializationError("an eps image is required")
-            _check_eps_image(eps_image, target)
-            num = num + target.from_int(x.n1) * eps_image
-        if x.d == 1:
-            return num
-        den = target.from_int(x.d)
-        if den.is_zero():
-            raise BadSpecializationError(f"denominator {x.d} vanishes in {target}")
-        return num / den
-    if isinstance(x, RatFuncElem):
-        if a_image is None and len(x.num) < 2 and len(x.den) < 2:
-            a_image = target.zero()  # constant: the image of a is irrelevant
-        if a_image is None:
-            raise BadSpecializationError("an a image is required")
-        if any(b for _, b in x.num + x.den):
-            if eps_image is None:
-                raise BadSpecializationError("an eps image is required")
-            _check_eps_image(eps_image, target)
-        # (num/nd) / (den/dd) = (num * dd) / (den * nd)
-        for d in (x.nd, x.dd):
-            if target.from_int(d).is_zero():
-                raise BadSpecializationError(f"denominator {d} vanishes in {target}")
-        num = _eval_zeps_poly(x.num, target, eps_image, a_image)
-        den = _eval_zeps_poly(x.den, target, eps_image, a_image)
-        if den.is_zero():
-            raise BadSpecializationError(
-                f"denominator {to_text(x)} vanishes at the chosen a")
-        return num * target.from_int(x.dd) / (den * target.from_int(x.nd))
-    if isinstance(x, FieldElem) and x.field is target:
+    if isinstance(x, QEpsElem):  # the Q(e)(a) constant ((n0, n1),) over d
+        num, nd, den, dd = ((x.n0, x.n1),), x.d, _ONE, 1
+    elif isinstance(x, RatFuncElem):
+        num, nd, den, dd = x.num, x.nd, x.den, x.dd
+    elif isinstance(x, FieldElem) and x.field is target:
         return x
-    raise MixedContextError(f"cannot specialize {x!r}")
+    else:
+        raise MixedContextError(f"cannot specialize {x!r}")
+    if a_image is None and len(num) < 2 and len(den) < 2:
+        a_image = target.zero()  # constant: the image of a is irrelevant
+    if a_image is None:
+        raise BadSpecializationError("an a image is required")
+    if any(b for _, b in num + den):
+        if eps_image is None:
+            raise BadSpecializationError("an eps image is required")
+        _check_eps_image(eps_image, target)
+    for d in (nd, dd):
+        if target.from_int(d).is_zero():
+            raise BadSpecializationError(f"denominator {d} vanishes in {target}")
+    top = _eval_zeps_poly(num, target, eps_image, a_image)
+    if len(den) == 1:  # a polynomial: den/dd is 1
+        return top if nd == 1 else top / target.from_int(nd)
+    bottom = _eval_zeps_poly(den, target, eps_image, a_image)
+    if bottom.is_zero():
+        raise BadSpecializationError(
+            f"denominator {to_text(x)} vanishes at the chosen a")
+    # (num/nd) / (den/dd) = (num * dd) / (den * nd)
+    return top * target.from_int(dd) / (bottom * target.from_int(nd))
 
 
 def _check_eps_image(eps_image, target):
@@ -1275,68 +1262,50 @@ def _check_eps_image(eps_image, target):
 
 
 def _eval_zeps_poly(coeffs, target, eps_image, a_image):
-    """A Z[e] polynomial at a = a_image, e = eps_image in `target`."""
-    acc = target.zero()
+    """A Z[e] polynomial at a = a_image, e = eps_image in `target`, by Horner
+    from the leading coefficient."""
+    acc = None
     for n0, n1 in reversed(coeffs):
         c = target.from_int(n0)
         if n1:
             c = c + target.from_int(n1) * eps_image
-        acc = acc * a_image + c
-    return acc
+        acc = c if acc is None else acc * a_image + c
+    return target.zero() if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
 # canonical text form and parsing
 
 
-def _frac_str(q):
-    return str(q)
+def _qeps_str(x):
+    """The canonical text of a Q(e) element: c0, c1*e or c0 + c1*e, with
+    `- |c1|*e` for a negative c1 after a nonzero c0."""
+    c0, c1 = x.c0, x.c1
+    if c1 == 0:
+        return str(c0)
+    if c0 == 0:
+        return f"{c1}*e"
+    return f"{c0} - {-c1}*e" if c1 < 0 else f"{c0} + {c1}*e"
 
 
-def _qeps_str(x, mult_context=False):
-    """Canonical string for a Q(e) element.
+def _poly_str(coeffs, var, text):
+    """The canonical text of sum coeffs[k] var^k, highest degree first.
 
-    With mult_context=True the result is parenthesised whenever it would
-    not bind tightly under '*'.
+    `text` prints one coefficient; a printed coefficient other than 1 heads
+    its power of `var`, in parentheses when it holds a sign, a slash or a
+    product.
     """
-    if x.c1 == 0:
-        s = _frac_str(x.c0)
-        if mult_context and (x.c0 < 0 or x.c0.denominator != 1):
-            return f"({s})"
-        return s
-    parts = []
-    if x.c0 != 0:
-        parts.append(_frac_str(x.c0))
-    c1 = x.c1
-    term = f"{_frac_str(c1)}*e"
-    if parts:
-        if c1 < 0:
-            parts.append(f"- {_frac_str(-c1)}*e")
-        else:
-            parts.append(f"+ {term}")
-        s = " ".join(parts)
-    else:
-        s = term
-    if mult_context:
-        return f"({s})"
-    return s
-
-
-def _qeps_poly_str(coeffs):
-    if not coeffs:
-        return "0"
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c.is_zero():
+        s = text(coeffs[k])
+        if s == "0":
             continue
-        if k == 0:
-            terms.append(_qeps_str(c))
-        else:
-            head = "" if c == 1 else f"{_qeps_str(c, mult_context=True)}*"
-            powr = "a" if k == 1 else f"a^{k}"
-            terms.append(f"{head}{powr}")
-    return " + ".join(terms).replace("+ -", "- ")
+        if k:
+            head = ("" if s == "1" else f"({s})*" if any(ch in s for ch in "-/*")
+                    else f"{s}*")
+            s = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+        terms.append(s)
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def to_text(x):
@@ -1344,138 +1313,64 @@ def to_text(x):
     if isinstance(x, QEpsElem):
         return _qeps_str(x)
     if isinstance(x, RatFuncElem):
-        num = _qeps_poly_str([QEpsElem(QQ_EPS, a, b, x.nd) for a, b in x.num])
+        num = _poly_str([QEpsElem(QQ_EPS, a, b, x.nd) for a, b in x.num], "a", _qeps_str)
         if x.is_polynomial():
             return num
-        den = _qeps_poly_str([QEpsElem(QQ_EPS, a, b, x.dd) for a, b in x.den])
+        den = _poly_str([QEpsElem(QQ_EPS, a, b, x.dd) for a, b in x.den], "a", _qeps_str)
         return f"({num})/({den})"
     if isinstance(x, GFpElem):
         return str(x.v)
     if isinstance(x, GFpkElem):
-        coeffs = x.coeffs
-        terms = []
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                powr = "g" if k == 1 else f"g^{k}"
-                terms.append(f"{head}{powr}")
-        return " + ".join(terms) if terms else "0"
+        return _poly_str(x.coeffs, "g", str)
     raise FieldError(f"cannot serialize {x!r}")
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("int", self.text[self.pos:j])
-        if ch.isalpha():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isalnum():
-                j += 1
-            return ("name", self.text[self.pos:j])
-        return ("op", ch)
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += len(tok[1])
-        return tok
-
-
 def parse_expression(text, env, one):
-    """Parse canonical text into whatever algebra `env` maps names to.
+    """Evaluate canonical text in whatever algebra `env` maps names to.
 
-    `env` maps symbol names to values; `one` is the multiplicative unit of
-    the target algebra (used for integer literals).  Supports + - * / ^
-    and parentheses.
+    The grammar is Python's infix arithmetic with ^ for powers: + - * /,
+    unary + and -, parentheses, decimal int literals (times `one`, the
+    unit of the algebra), the names in `env`, and powers whose exponent is
+    a decimal int literal.  Anything else, and text nested too deeply for
+    Python's parser, raises FieldError.
     """
-    tk = _Tokenizer(text)
+    import ast  # only parsing needs it, and no run parses
+    from operator import add, mul, neg, sub, truediv
 
-    def parse_expr():
-        node = parse_term()
-        while True:
-            tok = tk.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                tk.next()
-                rhs = parse_term()
-                node = node + rhs if tok[1] == "+" else node - rhs
-            else:
-                return node
+    if not text.isascii() or "**" in text or "_" in text:
+        raise FieldError(f"not canonical text: {text!r}")
+    src = " ".join(text.split()).replace("^", "**")  # one line: offsets are columns
+    ops = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv,
+           ast.USub: neg, ast.UAdd: lambda x: x}
 
-    def parse_term():
-        node = parse_factor()
-        while True:
-            tok = tk.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                tk.next()
-                rhs = parse_factor()
-                node = node * rhs if tok[1] == "*" else node / rhs
-            else:
-                return node
-
-    def parse_factor():
-        tok = tk.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            tk.next()
-            return -parse_factor()
-        if tok and tok[0] == "op" and tok[1] == "+":
-            tk.next()
-            return parse_factor()
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        tok = tk.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            tk.next()
-            exp_tok = tk.next()
-            if exp_tok is None or exp_tok[0] != "int":
-                raise FieldError("exponent must be an integer literal")
-            n = int(exp_tok[1])
-            out = one
-            for _ in range(n):
+    def value(node):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant)):
+            base, out = value(node.left), one
+            for _ in range(node.right.value):
                 out = out * base
             return out
-        return base
+        if isinstance(node, ast.BinOp) and type(node.op) in ops:
+            return ops[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in ops:
+            return ops[type(node.op)](value(node.operand))
+        if isinstance(node, ast.Constant):
+            return node.value * one
+        if isinstance(node, ast.Name) and node.id in env:
+            return env[node.id]
+        raise FieldError(f"not canonical text: {src[node.col_offset:node.end_col_offset]!r}"
+                         f" in {text!r}")
 
-    def parse_atom():
-        tok = tk.next()
-        if tok is None:
-            raise FieldError("unexpected end of expression")
-        if tok[0] == "int":
-            return int(tok[1]) * one
-        if tok[0] == "name":
-            if tok[1] not in env:
-                raise FieldError(f"unknown symbol {tok[1]!r}")
-            return env[tok[1]]
-        if tok[1] == "(":
-            node = parse_expr()
-            closing = tk.next()
-            if closing is None or closing[1] != ")":
-                raise FieldError("missing closing parenthesis")
-            return node
-        raise FieldError(f"unexpected token {tok[1]!r}")
-
-    node = parse_expr()
-    if tk.peek() is not None:
-        raise FieldError(f"trailing input at position {tk.pos}")
-    return node
+    try:
+        tree = ast.parse(src, mode="eval").body
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):  # not 1.5, 1e5, 0x10 or "1"
+                literal = src[node.col_offset:node.end_col_offset]
+                if not literal.isdigit():
+                    raise FieldError(f"not a decimal int literal: {literal!r} in {text!r}")
+        return value(tree)
+    except (SyntaxError, RecursionError):
+        raise FieldError(f"not canonical text: {text!r}") from None
 
 
 def parse_element(text, field):

@@ -339,11 +339,6 @@ class ProjPoint:
     def __hash__(self):
         return hash(self.coords)
 
-    def specialize(self, target, eps_image=None, a_image=None):
-        coords = tuple(specialize_scalar(c, target, eps_image, a_image)
-                       for c in self.rep)
-        return ProjPoint(target, coords)
-
     def to_text(self):
         return "(" + " : ".join(to_text(c) for c in self.coords) + ")"
 

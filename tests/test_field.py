@@ -313,6 +313,49 @@ def test_serialization_round_trips():
             assert parse_element(to_text(x), field) == x
 
 
+@pytest.mark.parametrize("text", ["2\u00b2", "(1", "1.5", "a**2", "1_0", "a^-1",
+                                  "a^2^3", "", "b", "0x10", "a.n0", "(1, 2)",
+                                  "\uff41"])  # a fullwidth a, which Python reads as a
+def test_malformed_text_raises_field_error(text):
+    with pytest.raises(FieldError):
+        parse_element(text, QQ_EPS_A)
+
+
+def test_parser_reads_the_infix_grammar():
+    A = QQ_EPS_A
+    a, e = A.gen(), A.eps()
+    assert parse_element(" -a^2 * (1 + e)/ 3 - +2\n", A) == -(a * a) * (1 + e) / 3 - 2
+    assert parse_element("2/3/4", A) == A.from_base(QQ_EPS.from_fraction(Fraction(1, 6)))
+    assert parse_element("a^0", A) == 1
+    with pytest.raises(FieldError):
+        parse_element("e", GF(5))  # GF(5) has no cube root of unity
+
+
+@settings(max_examples=60, deadline=None)
+@given(qeps_elems(), qeps_elems())
+def test_specialize_is_a_homomorphism_on_qeps(x, y):
+    g13 = GF(13)
+    images = [(g13, g13.eps()), (g13, g13.eps() ** 2), (QQ_EPS, QQ_EPS.eps() ** 2)]
+    for target, eps in images:
+        def f(z):
+            return specialize_scalar(z, target, eps)
+        try:
+            fx, fy = f(x), f(y)
+            assert f(x * y) == fx * fy
+            assert f(x + y) == fx + fy
+            assert f(x - y) == fx - fy
+            if not fy.is_zero():
+                assert f(x / y) == fx / fy
+        except BadSpecializationError:  # a denominator divisible by 13
+            assert target is g13
+            continue
+        assert f(QQ_EPS.one()) == 1
+        # a Q(e) element and its Q(e)(a) constant have one image
+        assert specialize_scalar(QQ_EPS_A.from_base(x), target, eps) == fx
+    e = QQ_EPS.eps()
+    assert specialize_scalar(x, QQ_EPS, e * e) == x.c0 + x.c1 * e * e
+
+
 def random_element(field, rng):
     """A random element of Q(e) (small fractions), of Q(e)(a) (a quotient
     of such polynomials), of GF(p) or of GF(p^k)."""

@@ -428,7 +428,8 @@ def test_specialize_commutes_with_evaluation(symbolic_data):
     for C in symbolic_data.conics[:4]:
         for P in symbolic_data.points[:4]:
             direct = specialize_scalar(C.evaluate(P), F, eps, a)
-            via_images = C.specialize(F, eps, a).evaluate(P.specialize(F, eps, a))
+            image = ProjPoint(F, tuple(specialize_scalar(c, F, eps, a) for c in P.rep))
+            via_images = C.specialize(F, eps, a).evaluate(image)
             assert direct == via_images
 
 

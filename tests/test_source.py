@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -277,3 +279,14 @@ def test_only_the_field_module_knows_the_field_kinds():
         read = {node.attr for node in ast.walk(ast.parse((SRC / module).read_text()))
                 if isinstance(node, ast.Attribute)}
         assert read & {"v", "code", "packed"} == set(), module
+
+
+def test_startup_loads_no_parsing_or_introspection_modules():
+    """`import halphen.cli`, which every run does first, loads no module
+    that only parsing or introspection needs: `parse_expression` imports
+    `ast` itself."""
+    banned = ("ast", "inspect", "dataclasses", "tokenize", "dis")
+    code = f"import sys, halphen.cli; print([m for m in {banned!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.stdout.strip() == "[]"
