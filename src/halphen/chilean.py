@@ -291,9 +291,10 @@ def _matching_scale(point, u0, v0, iu, iv):
 def fourth_intersection(C, D, shared):
     """The one intersection point of two conics beyond three known ones.
 
-    Eliminates z, then y, then x; divides the elimination resultant by the
-    known roots (all divisions re-verified), and resolves the remaining
-    coordinate by gcd of the univariate restrictions.
+    Eliminates z, then y, then x; divides the resultant by the known roots,
+    and resolves the remaining coordinate by the gcd of the univariate
+    restrictions, less the known roots over the same fiber.  Every division
+    is `bf_divide_linear`, re-verified by multiplication.
     """
     last_err = None
     for var in (2, 1, 0):
@@ -311,13 +312,10 @@ def _fourth_intersection_via(C, D, shared, var):
     if res.is_zero():
         raise GeometryError("conics share a component")
     form = poly3_to_binary_form(res, keep)
-    known_at_vertex = 0
     for P in shared:
         u0, v0 = P.coords[keep[0]], P.coords[keep[1]]
-        if u0.is_zero() and v0.is_zero():
-            known_at_vertex += 1
-            continue
-        form = bf_divide_linear(form, (u0, v0), field)
+        if not (u0.is_zero() and v0.is_zero()):
+            form = bf_divide_linear(form, (u0, v0), field)
     deg = len(form) - 1
     if deg == 0:
         # the fourth point is the coordinate vertex of the eliminated variable
@@ -348,7 +346,7 @@ def _fourth_intersection_via(C, D, shared, var):
         s = _matching_scale(P, u0, v0, keep[0], keep[1])
         if s is not None:
             w = s * P.coords[var]
-            g = _poly_divide_root(g, w, field)
+            g = bf_divide_linear(g, (w, field.one()), field)
     if pdeg(g) != 1:
         raise GeometryError("ambiguous residual intersection in the fiber pair")
     w0 = -g[0] / g[1]
@@ -359,14 +357,6 @@ def _fourth_intersection_via(C, D, shared, var):
     if not (C.evaluate(point).is_zero() and D.evaluate(point).is_zero()):
         raise GeometryError("candidate fourth point misses a conic")
     return point
-
-
-def _poly_divide_root(p, r, field):
-    from .field import pdivmod
-    quo, rem = pdivmod(p, [-r, field.one()], field)
-    if rem:
-        raise GeometryError("known root does not divide the restriction")
-    return quo
 
 
 def fiber_nodes(data):

@@ -371,11 +371,12 @@ def _suite_invariants(config, ctx):
 
     def geometry():
         rows = invariants.reference_report(ctx)
-        mismatches = [r["name"] for r in rows if not r["match"]]
-        if sorted(mismatches) != ["A1", "A2"]:
+        found = {r["name"]: (r["geometric_t"], r["geometric_log_chern"])
+                 for r in rows if not r["match"]}
+        if found != invariants.GEOMETRIC_MISMATCHES:
             raise invariants.ArrangementError(
-                f"unexpected geometric mismatches: {mismatches}")
-        detail = {r["name"]: r["geometric_t"] for r in rows if not r["match"]}
+                f"unexpected geometric mismatches: {found}")
+        detail = {name: t for name, (t, _) in found.items()}
         return (f"exact geometry matches for chilean, A0, A3; the base points"
                 f" lie on their lines, so A1, A2 carry them with one more"
                 f" incidence: {detail}")

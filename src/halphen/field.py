@@ -15,8 +15,8 @@ Supported fields:
    modulus, with products, inverses and sums read from exponent,
    logarithm and Zech logarithm tables built once per field.
 
-Characteristic 3 is always rejected.  Characteristic 2 is rejected unless
-requested explicitly (it is needed only for the binary incidence code).
+Characteristic 3 is rejected; characteristic 2 is accepted (the binary
+code is built over GF(16)), and what needs 1/2 refuses it itself.
 
 Inner loops compute in each field's one form, `Field.packing`: the
 elements (`Elements`), ints mod p over GF(p) (`Residues`), or ints
@@ -83,11 +83,9 @@ class Field:
         return Elements(self)
 
 
-def _require_char_ok(p, allow_char2):
+def _require_char_ok(p):
     if p == 3:
         raise FieldError("characteristic 3 is not supported")
-    if p == 2 and not allow_char2:
-        raise FieldError("characteristic 2 requires allow_char2=True")
 
 
 def _is_prime(n):
@@ -749,14 +747,15 @@ RatFuncElem._coercible = (int, Fraction, QEpsElem, RatFuncElem)
 class PrimeField(Field):
     is_finite = True
 
-    def __init__(self, p, allow_char2=False):
+    def __init__(self, p):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        _require_char_ok(p, allow_char2)
+        _require_char_ok(p)
         self.p = p
         self.characteristic = p
         self.size = p
         self._eps_cache = None
+        self._residues = Residues(self)
 
     def from_int(self, n):
         return GFpElem(self, n % self.p)
@@ -778,10 +777,9 @@ class PrimeField(Field):
         for v in range(self.p):
             yield GFpElem(self, v)
 
-    @lru_cache(maxsize=None)
     def packing(self, degree):
-        """`Residues`, the inner-loop form of GF(p), for any degree."""
-        return Residues(self)
+        """`Residues`, the inner-loop form of GF(p), one for every degree."""
+        return self._residues
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -926,9 +924,9 @@ def _gfp_poly_is_irreducible(poly, p):
     return True
 
 
-def find_irreducible(p, k, allow_char2=False):
+def find_irreducible(p, k):
     """First monic irreducible polynomial of degree k over GF(p), by code order."""
-    _require_char_ok(p, allow_char2)
+    _require_char_ok(p)
     for code in range(p ** k):
         coeffs = _digits(code, p, k) + [1]
         if _gfp_poly_is_irreducible(coeffs, p):
@@ -965,14 +963,14 @@ class PrimeExtField(Field):
 
     is_finite = True
 
-    def __init__(self, p, k, allow_char2=False):
+    def __init__(self, p, k):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         if k < 2:
             raise FieldError("an extension degree k >= 2 is required")
         self.p = p
         self.characteristic = p
-        self.modulus = find_irreducible(p, k, allow_char2=allow_char2)
+        self.modulus = find_irreducible(p, k)
         self.k = k
         self.size = p ** k
         self._build_tables()
@@ -1195,21 +1193,19 @@ QQ_EPS_A = RatFuncField()
 _prime_field_cache = {}
 
 
-def GF(p, allow_char2=False):
-    key = (p, allow_char2 and p == 2)  # the flag matters only for p = 2
-    if key not in _prime_field_cache:
-        _prime_field_cache[key] = PrimeField(p, allow_char2=allow_char2)
-    return _prime_field_cache[key]
+def GF(p):
+    if p not in _prime_field_cache:
+        _prime_field_cache[p] = PrimeField(p)
+    return _prime_field_cache[p]
 
 
 _ext_field_cache = {}
 
 
-def GFext(p, k, allow_char2=False):
-    key = (p, k, allow_char2 and p == 2)
-    if key not in _ext_field_cache:
-        _ext_field_cache[key] = PrimeExtField(p, k=k, allow_char2=allow_char2)
-    return _ext_field_cache[key]
+def GFext(p, k):
+    if (p, k) not in _ext_field_cache:
+        _ext_field_cache[p, k] = PrimeExtField(p, k)
+    return _ext_field_cache[p, k]
 
 
 # ---------------------------------------------------------------------------
@@ -1288,22 +1284,25 @@ def _qeps_str(x):
     return f"{c0} - {-c1}*e" if c1 < 0 else f"{c0} + {c1}*e"
 
 
-def _poly_str(coeffs, var, text):
-    """The canonical text of sum coeffs[k] var^k, highest degree first.
+def term_text(coef, mono):
+    """The canonical text of a coefficient's text times a monomial's: the
+    monomial alone for "1", else the coefficient heads it, in parentheses
+    when it holds a sign, a slash, a product or a space."""
+    if coef == "1":
+        return mono
+    return f"({coef})*{mono}" if any(ch in coef for ch in "+-*/ ") else f"{coef}*{mono}"
 
-    `text` prints one coefficient; a printed coefficient other than 1 heads
-    its power of `var`, in parentheses when it holds a sign, a slash or a
-    product.
-    """
+
+def _poly_str(coeffs, var, text):
+    """The canonical text of sum coeffs[k] var^k, highest degree first;
+    `text` prints one coefficient, and `term_text` joins it to its power."""
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         s = text(coeffs[k])
         if s == "0":
             continue
         if k:
-            head = ("" if s == "1" else f"({s})*" if any(ch in s for ch in "-/*")
-                    else f"{s}*")
-            s = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            s = term_text(s, var if k == 1 else f"{var}^{k}")
         terms.append(s)
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 

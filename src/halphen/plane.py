@@ -16,16 +16,16 @@ values per point; ``Poly3.evaluate`` is its one-point call, and
 ``incidence_rows`` reads its zeros.
 
 The module also provides restriction of a form to a parametrized line,
-elimination resultants, and exact division of binary forms by linear
-factors -- the primitives behind intersection-point extraction -- and
-``hasse_rows``, in the same form, the one way local data at a point is
-read: values, gradients, multiplicity conditions and tangent cones are
-dot products of ``Poly3.coefficients`` with its rows.
+the closed-form resultant of two conics and exact division of binary
+forms by linear factors -- the primitives behind intersection-point
+extraction -- and ``hasse_rows``, in the same form, the one way local
+data at a point is read: values, gradients, multiplicity conditions and
+tangent cones are dot products of ``Poly3.coefficients`` with its rows.
 """
 
 from math import comb
 
-from .field import MixedContextError, pmul, pnormalize, specialize_scalar, to_text
+from .field import MixedContextError, pmul, pnormalize, specialize_scalar, term_text, to_text
 
 
 class GeometryError(Exception):
@@ -191,12 +191,8 @@ class Poly3:
             mono = "*".join(f"{v}^{n}" if n > 1 else v
                             for v, n in zip("xyz", exp) if n > 0)
             cs = to_text(c)
-            needs_parens = any(ch in cs for ch in "+-/ ")
             if mono:
-                if cs == "1":
-                    parts.append(mono)
-                else:
-                    parts.append(f"({cs})*{mono}" if needs_parens or "*" in cs else f"{cs}*{mono}")
+                parts.append(term_text(cs, mono))
             else:
                 parts.append(f"({cs})" if "/" in cs else cs)
         return " + ".join(parts)
@@ -459,58 +455,33 @@ def poly_in_var(P, var):
     return polys
 
 
-def _det(mat, zero):
-    """Determinant over a commutative ring by cofactor expansion."""
-    n = len(mat)
-    if n == 0:
-        raise GeometryError("empty determinant")
-    if n == 1:
-        return mat[0][0]
-    acc = None
-    for j in range(n):
-        entry = mat[0][j]
-        if hasattr(entry, "is_zero") and entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in mat[1:]]
-        term = entry * _det(minor, zero)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return zero if acc is None else acc
-
-
 def resultant(P, Q, var):
     """Resultant of two forms with respect to one variable.
 
-    Returns a Poly3 in the remaining two variables (Sylvester determinant
-    with the actual degrees in `var`).  An identically zero resultant
-    signals a common component.
+    Returns a Poly3 in the remaining two variables: the Sylvester
+    determinant at the actual degrees in `var`, in closed form for the
+    degrees of conics (at most 2; lc^n when one is 0), GeometryError
+    beyond.  An identically zero resultant signals a common component.
     """
-    F = P.field
-    pc = poly_in_var(P, var)
-    qc = poly_in_var(Q, var)
-    m, n = len(pc) - 1, len(qc) - 1
+    p = poly_in_var(P, var)
+    q = poly_in_var(Q, var)
+    m, n = len(p) - 1, len(q) - 1
     if m < 0 or n < 0:
         raise GeometryError("resultant of the zero polynomial")
+    if m > 2 or n > 2:
+        raise GeometryError(f"resultant of degrees ({m}, {n}) beyond conics")
     if m == 0 or n == 0:
         # no variable to eliminate; conventionally lc^deg
-        base = pc[0] if m == 0 else qc[0]
-        other_deg = n if m == 0 else m
-        return base ** other_deg
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Poly3.zero(F, 0)] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Poly3.zero(F, 0)] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    det = _det(rows, Poly3.zero(F, 0))
-    return det
+        return p[0] ** n if m == 0 else q[0] ** m
+    if m == 1 and n == 1:
+        return p[1] * q[0] - p[0] * q[1]
+    if m == 1:
+        return p[1] * (p[1] * q[0] - p[0] * q[1]) + p[0] * p[0] * q[2]
+    if n == 1:
+        return q[1] * (q[1] * p[0] - q[0] * p[1]) + q[0] * q[0] * p[2]
+    c20, c21, c10 = (p[2] * q[0] - p[0] * q[2], p[2] * q[1] - p[1] * q[2],
+                     p[1] * q[0] - p[0] * q[1])
+    return c20 * c20 - c21 * c10
 
 
 def poly3_to_binary_form(P, var_pair):

@@ -499,7 +499,7 @@ def test_incidence_rows_match_the_per_pair_loops(configuration):
     degenerate, triangle = configuration.degenerate
     pencil_rep = degenerate_pencil()
     flex_lines = [L for triple in hesse_singular_fibers(QQ_EPS) for L in triple]
-    F16 = GFext(2, 4, allow_char2=True)
+    F16 = GFext(2, 4)
     char2 = Configuration(F16, F16.gen())
     cases = [
         (data.points, data.conics),  # build_chilean

@@ -87,6 +87,7 @@ def test_crash_is_an_error_not_a_failure(capsys, monkeypatch):
      "--with-quadratic-extension applies to the torsion suite"),
     (["torsion", "--m", "9", "--with-quadratic-extension"],
      "--m 9 leaves neither"),
+    (["--prime", "2"], "no primitive cube root of unity"),
 ])
 def test_bad_options_are_configuration_errors(capsys, monkeypatch, args, message):
     import halphen.cli as cli

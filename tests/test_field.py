@@ -145,22 +145,31 @@ def test_division_by_zero():
 
 
 def test_characteristic_guards():
+    # characteristic 3 is refused by the fields; characteristic 2 by each
+    # computation that needs 1/2
+    from halphen.chilean import conic_is_line_pair, singular_census
+    from halphen.cubic import CubicError, HesseCubic
+    from halphen.plane import GeometryError, gens
     with pytest.raises(FieldError):
         GF(3)
     with pytest.raises(FieldError):
-        GF(2)
-    assert GF(2, allow_char2=True).characteristic == 2
-    assert GF(7, allow_char2=True) is GF(7)  # one field, whatever the flag
-    with pytest.raises(FieldError):
         GFext(3, 2)
-    assert GFext(2, 4, allow_char2=True).size == 16
+    assert GF(2).characteristic == 2 and GF(2) is GF(2)
+    F = GFext(2, 4)
+    assert F.size == 16 and F is GFext(2, 4)
+    X, Y, Z = gens(F)
+    with pytest.raises(CubicError):
+        HesseCubic(F, F.gen())
+    for check in (conic_is_line_pair, singular_census):
+        with pytest.raises(GeometryError):
+            check(X * Y - Z**2)
 
 
 def test_extension_field_basics():
     F = GFext(5, 2)
     g = F.gen()
     assert len(list(F.elements())) == 25
-    for field in (F, GFext(7, 2), GFext(13, 2), GFext(2, 4, allow_char2=True)):
+    for field in (F, GFext(7, 2), GFext(13, 2), GFext(2, 4)):
         for x in field.elements():
             if not x.is_zero():
                 assert x * x.inverse() == 1
@@ -175,7 +184,7 @@ _EXTENSIONS = [(2, 2), (2, 4), (5, 2), (7, 2), (13, 2)]
 
 @pytest.mark.parametrize("p, k", _EXTENSIONS)
 def test_extension_tables_match_residue_polynomial_arithmetic(p, k):
-    F = GFext(p, k, allow_char2=True)
+    F = GFext(p, k)
     elems = list(F.elements())
     digits = [list(x.coeffs) for x in elems]
     for code, (x, cx) in enumerate(zip(elems, digits)):
@@ -199,7 +208,7 @@ def test_extension_tables_match_residue_polynomial_arithmetic(p, k):
 
 @pytest.mark.parametrize("p, k", _EXTENSIONS)
 def test_extension_eps_is_the_first_cube_root_in_code_order(p, k):
-    F = GFext(p, k, allow_char2=True)
+    F = GFext(p, k)
     one = F.one()
     scan = next(x for x in F.elements()
                 if x != one and not x.is_zero() and x * x * x == one)
@@ -208,11 +217,13 @@ def test_extension_eps_is_the_first_cube_root_in_code_order(p, k):
 
 def test_irreducible_modulus_guard():
     from halphen.field import PrimeExtField
-    for p, k in ((5, 1), (5, 0), (3, 2), (2, 2), (6, 2)):
-        with pytest.raises(FieldError):  # k < 2, char 3, char 2 unasked, not prime
+    for p, k in ((5, 1), (5, 0), (3, 2), (2, 1), (6, 2)):
+        with pytest.raises(FieldError):  # k < 2, char 3, k < 2 in char 2, not prime
             PrimeExtField(p, k)
     assert PrimeExtField(5, 2).modulus == find_irreducible(5, 2)
-    assert find_irreducible(2, 4, allow_char2=True) == (1, 1, 0, 0, 1)
+    assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)
+    with pytest.raises(FieldError):
+        find_irreducible(3, 2)
 
 
 _small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -305,7 +316,7 @@ def test_serialization_round_trips():
     for x in samples:
         assert parse_element(to_text(x), A) == x
     assert to_text((-1 - e) * a * a) == "(-1 - 1*e)*a^2"
-    g16 = GFext(2, 4, allow_char2=True)
+    g16 = GFext(2, 4)
     g = g16.gen()
     assert to_text(g**3 + g + 1) == "g^3 + g + 1"
     for field in (g16, GFext(13, 2)):
@@ -444,6 +455,12 @@ def test_inner_loop_forms_match_the_elements(field):
     if kind is Residues:  # which is why the form checks
         with pytest.raises(ValueError):
             pow(0, -1, field.p)
+
+
+def test_one_residue_form_per_prime_field():
+    # Residues ignores the degree, so every degree gets the same one
+    assert GF(13).packing(2) is GF(13).packing(5) is GF(13).packing(1)
+    assert GF(13).packing(2) is not GF(7).packing(2)
 
 
 # ---------------------------------------------------------------------------

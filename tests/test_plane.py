@@ -10,7 +10,7 @@ from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                            bf_divide_linear, cross, gens, hasse_rows,
                            line_basis, line_through, monomials_of_degree, plane_points,
-                           poly3_to_binary_form, resultant, values_at)
+                           poly3_to_binary_form, poly_in_var, resultant, values_at)
 
 
 def test_evaluate_at_flex():
@@ -106,7 +106,7 @@ def test_packed_values_match_term_sums():
     # sums, with points that have zero coordinates and the element whose
     # residues are all p - 1, which makes the packed coefficients largest
     rng = random.Random(11)
-    for F in (GFext(13, 2), GFext(2, 4, allow_char2=True)):
+    for F in (GFext(13, 2), GFext(2, 4)):
         elems = list(F.elements())
         top = elems[-1]
         for d in range(9):
@@ -331,6 +331,80 @@ def test_resultant_of_shared_component_vanishes():
     assert resultant(L * X, L * Y, 2).is_zero() or resultant(L * X, L * Y, 0).is_zero()
 
 
+def cofactor_det(mat):
+    """Oracle: a determinant over a commutative ring by cofactor expansion."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(((-1) ** j * mat[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in mat[1:]])
+                for j in range(len(mat))), Poly3.zero(mat[0][0].field))
+
+
+def sylvester_resultant(P, Q, var):
+    """Oracle: the Sylvester determinant at the actual degrees in `var`
+    (lc^n when one form is constant in `var`)."""
+    p, q = poly_in_var(P, var), poly_in_var(Q, var)
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 or n == 0:
+        return p[0] ** n if m == 0 else q[0] ** m
+    zero = Poly3.zero(P.field)
+    rows = [[zero] * i + p[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + q[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    return cofactor_det(rows)
+
+
+def _random_scalar(F, rng):
+    if F.is_finite:
+        return rng.choice(list(F.elements()))
+    c = F.from_int(rng.randint(-3, 3)) + F.from_int(rng.randint(-3, 3)) * F.eps()
+    if F is QQ_EPS_A:
+        c = c + F.from_int(rng.randint(-2, 2)) * F.gen()
+    return c / F.from_int(rng.randint(1, 3))
+
+
+def _form_of_degree_in(F, rng, total, var, deg):
+    """A random form of total degree `total` and degree exactly `deg` in
+    variable `var`, with about a third of its other coefficients zero."""
+    lead = next(e for e in monomials_of_degree(total) if e[var] == deg)
+    terms = {e: _random_scalar(F, rng) for e in monomials_of_degree(total)
+             if e[var] <= deg and rng.random() < 0.7}
+    while True:
+        terms[lead] = _random_scalar(F, rng)
+        if not terms[lead].is_zero():
+            return Poly3(F, total, terms)
+
+
+@pytest.mark.parametrize("field", [GF(13), GFext(7, 2), QQ_EPS, QQ_EPS_A],
+                         ids=["GF(13)", "GF(7^2)", "Q(e)", "Q(e)(a)"])
+def test_resultant_matches_the_sylvester_determinant(field):
+    # the closed forms against the cofactor expansion, with the sign, at
+    # every pair of degrees in the eliminated variable a conic or a line
+    # has; forms of total degree 0, 1 and 2
+    rng = random.Random(5)
+    pairs = [(0, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
+    nonzero = 0
+    for trial in range(4):
+        var = trial % 3
+        for m, n in pairs:
+            P = _form_of_degree_in(field, rng, max(m, rng.randint(0, 2)), var, m)
+            Q = _form_of_degree_in(field, rng, max(n, rng.randint(0, 2)), var, n)
+            got, want = resultant(P, Q, var), sylvester_resultant(P, Q, var)
+            assert got.terms == want.terms
+            degree = P.degree * n + Q.degree * m - m * n
+            assert got.is_zero() or got.degree == want.degree == degree
+            nonzero += not got.is_zero()
+    assert nonzero >= 28
+
+
+def test_resultant_refuses_a_cubic():
+    X, Y, Z = gens(GF(13))
+    conic = X * Y - Z**2
+    cubic = X**3 + Y * Z**2
+    for P, Q in ((cubic, conic), (conic, cubic), (cubic, Z)):
+        with pytest.raises(GeometryError):
+            resultant(P, Q, 0)
+    assert resultant(cubic, conic, 1) == sylvester_resultant(cubic, conic, 1)
+
+
 def ordinary_derivative_rows(point, degree, r):
     """Oracle: every ordinary partial of order < r of each monomial of the
     degree, at the point, one row per multi-index (i, j, order - i - j)."""
@@ -433,13 +507,36 @@ def test_specialize_commutes_with_evaluation(symbolic_data):
             assert direct == via_images
 
 
+def _text_forms():
+    """Forms over GF(13), GF(7^2) and Q(e) whose coefficients print with a
+    sign, a slash, a product or a sum, and constants of each field."""
+    F, G = GF(13), GFext(7, 2)
+    X, Y, Z = gens(F)
+    yield 3 * X**2 + 12 * X * Y + Z**2
+    g = G.gen()
+    X, Y, Z = gens(G)
+    yield (g + 1) * X**2 + 3 * g * X * Y + g * Y * Z + (6 * g + 5) * Z**2
+    e = QQ_EPS.eps()
+    half = QQ_EPS.from_int(2).inverse()
+    X, Y, Z = gens(QQ_EPS)
+    yield half * X**2 - 3 * X * Y + 2 * e * Y * Z + (1 - e * half) * Z**2
+    yield -X * Y + (half - e) * Z * X - e * Y**2
+    for c in (F.from_int(5), 2 * g + 1, g, half, e - 1, half - e):
+        yield Poly3(c.field, 0, {(0, 0, 0): c})
+
+
 def test_poly_text_round_trip(symbolic_data):
+    # int literals read as field elements, so that 1/2 divides in the field
     from halphen.field import parse_expression
-    A = symbolic_data.field
-    for C in symbolic_data.conics[:4]:
-        env = {"e": A.eps(), "a": A.gen()}
+    for C in list(symbolic_data.conics[:4]) + list(_text_forms()):
+        A = C.field
         X, Y, Z = gens(A)
-        env.update({"x": X, "y": Y, "z": Z})
-        one = Poly3(A, 0, {(0, 0, 0): A.one()})
-        back = parse_expression(C.to_text(), env, one)
+        env = {"x": X, "y": Y, "z": Z}
+        if not A.is_finite:
+            env["e"] = A.eps()
+        if hasattr(A, "gen"):
+            env["a" if A is symbolic_data.field else "g"] = A.gen()
+        back = parse_expression(C.to_text(), env, A.one())
+        if not isinstance(back, Poly3):
+            back = Poly3(A, 0, {(0, 0, 0): back})
         assert back == C
