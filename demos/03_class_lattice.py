@@ -8,10 +8,12 @@ structure, the ramification pairing and the uniqueness of the orthogonal
 nine-set are all checked here.
 """
 
-from halphen.piclattice import (basis_e, bertini_involution, chilean_lattice,
-                                chilean_set_uniqueness, degree_histogram,
+from halphen.piclattice import (all_nine_cliques, basis_e, bertini_involution,
+                                chilean_lattice, chilean_set_uniqueness,
+                                degree_histogram,
                                 enumerate_minus1_bruteforce,
-                                enumerate_minus1_generative, kperp_quotients,
+                                enumerate_minus1_generative, inner,
+                                kperp_quotients,
                                 res_partition, verify_mw_action,
                                 verify_nine_class_theorem)
 
@@ -45,8 +47,12 @@ uniq = chilean_set_uniqueness(classes, L)
 print(f"\n{uniq['total_cliques']} orthogonal nine-sets in total;"
       f" {len(uniq['qualifying'])} maps every (-2)-class to a conic")
 patterns = {}
-for _, pats in uniq["rejected"]:
-    key = tuple(sorted(pats))
+for clique in all_nine_cliques(classes):
+    if clique in uniq["qualifying"]:
+        continue
+    total = tuple(map(sum, zip(*clique)))  # D.R_j of the nine, summed
+    key = tuple(sorted(tuple(sorted(inner(total, L.minus2[j]) for j in f))
+                       for f in L.fibers))
     patterns[key] = patterns.get(key, 0) + 1
 print("rejected fiber-degree patterns (3 * image degree):")
 for key, count in sorted(patterns.items()):

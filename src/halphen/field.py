@@ -79,8 +79,9 @@ class Field:
         raise MixedContextError(f"cannot coerce {x!r} into {self}")
 
     def packing(self, degree):
-        """The inner-loop form of sums of products of up to `degree` elements."""
-        return Elements(self)
+        """The inner-loop form of sums of products of up to `degree` elements:
+        `ELEMENTS` for Q(e) and Q(e)(a), one for every field and degree."""
+        return ELEMENTS
 
 
 def _require_char_ok(p):
@@ -168,9 +169,6 @@ class Elements:
     so a form of packed elements needs only its own `pack` and `element`.
     """
 
-    def __init__(self, field):
-        self.field = field
-
     def pack(self, x):
         return x
 
@@ -192,6 +190,9 @@ class Elements:
             return None
         inv = pivot.inverse()
         return tuple(self.pack(c * inv) for c in v)
+
+
+ELEMENTS = Elements()
 
 
 class QEpsField(Field):

@@ -13,7 +13,10 @@ set, which every arrangement on that set reads.
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
 computed once per configuration, from the degenerate nodes, vertices and
-harmonic polars the configuration builds once for all of them.
+harmonic polars the configuration builds once for all of them.  The
+published tables are in `published.PAPER`, with which `reference_report`
+and `char2_code` compare themselves: the `invariants` and `code`
+commands run them too.
 """
 
 from collections import Counter
@@ -22,6 +25,7 @@ from fractions import Fraction
 from .field import QQ_EPS, GFext
 from .plane import ProjPoint, cross, hasse_rows, incidence_rows, line_basis
 from .chilean import Configuration, conic_is_line_pair
+from .published import PAPER, check
 
 
 class ArrangementError(Exception):
@@ -212,46 +216,13 @@ def harbourne(c_squared, multiplicities):
 # the five reference arrangements
 
 
-PUBLISHED_TN = {
-    "chilean": {2: 12, 8: 9},
-    "A0": {2: 12, 7: 9},
-    "A1": {2: 72, 5: 12, 8: 9},
-    "A2": {2: 54, 5: 12, 7: 9},
-    "A3": {2: 36, 4: 9, 5: 12},
-}
-
-PUBLISHED_CURVES = {
-    "chilean": [(2, 0, 4)] * 12,
-    "A0": [(2, 0, 4)] * 9 + [(1, 0, 1)] * 3,
-    "A1": [(2, 0, 4)] * 12 + [(1, 0, 1)] * 9,
-    "A2": [(2, 0, 4)] * 9 + [(1, 0, 1)] * 12,
-    "A3": [(1, 0, 1)] * 21,
-}
-
-PUBLISHED_VALUES = {
-    "chilean": (117, 54),
-    "A0": (99, 45),
-    "A1": (324, 144),
-    "A2": (270, 117),
-    "A3": (180, 72),
-}
-
-PUBLISHED_SLOPES = {
-    "chilean": Fraction(13, 6),
-    "A0": Fraction(11, 5),
-    "A1": Fraction(9, 4),
-    "A2": Fraction(30, 13),
-    "A3": Fraction(5, 2),
-}
-
-# the geometric censuses and log Chern pairs of the two arrangements whose
-# base points lie on their lines, one incidence more than published
-GEOMETRIC_MISMATCHES = {"A1": ({2: 72, 5: 12, 9: 9}, (351, 153)),
-                        "A2": ({2: 54, 5: 12, 8: 9}, (297, 126))}
+ARRANGEMENTS = ("chilean", "A0", "A1", "A2", "A3")
 
 
 def published_arrangement(name):
-    return ArrangementCombinatorics(PUBLISHED_CURVES[name], PUBLISHED_TN[name])
+    published = PAPER["log Chern numbers"]
+    return ArrangementCombinatorics(published["curves"][name],
+                                    published["censuses"][name])
 
 
 def _line_line_point(L1, L2):
@@ -264,7 +235,7 @@ def geometric_census(name, config):
     The five censuses are computed together, once per configuration, and
     kept in `config.censuses`; every call returns a copy of its own.
     """
-    if name not in PUBLISHED_TN:
+    if name not in ARRANGEMENTS:
         raise ArrangementError(f"unknown arrangement {name!r}")
     if not config.censuses:
         config.censuses.update(_censuses_from_geometry(config))
@@ -305,53 +276,46 @@ def reference_report(config):
     reported, with log Chern numbers for each.
     """
     rows = []
-    for name in ("chilean", "A0", "A1", "A2", "A3"):
+    for name in ARRANGEMENTS:
         pub = published_arrangement(name)
-        pub_pair = log_chern(pub)
         geo = geometric_census(name, config)
-        geo_pair = log_chern(geo)
-        if pub_pair != tuple(map(Fraction, PUBLISHED_VALUES[name])):
-            raise ArrangementError(f"published census of {name} gives {pub_pair}")
-        if log_chern_slope(pub) != PUBLISHED_SLOPES[name]:
-            raise ArrangementError(f"published slope of {name} is off")
         rows.append({
             "name": name,
-            "published_t": dict(PUBLISHED_TN[name]),
-            "published_log_chern": tuple(pub_pair),
-            "slope": PUBLISHED_SLOPES[name],
+            "published_t": dict(pub.t_counts),
+            "published_log_chern": log_chern(pub),
+            "slope": log_chern_slope(pub),
             "geometric_t": dict(geo.t_counts),
-            "geometric_log_chern": tuple(geo_pair),
+            "geometric_log_chern": log_chern(geo),
             "match": geo.t_counts == pub.t_counts,
         })
+    check("log Chern numbers", ArrangementError,
+          {"values": {r["name"]: r["published_log_chern"] for r in rows},
+           "slopes": {r["name"]: r["slope"] for r in rows}})
     return rows
 
 
 def harbourne_report(node_count):
-    """The two reference Harbourne constants, with the lattice cross-check.
+    """The two reference Harbourne constants, from the lattice.
 
-    The union of the nine 2-sections and the four reducible fibers has
-    self-intersection 135 and 84 double points: the crossings of the
-    sections with the fiber components, read off the intersection form,
-    and the `node_count` nodes of the fibers, the configuration's fiber
-    nodes (12).  The degenerate analogue's 117 and 75 are the published
-    values, taken as given: the lattice here describes the chilean
-    fibration only.
+    The union of the nine 2-sections and the four reducible fibers has the
+    self-intersection read off the intersection form, and its double
+    points are the crossings of the sections with the fiber components,
+    likewise, and the `node_count` nodes of the fibers, the
+    configuration's fiber nodes.  The degenerate analogue's
+    self-intersection and double points are the published values, taken
+    as given: the lattice here describes the chilean fibration only.
     """
     from . import piclattice
     L = piclattice.chilean_lattice()
     e_classes = [piclattice.basis_e(i) for i in range(1, 10)]
     total = e_classes + list(L.minus2)
     c_sq = sum(piclattice.inner(u, v) for u in total for v in total)
-    crossings = sum(piclattice.inner(e, R) for e in e_classes for R in L.minus2)
-    if c_sq != 135 or crossings + node_count != 84:
-        raise ArrangementError(
-            f"lattice cross-check failed: C^2 = {c_sq}, points = {crossings + node_count}")
-    h1 = harbourne(135, [2] * 84)
-    h2 = harbourne(117, [2] * 75)
-    if h1 != Fraction(-67, 28) or h2 != Fraction(-61, 25):
-        raise ArrangementError(f"Harbourne constants {h1}, {h2} are off")
-    return {"chilean": h1, "degenerate": h2,
-            "c_squared": (135, 117), "double_points": (84, 75)}
+    points = node_count + sum(piclattice.inner(e, R) for e in e_classes for R in L.minus2)
+    published = PAPER["Harbourne constants"]
+    c_deg, points_deg = published["c_squared"][1], published["double_points"][1]
+    return {"chilean": harbourne(c_sq, [2] * points),
+            "degenerate": harbourne(c_deg, [2] * points_deg),
+            "c_squared": (c_sq, c_deg), "double_points": (points, points_deg)}
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +330,9 @@ def char2_code():
     """The 9-dimensional code spanned by the line incidence vectors.
 
     The configuration is built over GF(16).  Words live in GF(2)^21 over
-    the 21 configuration points; the nine line vectors have weight 5, span
-    a dimension-9 code whose weight enumerator is returned as a
-    coefficient map, and the twelve conic vectors (weight 8) lie in the
-    code.
+    the 21 configuration points; the nine line vectors span the code,
+    whose dimension and weight enumerator (a coefficient map) are checked
+    against the paper, and the twelve conic vectors must lie in it.
     """
     field = GFext(2, 4)
     config = Configuration(field, field.gen())
@@ -378,30 +341,23 @@ def char2_code():
         raise ArrangementError("the 21 configuration points are not distinct")
     points.sort(key=_point_sort_key)
 
-    def words(curves, weight):
-        rows = incidence_rows(points, curves, column_sum=weight)
+    def words(curves):
         return [sum(bit << idx for idx, bit in enumerate(column))
-                for column in zip(*rows)]
+                for column in zip(*incidence_rows(points, curves))]
 
-    line_words = words(config.lines, 5)
-    conic_words = words(config.data.conics, 8)
-
-    # the span of rank r has 2^r words: 512 of them certify dimension 9
+    line_words, conic_words = words(config.lines), words(config.data.conics)
     codewords = [0]
     for b in line_words:
         codewords += [w ^ b for w in codewords]
         codewords = list(dict.fromkeys(codewords))
-    if len(codewords) != 512:
-        raise ArrangementError(f"code has {len(codewords)} words, not 512")
-    enumerator = dict(Counter(bin(w).count("1") for w in codewords))
     if not set(conic_words) <= set(codewords):
         raise ArrangementError("a conic word escapes the code")
-    return {"dimension": 9, "enumerator": enumerator,
-            "line_words": line_words, "conic_words": conic_words, "length": 21}
-
-
-EXPECTED_WEIGHT_ENUMERATOR = {0: 1, 5: 9, 8: 102, 9: 144,
-                              12: 144, 13: 102, 16: 9, 21: 1}
+    # the span of rank r has 2^r words
+    found = {"dimension": len(codewords).bit_length() - 1,
+             "enumerator": dict(Counter(bin(w).count("1") for w in codewords))}
+    check("binary incidence code", ArrangementError, found)
+    return {**found, "line_words": line_words, "conic_words": conic_words,
+            "length": len(points)}
 
 
 def weight_enumerator_string(enumerator):

@@ -3,9 +3,10 @@
 Classes are plain 10-tuples of integers in the basis (e_0, ..., e_9); the
 convention d*e_0 - sum m_i e_i corresponds to the raw tuple
 (d, -m_1, ..., -m_9).  The module holds the two reference matrices of
-(-2)-classes (index 2 and index 3), enumerates the 144 (-1)-classes by
-two independent methods, and verifies the group actions, coset
-structures, pairings and uniqueness statements built on them.
+(-2)-classes (index 2 and index 3), enumerates the (-1)-classes by two
+independent methods, and builds the group actions, coset structures,
+pairings and orthogonal nine-sets on them; it returns the counts it
+finds, and the ledger compares them with `published.PAPER`.
 
 The lattice algebra is on integers only, one construction per object:
 the translates E_i - sum_{j in I} R_j + |I| F_0 (`_translates`, read by
@@ -69,30 +70,6 @@ MW_GENERATOR_CYCLES = (
     (((1, 9, 5), (2, 7, 6), (3, 8, 4))),
     (((1, 8, 6), (2, 9, 4), (3, 7, 5))),
 )
-
-# the sixteen orbit representatives based at e_9, split by the point they
-# cut on the half-fiber (translate point vs inflection point)
-ORBIT_MATRIX_P9 = (
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, -1, -1, 0, -1, -1, 0, 0, 0, -1),
-    (2, -1, 0, -1, 0, -1, -1, 0, 0, -1),
-    (2, -1, 0, 0, 0, -1, 0, -1, -1, -1),
-    (2, 0, -1, -1, -1, 0, -1, 0, 0, -1),
-    (2, 0, -1, 0, -1, 0, 0, -1, -1, -1),
-    (2, 0, 0, -1, 0, 0, -1, -1, -1, -1),
-    (4, -1, -1, -1, -1, -1, -1, -1, -1, -3),
-)
-ORBIT_MATRIX_X9 = (
-    (1, -1, 0, 0, 0, -1, 0, 0, 0, 0),
-    (1, 0, -1, 0, -1, 0, 0, 0, 0, 0),
-    (1, 0, 0, -1, 0, 0, -1, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0, -1, -1, 0),
-    (3, -1, -1, -1, -1, -1, -1, 0, 0, -2),
-    (3, -1, -1, 0, -1, -1, 0, -1, -1, -2),
-    (3, -1, 0, -1, 0, -1, -1, -1, -1, -2),
-    (3, 0, -1, -1, -1, 0, -1, -1, -1, -2),
-)
-
 
 def inner(u, v):
     """The intersection form: u_0 v_0 - sum_{i>=1} u_i v_i."""
@@ -197,10 +174,7 @@ def _translates(lattice, i):
 
 def enumerate_minus1_generative(lattice):
     """E_i - sum_{f in I} R_f^(0) + |I| F_0 over all i and I."""
-    classes = {D for i in range(1, 10) for _, D in _translates(lattice, i)}
-    if len(classes) != 144:
-        raise LatticeError(f"generative enumeration found {len(classes)} classes")
-    return sorted(classes)
+    return sorted({D for i in range(1, 10) for _, D in _translates(lattice, i)})
 
 
 def sorted_multiplicities(d):
@@ -346,8 +320,6 @@ def ltrop(E, lattice):
         raise LatticeError("expected an exceptional basis class")
     reps = [(tuple(-1 if j in I else 0 for j in range(12)), D, len(I))
             for I, D in _translates(lattice, i)]
-    if len({c for c, _, _ in reps}) != 16:
-        raise LatticeError("tropical space has fewer than 16 representatives")
     # closure under the tropical sum
     coeff_set = {c for c, _, _ in reps}
     for c1 in coeff_set:
@@ -355,18 +327,6 @@ def ltrop(E, lattice):
             merged = tuple(max(x, y) for x, y in zip(c1, c2))
             if merged not in coeff_set:
                 raise LatticeError("tropical sum leaves the space")
-    return reps
-
-
-def verify_orbit_matrices(lattice):
-    """The sixteen classes based at e_9 match the two printed matrices."""
-    reps = ltrop(basis_e(9), lattice)
-    even = {D for _, D, size in reps if size % 2 == 0}
-    odd = {D for _, D, size in reps if size % 2 == 1}
-    if even != set(ORBIT_MATRIX_P9):
-        raise LatticeError("even-size classes disagree with the first matrix")
-    if odd != set(ORBIT_MATRIX_X9):
-        raise LatticeError("odd-size classes disagree with the second matrix")
     return reps
 
 
@@ -427,7 +387,8 @@ def mw_orbits(classes):
 
 
 def verify_mw_action(classes):
-    """Commuting order-3 isometric generators, 16 free orbits of size 9."""
+    """Commuting order-3 isometric generators; the orbits of `classes`,
+    the nine exceptional classes among them."""
     g1, g2 = mw_generators()
     if compose_perm(g1, g2) != compose_perm(g2, g1):
         raise LatticeError("the two translation generators do not commute")
@@ -442,9 +403,6 @@ def verify_mw_action(classes):
     if any(g[0] != 0 for g in (g1, g2)):
         raise LatticeError("generator is not an isometry")
     orbits = mw_orbits(classes)
-    if len(orbits) != 16 or any(len(o) != 9 for o in orbits):
-        raise LatticeError(
-            f"expected 16 orbits of size 9, got sizes {[len(o) for o in orbits]}")
     exc = sorted(basis_e(i) for i in range(1, 10))
     if exc not in [sorted(o) for o in orbits]:
         raise LatticeError("the nine exceptional classes are not a single orbit")
@@ -481,17 +439,13 @@ def res_partition(classes, lattice):
     """Cosets of the class set modulo the lattice of (-2)-classes.
 
     The span of the twelve (-2)-classes already contains m*F_0, so this
-    is the finest vertical-translation quotient; on the 144 set it yields
-    18 cosets of size 8, and adding F_0 pairs the cosets two by two.
+    is the finest vertical-translation quotient; adding F_0 must pair the
+    cosets two by two.
     """
     labeller = CosetLabeller(lattice.minus2)
     cosets = {}
     for D in classes:
         cosets.setdefault(labeller.label(D), []).append(D)
-    sizes = sorted(len(v) for v in cosets.values())
-    if len(cosets) != 18 or sizes != [8] * 18:
-        raise LatticeError(
-            f"expected 18 cosets of size 8, got {len(cosets)} of sizes {sizes}")
     # adding F_0 swaps cosets in pairs
     pairing = {}
     for lab, members in cosets.items():
@@ -536,8 +490,7 @@ def bertini_involution(classes, lattice):
     """The pairing E -> F_0 + B_i - E on the whole class set.
 
     For each class exactly one base-point index i makes the image another
-    class of the set; the induced map is an involution pairing degrees
-    d <-> 4 - d with intersection number 3.
+    class of the set, and the induced map must be an involution.
     """
     class_set = set(classes)
     pairing = {}
@@ -556,10 +509,6 @@ def bertini_involution(classes, lattice):
         j, back = pairing[D]
         if back != E or j != i:
             raise LatticeError("pairing is not an involution")
-        if E[0] + D[0] != 4:
-            raise LatticeError("pairing does not swap degrees d and 4-d")
-        if inner(E, D) != 3:
-            raise LatticeError("paired classes do not meet in 3")
     return pairing
 
 
@@ -591,19 +540,18 @@ def third_divisor(pattern, labels, lattice):
 
 
 def verify_nine_class_theorem(lattice):
-    """The two third-integer divisors and the nine derived classes, at e_1."""
+    """The two third-integer divisors and the nine derived classes, at e_1.
+
+    The report holds the divisors' products, H and H^2, and the set of
+    H.R over the (-2)-classes R; the derived classes must be the nine
+    exceptional ones.
+    """
     E = basis_e(1)
     labels = fiber_labels(lattice)
     d0111 = third_divisor((0, 1, 1, 1), labels, lattice)
     d1012 = third_divisor((1, 0, 1, 2), labels, lattice)
-    report = {}
-    report["D0111.D1012"] = inner(d0111, d1012)
-    report["D0111^2"] = inner(d0111, d0111)
-    report["D1012^2"] = inner(d1012, d1012)
-    if report["D0111.D1012"] != -1:
-        raise LatticeError("D_0111 . D_1012 != -1")
-    if report["D0111^2"] != -2 or report["D1012^2"] != -2:
-        raise LatticeError("third-integer divisors do not square to -2")
+    report = {"D0111.D1012": inner(d0111, d1012), "D0111^2": inner(d0111, d0111),
+              "D1012^2": inner(d1012, d1012)}
 
     patterns = ((0, 0, 0, 0), (0, 2, 2, 2), (0, 1, 1, 1),
                 (2, 0, 2, 1), (2, 2, 1, 0), (2, 1, 0, 2),
@@ -628,14 +576,8 @@ def verify_nine_class_theorem(lattice):
     for f in range(4):
         r0_sum = add(r0_sum, lattice.minus2[labels[f][0]])
     H = sub(add(scale(E, 3), scale(F0_CLASS, 3)), r0_sum)
-    report["H"] = H
-    report["H^2"] = inner(H, H)
-    if inner(H, H) != 1:
-        raise LatticeError("H^2 != 1")
-    for R in lattice.minus2:
-        if inner(H, R) != 2:
-            raise LatticeError("H does not meet every (-2)-class in 2")
-    report["classes"] = derived
+    report.update({"H": H, "H^2": inner(H, H), "classes": derived,
+                   "H.R": sorted({inner(H, R) for R in lattice.minus2})})
     return report
 
 
@@ -702,55 +644,36 @@ def all_nine_cliques(classes):
 
 
 def chilean_set_uniqueness(classes, lattice):
-    """Exactly one orthogonal nine-set meets every (-2)-class six times;
-    its D.R_j are sums of rows of one table of D.R_j per class D."""
+    """The number of orthogonal nine-sets, and those that meet every
+    (-2)-class six times, which must be the exceptional one; a set's D.R_j
+    are sums of rows of one table of D.R_j per class D."""
     cliques = all_nine_cliques(classes)
     table = {D: [inner(D, R) for R in lattice.minus2] for D in classes}
-    qualifying = []
-    rejected = []
-    for clique in cliques:
-        total = [sum(x) for x in zip(*(table[D] for D in clique))]
-        fiber_patterns = [tuple(sorted(total[j] for j in f)) for f in lattice.fibers]
-        if all(pat == (6, 6, 6) for pat in fiber_patterns):
-            qualifying.append(clique)
-        else:
-            rejected.append((clique, fiber_patterns))
-    if len(qualifying) != 1:
-        raise LatticeError(f"{len(qualifying)} qualifying nine-sets found")
-    expected = tuple(sorted(basis_e(i) for i in range(1, 10)))
-    if tuple(sorted(qualifying[0])) != expected:
-        raise LatticeError("the qualifying nine-set is not the exceptional one")
-    return {"total_cliques": len(cliques), "qualifying": qualifying,
-            "rejected": rejected}
+    qualifying = [clique for clique in cliques
+                  if all(sum(column) == 6 for column in zip(*(table[D] for D in clique)))]
+    exceptional = sorted(basis_e(i) for i in range(1, 10))
+    if any(sorted(clique) != exceptional for clique in qualifying):
+        raise LatticeError("a qualifying nine-set is not the exceptional one")
+    return {"total_cliques": len(cliques), "qualifying": qualifying}
 
 
 # ---------------------------------------------------------------------------
 # the index-3 data of the higher-index construction
 
 
-TORSION_VECTORS = (
-    (0, 0, 0, 0), (0, 1, 2, 1), (0, 2, 1, 2),
-    (1, 1, 0, 2), (1, 2, 2, 0), (1, 0, 1, 1),
-    (2, 2, 0, 1), (2, 1, 1, 0), (2, 0, 2, 2),
-)
-
-
-def verify_torsion_vectors():
-    """All 36 pairwise differences have exactly one zero coordinate mod 3."""
-    for u, v in combinations(TORSION_VECTORS, 2):
+def verify_torsion_vectors(vectors):
+    """All pairwise differences of the torsion vectors have exactly one
+    zero coordinate mod 3."""
+    for u, v in combinations(vectors, 2):
         zeros = sum(1 for a, b in zip(u, v) if (a - b) % 3 == 0)
         if zeros != 1:
             raise LatticeError(f"difference of {u} and {v} has {zeros} zeros")
     return True
 
 
-SECTION_MATRIX = ((0, 0, 0, 1, 4, 1, 5, 5, 5),
-                  (0, 1, 2, 0, 1, 2, 0, 1, 2))
-
-
-def index3_section_check():
-    """The 2x9 matrix is a set-theoretic section generating the kernel."""
-    first, second = SECTION_MATRIX
+def index3_section_check(matrix):
+    """The 2x9 section matrix is a set-theoretic section generating the kernel."""
+    first, second = matrix
     reductions = [((a % 3), b % 3) for a, b in zip(first, second)]
     if len(set(reductions)) != 9:
         raise LatticeError("reductions mod 3 are not a bijection onto (Z/3)^2")
@@ -813,7 +736,8 @@ def steiner_conic(five, lines):
 
 
 def realize_low_degree_classes(classes, points):
-    """Check every degree <= 2 class against actual curves through the points.
+    """Check every degree <= 2 class against actual curves through the
+    points; returns how many were checked.
 
     Lines through two points (`line_table`) and conics through five
     (`steiner_conic`) must exist, be unique and avoid the remaining points.
@@ -834,8 +758,6 @@ def realize_low_degree_classes(classes, points):
             if value.is_zero():
                 raise LatticeError(f"class {D}: curve support mismatch at p_{k + 1}")
         checked += 1
-    if checked != 36 + 54:
-        raise LatticeError(f"checked {checked} low-degree classes, expected 90")
     return checked
 
 

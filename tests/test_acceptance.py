@@ -11,6 +11,7 @@ from fractions import Fraction
 from halphen import chilean, cubic, invariants, piclattice, torsion
 from halphen.field import GF, to_text
 from halphen.plane import gens
+from halphen.published import PAPER
 
 
 def _criterion(number, limit_s, description, thunk):
@@ -69,8 +70,11 @@ def test_criterion_03_minus1_census(lattice):
 
 def test_criterion_04_tropical_space(lattice):
     def check():
-        reps = piclattice.verify_orbit_matrices(lattice)
+        reps = piclattice.ltrop(piclattice.basis_e(9), lattice)
         assert len(reps) == 16
+        tropical = PAPER["tropical space at e_9"]
+        assert {D for _, D, size in reps if size % 2 == 0} == set(tropical["even rows"])
+        assert {D for _, D, size in reps if size % 2 == 1} == set(tropical["odd rows"])
         return "16 representatives matching both printed matrices"
     _criterion(4, 1.0, "tropical space at e_9 has 16 elements", check)
 
@@ -156,7 +160,7 @@ def test_criterion_12_char2_code():
     def check():
         rep = invariants.char2_code()
         assert rep["dimension"] == 9
-        assert rep["enumerator"] == invariants.EXPECTED_WEIGHT_ENUMERATOR
+        assert rep["enumerator"] == PAPER["binary incidence code"]["enumerator"]
         return invariants.weight_enumerator_string(rep["enumerator"])
     _criterion(12, 30.0, "binary incidence code over GF(16)", check)
 
@@ -180,7 +184,7 @@ def test_criterion_13_torsion_loci():
 def test_criterion_14_index3():
     def check():
         piclattice.index3_lattice()
-        rep = piclattice.index3_section_check()
+        rep = piclattice.index3_section_check(PAPER["index-3 class data"]["section matrix"])
         assert rep["column_sum"] == (3, 0)
         return "4 triples summing to -3K; section matrix checks"
     _criterion(14, 1.0, "index-3 class matrix and section", check)

@@ -278,6 +278,13 @@ def test_specialized_mode_rejects_boundary_parameters(capsys):
     capsys.readouterr()
     assert main(["verify", "incidence", "--mode", "specialized", "--a", "-2"]) == 2
     capsys.readouterr()
+    # symbolic mode reads --a in its Q(e) spot check, and rejects the same
+    # values before any claim runs
+    for argv in (["incidence", "--a", "1"], ["incidence", "--a", "-2"],
+                 ["all", "--a", "0"], ["all", "--a", "1"], ["all", "--a", "-2"]):
+        assert main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad family parameter" in err
 
 
 def test_torsion_m_restriction_and_quadratic_flag(capsys):

@@ -220,7 +220,7 @@ def test_closed_form_matches_generic_path():
                 continue
             g = CubicGroup(curve, flexes[6])
             # over GF(p) the element law is the oracle of the residue law
-            elements = (cubic._Law(curve.t, Elements(F))
+            elements = (cubic._Law(curve.t, Elements())
                         if isinstance(F, PrimeField) else None)
             pts = rational_points(curve)
             gradient = _hesse_form(curve)[1]
@@ -485,7 +485,7 @@ def test_packed_law_matches_the_element_law():
             assert curve.is_smooth()
             pts = rational_points(curve)
             g = CubicGroup(curve, flexes[6])
-            law, elements = g._law, cubic._Law(curve.t, Elements(F))
+            law, elements = g._law, cubic._Law(curve.t, Elements())
             # the packed law, not the element law
             assert isinstance(law.form, Packing) and law.form is F.packing(4)
             packed = {P: law.coords(P) for P in pts}

@@ -463,6 +463,12 @@ def test_one_residue_form_per_prime_field():
     assert GF(13).packing(2) is not GF(7).packing(2)
 
 
+def test_one_element_form_for_the_characteristic_zero_fields():
+    # Elements holds no state: every call over Q(e) and Q(e)(a) gets the same one
+    forms = {id(F.packing(d)) for F in (QQ_EPS, QQ_EPS_A) for d in (1, 2, 4)}
+    assert len(forms) == 1 and isinstance(QQ_EPS.packing(2), Elements)
+
+
 # ---------------------------------------------------------------------------
 # the integer kernel of Q(e)
 

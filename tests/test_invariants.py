@@ -10,15 +10,19 @@ from halphen.field import GF, QQ_EPS
 from halphen.plane import (ProjPoint, bf_divide_linear, cross, gens,
                            hasse_rows, line_basis, plane_points)
 from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
-                                EXPECTED_WEIGHT_ENUMERATOR, PUBLISHED_SLOPES,
-                                PUBLISHED_TN, PUBLISHED_VALUES,
                                 _assert_smooth_members, char2_code,
                                 extract_combinatorics, geometric_census,
                                 harbourne, harbourne_report, log_chern,
                                 log_chern_slope,
                                 published_arrangement, reference_report,
                                 weight_enumerator_string)
+from halphen.published import PAPER
 from test_plane import coordinates_on_line
+
+PUBLISHED_TN = PAPER["log Chern numbers"]["censuses"]
+PUBLISHED_VALUES = PAPER["log Chern numbers"]["values"]
+PUBLISHED_SLOPES = PAPER["log Chern numbers"]["slopes"]
+EXPECTED_WEIGHT_ENUMERATOR = PAPER["binary incidence code"]["enumerator"]
 
 
 def test_published_values_and_slopes():

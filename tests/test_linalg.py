@@ -110,12 +110,12 @@ def test_rref_on_residues_matches_elements(monkeypatch):
         assert any(len(rref(A, F)[1]) < min(len(A), len(A[0])) for A in mats)
         for A in mats:
             red, pivots = rref(A, F)
-            oracle = _eliminate([list(r) for r in A], Elements(F))
+            oracle = _eliminate([list(r) for r in A], Elements())
             assert (red, pivots) == oracle
             assert all(x.field is F for r in red for x in r)
         kernels = [kernel_basis(A, F) for A in mats]
         monkeypatch.setattr(linalg, "rref", lambda rows, field:
-                            _eliminate([list(r) for r in rows], Elements(field)))
+                            _eliminate([list(r) for r in rows], Elements()))
         assert [kernel_basis(A, F) for A in mats] == kernels
         monkeypatch.undo()
 
@@ -129,7 +129,7 @@ def test_rref_on_packed_ints_matches_elements():
         assert any(len(rref(A, F)[1]) < min(len(A), len(A[0])) for A in mats)
         for A in mats:
             red, pivots = rref(A, F)
-            assert (red, pivots) == _eliminate([list(r) for r in A], Elements(F))
+            assert (red, pivots) == _eliminate([list(r) for r in A], Elements())
             assert all(x.field is F for r in red for x in r)
 
 
@@ -154,7 +154,7 @@ def _element_kernel(rows, field):
     """The kernel on the element path: `_eliminate` on the `Elements` form,
     each vector 1 at its own free column and 0 at the other free columns."""
     ncols = len(rows[0])
-    red, pivots = _eliminate([list(r) for r in rows], Elements(field))
+    red, pivots = _eliminate([list(r) for r in rows], Elements())
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [field.zero()] * ncols

@@ -10,8 +10,7 @@ from halphen.field import QQ_EPS
 from halphen.linalg import kernel_basis, solve
 from halphen.plane import Poly3, ProjPoint, hasse_rows, monomials_of_degree
 from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLUMNS,
-                                K_CLASS, LatticeError, ORBIT_MATRIX_P9,
-                                ORBIT_MATRIX_X9, CosetLabeller, _perm_from_cycles,
+                                K_CLASS, LatticeError, CosetLabeller, _perm_from_cycles,
                                 add, apply_perm, basis_e,
                                 bertini_involution, branch_class,
                                 chilean_lattice, chilean_set_uniqueness,
@@ -27,7 +26,13 @@ from halphen.piclattice import (CONIC_CLASS_COLUMNS, F0_CLASS, INDEX3_CLASS_COLU
                                 table144,
                                 triangle_integer_points,
                                 verify_mw_action, verify_nine_class_theorem,
-                                verify_orbit_matrices, verify_torsion_vectors)
+                                verify_torsion_vectors)
+from halphen.published import PAPER
+
+ORBIT_MATRIX_P9 = PAPER["tropical space at e_9"]["even rows"]
+ORBIT_MATRIX_X9 = PAPER["tropical space at e_9"]["odd rows"]
+SECTION_MATRIX = PAPER["index-3 class data"]["section matrix"]
+TORSION_VECTORS = PAPER["index-3 class data"]["torsion vectors"]
 
 
 def test_intersection_form():
@@ -197,15 +202,21 @@ def test_nine_cliques_match_the_ordered_search(classes144):
     assert cliques == _ordered_nine_cliques(classes144)
 
 
+def fiber_patterns(clique, lattice):
+    """Oracle: per fiber, the sorted D.R_j of the summed classes D of a clique."""
+    total = (0,) * 10
+    for D in clique:
+        total = add(total, D)
+    return [tuple(sorted(inner(total, lattice.minus2[j]) for j in f))
+            for f in lattice.fibers]
+
+
 def test_fiber_patterns_match_the_summed_classes(lattice, classes144):
     # the table rows of D.R_j, summed, against D.R_j of the summed classes
     rep = chilean_set_uniqueness(classes144, lattice)
-    for clique, patterns in rep["rejected"]:
-        total = (0,) * 10
-        for D in clique:
-            total = add(total, D)
-        assert patterns == [tuple(sorted(inner(total, lattice.minus2[j]) for j in f))
-                            for f in lattice.fibers]
+    assert rep["qualifying"] == [
+        clique for clique in all_nine_cliques(classes144)
+        if fiber_patterns(clique, lattice) == [(6, 6, 6)] * 4]
 
 
 def test_every_class_satisfies_the_predicate(lattice, classes144):
@@ -223,7 +234,6 @@ def test_tropical_space(lattice):
     reps = ltrop(basis_e(9), lattice)
     assert len(reps) == 16
     assert any(all(c == 0 for c in coeffs) for coeffs, _, _ in reps)
-    verify_orbit_matrices(lattice)
     even = {D for _, D, size in reps if size % 2 == 0}
     assert even == set(ORBIT_MATRIX_P9)
     odd = {D for _, D, size in reps if size % 2 == 1}
@@ -351,9 +361,11 @@ def test_unique_nine_set(lattice, classes144):
     assert len(rep["qualifying"]) == 1
     assert sorted(rep["qualifying"][0]) == sorted(basis_e(i) for i in range(1, 10))
     # rejected sets show the line-line-quartic fiber pattern
-    patterns = {pat for _, pats in rep["rejected"] for pat in pats}
+    cliques = all_nine_cliques(classes144)
+    rejected = [clique for clique in cliques if clique not in rep["qualifying"]]
+    patterns = {pat for clique in rejected for pat in fiber_patterns(clique, lattice)}
     assert (3, 3, 12) in patterns
-    assert rep["total_cliques"] == 1 + len(rep["rejected"])
+    assert rep["total_cliques"] == 1 + len(rejected)
 
 
 def test_index3_lattice():
@@ -370,14 +382,14 @@ def test_index3_lattice():
 
 
 def test_section_matrix():
-    rep = index3_section_check()
+    rep = index3_section_check(SECTION_MATRIX)
     assert rep["column_sum"] == (3, 0)
     assert [r[0] for r in rep["reductions"]] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert len(set(rep["reductions"])) == 9
 
 
 def test_torsion_vector_table():
-    assert verify_torsion_vectors()
+    assert verify_torsion_vectors(TORSION_VECTORS)
 
 
 def test_low_degree_classes_realized(classes144, symbolic_data, monkeypatch):

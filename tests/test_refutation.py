@@ -5,11 +5,16 @@ configuration), runs the claim's thunk from `cli.SUITES` on a fresh
 `chilean.Configuration`, and requires the verdict "fail": a domain error,
 not a crash and not a pass.  The same thunk passes on the shared
 `configuration` fixture.
+
+The cases of `CASES` change the computed data, and so show that the
+computation feeds the comparison; the matrix at the end changes each
+published value of `published.PAPER` in turn, and so shows that the
+comparison is made.
 """
 
 import pytest
 
-from halphen import chilean, cli, cubic, invariants, piclattice, torsion
+from halphen import chilean, cli, cubic, invariants, piclattice, published, torsion
 from halphen.plane import ProjPoint, gens
 
 
@@ -201,3 +206,38 @@ def test_a_wrong_datum_fails_its_claim(configuration, monkeypatch, suite,
     ctx = chilean.Configuration()
     mutate(monkeypatch, ctx)
     assert verdict(claim_thunk(suite, claim, ctx)) == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the matrix: every key of every entry of the published table
+
+
+SUITE_OF = {claim: suite for suite, build in cli.SUITES.items()
+            for claim, _, _ in build(cli.RunConfig(), None)}
+MATRIX = [(claim, key) for claim, entry in published.PAPER.items() for key in entry]
+
+
+def perturbed(value):
+    """A copy of `value` with its last leaf moved: a number by one, a
+    string by one character."""
+    if isinstance(value, dict):
+        last = list(value)[-1]
+        return {**value, last: perturbed(value[last])}
+    if isinstance(value, (tuple, list)):
+        return type(value)([*value[:-1], perturbed(value[-1])])
+    if isinstance(value, str):
+        return value + "'"
+    return value + 1
+
+
+def test_every_published_entry_is_a_ledger_claim():
+    assert set(published.PAPER) <= set(SUITE_OF)
+
+
+@pytest.mark.parametrize("claim, key", MATRIX, ids=[f"{c}: {k}" for c, k in MATRIX])
+def test_a_wrong_published_value_fails_its_claim(monkeypatch, claim, key):
+    value = published.PAPER[claim][key]
+    assert perturbed(value) != value
+    monkeypatch.setitem(published.PAPER[claim], key, perturbed(value))
+    thunk = claim_thunk(SUITE_OF[claim], claim, chilean.Configuration())
+    assert verdict(thunk) == "fail"

@@ -9,7 +9,7 @@ from halphen.cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                            hesse_flexes, rational_points)
 from halphen.linalg import kernel_basis, rref
 from halphen.plane import ProjPoint, hasse_rows, monomials_of_degree, values_at
-from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
+from halphen.torsion import (TorsionError, _census,
                              collinear_balances,
                              find_specialization, good_primes,
                              hesse_collinear_curves, index_multiplicities,
@@ -18,8 +18,15 @@ from halphen.torsion import (EXPECTED_PRIMITIVE_COUNT, TorsionError, _census,
                              torsion_locus, translated_points,
                              two_torsion_conics,
                              verify_nine_torsion_cubics, verify_torsion_locus)
+from halphen.published import PAPER
 from test_cubic import has_exact_order
 from test_plane import term_sum
+
+# the points of exact order m over the algebraic closure
+EXPECTED_PRIMITIVE_COUNT = {
+    4: PAPER["torsion locus m = 4"]["points of exact order"],
+    5: PAPER["torsion locus m = 5"]["points of exact order"],
+    9: sum(PAPER["nine-torsion cubics"]["points per cubic"])}
 
 # deterministic smallest instances, frozen from the scan itself
 SPEC4 = (31, 1)
