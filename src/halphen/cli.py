@@ -694,9 +694,17 @@ def main(argv=None):
             return 2
         text = _emit_minus1(args.format, args.d_max)
     elif args.command == "invariants":
-        text = _emit_invariants(args.format)
+        try:
+            text = _emit_invariants(args.format)
+        except DOMAIN_ERRORS as err:
+            print(f"refuted: {type(err).__name__}: {err}", file=sys.stderr)
+            return 1
     elif args.command == "code":
-        rep = invariants.char2_code()
+        try:
+            rep = invariants.char2_code()
+        except DOMAIN_ERRORS as err:
+            print(f"refuted: {type(err).__name__}: {err}", file=sys.stderr)
+            return 1
         if args.format == "json":
             text = json.dumps({"dimension": rep["dimension"],
                                "length": rep["length"],

@@ -42,7 +42,11 @@ curve's field (`Field.packing`), where only a zero test or a scaling
 reduces.
 
 `rational_points` finds the points over any finite field in O(q) field
-operations, on elements and per-field tables of elements only.
+operations, on per-field tables of reduced values in the field's
+inner-loop form, and certifies each point on its packed coordinates.
+`CubicGroup.coords`, `plus`, `times` and `point` run the group law on
+those coordinates, so a walk over many sums builds only the points it
+returns.
 `CubicGroup.orders` gives the exact order of every point from one walk
 per cyclic subgroup it meets, on canonical coordinates under the law.
 Its zero is a flex, so the residual point X * Y of X and Y is -(X + Y):
@@ -60,7 +64,7 @@ from functools import lru_cache
 from math import gcd
 
 from .field import FieldError
-from .plane import ProjPoint, cross, gens, incidence_rows
+from .plane import Poly3, ProjPoint, cross, gens, incidence_rows
 
 
 class CubicError(Exception):
@@ -127,11 +131,12 @@ def hesse_singular_fibers(field):
 
 
 def _pencil_member_coords(cubic, field):
-    """(lambda, mu) with cubic = lambda (x^3+y^3+z^3) + mu xyz, else error."""
+    """(lambda, mu) with cubic = lambda (x^3+y^3+z^3) + mu xyz, else error:
+    the member's terms are compared with the cubic's."""
     lam = cubic.terms.get((3, 0, 0), field.zero())
     mu = cubic.terms.get((1, 1, 1), field.zero())
-    X, Y, Z = gens(field)
-    member = lam * (X**3 + Y**3 + Z**3) + mu * (X * Y * Z)
+    member = Poly3(field, 3, {(3, 0, 0): lam, (0, 3, 0): lam, (0, 0, 3): lam,
+                              (1, 1, 1): mu})
     if member != cubic:
         raise CubicError("cubic is not a member of the Hesse pencil")
     return lam, mu
@@ -197,36 +202,35 @@ class _Law:
         itself where a residual rule decides (see the module docstring);
         where none decides, CubicError.
         """
-        t, is_zero, canonical = self.t, self.form.is_zero, self.form.canonical
+        t, is_zero = self.t, self.form.is_zero
         x1, y1, z1 = a
-        same = a == b
-        if same:
+        if a == b:
             x3, y3, z3 = x1 * x1 * x1, y1 * y1 * y1, z1 * z1 * z1
             coords = (x1 * (y3 - z3), y1 * (z3 - x3), z1 * (x3 - y3))
-            normal = _hesse_gradient(a, t)
+            R = self._certified(coords, a, b, _hesse_gradient(a, t))
+            if R is None and is_zero(x1 * y1 * z1):
+                R = a
         else:
-            x2, y2, z2 = b
-            coords = _chord(a, b)
             normal = cross(a, b)  # det(a, b, R) = normal . R
-
-        def certified(coords):
-            """coords in canonical form if they are the residual point, else None."""
-            R = canonical(coords)
-            if (R is not None and R != a and R != b and is_zero(_dot(normal, R))
-                    and is_zero(_hesse_value(R, t))):
-                return R
-            return None
-
-        R = certified(coords)
-        if R is None and same:
-            R = a if is_zero(x1 * y1 * z1) else None
-        elif R is None:
-            R = (a if is_zero(_dot(_hesse_gradient(a, t), b)) else
-                 b if is_zero(_dot(_hesse_gradient(b, t), a)) else
-                 certified(_chord((y1, z1, x1), (z2, x2, y2))))
+            R = self._certified(_chord(a, b), a, b, normal)
+            if R is None:
+                x2, y2, z2 = b
+                R = (a if is_zero(_dot(_hesse_gradient(a, t), b)) else
+                     b if is_zero(_dot(_hesse_gradient(b, t), a)) else
+                     self._certified(_chord((y1, z1, x1), (z2, x2, y2)), a, b, normal))
         if R is None:
             raise CubicError(f"no certified third intersection of {a}, {b}")
         return R
+
+    def _certified(self, coords, a, b, normal):
+        """coords in canonical form if they are the residual point of the
+        line ab with the given normal, else None."""
+        form = self.form
+        R = form.canonical(coords)
+        if (R is not None and R != a and R != b and form.is_zero(_dot(normal, R))
+                and form.is_zero(_hesse_value(R, self.t))):
+            return R
+        return None
 
 
 class CubicGroup:
@@ -270,19 +274,33 @@ class CubicGroup:
 
     def scalar_mul(self, n, P):
         self.curve.require_on_curve(P)
-        if n == 0:
-            return self.zero
         if n < 0:
             return self.negate(self.scalar_mul(-n, P))
-        acc = None
-        base = P
-        while n:
-            if n & 1:
-                acc = base if acc is None else self.add(acc, base)
-            n >>= 1
-            if n:
-                base = self.add(base, base)
-        return acc
+        return _multiple(n, P, self.add, self.zero)
+
+    # the law on coordinates: a walk over many sums builds a point only
+    # where it wants one
+
+    def coords(self, P):
+        """P's canonical coordinates under the group's law, P on the curve."""
+        self.curve.require_on_curve(P)
+        return self._law.coords(P)
+
+    def point(self, a):
+        """The point whose coordinates under the group's law are a."""
+        return ProjPoint(self.field, map(self._law.form.element, a))
+
+    def plus(self, a, b):
+        """The coordinates of the sum of the points with coordinates a, b."""
+        law = self._law
+        return law.residual(law.coords(self.zero), law.residual(a, b))
+
+    def times(self, n, a):
+        """The coordinates of n times the point with coordinates a."""
+        law = self._law
+        if n < 0:
+            return law.residual(law.coords(self.zero), self.times(-n, a))
+        return _multiple(n, a, self.plus, law.coords(self.zero))
 
     def orders(self, points):
         """{P: exact order of P} for every point of `points` (the group).
@@ -323,6 +341,18 @@ class CubicGroup:
         return {by_coords[a]: n for a, n in found.items()}
 
 
+def _multiple(n, x, add, zero):
+    """n x for n >= 0 by doubling and adding under `add`, with `zero`."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else add(acc, x)
+        n >>= 1
+        if n:
+            x = add(x, x)
+    return zero if acc is None else acc
+
+
 def rational_points(curve):
     """All points of the cubic over its finite field, in O(q) operations.
 
@@ -331,45 +361,52 @@ def rational_points(curve):
     v = (1 + u^3) / (3u - t), and y, z = u/2 +- s where s^2 = u^2/4 - v
     is a square; where 3u = t and 1 + u^3 = 0, t is singular and the line
     y + z = u lies on the curve.  Points come y, then z ascending in the
-    order of `field.elements()`, then the (0 : 1 : z) with z^3 = -1; each
-    is certified.  Needs characteristic != 2, 3, as `HesseCubic` does.
+    order of `field.elements()`, then the (0 : 1 : z) with z^3 = -1.  The
+    search runs on reduced values of the field's inner-loop form for
+    products of two elements (`Field.packing`), and each point found is
+    certified on the curve in the form of the group law, on its packed
+    coordinates.  Needs characteristic != 2, 3, as `HesseCubic` does.
     """
     field = curve.field
     if not field.is_finite:
         raise CubicError("point enumeration needs a finite field")
-    rank, rows, root, line = _chart_tables(field)
-    t = curve.t
-    hits = []  # (rank of y, rank of z, y, z); no two share both ranks
+    form, (elems, rank, rows, root, line) = field.packing(2), _chart_tables(field)
+    reduce, is_zero, inverse = form.reduce, form.is_zero, form.inverse
+    t = form.pack(curve.t)
+    hits = set()  # (rank of y, rank of z)
     for u, h, u3, hh, w in rows:
-        d = u3 - t
-        if not d.is_zero():
-            s = root.get(hh - w * d.inverse())
+        if u3 != t:  # reduced values are equal iff their elements are
+            s = root.get(reduce(hh - w * inverse(u3 - t)))
             if s is not None:
-                y, z = h + s, h - s
-                i, j = rank[y], rank[z]
-                hits.append((i, j, y, z))
-                if i != j:
-                    hits.append((j, i, z, y))
-        elif w.is_zero():  # t is singular: the line y + z = u
-            hits += [(i, rank[u - y], y, u - y) for y, i in rank.items()]
-    hits.sort()
-    one, zero = field.one(), field.zero()
-    pts = [ProjPoint(field, (one, y, z)) for _, _, y, z in hits]
+                i, j = rank[reduce(h + s)], rank[reduce(h - s)]
+                hits.update(((i, j), (j, i)))
+        elif is_zero(w):  # t is singular: the line y + z = u
+            hits.update((i, rank[reduce(u - y)]) for y, i in rank.items())
+    zero, one = field.zero(), field.one()
+    pts = [ProjPoint(field, (one, elems[i], elems[j])) for i, j in sorted(hits)]
     pts += [ProjPoint(field, (zero, one, z)) for z in line]
+    law = _Law(curve.t, field.packing(4))
     for P in pts:
-        curve.require_on_curve(P)
+        if not law.form.is_zero(_hesse_value(law.coords(P), law.t)):
+            raise CubicError(f"point {P} is not on the cubic")
     return pts
 
 
 @lru_cache(maxsize=None)
 def _chart_tables(field):
     """The t-free tables of `rational_points`, built once per field: the
-    rank of each element, a row (u, u/2, 3u, u^2/4, 1 + u^3) per element
-    u, a square root of each square, and the z with z^3 = -1."""
-    elems = tuple(field.elements())
-    one, half, three = field.one(), field.from_int(2).inverse(), field.from_int(3)
-    rows = tuple((u, h, three * u, h * h, one + u * u * u)
-                 for u, h in zip(elems, (half * u for u in elems)))
+    elements in order, and in the field's form for products of two
+    elements, on reduced values, the rank of each element, a row (u, u/2,
+    3u, u^2/4, 1 + u^3) per element u and a square root of each square;
+    then the elements z with z^3 = -1."""
+    form = field.packing(2)
+    pack, reduce = form.pack, form.reduce
+    one, half, three = map(pack, (field.one(), field.from_int(2).inverse(),
+                                  field.from_int(3)))
+    elems, rows = tuple(field.elements()), []
+    for u in map(pack, elems):
+        h = reduce(half * u)
+        rows.append((u, h, reduce(three * u), reduce(h * h), reduce(one + reduce(u * u) * u)))
     root = {hh: h for _, h, _, hh, _ in rows}  # h = u/2 runs over the field
-    line = tuple(u for u, *_, w in rows if w.is_zero())
-    return {c: i for i, c in enumerate(elems)}, rows, root, line
+    line = tuple(z for z, (*_, w) in zip(elems, rows) if form.is_zero(w))
+    return elems, {u: i for i, (u, *_) in enumerate(rows)}, tuple(rows), root, line

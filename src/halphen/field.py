@@ -161,12 +161,15 @@ class FieldElem:
 class Elements:
     """The inner-loop form of Q(e) and Q(e)(a): the elements themselves.
 
-    Every form has six operations: `pack` maps an element to a value and
+    Every form has these operations: `pack` maps an element to a value and
     `element` maps a value (a sum of products within the form's degree)
     back; `reduce`, `is_zero` and `inverse` (ZeroDivisionError on zero)
     act on values, and `canonical` scales a triple to first nonzero entry
     1, or gives None for (0, 0, 0).  Here those four go through `element`,
     so a form of packed elements needs only its own `pack` and `element`.
+    The row operations of an elimination are one call each: `scaled(row,
+    c)` is c * row, reduced, and `row_update(row, f, pivot)` is row - f *
+    pivot for a reduced pivot row, reduced where the form needs it.
     """
 
     def pack(self, x):
@@ -184,12 +187,24 @@ class Elements:
         return self.pack(self.element(v).inverse())
 
     def canonical(self, v):
-        v = [self.element(c) for c in v]
-        pivot = next((c for c in v if not c.is_zero()), None)
-        if pivot is None:
-            return None
-        inv = pivot.inverse()
-        return tuple(self.pack(c * inv) for c in v)
+        # the entries up to the pivot are reduced to find it, and each
+        # later one is reduced once and scaled as an element
+        element, pack = self.element, self.pack
+        for i, c in enumerate(v):
+            pivot = element(c)
+            if not pivot.is_zero():
+                inv = pivot.inverse()
+                return tuple([pack(element(c)) for c in v[:i]] + [pack(pivot * inv)]
+                             + [pack(element(c) * inv) for c in v[i + 1:]])
+        return None
+
+    def scaled(self, row, c):
+        reduce = self.reduce
+        return [reduce(x * c) for x in row]
+
+    def row_update(self, row, f, pivot):
+        reduce = self.reduce
+        return [reduce(x - f * y) for x, y in zip(row, pivot)]
 
 
 ELEMENTS = Elements()
@@ -855,7 +870,9 @@ GFpElem._coercible = (int, GFpElem)
 class Residues(Elements):
     """GF(p) as ints, each standing for its residue mod p, with int
     operations (see `Elements`); `pack`, `element` and `reduce` are bound
-    to C callables, which inner loops call without a Python frame."""
+    to C callables, which inner loops call without a Python frame, and a
+    row operation is one comprehension over the row, with no Python call
+    per entry."""
 
     def __init__(self, field):
         self.field, self.p = field, field.p
@@ -873,11 +890,21 @@ class Residues(Elements):
 
     def canonical(self, v):
         p = self.p
-        pivot = next((c for c in v if c % p), None)
-        if pivot is None:
-            return None
-        inv = self.inverse(pivot)
-        return tuple(c * inv % p for c in v)
+        for pivot in v:
+            if pivot % p:
+                inv = pow(pivot, -1, p)
+                return tuple([c * inv % p for c in v])
+        return None
+
+    def scaled(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def row_update(self, row, f, pivot):
+        # row + (-f mod p) * pivot: with the pivot row reduced, an entry
+        # grows by less than p^2 per update and stays nonnegative
+        g = -f % self.p
+        return [x + g * y for x, y in zip(row, pivot)]
 
 
 # ---------------------------------------------------------------------------
@@ -1153,16 +1180,17 @@ class Packing(Elements):
     operations.  A sum of at most 3^D products of D = `degree` reduced
     elements has degree <= D (k - 1) in g and coefficients below
     (3k(p - 1))^D in absolute value, which w bits and a sign hold.
-    `element` reduces mod p and the modulus; the other operations on
-    values go through it (see `Elements`).
+    `element` and `is_zero` read the code of the element a value stands
+    for (mod p and the modulus); the other operations on values go
+    through `element` (see `Elements`).
     """
 
     def __init__(self, field, degree):
         p, k, lanes = field.p, field.k, degree * (field.k - 1) + 1
         w = self.w = ((3 * k * (p - 1)) ** degree).bit_length() + 1
         b = (lanes * (p - 1) ** 2).bit_length()  # holds `lanes` products
-        self.field, self.half, self.bmask = field, 1 << (w - 1), (1 << b) - 1
-        self.offset = sum(self.half << (w * i) for i in range(lanes))
+        self.field, self.p, self.half, self.bmask = field, p, 1 << (w - 1), (1 << b) - 1
+        self.mask, self.offset = (1 << w) - 1, sum(self.half << (w * i) for i in range(lanes))
         self.packed = [sum(c << (w * i) for i, c in enumerate(_digits(code, p, k)))
                        for code in range(field.size)]  # code -> packed int
         self.rows = [sum(c << (b * i) for i, c in enumerate(_gfp_poly_mulmod(
@@ -1172,19 +1200,25 @@ class Packing(Elements):
     def pack(self, x):
         return self.packed[x.code]
 
-    def element(self, v):
-        """The element v stands for; v must fit the lanes."""
-        p, w, half = self.field.p, self.w, self.half
+    def _code(self, v):
+        """The code of the element v stands for; v must fit the lanes."""
+        p, w, half, mask = self.p, self.w, self.half, self.mask
         v += self.offset  # lane i holds c_i + half
-        total, mask = 0, 2 * half - 1
+        total = 0
         for row in self.rows:  # the sum of (c_i mod p) g^i, residues in b-bit lanes
             total += ((v & mask) - half) % p * row
             v >>= w
         assert v == 0, "a packed value outgrew its lanes"
-        code = 0
+        code, bmask = 0, self.bmask
         for shift, unit in self.digits:
-            code += (total >> shift & self.bmask) % p * unit
-        return GFpkElem(self.field, code)
+            code += (total >> shift & bmask) % p * unit
+        return code
+
+    def element(self, v):
+        return GFpkElem(self.field, self._code(v))
+
+    def is_zero(self, v):
+        return not self._code(v)
 
 
 # shared context instances; Q(e) and Q(e)(a) are canonical singletons

@@ -2,15 +2,20 @@
 form with transformation matrices.
 
 `rref` is one Gauss-Jordan elimination in the field's inner-loop form
-(`Field.packing`); `solve` goes through `rref`, and so does
-`kernel_basis`, except over Q(e)(a).  There `kernel_basis` clears each
-row's denominators and runs Bareiss's fraction-free elimination on the
-Z[e][a] polynomials of `field.py`: every division is exact and checked,
-and every kernel vector is verified against the rows.  Every entry must
-be an element of the given field, or `MixedContextError` is raised.
+(`Field.packing`), each row operation one fused call of the form, which
+over GF(p) is one comprehension over the row, with no Python call per
+entry; `solve` goes through `rref`, and so does `kernel_basis`, except
+over Q(e)(a).  There `kernel_basis` clears each row's denominators and
+runs Bareiss's fraction-free elimination on the Z[e][a] polynomials of
+`field.py`: every division is exact and checked, and every kernel vector
+is verified against the rows.  Every entry must be an element of the
+given field, or `MixedContextError` is raised.  `kernel_vectors` is the
+kernel of `kernel_basis` on values of the form, for callers that
+compute in it.
 """
 
 from math import lcm
+from operator import neg
 
 from .field import (FieldElem, FieldError, MixedContextError, RatFuncElem,
                     RatFuncField, _ONE, _lead_conjugate, _zlin, _zmul, _zquo,
@@ -35,14 +40,15 @@ def rref(rows, field):
 
 def _eliminate(rows, form):
     """Gauss-Jordan elimination of `rows`, lists of values of a field's
-    inner-loop `form`, in place: each row operation reduces its results.
+    inner-loop `form`, in place: each row operation is one fused call of
+    the form (`scaled`, `row_update`).
 
     The pivot of each column is its first nonzero entry at or below the
     current row.
     """
     if not rows:
         return rows, []
-    is_zero, reduce = form.is_zero, form.reduce
+    is_zero = form.is_zero
     pivots = []
     r = 0
     for c in range(len(rows[0])):
@@ -51,12 +57,11 @@ def _eliminate(rows, form):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = form.inverse(rows[r][c])
-        pivot = rows[r] = [reduce(x * inv) for x in rows[r]]
+        pivot = rows[r] = form.scaled(rows[r], form.inverse(rows[r][c]))
         for i, row in enumerate(rows):
             f = row[c]
             if i != r and not is_zero(f):
-                rows[i] = [reduce(x - f * y) for x, y in zip(row, pivot)]
+                rows[i] = form.row_update(row, f, pivot)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -77,15 +82,32 @@ def kernel_basis(rows, field):
         _require_entries_of(rows, field)
         return [[RatFuncElem(field, x, 1, _ONE, 1) if x else field.zero() for x in vec]
                 for vec in _kernel_zea([_cleared(r) for r in rows])]
-    ncols = len(rows[0])
     red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _free_column_basis(red, pivots, len(rows[0]), field.zero(), field.one(), neg)
+
+
+def kernel_vectors(rows, form, zero, one):
+    """`kernel_basis` of rows of reduced values of a field's inner-loop
+    `form`, whose 0 and 1 are `zero` and `one`, in reduced values."""
+    if not rows:
+        return []
+    red, pivots = _eliminate([list(r) for r in rows], form)
+    return _free_column_basis(red, pivots, len(rows[0]), zero, one,
+                              lambda x: form.reduce(-x))
+
+
+def _free_column_basis(red, pivots, ncols, zero, one, negate):
+    """The kernel of a reduced row echelon form: per free column f, the
+    vector with 1 at f, 0 at the other free columns and -red[r][f] at the
+    pivot column of row r."""
     basis = []
-    for f in free:
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
         for r, c in enumerate(pivots):
-            vec[c] = -red[r][f]
+            vec[c] = negate(red[r][f])
         basis.append(vec)
     return basis
 

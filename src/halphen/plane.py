@@ -10,10 +10,11 @@ lets curve equations be written as plain Python expressions:
 ProjPoint canonicalizes on construction (first nonzero coordinate scaled
 to 1) so equality and hashing are representative-independent.
 
-``values_at`` is the one evaluator: it packs the forms' terms once in
-the field's inner-loop form (``Field.packing``) and returns one row of
-values per point; ``Poly3.evaluate`` is its one-point call, and
-``incidence_rows`` reads its zeros.
+``PointPowers`` is the one evaluator: it keeps the powers of points'
+coordinates in the field's inner-loop form (``Field.packing``), on
+which each form's packed terms sum to one value per point;
+``values_at`` maps those values to elements, ``Poly3.evaluate`` is its
+one-point call, and ``incidence_rows`` reads their zeros.
 
 The module also provides restriction of a form to a parametrized line,
 the closed-form resultant of two conics and exact division of binary
@@ -23,7 +24,10 @@ data at a point is read: values, gradients, multiplicity conditions and
 tangent cones are dot products of ``Poly3.coefficients`` with its rows.
 """
 
+from collections import Counter
+from functools import partial, reduce
 from math import comb
+from operator import mul
 
 from .field import MixedContextError, pmul, pnormalize, specialize_scalar, term_text, to_text
 
@@ -209,43 +213,85 @@ def _power_table(x, n, one):
     return out
 
 
-def values_at(forms, points):
-    """The values of forms over one field at points: one row per point,
-    one value per form.
+class PointPowers:
+    """The powers of points' coordinates, the one table `values_at` and
+    `incidence_rows` evaluate forms on.
 
-    A point is a ProjPoint over the forms' field, whose `rep` is used, or
-    anything whose coordinates that field coerces.  The forms' terms are
-    packed once in the field's inner-loop form (`Field.packing`, for
-    products of degree + 1 elements).  Per point, one set of unreduced
-    power tables serves every form, and each value is one sparse sum of a
-    form's terms, mapped back to an element once.
+    A point is a ProjPoint over `field`, whose `rep` is used, or anything
+    whose coordinates the field coerces.  The powers up to `degree` are
+    kept unreduced in the field's inner-loop form for products of
+    degree + 1 elements (`Field.packing`), one column per coordinate and
+    exponent, one entry per point, so one table serves every form of
+    degree at most `degree`.  A form's values are the sum of its packed
+    terms times their monomials' columns; each monomial's column is built
+    once per call, and every operation runs over a whole column.
     """
-    field = forms[0].field
-    if any(F.field is not field for F in forms):
-        raise MixedContextError("forms over different fields")
-    degree = max(F.degree for F in forms)
-    form = field.packing(degree + 1)  # a term is degree + 1 factors
-    pack, element = form.pack, form.element
-    zero, one = pack(field.zero()), pack(field.one())
-    terms = [[(e, pack(c)) for e, c in F.terms.items()] for F in forms]
-    rows = []
-    for P in points:
-        coords = P.rep if isinstance(P, ProjPoint) else P
-        if not (isinstance(P, ProjPoint) and P.field is field):
-            coords = [field.coerce(c) for c in coords]  # rejects other fields
-        px, py, pz = (_power_table(pack(c), degree, one) for c in coords)
-        rows.append([element(sum((c * px[i] * py[j] * pz[k] for (i, j, k), c in T), zero))
-                     for T in terms])
-    return rows
+
+    def __init__(self, field, points, degree):
+        form = self.form = field.packing(degree + 1)  # a term is degree + 1 factors
+        self.field, self.degree = field, degree
+        reps = []
+        for P in points:
+            coords = P.rep if isinstance(P, ProjPoint) else P
+            if not (isinstance(P, ProjPoint) and P.field is field):
+                coords = [field.coerce(c) for c in coords]  # rejects other fields
+            reps.append(list(map(form.pack, coords)))
+        self.columns = []  # [x, y, z][exponent] -> one value per point
+        for column in zip(*reps) if reps else [()] * 3:
+            powers = [[form.pack(field.one())] * len(reps), list(column)]
+            while len(powers) <= degree:
+                powers.append(list(map(mul, powers[-1], column)))
+            self.columns.append(powers[:degree + 1])
+
+    def values(self, forms):
+        """The packed values of the forms: one row per point, one value per
+        form."""
+        field, pack = self.field, self.form.pack
+        if any(F.field is not field for F in forms):
+            raise MixedContextError("forms over different fields")
+        if any(F.degree > self.degree for F in forms):
+            raise GeometryError(f"a form of degree above {self.degree}")
+        uses = Counter(exp for F in forms for exp in F.terms)
+        shared = {}  # the column of each monomial that several forms have
+        out = []
+        for F in forms:
+            total = None
+            for exp, c in F.terms.items():
+                monomial = shared.get(exp)
+                if monomial is None:  # the product of the columns of exponents > 0
+                    first, *rest = ([self.columns[v][n] for v, n in enumerate(exp) if n]
+                                    or [self.columns[0][0]])
+                    monomial = reduce(partial(map, mul), rest, first)
+                    if uses[exp] > 1:
+                        monomial = shared[exp] = list(monomial)
+                c = pack(c)
+                total = ([c * x for x in monomial] if total is None
+                         else [y + c * x for y, x in zip(total, monomial)])
+            out.append(total or [pack(field.zero())] * len(self.columns[0][0]))
+        return [list(row) for row in zip(*out)]
+
+    def zeros(self, forms):
+        """The 0/1 vanishing of the forms: one row per point, one entry per
+        form."""
+        is_zero = self.form.is_zero
+        return [[int(is_zero(v)) for v in row] for row in self.values(forms)]
+
+
+def values_at(forms, points):
+    """The values of forms over one field at points, as elements: one row
+    per point, one value per form, read from one `PointPowers` table."""
+    table = PointPowers(forms[0].field, points, max(F.degree for F in forms))
+    element = table.form.element
+    return [list(map(element, row)) for row in table.values(forms)]
 
 
 def incidence_rows(points, curves, row_sum=None, column_sum=None):
     """The 0/1 incidence of points and curves: one row per point, one
-    column per curve, from one `values_at` call.  With `row_sum` every
+    column per curve, from one `PointPowers` table.  With `row_sum` every
     point lies on exactly that many of the curves, and with `column_sum`
     every curve passes through exactly that many of the points;
     GeometryError otherwise."""
-    rows = [[int(v.is_zero()) for v in row] for row in values_at(curves, points)]
+    rows = PointPowers(curves[0].field, points, max(F.degree for F in curves)).zeros(curves)
     for want, lines, what in ((row_sum, rows, "point"),
                               (column_sum, zip(*rows), "curve")):
         if want is None:
@@ -304,24 +350,24 @@ def gens(field):
 class ProjPoint:
     """A plane point, canonical in `coords`, with the given representative
     kept in `rep` (evaluation at `rep` avoids the denominators the
-    canonical form may introduce; vanishing is representative-free)."""
+    canonical form may introduce; vanishing is representative-free).  The
+    hash is taken once, when first asked for."""
 
-    __slots__ = ("field", "coords", "rep")
+    __slots__ = ("field", "coords", "rep", "_hash")
 
     def __init__(self, field, coords):
-        coords = tuple(field.coerce(c) for c in coords)
+        coerce = field.coerce
+        coords = tuple([coerce(c) for c in coords])
         if len(coords) != 3:
             raise GeometryError("projective points need three coordinates")
-        pivot = None
-        for c in coords:
-            if not c.is_zero():
-                pivot = c
+        for pivot in coords:
+            if not pivot.is_zero():
                 break
-        if pivot is None:
+        else:
             raise GeometryError("(0:0:0) is not a projective point")
         self.field = field
         self.rep = coords
-        if pivot == field.one():
+        if pivot == 1:
             self.coords = coords
         else:
             inv = pivot.inverse()
@@ -333,7 +379,10 @@ class ProjPoint:
         return self.field is other.field and self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(self.coords)
+        return h
 
     def to_text(self):
         return "(" + " : ".join(to_text(c) for c in self.coords) + ")"
@@ -460,25 +509,19 @@ def resultant(P, Q, var):
 
     Returns a Poly3 in the remaining two variables: the Sylvester
     determinant at the actual degrees in `var`, in closed form for the
-    degrees of conics (at most 2; lc^n when one is 0), GeometryError
-    beyond.  An identically zero resultant signals a common component.
+    pairs the nodes of two conics meet, (1, 1), (2, 1) and (2, 2);
+    GeometryError for any other.  An identically zero resultant signals a
+    common component.
     """
     p = poly_in_var(P, var)
     q = poly_in_var(Q, var)
     m, n = len(p) - 1, len(q) - 1
-    if m < 0 or n < 0:
-        raise GeometryError("resultant of the zero polynomial")
-    if m > 2 or n > 2:
-        raise GeometryError(f"resultant of degrees ({m}, {n}) beyond conics")
-    if m == 0 or n == 0:
-        # no variable to eliminate; conventionally lc^deg
-        return p[0] ** n if m == 0 else q[0] ** m
-    if m == 1 and n == 1:
+    if (m, n) == (1, 1):
         return p[1] * q[0] - p[0] * q[1]
-    if m == 1:
-        return p[1] * (p[1] * q[0] - p[0] * q[1]) + p[0] * p[0] * q[2]
-    if n == 1:
+    if (m, n) == (2, 1):
         return q[1] * (q[1] * p[0] - q[0] * p[1]) + q[0] * q[0] * p[2]
+    if (m, n) != (2, 2):
+        raise GeometryError(f"no closed-form resultant for degrees ({m}, {n})")
     c20, c21, c10 = (p[2] * q[0] - p[0] * q[2], p[2] * q[1] - p[1] * q[2],
                      p[1] * q[0] - p[0] * q[1])
     return c20 * c20 - c21 * c10

@@ -13,7 +13,13 @@ the vanishing of the Hasse derivatives of order below r
 ordinary partial is alpha! times it, zero when p divides alpha!), and for
 p > m those of order r - 1 imply the rest.  The twelve systems share the
 rows of the lower multiplicity at all nine points: their kernel is taken
-once, and each triple eliminates only its own rows on it.
+once, and each triple eliminates only its own rows on it, in the field's
+inner-loop form (`Field.packing`).  The translated points and the
+systems' balances are sums walked on the coordinates of the group law.
+
+The loci and the nine-torsion cubics are stored as term tables, (exponent,
+int coefficient, power of t, power of e) per term, from which each call
+builds its forms with t filled in.
 
 One order census and one group law answer every order question: a
 curve's rational points and their exact orders with x_7 as zero, from one
@@ -22,8 +28,9 @@ curve's rational points and their exact orders with x_7 as zero, from one
 census is also where a singular t raises.  The search reads its witness
 from it, the curve systems the same witness as their translation point,
 and the locus and nine-torsion checks their orders: both are one cut check
-(`_cut_exactly`) on one `plane.incidence_rows` table of the census points
-and the forms.
+(`_cut_exactly`), the zeros of the forms' packed values on one
+`plane.PointPowers` table of the census points up to degree 8, kept for
+the current census only and shared by its three cut checks.
 
 The index-2 systems are the configuration's conics: over GF(p) its base
 points are the flexes translated by a 2-torsion point, and each conic
@@ -39,46 +46,63 @@ from types import MappingProxyType
 from .cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                     hesse_flexes, rational_points)
 from .field import GF, GFext, prime_divisors
-from .linalg import kernel_basis
-from .plane import Poly3, gens, hasse_rows, incidence_rows, monomials_of_degree
+from .linalg import kernel_basis, kernel_vectors
+from .plane import PointPowers, Poly3, hasse_rows, monomials_of_degree
 
 
 class TorsionError(Exception):
     pass
 
 
+# The loci as term tables: (exponent, int coefficient, power of t, power
+# of e) per term, the coefficient of x^i y^j z^k the sum of c t^a e^b.
+_LOCI = {
+    4: (((1, 3, 0), 1, 0, 0), ((0, 4, 0), -1, 0, 0), ((1, 2, 1), -1, 1, 0),
+        ((1, 0, 3), -1, 0, 0), ((0, 1, 3), -2, 0, 0)),
+    5: (((2, 6, 0), 2, 0, 0), ((1, 7, 0), -1, 0, 0), ((0, 8, 0), 2, 0, 0),
+        ((2, 3, 3), -1, 0, 0), ((1, 4, 3), -1, 0, 0), ((0, 5, 3), 5, 0, 0),
+        ((2, 0, 6), -1, 0, 0), ((1, 1, 6), 2, 0, 0), ((0, 2, 6), 2, 0, 0),
+        ((2, 5, 1), -1, 1, 0), ((1, 6, 1), 3, 1, 0), ((0, 7, 1), -1, 1, 0),
+        ((2, 2, 4), 1, 1, 0), ((1, 3, 4), 3, 1, 0), ((0, 1, 7), 1, 1, 0),
+        ((2, 4, 2), 1, 2, 0), ((1, 5, 2), -1, 2, 0), ((1, 2, 5), 1, 2, 0)),
+}
+
+_NINE_TORSION_CUBICS = (
+    (((1, 2, 0), 1, 0, 0), ((2, 0, 1), 1, 0, 1), ((0, 1, 2), 1, 0, 2)),
+    (((1, 2, 0), 1, 0, 0), ((2, 0, 1), 1, 0, 2), ((0, 1, 2), 1, 0, 1)),
+    (((1, 2, 0), 1, 0, 0), ((2, 0, 1), 1, 0, 0), ((0, 1, 2), 1, 0, 0)),
+    (((2, 1, 0), 1, 0, 0), ((0, 2, 1), 1, 0, 2), ((1, 0, 2), 1, 0, 1)),
+    (((2, 1, 0), 1, 0, 0), ((0, 2, 1), 1, 0, 1), ((1, 0, 2), 1, 0, 2)),
+    (((2, 1, 0), 1, 0, 0), ((0, 2, 1), 1, 0, 0), ((1, 0, 2), 1, 0, 0)),
+    (((3, 0, 0), 3, 0, 0), ((1, 1, 1), 1, 1, 1), ((1, 1, 1), 2, 1, 0),
+     ((0, 0, 3), -3, 0, 2)),
+    (((3, 0, 0), 3, 0, 0), ((1, 1, 1), -1, 1, 1), ((1, 1, 1), 1, 1, 0),
+     ((0, 0, 3), -3, 0, 1)),
+)
+
+
+def _form(field, table, t):
+    """The Poly3 of a term table at the parameter t over `field`."""
+    one, t = field.one(), field.coerce(t)
+    e = field.eps() if any(b for *_, b in table) else one
+    t_powers, e_powers = (one, t, t * t), (one, e, e * e)
+    terms = {}
+    for exp, c, a, b in table:
+        x = field.from_int(c) * t_powers[a] * e_powers[b]
+        terms[exp] = terms[exp] + x if exp in terms else x
+    return Poly3(field, sum(table[0][0]), terms)
+
+
 def torsion_locus(field, m, t):
     """The degree-4 or degree-8 torsion locus with parameter t filled in."""
-    t = field.coerce(t)
-    X, Y, Z = gens(field)
-    if m == 4:
-        return (X * Y**3 - Y**4 - t * X * Y**2 * Z - X * Z**3 - 2 * Y * Z**3)
-    if m == 5:
-        return (2 * X**2 * Y**6 - X * Y**7 + 2 * Y**8
-                - X**2 * Y**3 * Z**3 - X * Y**4 * Z**3 + 5 * Y**5 * Z**3
-                - X**2 * Z**6 + 2 * X * Y * Z**6 + 2 * Y**2 * Z**6
-                + t * (-X**2 * Y**5 * Z + 3 * X * Y**6 * Z - Y**7 * Z
-                       + X**2 * Y**2 * Z**4 + 3 * X * Y**3 * Z**4 + Y * Z**7)
-                + t**2 * (X**2 * Y**4 * Z**2 - X * Y**5 * Z**2 + X * Y**2 * Z**5))
-    raise TorsionError(f"no locus stored for m = {m}")
+    if m not in _LOCI:
+        raise TorsionError(f"no locus stored for m = {m}")
+    return _form(field, _LOCI[m], t)
 
 
 def nine_torsion_cubics(field, t):
     """The eight cubics cutting the points of order nine (zero at x_7)."""
-    e = field.eps()
-    t = field.coerce(t)
-    X, Y, Z = gens(field)
-    e2 = e * e
-    return [
-        X * Y**2 + e * X**2 * Z + e2 * Y * Z**2,
-        X * Y**2 + e2 * X**2 * Z + e * Y * Z**2,
-        X * Y**2 + X**2 * Z + Y * Z**2,
-        X**2 * Y + e2 * Y**2 * Z + e * X * Z**2,
-        X**2 * Y + e * Y**2 * Z + e2 * X * Z**2,
-        X**2 * Y + Y**2 * Z + X * Z**2,
-        3 * X**3 + (e + 2) * t * X * Y * Z - 3 * e2 * Z**3,
-        3 * X**3 + (-e + 1) * t * X * Y * Z - 3 * e * Z**3,
-    ]
+    return [_form(field, table, t) for table in _NINE_TORSION_CUBICS]
 
 
 def good_primes(p_max):
@@ -161,18 +185,34 @@ def _specialization(m, p_max):
         f"no order-{m} point found for p <= {p_max} ({scanned} curves scanned)")
 
 
+_POWERS = {}  # {(field, census points): their PointPowers}, one entry at most
+
+
+def _census_powers(field, points):
+    """The coordinate powers up to degree 8 of a census's points (a tuple),
+    the one table the cut checks of the current census share; the table of
+    the census before is dropped before this one is built."""
+    table = _POWERS.get((field, points))
+    if table is None:
+        _POWERS.clear()
+        table = _POWERS[field, points] = PointPowers(field, points, 8)
+    return table
+
+
 def _cut_exactly(forms, field, t, m):
     """(per-form counts, points cut) of `forms` on the census points of the
-    Hesse cubic t over `field`, read from one `incidence_rows` table.  A
-    point is cut when some form vanishes there; unless the points cut are
-    exactly those of order m, TorsionError names a rational counterexample."""
+    Hesse cubic t over `field`, read from the zeros of the forms' packed
+    values on the census's power table.  A point is cut when some form
+    vanishes there; unless the points cut are exactly those of order m,
+    TorsionError names a rational counterexample."""
     points, orders = _census(field, t)
-    rows = incidence_rows(points, forms)
-    for P, row in zip(points, rows):
-        if any(row) != (orders[P] == m):
+    rows = _census_powers(field, points).zeros(forms)
+    cut = list(map(any, rows))
+    for P, hit in zip(points, cut):
+        if hit != (orders[P] == m):
             raise TorsionError(f"order-{orders[P]} point {P} is"
-                               f"{'' if any(row) else ' not'} cut over {field}, m = {m}")
-    return [sum(column) for column in zip(*rows)], sum(map(any, rows))
+                               f"{'' if hit else ' not'} cut over {field}, m = {m}")
+    return [sum(column) for column in zip(*rows)], sum(cut)
 
 
 def verify_torsion_locus(m, p, t, quadratic_extension=False):
@@ -236,9 +276,10 @@ def index_multiplicities(m):
 
 
 def translated_points(group, eta):
-    """p_i = x_i + eta for the nine flexes, with the group's zero."""
-    flexes = hesse_flexes(group.field)
-    pts = [group.add(x, eta) for x in flexes]
+    """p_i = x_i + eta for the nine flexes, with the group's zero, summed
+    on the coordinates of the group's law."""
+    a = group.coords(eta)
+    pts = [group.point(group.plus(group.coords(x), a)) for x in hesse_flexes(group.field)]
     if len(set(pts)) != 9:
         raise TorsionError("translated points are not distinct")
     return pts
@@ -247,10 +288,12 @@ def translated_points(group, eta):
 def collinear_balances(group, pts, alpha, beta):
     """{triple: sum_i r_i p_i} for the Hesse-collinear triples, with
     r_i = alpha on the triple and beta off it: beta * (p_1 + ... + p_9),
-    shared by the twelve triples, plus (alpha - beta) * (p_a + p_b + p_c)."""
-    total = group.scalar_mul(beta, reduce(group.add, pts))
-    return {triple: group.add(total, group.scalar_mul(
-                alpha - beta, reduce(group.add, (pts[i] for i in triple))))
+    shared by the twelve triples, plus (alpha - beta) * (p_a + p_b + p_c),
+    walked on the coordinates of the group's law."""
+    coords = [group.coords(P) for P in pts]
+    total = group.times(beta, reduce(group.plus, coords))
+    return {triple: group.point(group.plus(total, group.times(
+                alpha - beta, reduce(group.plus, (coords[i] for i in triple)))))
             for triple in hesse_collinear_triples(group.field)}
 
 
@@ -262,18 +305,26 @@ def _collinear_kernels(pts, m, triples):
     min(alpha, beta) - 1 at all nine points are eliminated once; each
     triple eliminates only its own rows (r > min), on that kernel's basis,
     and maps its solutions back (for p > m the shared rows at its own
-    points change no kernel; for m = 2 nothing is shared)."""
+    points change no kernel; for m = 2 nothing is shared).
+
+    Own rows are taken free of the point's first nonzero coordinate x_j:
+    alpha and beta differ by 1, so own rows have r = min + 1 and the
+    shared rows order r - 2; on their kernel Euler's relation
+    sum_i (a_i + 1) x_i D^(a + e_i) F = (m - |a|) D^a F = 0, |a| = r - 2,
+    writes each row D^(a + e_j) through rows of lower index at j (a_j + 1
+    < p), so the r rows of order r - 1 with index 0 at j span the rest
+    (for r = 1, the one value row)."""
     alpha, beta = index_multiplicities(m)
     low, field = min(alpha, beta), pts[0].field
     shared = [row for P in pts for row in hasse_rows(P, m, monomials_of_degree(low - 1))]
     zero_row = [field.zero()] * len(monomials_of_degree(m))  # kernel: every form
     form = field.packing(2)  # GF(p)'s residues hold any sum of products
+    zero, one = form.pack(field.zero()), form.pack(field.one())
     basis = [list(map(form.pack, v)) for v in kernel_basis(shared or [zero_row], field)]
     columns = list(zip(*basis))
 
-    def combine(vectors, columns):  # each vector dotted with each column
-        packed = [list(map(form.pack, v)) for v in vectors]
-        return [[form.element(sum(map(mul, v, c))) for c in columns] for v in packed]
+    def combine(vectors, columns):  # each packed vector dotted with each column
+        return [[form.reduce(sum(map(mul, v, c))) for c in columns] for v in vectors]
 
     rows = {}  # (index, multiplicity) -> own rows on the shared basis
     kernels = {}
@@ -281,11 +332,13 @@ def _collinear_kernels(pts, m, triples):
         mults = [alpha if i in triple else beta for i in range(9)]
         for i, r in enumerate(mults):
             if r > low and (i, r) not in rows:
-                rows[i, r] = combine(hasse_rows(pts[i], m, monomials_of_degree(r - 1)),
-                                     basis)
-        kern = kernel_basis([row for i, r in enumerate(mults) if r > low
-                             for row in rows[i, r]], field)
-        kernels[triple] = combine(kern, columns)
+                j = next(j for j, c in enumerate(pts[i].rep) if not c.is_zero())
+                own = hasse_rows(pts[i], m, [a for a in monomials_of_degree(r - 1)
+                                             if not a[j]])
+                rows[i, r] = combine([list(map(form.pack, v)) for v in own], basis)
+        kern = kernel_vectors([row for i, r in enumerate(mults) if r > low
+                               for row in rows[i, r]], form, zero, one)
+        kernels[triple] = [list(map(form.element, v)) for v in combine(kern, columns)]
     return kernels
 
 

@@ -94,7 +94,8 @@ def draw(keys, count, seed):
 
 
 def mutate(source, key):
-    """The source with site `key` swapped, and a description of the swap."""
+    """The source with site `key` swapped, a description of the swap, its
+    line and the swap alone."""
     tree = ast.parse(source)
     node, slot = sites(tree)[key]
     old = node.op if slot is None else node.ops[slot]
@@ -105,26 +106,28 @@ def mutate(source, key):
         node.ops[slot] = new
     swap = f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
     where = f"{label(key)} (line {node.lineno} col {node.col_offset})"
-    return ast.unparse(tree) + "\n", f"{where}: {swap}"
+    return ast.unparse(tree) + "\n", f"{where}: {swap}", node.lineno, swap
 
 
 def run_ledger(copy, timeout):
-    """(exit code or None on timeout, the verdict counts, the ledger text)
-    of one run."""
+    """(exit code or None on timeout, the verdict counts, the failed
+    claims, the ledger text) of one run."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0")
     try:
         done = subprocess.run([sys.executable, *COMMAND], cwd=copy, env=env,
                               capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return None, {}, None
-    verdicts = {}
+        return None, {}, [], None
+    verdicts, failed = {}, []
     try:
         for entry in json.loads(done.stdout):
             verdicts[entry["verdict"]] = verdicts.get(entry["verdict"], 0) + 1
+            if entry["verdict"] != "pass":
+                failed.append(entry["claim"])
     except (ValueError, KeyError, TypeError):
         pass
-    return done.returncode, verdicts, done.stdout
+    return done.returncode, verdicts, failed, done.stdout
 
 
 def main(argv=None):
@@ -133,6 +136,8 @@ def main(argv=None):
                         help="module of src/halphen, e.g. piclattice")
     parser.add_argument("--sites", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--json", metavar="FILE", type=Path,
+                        help="write one record per drawn site to FILE")
     args = parser.parse_args(argv)
 
     name = args.module.removesuffix(".py")
@@ -147,27 +152,35 @@ def main(argv=None):
         chosen = draw(keys, args.sites, args.seed)
 
         t0 = time.perf_counter()
-        rc, _, clean = run_ledger(copy, None)
+        rc, _, _, clean = run_ledger(copy, None)
         if rc != 0:
             sys.exit(f"the unmutated ledger does not pass (exit {rc})")
         timeout = max(30.0, 10 * (time.perf_counter() - t0))
 
-        survivors, timed_out, killed = [], [], 0
+        survivors, timed_out, killed, records = [], [], 0, []
         for key in chosen:
-            mutant, where = mutate(source, key)
+            mutant, where, line, swap = mutate(source, key)
             target.write_text(mutant)
-            rc, verdicts, ledger = run_ledger(copy, timeout)
+            rc, verdicts, failed, ledger = run_ledger(copy, timeout)
             changed = rc == 0 and ledger != clean
             if rc is None:
                 timed_out.append(where)
+                verdict = "timeout"
             elif rc == 0 and not changed:
                 survivors.append(where)
+                verdict = "survived"
             else:
                 killed += 1
+                verdict = "killed"
+            records.append({"key": label(key), "line": line, "swap": swap,
+                            "verdict": verdict, "failed_claims": failed})
             print(f"{where}: "
                   f"{'timeout' if rc is None else f'exit {rc}'} {verdicts}"
                   f"{' ledger changed' if changed else ''}", flush=True)
         target.write_text(source)
+
+    if args.json:
+        args.json.write_text(json.dumps(records, indent=1) + "\n")
 
     print(f"\n{name}.py: {len(chosen)} of {total} sites (seed {args.seed}):"
           f" {killed} killed, {len(survivors)} survived,"

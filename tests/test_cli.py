@@ -215,6 +215,36 @@ def test_code_subcommand(capsys):
     assert out.startswith("W(t) = 1 + 9*t^5 + 102*t^8")
 
 
+@pytest.mark.parametrize("args, claim, key, inner, wrong", [
+    (["code"], "binary incidence code", "enumerator", 5, 8),  # 8 words of weight 5
+    (["invariants"], "log Chern numbers", "values", "chilean", (118, 54))])
+def test_subcommand_refutation_exits_1_without_a_traceback(capsys, monkeypatch, args,
+                                                          claim, key, inner, wrong):
+    # a value that differs from the paper's table is a refutation: one line
+    # on stderr, exit 1, no output
+    from halphen import published
+    entry = dict(published.PAPER[claim][key])
+    entry[inner] = wrong
+    monkeypatch.setitem(published.PAPER[claim], key, entry)
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refuted: ArrangementError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_subcommand_crash_still_raises(monkeypatch):
+    # anything but a refutation is a crash, with its traceback
+    import halphen.invariants as invariants
+
+    def crashing():
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(invariants, "char2_code", crashing)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["code"])
+
+
 def test_config_subcommand(capsys):
     assert main(["config"]) == 0
     doc = json.loads(capsys.readouterr().out)

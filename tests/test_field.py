@@ -457,6 +457,30 @@ def test_inner_loop_forms_match_the_elements(field):
             pow(0, -1, field.p)
 
 
+@pytest.mark.parametrize("field", FORM_FIELDS[:-1], ids=repr)
+def test_fused_row_operations_match_the_elements(field):
+    """Each form's `scaled` and `row_update` agree with the element
+    arithmetic, the update applied to a row again and again, with factors
+    read off the row itself, as an elimination does.  Q(e)(a) has the form
+    of Q(e), whose products are faster."""
+    rng = random.Random(repr(field) + " rows")
+    form = field.packing(2)
+    for _ in range(20):
+        row = [random_element(field, rng) for _ in range(6)]
+        values = list(map(form.pack, row))
+        for _ in range(4):
+            pivot = [random_element(field, rng) for _ in range(6)]
+            c = random_element(field, rng)
+            scaled = form.scaled(list(map(form.pack, pivot)), form.pack(c))
+            pivot = [x * c for x in pivot]
+            assert list(map(form.element, scaled)) == pivot
+            j = rng.randrange(6)
+            values = form.row_update(values, values[j], scaled)
+            row = [x - row[j] * y for x, y in zip(row, pivot)]
+            assert list(map(form.element, values)) == row
+            assert form.is_zero(values[j]) == row[j].is_zero()
+
+
 def test_one_residue_form_per_prime_field():
     # Residues ignores the degree, so every degree gets the same one
     assert GF(13).packing(2) is GF(13).packing(5) is GF(13).packing(1)

@@ -4,11 +4,13 @@ import pytest
 
 from halphen import torsion
 from halphen.chilean import build_chilean
-from halphen.field import GF, GFext
+from halphen import cubic
+from halphen.field import GF, Elements, GFext
 from halphen.cubic import (CubicGroup, HesseCubic, hesse_collinear_triples,
                            hesse_flexes, rational_points)
 from halphen.linalg import kernel_basis, rref
-from halphen.plane import ProjPoint, hasse_rows, monomials_of_degree, values_at
+from halphen.plane import (ProjPoint, gens, hasse_rows, incidence_rows,
+                          monomials_of_degree, values_at)
 from halphen.torsion import (TorsionError, _census,
                              collinear_balances,
                              find_specialization, good_primes,
@@ -19,7 +21,7 @@ from halphen.torsion import (TorsionError, _census,
                              two_torsion_conics,
                              verify_nine_torsion_cubics, verify_torsion_locus)
 from halphen.published import PAPER
-from test_cubic import has_exact_order
+from test_cubic import _element_points, has_exact_order
 from test_plane import term_sum
 
 # the points of exact order m over the algebraic closure
@@ -196,6 +198,76 @@ def test_shared_tables_match_evaluate_at_every_census_point():
             assert values == [term_sum(form, P.rep) for form in forms]
             zeros += sum(value.is_zero() for value in values)
     assert zeros > 0
+
+
+def expression_locus(field, m, t):
+    """Oracle: the torsion locus written out as Poly3 arithmetic."""
+    t = field.coerce(t)
+    X, Y, Z = gens(field)
+    if m == 4:
+        return (X * Y**3 - Y**4 - t * X * Y**2 * Z - X * Z**3 - 2 * Y * Z**3)
+    return (2 * X**2 * Y**6 - X * Y**7 + 2 * Y**8
+            - X**2 * Y**3 * Z**3 - X * Y**4 * Z**3 + 5 * Y**5 * Z**3
+            - X**2 * Z**6 + 2 * X * Y * Z**6 + 2 * Y**2 * Z**6
+            + t * (-X**2 * Y**5 * Z + 3 * X * Y**6 * Z - Y**7 * Z
+                   + X**2 * Y**2 * Z**4 + 3 * X * Y**3 * Z**4 + Y * Z**7)
+            + t**2 * (X**2 * Y**4 * Z**2 - X * Y**5 * Z**2 + X * Y**2 * Z**5))
+
+
+def expression_nine_cubics(field, t):
+    """Oracle: the eight nine-torsion cubics as Poly3 arithmetic."""
+    e = field.eps()
+    t = field.coerce(t)
+    X, Y, Z = gens(field)
+    e2 = e * e
+    return [X * Y**2 + e * X**2 * Z + e2 * Y * Z**2,
+            X * Y**2 + e2 * X**2 * Z + e * Y * Z**2,
+            X * Y**2 + X**2 * Z + Y * Z**2,
+            X**2 * Y + e2 * Y**2 * Z + e * X * Z**2,
+            X**2 * Y + e * Y**2 * Z + e2 * X * Z**2,
+            X**2 * Y + Y**2 * Z + X * Z**2,
+            3 * X**3 + (e + 2) * t * X * Y * Z - 3 * e2 * Z**3,
+            3 * X**3 + (-e + 1) * t * X * Y * Z - 3 * e * Z**3]
+
+
+def test_packed_census_matches_the_element_path():
+    # the census runs on packed residues: its points against the element
+    # enumeration, its orders against the walk under the element law, the
+    # term-table forms against the Poly3 expressions, and every cut-check
+    # row against the zeros of the element term sums (and of values_at);
+    # several t per prime, and GF(13^2); a singular t (t^3 = -27: -3, and
+    # over GF(13^2) the three cube roots of -27 as elements) raises
+    rng = random.Random(11)
+    cases = [(GF(p), rng.sample(range(p), 4) + [-3]) for p in (13, 31, 37, 73, 199)]
+    F = GFext(13, 2)
+    roots = [t for t in F.elements() if (t**3 + 27).is_zero()]
+    assert len(roots) == 3
+    cases.append((F, [1, F.from_coeffs([3, 5])] + roots))
+    checked = cut = singular = 0
+    for F, t_values in cases:
+        flexes = hesse_flexes(F)
+        for t in t_values:
+            curve = HesseCubic(F, t)
+            if not curve.is_smooth():
+                with pytest.raises(TorsionError, match="singular"):
+                    _census(F, t)
+                singular += 1
+                continue
+            points, orders = _census(F, t)
+            assert list(points) == _element_points(curve)
+            oracle = CubicGroup(curve, flexes[6])
+            oracle._law = cubic._Law(curve.t, Elements())
+            assert dict(orders) == oracle.orders(list(points))
+            forms = [torsion_locus(F, 4, t), torsion_locus(F, 5, t)]
+            forms += nine_torsion_cubics(F, t)
+            assert forms == ([expression_locus(F, 4, t), expression_locus(F, 5, t)]
+                             + expression_nine_cubics(F, t))
+            rows = torsion._census_powers(F, points).zeros(forms)
+            want = [[int(term_sum(f, P.rep).is_zero()) for f in forms] for P in points]
+            assert rows == want == incidence_rows(points, forms)
+            checked += len(points)
+            cut += sum(map(any, rows))
+    assert checked > 1500 and cut > 0 and singular >= 8
 
 
 def test_census_cache_is_keyed_on_the_field_and_shared_safely():
@@ -398,6 +470,37 @@ def test_shared_elimination_matches_the_per_triple_systems():
             assert rref(kern, F) == rref(want, F)
             dims.add(len(kern))
     assert dims == {1, 2}
+
+
+def test_rows_free_of_the_pivot_coordinate_at_every_order():
+    # each point's own rows are only those with index 0 at its first
+    # nonzero coordinate; at m = 7 and 8 (own rows of order 2) as at m = 4
+    # and 5, on the flexes and on translates by points of no chosen order,
+    # the kernels are those of every Hasse row below the multiplicity
+    rng = random.Random(3)
+    cases = []
+    for p in (31, 43):
+        F = GF(p)
+        cases += [(m, hesse_flexes(F)) for m in (7, 8)]
+        t = next(t for t in range(2, p) if HesseCubic(F, t).is_smooth())
+        group = CubicGroup(HesseCubic(F, t), hesse_flexes(F)[6])
+        points = _census(F, t)[0]
+        for m in (4, 5, 7, 8):
+            cases.append((m, translated_points(group, rng.choice(points[1:]))))
+    dims = []
+    for m, pts in cases:
+        F = pts[0].field
+        alpha, beta = index_multiplicities(m)
+        for triple, kern in torsion._collinear_kernels(
+                pts, m, hesse_collinear_triples(F)).items():
+            rows = [row for i, P in enumerate(pts)
+                    for k in range(alpha if i in triple else beta)
+                    for row in hasse_rows(P, m, monomials_of_degree(k))]
+            want = kernel_basis(rows, F)
+            assert len(kern) == len(want)
+            assert rref(kern, F) == rref(want, F)
+            dims.append(len(kern))
+    assert min(dims) == 0 and max(dims) >= 2
 
 
 def test_hesse_collinear_curves_need_p_above_m(monkeypatch):
