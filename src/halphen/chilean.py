@@ -31,8 +31,7 @@ from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
 from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                     bf_divide_linear, cross, gens, hasse_rows,
                     incidence_rows, line_through, monomials_of_degree,
-                    plane_points, poly3_to_binary_form, poly_in_var,
-                    resultant)
+                    plane_points, poly3_to_binary_form, resultant)
 from .published import PAPER
 
 FIBERS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
@@ -273,18 +272,13 @@ def cross_ratio_probe(lams, field):
 
 
 def _matching_scale(point, u0, v0):
-    """Scalar s with (s*x, s*y) == (u0, v0) for the point's x and y, or None."""
+    """Scalar s with (s*x, s*y) == (u0, v0) for the point's x and y, or None:
+    (x : y) must be (u0 : v0), x v0 = y u0, before s is divided out."""
     pu, pv = point.coords[0], point.coords[1]
-    if pu.is_zero() and pv.is_zero():
+    if (pu.is_zero() and pv.is_zero()) or pu * v0 != pv * u0:
         return None
-    ref = pu if not pu.is_zero() else pv
-    tgt = u0 if not pu.is_zero() else v0
-    if tgt.is_zero():
-        return None
-    s = tgt / ref
-    if (s * pu == u0) and (s * pv == v0):
-        return s
-    return None
+    ref, tgt = (pu, u0) if not pu.is_zero() else (pv, v0)
+    return None if tgt.is_zero() else tgt / ref
 
 
 def fourth_intersection(C, D, shared):
@@ -316,9 +310,8 @@ def fourth_intersection(C, D, shared):
         raise GeometryError(f"unexpected residual factor of degree {deg}")
     u0, v0 = -form[0], form[1]
 
-    def restrict(poly):
-        at = (u0, v0, field.zero())
-        return pnormalize([c.evaluate(at) for c in poly_in_var(poly, 2)])
+    def restrict(poly):  # to the line of (0 : 0 : 1) and (u0 : v0 : 0), in z
+        return pnormalize(poly.restrict_to_line((0, 0, 1), (u0, v0, 0)))
 
     g = pgcd(restrict(C), restrict(D), field)
     if not g:

@@ -36,6 +36,12 @@ from .published import PAPER, check
 
 SUITE_ORDER = ("incidence", "pencil", "lattice", "torsion", "invariants", "code")
 TORSION_INDICES = (4, 5, 9)  # the orders with a stored locus or cubics
+# run parameters of fixed claims: the chord-tangent sample's (p, t, number
+# of triples), t = 1 being the least t of an 18-point curve over GF(13) (at
+# t = 2 all 9 points are flexes); the branch quintic's primes and a
+GROUP_LAW_SAMPLE = (13, 1, 60)
+QUINTIC_SPECIALIZATIONS = ((13, 19), 2)
+NUMBER_WORDS = ("no", "one", "two", "three", "four")
 MIN_D_MAX = 4  # the brute-force class search must reach the degree-4 classes
 
 # A claim that raises one of these was refuted; anything else is a crash.
@@ -146,17 +152,17 @@ def _suite_incidence(config, ctx):
                 f"{sorted({sum(c) for c in zip(*inc)})}")
 
     def group_law_sample():
-        # t = 1, the least t of an 18-point curve: at t = 2 all 9 points are flexes
         rng = random.Random(config.seed)
-        F = GF(13)
-        curve = cubic.HesseCubic(F, 1)
+        p, t, triples = GROUP_LAW_SAMPLE
+        F = GF(p)
+        curve = cubic.HesseCubic(F, t)
         pts = cubic.rational_points(curve)
         g = cubic.CubicGroup(curve, cubic.hesse_flexes(F)[6])
-        for _ in range(60):
+        for _ in range(triples):
             P, Q, R = (rng.choice(pts) for _ in range(3))
             if g.add(g.add(P, Q), R) != g.add(P, g.add(Q, R)):
                 raise cubic.CubicError("associativity failed")
-        return "60 random associativity triples over GF(13)"
+        return f"{triples} random associativity triples over GF({p})"
 
     return [
         ("conic-point incidence (12_6, 9_8)", "nine points on eight conics each,"
@@ -201,13 +207,17 @@ def _suite_pencil(config, ctx):
 
     def quintic_census():
         # a second good prime: a wrong coefficient may agree mod 13 at a = 2
-        for p in (13, 19):
+        primes, a = QUINTIC_SPECIALIZATIONS
+        found = []
+        for p in primes:
             F = GF(p)
-            W = chilean.branch_quintic(F, F.from_int(2))
+            W = chilean.branch_quintic(F, F.from_int(a))
+            found.append(dict(Counter(k for _, _, k in chilean.singular_census(W))))
             check("branch quintic census", chilean.VerificationError,
-                  {"singular points": dict(Counter(k for _, _, k in
-                                                   chilean.singular_census(W)))})
-        return "tacnodal point plus four nodes over GF(13), a = 2"
+                  {"singular points": found[-1]})
+        # the one cusp, a double point with one tangent, is the tacnode
+        return (f"tacnodal point plus {NUMBER_WORDS[found[0]['node']]} nodes over"
+                f" GF({primes[0]}), a = {a}")
 
     def degenerations():
         chilean.degenerate_pencil()
@@ -222,7 +232,7 @@ def _suite_pencil(config, ctx):
         hits = [r for r in rep["subsets"] if r["equianharmonic"]]
         check("cross-ratio probe", chilean.VerificationError,
               {"equianharmonic": [r["subset"] for r in hits]})
-        return (f"{len(hits)} of 5 subsets equianharmonic: "
+        return (f"{len(hits)} of {len(rep['subsets'])} subsets equianharmonic: "
                 + "; ".join(f"{{{', '.join(r['subset'])}}} with R = {r['ratio']}"
                             for r in hits))
 
@@ -312,10 +322,11 @@ def _suite_lattice(config, ctx):
 
     def index3():
         data = PAPER["index-3 class data"]
-        piclattice.index3_lattice()
+        L3 = piclattice.index3_lattice()  # each triple is checked to sum to -index K
         piclattice.index3_section_check(data["section matrix"])
         piclattice.verify_torsion_vectors(data["torsion vectors"])
-        return "12 classes in 4 triples summing to -3K; section matrix checks"
+        return (f"{len(L3.minus2)} classes in {len(L3.fibers)} triples summing to"
+                f" -{L3.index}K; section matrix checks")
 
     def geometry():
         n = piclattice.realize_low_degree_classes(classes144(), ctx.data.points)

@@ -20,7 +20,12 @@ code is built over GF(16)), and what needs 1/2 refuses it itself.
 
 Inner loops compute in each field's one form, `Field.packing`: the
 elements (`Elements`), ints mod p over GF(p) (`Residues`), or ints
-packed in g over GF(p^k) (`Packing`); no other module picks one.
+packed in g over GF(p^k) (`Packing`); no other module picks one.  Zero
+tests on points and forms go through `Field.pack_vectors`, which over
+Q(e) and Q(e)(a) is the integer form of `kronecker.py`: each vector
+cleared of denominators, then a -> 2^K and e -> 2^L, exact because a
+nonzero integer polynomial whose coefficients are all below 2^(K-1) in
+absolute value does not vanish at 2^K, and K is set from a height bound.
 
 Elements overload +, -, *, / and ==; integers coerce automatically, so
 formulas can be written as plain Python expressions.
@@ -82,6 +87,25 @@ class Field:
         """The inner-loop form of sums of products of up to `degree` elements:
         `ELEMENTS` for Q(e) and Q(e)(a), one for every field and degree."""
         return ELEMENTS
+
+    def pack_vectors(self, degree, vectors, terms=1):
+        """(form, packed, scales): `vectors` packed for the zero tests of
+        values that are sums, with int multipliers whose absolute values
+        total at most `terms`, of products of at most `degree` of their
+        entries.  Each vector stands for a projective object, a point's
+        coordinates or a form's coefficients, so it is packed as a nonzero
+        multiple of itself: `scales[i]` times vector i, or each vector itself
+        where `scales` is None.  Over a finite field that is
+        `packing(degree)` entry by entry; over Q(e) and Q(e)(a) it is the
+        integer form `kronecker.Kronecker`, sized to these vectors, `terms`
+        and `degree`, and each scale is a positive int or, where a
+        denominator is a polynomial in a, an element."""
+        if self.is_finite:
+            form = self.packing(degree)
+            return form, [list(map(form.pack, v)) for v in vectors], None
+        from .kronecker import Kronecker  # which imports this module
+        form = Kronecker(self, degree, vectors, terms)
+        return form, form.vectors, form.scales
 
 
 def _require_char_ok(p):

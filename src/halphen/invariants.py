@@ -8,7 +8,8 @@ by a discriminant test or by transversality at a shared candidate, and
 private by the census's own counts (they may be irrational; only their
 count enters the census).  Values and gradients at the candidates are
 dot products with `plane.hasse_rows`, taken in one pass per candidate
-set, which every arrangement on that set reads.
+set, which every arrangement on that set reads, on the ints of
+`Field.pack_vectors` over Q(e) and Q(e)(a).
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
@@ -21,6 +22,7 @@ commands run them too.
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from .field import QQ_EPS, GFext
 from .plane import ProjPoint, cross, hasse_rows, incidence_rows, line_basis
@@ -83,7 +85,13 @@ def extract_combinatorics(points, curves):
     product of its nonzero coefficients with the alpha = 0 row, and its
     gradient, for the transversality check at every candidate on two or
     more members, with the order-1 rows: only the two gradient components
-    that decide g_1 x g_2 = 0 are read (`_deciding_coordinates`).
+    that decide g_1 x g_2 = 0 are read (`_deciding_coordinates`).  All
+    of these are zero tests on the ints of one `Field.pack_vectors` of
+    the members and candidates: over Q(e) and Q(e)(a) a nonzero integer
+    polynomial with coefficients below 2^(K-1) does not vanish at a = 2^K,
+    and K is set from the products of two gradient components, the
+    largest values tested, each gradient component a sum over the
+    monomials with binomials up to the member degree as multipliers.
 
     A line k and a conic j that share s candidates meet at 2 - s anonymous
     points.  These are simple: for s = 0 the restriction of the conic to
@@ -102,28 +110,33 @@ def extract_combinatorics(points, curves):
         raise ArrangementError("empty arrangement")
     field = curves[0].field
     _assert_smooth_members(curves)
-    zero = field.zero()
-    terms = [[(i, c) for i, c in enumerate(C.coefficients()) if not c.is_zero()]
-             for C in curves]
+    candidates = list(dict.fromkeys(points))
+    # a gradient component is a sum over the monomials with binomials up to
+    # the degree d, and the tangency test subtracts two products of them
+    d = max(C.degree for C in curves)
+    grad = (d + 1) * (d + 2) // 2 * d
+    form, packed, _ = field.pack_vectors(
+        2 * (d + 1), [C.coefficients() for C in curves] + [P.rep for P in candidates],
+        2 * grad * grad)
+    coefficients, is_zero = packed[:len(curves)], form.is_zero
     degrees = {C.degree for C in curves}
     accounted = [[0] * len(curves) for _ in curves]
     incidences = []
-    for P in dict.fromkeys(points):
+    for P, rep in zip(candidates, packed[len(curves):]):
         u, v = _deciding_coordinates(P)
         alphas = [(0, 0, 0)] + [tuple(int(i == w) for i in range(3)) for w in (u, v)]
-        rows = {d: hasse_rows(P, d, alphas) for d in degrees}
+        rows = {deg: hasse_rows(P, deg, alphas, rep) for deg in degrees}
         grads = {}
-        for k, C in enumerate(curves):
+        for k, (C, c) in enumerate(zip(curves, coefficients)):
             value_row, u_row, v_row = rows[C.degree]
-            if sum((c * value_row[i] for i, c in terms[k]), zero).is_zero():
-                grads[k] = (sum((c * u_row[i] for i, c in terms[k]), zero),
-                            sum((c * v_row[i] for i, c in terms[k]), zero))
+            if is_zero(sum(map(mul, c, value_row))):
+                grads[k] = (sum(map(mul, c, u_row)), sum(map(mul, c, v_row)))
         through = list(grads)
         for x, k1 in enumerate(through):
             g1u, g1v = grads[k1]
             for k2 in through[x + 1:]:
                 g2u, g2v = grads[k2]
-                if (g1u * g2v - g1v * g2u).is_zero():
+                if is_zero(g1u * g2v - g1v * g2u):
                     raise ArrangementError(
                         f"tangency of curves {k1} and {k2} at {P}")
                 accounted[k1][k2] += 1
@@ -140,8 +153,8 @@ def extract_combinatorics(points, curves):
             if C.degree != 2 or shared >= 2:
                 continue
             if shared == 0:
-                form = C.restrict_to_line(A, B)
-                if (form[1] * form[1] - 4 * form[0] * form[2]).is_zero():
+                binary = C.restrict_to_line(A.rep, B.rep)
+                if (binary[1] * binary[1] - 4 * binary[0] * binary[2]).is_zero():
                     raise ArrangementError(
                         f"line {k} is tangent to curve {j} off the candidates")
             anonymous[lo, hi] = 2 - shared
@@ -225,10 +238,6 @@ def published_arrangement(name):
                                     published["censuses"][name])
 
 
-def _line_line_point(L1, L2):
-    return ProjPoint(L1.field, cross(L1.coefficients(), L2.coefficients()))
-
-
 def geometric_census(name, config):
     """The census of one reference arrangement of `config`, from exact geometry.
 
@@ -261,9 +270,9 @@ def _a3_census(config):
     from .cubic import hesse_singular_fibers
     fibers = hesse_singular_fibers(QQ_EPS)
     curves = [L for triple in fibers for L in triple] + config.harmonic_polars
-    pts = list(dict.fromkeys(
-        _line_line_point(curves[i], curves[j])
-        for i in range(len(curves)) for j in range(i + 1, len(curves))))
+    lines = [L.coefficients() for L in curves]
+    pts = list(dict.fromkeys(ProjPoint(QQ_EPS, cross(g, h))
+                             for i, g in enumerate(lines) for h in lines[i + 1:]))
     return extract_combinatorics(pts, curves)
 
 

@@ -14,12 +14,12 @@ kernel of `kernel_basis` on values of the form, for callers that
 compute in it.
 """
 
-from math import lcm
 from operator import neg
 
 from .field import (FieldElem, FieldError, MixedContextError, RatFuncElem,
                     RatFuncField, _ONE, _lead_conjugate, _zlin, _zmul, _zquo,
                     _zscale)
+from .kronecker import _cleared as _clear
 
 
 def _require_entries_of(rows, field):
@@ -114,20 +114,9 @@ def _free_column_basis(red, pivots, ncols, zero, one, negate):
 
 def _cleared(row):
     """A row of Q(e)(a) elements times a nonzero common multiple of their
-    denominators, as Z[e][a] polynomials: the lcm of the int parts times
-    the product of the distinct polynomial parts.  The kernel is the same."""
-    nonzero = [x for x in row if x.num]
-    n = lcm(*(x.nd for x in nonzero))
-    dens = list(dict.fromkeys(x.den for x in nonzero if len(x.den) > 1))
-    out = []
-    for x in row:
-        # x = (num * dd) / (nd * den)
-        p = _zscale(x.num, x.dd * (n // x.nd))
-        for den in dens:
-            if den != x.den:
-                p = _zmul(p, den)
-        out.append(p)
-    return out
+    denominators, as Z[e][a] polynomials (`kronecker._cleared`).  The kernel is
+    the same."""
+    return _clear(row)[0]
 
 
 def _exact_quotient(p, q):

@@ -694,37 +694,48 @@ def index3_section_check(matrix):
 
 
 def line_table(points):
-    """{(i, j): (form, values)} for every pair i < j of the points: the
-    line through p_i and p_j, the kernel of their degree-1 value rows
-    (`hasse_rows` at `P.rep`), and its values at all points, zero at p_i
-    and p_j by construction."""
+    """(form, lines): for every pair i < j of the points, lines[i, j] =
+    (kernel, values), the line through p_i and p_j, the kernel of their
+    degree-1 value rows (`hasse_rows` at `P.rep`), and its values at all
+    points, packed in `form` (`Field.pack_vectors`) for Steiner's products of
+    four line values; the kernel is the multiple of itself that was packed.
+    LatticeError unless each line vanishes at p_i and p_j."""
     from .linalg import kernel_basis
     from .plane import hasse_rows
 
     field = points[0].field
-    zero = field.zero()
     rows = [hasse_rows(P, 1, [(0, 0, 0)])[0] for P in points]
-    table = {}
+    kernels = {}
     for i, j in combinations(range(len(points)), 2):
         kern = kernel_basis([rows[i], rows[j]], field)
         if len(kern) != 1:
             raise LatticeError(f"line p_{i + 1}p_{j + 1}: kernel dimension {len(kern)}")
-        form = kern[0]
-        table[i, j] = form, [zero if k in (i, j) else sum(map(mul, form, row), zero)
-                             for k, row in enumerate(rows)]
-    return table
+        kernels[i, j] = kern[0]
+    # a Steiner value is the difference of two products of four line
+    # values, each the sum of three products of a coefficient and a coordinate
+    form, packed, scales = field.pack_vectors(8, rows + list(kernels.values()), 2 * 3 ** 4)
+    reps, is_zero = packed[:len(points)], form.is_zero
+    lines = {}
+    for (i, j), line, scale in zip(kernels, packed[len(points):], scales[len(points):]):
+        values = [sum(map(mul, line, rep)) for rep in reps]
+        if not (is_zero(values[i]) and is_zero(values[j])):
+            raise LatticeError(f"line p_{i + 1}p_{j + 1} misses p_{i + 1} or p_{j + 1}")
+        kernel = kernels[i, j] if scale == 1 else [x * scale for x in kernels[i, j]]
+        lines[i, j] = kernel, values
+    return form, lines
 
 
-def steiner_conic(five, lines):
+def steiner_conic(five, form, lines):
     """(A, B, values): the conic through the points `five` = (p_1..p_5) is
     Steiner's A L_12 L_34 - B L_13 L_24 of the lines L_ij of `line_table`,
     with A = (L_13 L_24)(p_5) and B = (L_12 L_34)(p_5), and `values` maps
-    each other point to its value there.  It is unique, and nonzero, when
-    no three of the five are collinear, which the line values show: a
-    pencil of conics through them would contain a line pair."""
+    each other point to its value there, all packed in the table's `form`.
+    It is unique, and nonzero, when no three of the five are collinear,
+    which the line values show: a pencil of conics through them would
+    contain a line pair."""
     for pair in combinations(five, 2):
         values = lines[pair][1]
-        if any(values[k].is_zero() for k in five if k not in pair):
+        if any(form.is_zero(values[k]) for k in five if k not in pair):
             raise LatticeError(f"three of the points {five} are collinear")
     p1, p2, p3, p4, p5 = five
     l12, l34, l13, l24 = (lines[pair][1]
@@ -742,7 +753,7 @@ def realize_low_degree_classes(classes, points):
     Lines through two points (`line_table`) and conics through five
     (`steiner_conic`) must exist, be unique and avoid the remaining points.
     """
-    lines = line_table(points)
+    form, lines = line_table(points)
     checked = 0
     for D in classes:
         d = D[0]
@@ -752,10 +763,10 @@ def realize_low_degree_classes(classes, points):
         if any(m not in (0, 1) for m in mults) or sum(mults) != 3 * d - 1:
             raise LatticeError(f"degree {d} class {D} has unexpected multiplicities")
         support = tuple(i for i, m in enumerate(mults) if m == 1)
-        off = (steiner_conic(support, lines)[2] if d == 2 else
+        off = (steiner_conic(support, form, lines)[2] if d == 2 else
                {k: v for k, v in enumerate(lines[support][1]) if k not in support})
         for k, value in off.items():
-            if value.is_zero():
+            if form.is_zero(value):
                 raise LatticeError(f"class {D}: curve support mismatch at p_{k + 1}")
         checked += 1
     return checked

@@ -11,10 +11,11 @@ ProjPoint canonicalizes on construction (first nonzero coordinate scaled
 to 1) so equality and hashing are representative-independent.
 
 ``PointPowers`` is the one evaluator: it keeps the powers of points'
-coordinates in the field's inner-loop form (``Field.packing``), on
-which each form's packed terms sum to one value per point;
-``values_at`` maps those values to elements, ``Poly3.evaluate`` is its
-one-point call, and ``incidence_rows`` reads their zeros.
+coordinates in the form of ``Field.pack_vectors`` (over Q(e) and
+Q(e)(a), ints: a -> 2^K with K set from a height bound), on which each
+form's packed terms sum to one value per point; ``values_at`` maps those
+values to elements, ``Poly3.evaluate`` is its one-point call, and
+``incidence_rows`` reads their zeros.
 
 The module also provides restriction of a form to a parametrized line,
 the closed-form resultant of two conics and exact division of binary
@@ -25,7 +26,7 @@ tangent cones are dot products of ``Poly3.coefficients`` with its rows.
 """
 
 from collections import Counter
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from math import comb
 from operator import mul
 
@@ -219,44 +220,64 @@ class PointPowers:
 
     A point is a ProjPoint over `field`, whose `rep` is used, or anything
     whose coordinates the field coerces.  The powers up to `degree` are
-    kept unreduced in the field's inner-loop form for products of
-    degree + 1 elements (`Field.packing`), one column per coordinate and
-    exponent, one entry per point, so one table serves every form of
-    degree at most `degree`.  A form's values are the sum of its packed
-    terms times their monomials' columns; each monomial's column is built
-    once per call, and every operation runs over a whole column.
+    kept unreduced in the form `Field.pack_vectors` gives for products of
+    degree + 1 entries, one column per coordinate and exponent, one entry
+    per point, so one table serves every form of degree at most `degree`.
+    A form's values are the sum of its packed terms times their monomials'
+    columns; each monomial's column is built once per call, and every
+    operation runs over a whole column.
+
+    Over a finite field the form packs entry by entry, and the columns are
+    built once for every call.  Over Q(e) and Q(e)(a) it is the integer
+    form `kronecker.Kronecker`, which each call sizes to its forms and the
+    points: each point and each form is cleared of denominators, so a
+    packed value is the value times the scale of its form and the
+    `degree`-th power of the scale of its point (`scales`), and has the
+    same zeros.  A value sums at most as many terms as a form has, each
+    the product of a coefficient and `degree` coordinates, so K is one bit
+    above twice terms * h^(degree + 1) for the largest l1 norm h of what
+    is packed, and a nonzero value, an integer polynomial in 2^K with
+    coefficients below 2^(K-1), is a nonzero int.
     """
 
     def __init__(self, field, points, degree):
-        form = self.form = field.packing(degree + 1)  # a term is degree + 1 factors
         self.field, self.degree = field, degree
-        reps = []
-        for P in points:
-            coords = P.rep if isinstance(P, ProjPoint) else P
-            if not (isinstance(P, ProjPoint) and P.field is field):
-                coords = [field.coerce(c) for c in coords]  # rejects other fields
-            reps.append(list(map(form.pack, coords)))
-        self.columns = []  # [x, y, z][exponent] -> one value per point
+        self.reps = [P.rep if isinstance(P, ProjPoint) and P.field is field
+                     else [field.coerce(c) for c in (P.rep if isinstance(P, ProjPoint) else P)]
+                     for P in points]  # rejects points over other fields
+        self.form = self.scales = None
+
+    def _packed(self, forms):
+        """The forms' packed terms, with the columns in the same form."""
+        terms = [list(F.terms.values()) for F in forms]
+        if self.form is not None and self.scales is None:  # the form of every call
+            return [list(map(self.form.pack, t)) for t in terms]
+        most = max([len(t) for t in terms] + [1])  # a value sums this many terms
+        form, packed, self.scales = self.field.pack_vectors(self.degree + 1,
+                                                            terms + self.reps, most)
+        self.form, self.columns = form, []  # [x, y, z][exponent] -> one value per point
+        reps = packed[len(forms):]
         for column in zip(*reps) if reps else [()] * 3:
-            powers = [[form.pack(field.one())] * len(reps), list(column)]
-            while len(powers) <= degree:
+            powers = [[1] * len(reps), list(column)]
+            while len(powers) <= self.degree:
                 powers.append(list(map(mul, powers[-1], column)))
-            self.columns.append(powers[:degree + 1])
+            self.columns.append(powers[:self.degree + 1])
+        return packed[:len(forms)]
 
     def values(self, forms):
         """The packed values of the forms: one row per point, one value per
         form."""
-        field, pack = self.field, self.form.pack
-        if any(F.field is not field for F in forms):
+        if any(F.field is not self.field for F in forms):
             raise MixedContextError("forms over different fields")
         if any(F.degree > self.degree for F in forms):
             raise GeometryError(f"a form of degree above {self.degree}")
+        packed = self._packed(forms)
         uses = Counter(exp for F in forms for exp in F.terms)
         shared = {}  # the column of each monomial that several forms have
         out = []
-        for F in forms:
+        for F, coefficients in zip(forms, packed):
             total = None
-            for exp, c in F.terms.items():
+            for exp, c in zip(F.terms, coefficients):
                 monomial = shared.get(exp)
                 if monomial is None:  # the product of the columns of exponents > 0
                     first, *rest = ([self.columns[v][n] for v, n in enumerate(exp) if n]
@@ -264,25 +285,31 @@ class PointPowers:
                     monomial = reduce(partial(map, mul), rest, first)
                     if uses[exp] > 1:
                         monomial = shared[exp] = list(monomial)
-                c = pack(c)
                 total = ([c * x for x in monomial] if total is None
                          else [y + c * x for y, x in zip(total, monomial)])
-            out.append(total or [pack(field.zero())] * len(self.columns[0][0]))
+            out.append(total or [0] * len(self.reps))
         return [list(row) for row in zip(*out)]
 
     def zeros(self, forms):
         """The 0/1 vanishing of the forms: one row per point, one entry per
         form."""
+        rows = self.values(forms)
         is_zero = self.form.is_zero
-        return [[int(is_zero(v)) for v in row] for row in self.values(forms)]
+        return [[int(is_zero(v)) for v in row] for row in rows]
 
 
 def values_at(forms, points):
     """The values of forms over one field at points, as elements: one row
-    per point, one value per form, read from one `PointPowers` table."""
+    per point, one value per form, read from one `PointPowers` table and
+    freed of the scales its form put in."""
     table = PointPowers(forms[0].field, points, max(F.degree for F in forms))
+    rows = table.values(forms)
     element = table.form.element
-    return [list(map(element, row)) for row in table.values(forms)]
+    if table.scales is None:
+        return [list(map(element, row)) for row in rows]
+    scales = table.scales
+    return [[element(v, s * p ** F.degree) for v, s, F in zip(row, scales, forms)]
+            for row, p in zip(rows, scales[len(forms):])]
 
 
 def incidence_rows(points, curves, row_sum=None, column_sum=None):
@@ -307,7 +334,7 @@ def monomials_of_degree(d):
     return [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
 
 
-def hasse_rows(point, degree, alphas):
+def hasse_rows(point, degree, alphas, packed=None):
     """The Hasse derivatives of the degree-`degree` monomials at a point.
 
     One row per multi-index alpha, one entry per exponent e of
@@ -319,24 +346,47 @@ def hasse_rows(point, degree, alphas):
     local data at the point is the dot product of its coefficients with
     the rows: its value is the alpha = 0 row, and it has multiplicity at
     least r there iff every row of order below r vanishes on it.
+
+    The rows are elements.  With `packed`, the point's coordinates packed
+    by `Field.pack_vectors`, they stay values of that form, to be dotted
+    with a form's coefficients packed with them.  The zero tests on the
+    dot products are exact when the `degree` and `terms` the form was
+    sized for cover them: a dot product has degree + 1 factors and sums
+    binomials C(e, alpha) over the monomials as multipliers, so K, one bit
+    above twice terms * h^degree, bounds its coefficients in a (the lemma
+    of `kronecker.Kronecker`).
     """
-    field = point.field
-    form = field.packing(degree + 1)  # a value times its C(e, alpha) fits too
-    zero, one = field.zero(), form.pack(field.one())
-    px, py, pz = (_power_table(form.pack(c), degree, one) for c in point.rep)
-    monos = monomials_of_degree(degree)
+    if packed is None:
+        field = point.field
+        form = field.packing(degree + 1)  # a value times its C(e, alpha) fits too
+        coords, finish = map(form.pack, point.rep), form.element
+        zero, one = field.zero(), form.pack(field.one())
+    else:
+        coords, finish, zero, one = packed, None, 0, 1
+    px, py, pz = (_power_table(c, degree, one) for c in coords)
     rows = []
-    for a0, a1, a2 in alphas:
+    for plan in _hasse_plan(degree, tuple(map(tuple, alphas))):
         row = []
-        for e0, e1, e2 in monos:
-            if e0 < a0 or e1 < a1 or e2 < a2:
+        for entry in plan:
+            if entry is None:
                 row.append(zero)
                 continue
-            value = px[e0 - a0] * py[e1 - a1] * pz[e2 - a2]
-            c = comb(e0, a0) * comb(e1, a1) * comb(e2, a2)
-            row.append(form.element(value if c == 1 else value * c))
+            i, j, k, c = entry
+            value = px[i] * py[j] * pz[k]
+            value = value if c == 1 else value * c
+            row.append(value if finish is None else finish(value))
         rows.append(row)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _hasse_plan(degree, alphas):
+    """Per alpha, per exponent e of `monomials_of_degree(degree)`:
+    (e - alpha, C(e, alpha)) as four ints, or None unless alpha <= e."""
+    return [[None if any(e < a for e, a in zip(mono, alpha)) else
+             (*(e - a for e, a in zip(mono, alpha)),
+              comb(mono[0], alpha[0]) * comb(mono[1], alpha[1]) * comb(mono[2], alpha[2]))
+             for mono in monomials_of_degree(degree)] for alpha in alphas]
 
 
 def gens(field):
@@ -421,18 +471,16 @@ def cross(u, v):
 
 
 def are_collinear(points):
-    """Exact collinearity test for any number of points (all 3x3 minors)."""
+    """Exact collinearity test for any number of points: the line through
+    the first two (`cross`) vanishes at each other one, a determinant of six
+    products of three coordinates, tested on the ints of
+    `Field.pack_vectors`."""
     pts = list(points)
     if len(pts) <= 2:
         return True
-    P, Q = pts[0], pts[1]
-    for R in pts[2:]:
-        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = P.coords, Q.coords, R.coords
-        det = (a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1)
-               + a3 * (b1 * c2 - b2 * c1))
-        if not det.is_zero():
-            return False
-    return True
+    form, (p, q, *rest), _ = pts[0].field.pack_vectors(3, [P.rep for P in pts], 6)
+    line = cross(p, q)
+    return all(form.is_zero(sum(map(mul, line, r))) for r in rest)
 
 
 def line_basis(field, g):

@@ -226,7 +226,20 @@ def test_irreducible_modulus_guard():
         find_irreducible(3, 2)
 
 
-_small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# n/d with 1 <= d <= 6 and |n| <= 5 d: the fractions of [-5, 5] with
+# denominators up to 6, the values of st.fractions(-5, 5, max_denominator=6),
+# drawn as int pairs, each numerator range built once
+_denominators = st.integers(min_value=1, max_value=6)
+_numerators = {d: st.integers(min_value=-5 * d, max_value=5 * d) for d in range(1, 7)}
+
+
+@st.composite
+def _small_fractions(draw):
+    d = draw(_denominators)
+    return Fraction(draw(_numerators[d]), d)
+
+
+_small_fraction = _small_fractions()
 
 
 @st.composite

@@ -432,3 +432,24 @@ def test_weight_enumerator_string():
     s = weight_enumerator_string(EXPECTED_WEIGHT_ENUMERATOR)
     assert s == ("1 + 9*t^5 + 102*t^8 + 144*t^9 + 144*t^12 + 102*t^13"
                  " + 9*t^16 + t^21")
+
+
+def test_the_census_form_is_sized_for_products_of_two_gradients(reference_calls,
+                                                                 monkeypatch):
+    # the largest values a census tests are g1_u g2_v - g1_v g2_u: two
+    # products of 2 (d + 1) packed entries, each gradient component a sum
+    # over the C(d + 2, 2) monomials with binomials up to d as multipliers
+    from math import comb
+
+    from halphen.field import Field
+    sizes, original = [], Field.pack_vectors
+
+    def spy(self, degree, vectors, terms=1):
+        sizes.append((degree, terms))
+        return original(self, degree, vectors, terms)
+    monkeypatch.setattr(Field, "pack_vectors", spy)
+    for points, curves in reference_calls["symbolic"]:
+        sizes.clear()
+        invariants.extract_combinatorics(points, curves)
+        d = max(C.degree for C in curves)
+        assert sizes == [(2 * (d + 1), 2 * (comb(d + 2, 2) * d) ** 2)]

@@ -417,22 +417,26 @@ def test_steiner_conics_match_the_kernel_oracle(classes144, configuration, mode)
               else Configuration(QQ_EPS, QQ_EPS.from_int(2)))
     points = config.data.points
     field = points[0].field
-    lines = line_table(points)
+    form, lines = line_table(points)
+    # the base points are packed as they are, so the packed values decode
+    # to the values of the packed lines' products
+    assert form.scales[:len(points)] == [1] * len(points)
     rows = [hasse_rows(P, 2, [(0, 0, 0)])[0] for P in points]
     conics = [D for D in classes144 if D[0] == 2]
     assert len(conics) == 54
     for D in conics:
         five = tuple(i for i in range(9) if D[i + 1] == -1)
-        A, B, values = steiner_conic(five, lines)
+        A, B, values = steiner_conic(five, form, lines)
         p1, p2, p3, p4, _ = five
         L = {pair: _form(field, lines[pair][0])
              for pair in ((p1, p2), (p3, p4), (p1, p3), (p2, p4))}
-        conic = A * L[p1, p2] * L[p3, p4] - B * L[p1, p3] * L[p2, p4]
+        conic = (form.element(A) * L[p1, p2] * L[p3, p4]
+                 - form.element(B) * L[p1, p3] * L[p2, p4])
         oracle = kernel_basis([rows[i] for i in five], field)
         assert len(oracle) == 1
         assert conic.proportional_to(_form(field, oracle[0]))
-        assert values == {k: conic.evaluate(points[k])
-                          for k in range(9) if k not in five}
+        assert {k: form.element(v) for k, v in values.items()} == {
+            k: conic.evaluate(points[k]) for k in range(9) if k not in five}
 
 
 def test_steiner_conic_refuses_three_collinear_points():
@@ -440,10 +444,11 @@ def test_steiner_conic_refuses_three_collinear_points():
     points = [ProjPoint(F, c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
                                         (1, 2, 3))]
     with pytest.raises(LatticeError, match="collinear"):
-        steiner_conic((0, 1, 2, 3, 4), line_table(points))
+        steiner_conic((0, 1, 2, 3, 4), *line_table(points))
     points[2] = ProjPoint(F, (1, 1, 1))
-    A, B, values = steiner_conic((0, 1, 2, 3, 4), line_table(points))
-    assert values == {} and not A.is_zero() and not B.is_zero()
+    form, lines = line_table(points)
+    A, B, values = steiner_conic((0, 1, 2, 3, 4), form, lines)
+    assert values == {} and not form.is_zero(A) and not form.is_zero(B)
 
 
 def test_low_degree_classes_reject_misplaced_points(classes144, symbolic_data):

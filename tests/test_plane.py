@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb, factorial as factorial_of, prod
 from operator import mul
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, MixedContextError
 from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
-                           bf_divide_linear, cross, gens, hasse_rows,
+                           bf_divide_linear, cross, gens, hasse_rows, incidence_rows,
                            line_basis, line_through, monomials_of_degree, plane_points,
                            poly3_to_binary_form, poly_in_var, resultant, values_at)
 
@@ -542,3 +543,110 @@ def test_poly_text_round_trip(symbolic_data):
         if not isinstance(back, Poly3):
             back = Poly3(A, 0, {(0, 0, 0): back})
         assert back == C
+
+
+# ---------------------------------------------------------------------------
+# the integer form of Q(e) and Q(e)(a) against the element path
+
+
+def element_zeros(points, forms):
+    """Oracle: the 0/1 vanishing of the forms at the points' `rep`, each
+    value a sum of products of elements, as the element path computed it."""
+    return [[int(term_sum(F, P.rep).is_zero()) for F in forms] for P in points]
+
+
+PARAMETERS = [None, 2, -3, Fraction(1, 2), Fraction(5, 7), Fraction(-7, 3)]
+
+
+@pytest.mark.parametrize("a", PARAMETERS, ids=["symbolic"] + list(map(str, PARAMETERS[1:])))
+def test_integer_zero_tests_match_the_element_path(a, configuration):
+    # the base points and nodes of the symbolic configuration and of Q(e)
+    # ones against every conic and line: the zeros of `incidence_rows`, the
+    # values of `values_at` and the packed Hasse rows of the census
+    from halphen.chilean import Configuration
+    config = (configuration if a is None
+              else Configuration(QQ_EPS, QQ_EPS.from_fraction(Fraction(a))))
+    data = config.data
+    points = list(data.points) + config.node_points
+    forms = list(data.conics) + config.lines
+    assert incidence_rows(points, forms) == element_zeros(points, forms)
+    assert values_at(forms, points) == [[term_sum(F, P.rep) for F in forms] for P in points]
+    alphas = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    form, packed, _ = data.field.pack_vectors(
+        3, [C.coefficients() for C in forms] + [P.rep for P in points], 6 * 2 * 4)
+    for P, rep in zip(points, packed[len(forms):]):
+        for C, coefficients in zip(forms, packed):
+            rows = hasse_rows(P, C.degree, alphas)
+            got = [form.is_zero(sum(map(mul, coefficients, row)))
+                   for row in hasse_rows(P, C.degree, alphas, rep)]
+            assert got == [sum(map(mul, C.coefficients(), row), data.field.zero()).is_zero()
+                           for row in rows]
+
+
+def _random_ratfunc(rng):
+    F, a, e = QQ_EPS_A, QQ_EPS_A.gen(), QQ_EPS_A.eps()
+    x = sum((Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * e ** rng.randrange(2) * a ** k
+             for k in range(rng.randint(0, 3))), F.zero())
+    if rng.random() < 0.3:
+        x = x / (a + rng.choice((1, -2, e, 3 * e + 1)))
+    return x or F.one()
+
+
+def test_integer_zero_tests_match_the_element_path_on_random_forms():
+    # random forms over Q(e)(a) at random points, with fractions in a and in
+    # the ints, and forms that vanish at the point by cancellation:
+    # G = M(P) F - F(P) M for a monomial M that does not vanish there
+    rng = random.Random(23)
+    F = QQ_EPS_A
+    for _ in range(12):
+        point = ProjPoint(F, [_random_ratfunc(rng) for _ in range(3)])
+        forms, vanishing = [], []
+        for d in (1, 2, 3):
+            monos = monomials_of_degree(d)
+            G = Poly3(F, d, {m: _random_ratfunc(rng) for m in rng.sample(monos, min(4, d + 2))})
+            M = next(Poly3(F, d, {m: F.one()}) for m in monos
+                     if not term_sum(Poly3(F, d, {m: F.one()}), point.rep).is_zero())
+            forms.append(G)
+            vanishing.append(G * term_sum(M, point.rep) - M * term_sum(G, point.rep))
+        assert not any(G.is_zero() for G in vanishing)
+        rows = incidence_rows([point], forms + vanishing)
+        assert rows == element_zeros([point], forms + vanishing)
+        assert rows[0][len(forms):] == [1] * len(vanishing)
+        assert (values_at(forms + vanishing, [point])[0]
+                == [term_sum(G, point.rep) for G in forms + vanishing])
+
+
+def test_the_bound_keeps_a_minus_a_power_of_two_nonzero():
+    # a - 2^m vanishes at a = 2^m, and 2^m - e at e = 2^m: K and L are set
+    # above the heights of what is packed, so neither aliases to zero
+    a, e = QQ_EPS_A.gen(), QQ_EPS_A.eps()
+    for m in (1, 5, 31, 64):
+        for x in (a - 2**m, e * a - 2**m * e, a**3 - 2**m * a, 2**m - e):
+            form, ((v,),), scales = QQ_EPS_A.pack_vectors(1, [[x]])
+            height = 2**m + 1
+            assert 2 ** (form.K - 1) > 2 * height and form.L > form.K
+            assert not form.is_zero(v) and form.element(v) == x and scales == [1]
+        form, ((u,), (w,)), _ = QQ_EPS_A.pack_vectors(2, [[a - 2**m], [a + 2**m]], 1)
+        assert not form.is_zero(u * w) and form.element(u * w) == a**2 - 4**m
+        assert form.is_zero(u * w - w * u)
+        q = QQ_EPS.from_int(2**m) - QQ_EPS.eps()
+        form, ((v,),), _ = QQ_EPS.pack_vectors(1, [[q]])
+        assert form.L > m + 1 and not form.is_zero(v) and form.element(v) == q
+
+
+def test_restriction_to_a_line_is_the_form_on_the_line():
+    # P(u A + v B) = sum c_i u^i v^(d - i), so at (u : v) = (t : 1) the
+    # restriction's value is the form's at t A + B, sign and scale included
+    rng = random.Random(29)
+    for F in (GF(13), QQ_EPS, QQ_EPS_A):
+        elems = [F.from_int(c) for c in range(-3, 4)] + [F.eps()]
+        if F is QQ_EPS_A:
+            elems.append(F.gen())
+        for d in (1, 2, 3):
+            P = Poly3(F, d, {e: rng.choice(elems) for e in monomials_of_degree(d)})
+            A, B = ([rng.choice(elems) for _ in range(3)] for _ in range(2))
+            coefficients = P.restrict_to_line(A, B)
+            for t in (0, 1, 2, -1):
+                line = [a * t + b for a, b in zip(A, B)]
+                assert sum((c * t**i for i, c in enumerate(coefficients)), F.zero()) \
+                    == term_sum(P, line)

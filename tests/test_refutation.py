@@ -12,9 +12,16 @@ published value of `published.PAPER` in turn, and so shows that the
 comparison is made.
 """
 
+import json
+import re
+from fractions import Fraction
+from itertools import islice
+from pathlib import Path
+
 import pytest
 
 from halphen import chilean, cli, cubic, invariants, piclattice, published, torsion
+from halphen.field import QQ_EPS_A, to_text
 from halphen.plane import ProjPoint, gens
 
 
@@ -178,6 +185,20 @@ def seventh_cubic_t_term(monkeypatch, ctx):
     _add_to_nine_torsion_cubic(monkeypatch, 6, lambda e, t, X, Y, Z: -4 * t * X * Y * Z)
 
 
+def one_kernel(monkeypatch, ctx):
+    """Every Q(e)(a) kernel vector, the lattice geometry's lines through
+    two base points among them, gains 1 in its first entry."""
+    from halphen import linalg
+    original = linalg.kernel_basis
+
+    def kernels(rows, field):
+        out = original(rows, field)
+        if field is QQ_EPS_A:
+            out[0][0] = out[0][0] + 1
+        return out
+    monkeypatch.setattr(linalg, "kernel_basis", kernels)
+
+
 CASES = [
     ("incidence", "conic-point incidence (12_6, 9_8)", one_conic),
     ("incidence", "symmetry group of order 6", scale_of_d),
@@ -191,6 +212,7 @@ CASES = [
     ("lattice", "144 minus-one classes", deck_permutation),
     ("lattice", "144 minus-one classes", degree_histogram),
     ("lattice", "unique orthogonal nine-set", one_clique_fewer),
+    ("lattice", "low-degree class geometry", one_kernel),
     ("torsion", "nine-torsion cubics", fourth_cubic_sign),
     ("torsion", "nine-torsion cubics", seventh_cubic_t_term),
     ("invariants", "census cross-check", one_a1_count),
@@ -241,3 +263,83 @@ def test_a_wrong_published_value_fails_its_claim(monkeypatch, claim, key):
     monkeypatch.setitem(published.PAPER[claim], key, perturbed(value))
     thunk = claim_thunk(SUITE_OF[claim], claim, chilean.Configuration())
     assert verdict(thunk) == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the witness audit: a witness prints no number of its own
+
+
+_INT = re.compile(r"(?<![\w.])-?\d+")  # not inside names such as A1, lambda0, e_9
+
+
+def _ints(value):
+    """The absolute values of every int in a value: ints, the two parts of
+    a Fraction, the ints written in a string, and the keys, items and
+    lengths of containers."""
+    if isinstance(value, int):
+        return {abs(value)}
+    if isinstance(value, Fraction):
+        return {abs(value.numerator), value.denominator}
+    if isinstance(value, str):
+        return {abs(int(m)) for m in _INT.findall(value)}
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, tuple)):
+        return {len(value)}.union(*map(_ints, value))
+    return set()
+
+
+def _declared(configuration):
+    """Per claim, what its witness may print besides its entry: the run
+    parameters of a default `verify all` (the configuration's, the
+    specializations it picks, the fixed samples of `cli`), and the values
+    a claim finds and prints without the paper to compare them with."""
+    config = cli.RunConfig()
+    specs = list(islice(cli.good_specializations(config.p_max), 3))
+    spec = {m: torsion.find_specialization(m, p_max=config.p_max) for m in (4, 5, 9)}
+    lattice3 = piclattice.index3_lattice()
+    probe = chilean.cross_ratio_probe(configuration.lambdas, configuration.data.field)
+    out = {
+        "incidence at specializations": [config.a_value] + [(p, a.v) for p, a in specs],
+        "chord-tangent group law sanity": cli.GROUP_LAW_SAMPLE,
+        # found: the four parameters, as elements of Q(e)(a)
+        "sextic pencil members": [to_text(x) for x in configuration.lambdas],
+        "cusp census": [(p, a.v) for p, a in specs[:1]],
+        "branch quintic census": cli.QUINTIC_SPECIALIZATIONS,
+        # chilean.degenerate_pencil: the triple-point pencil at a = 1
+        "degenerate pencils": [1],
+        # found: the subsets probed and the ratio of each hit
+        "cross-ratio probe": [len(probe["subsets"])]
+                             + [r["ratio"] for r in probe["subsets"] if r["equianharmonic"]],
+        "144 minus-one classes": [config.d_max],
+        # the nine-sets are those meeting each conic (degree 2) as a conic does
+        "unique orthogonal nine-set": [configuration.data.conics[0].degree],
+        # found: the lattice the section matrix and vectors index
+        "index-3 class data": [len(lattice3.minus2), len(lattice3.fibers), lattice3.index],
+    }
+    for m in (4, 5):  # found: the rational census at (p, t)
+        report = torsion.verify_torsion_locus(m, spec[m]["p"], spec[m]["t"])
+        out[f"torsion locus m = {m}"] = [spec[m]["p"], spec[m]["t"], report["order_census"]]
+        systems = torsion.hesse_collinear_curves(m, spec[m]["p"], spec[m]["t"])["systems"]
+        out[f"degree-{m} curves at translated points"] = [
+            spec[m]["p"], [s["kernel_dim"] for s in systems]]
+    report = torsion.verify_nine_torsion_cubics(spec[9]["p"], spec[9]["t"])
+    out["nine-torsion cubics"] = [spec[9]["p"], spec[9]["t"], report["rational_order9"]]
+    return out
+
+
+def test_every_witness_number_is_published_or_a_run_parameter(configuration):
+    """Each int a `verify all` witness prints is in the claim's entry of
+    `published.PAPER`, in its name, or declared above: a number printed
+    from a literal, unchecked, fails here.  The ledger is the pinned
+    fixture, which `test_fixtures` compares with the program's output."""
+    ledger = json.loads((Path(__file__).parent / "fixtures" / "verify_all_no_timing.json")
+                        .read_text())
+    declared = _declared(configuration)
+    assert set(declared) <= set(SUITE_OF)
+    for entry in ledger:
+        claim = entry["claim"].split(": ", 1)[1]
+        allowed = (_ints(published.PAPER.get(claim, {})) | _ints(claim)
+                   | _ints(declared.get(claim, [])))
+        stray = _ints(entry["witness"]) - allowed
+        assert not stray, (claim, sorted(stray))
