@@ -14,8 +14,11 @@ Each object has one construction.  ``ChileanData`` is points, conics and
 fibers with their incidence (one ``plane.incidence_rows`` table, checked
 against the expected supports); the a = -2 degeneration is one as well,
 with its three surviving fibers, and ``fiber_nodes`` finds the nodes of
-both.  The cross ratio works on homogeneous pairs (lambda : 1) and
-(1 : 0), and the symmetry group is the six products s^i d^j.
+both, eliminating z by the one ``plane.resultant``.  The cross ratio works
+on homogeneous pairs (lambda : 1) and (1 : 0), and the symmetry group is
+the six products s^i d^j.  ``conic_matrix`` is a conic's integral
+symmetric matrix N as det N and adj N: the line-pair test, and the
+tangential equation by which the invariants' census tells a tangent line.
 
 ``Configuration`` ties the chain together: it builds the data, the pencil,
 the nodes, the dual lines, the degeneration with its nodes and vertices and
@@ -31,7 +34,7 @@ from .field import (QQ_EPS, QQ_EPS_A, FieldError, pdeg, pgcd, pnormalize,
 from .plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                     bf_divide_linear, cross, gens, hasse_rows,
                     incidence_rows, line_through, monomials_of_degree,
-                    plane_points, poly3_to_binary_form, resultant)
+                    plane_points, resultant)
 from .published import PAPER
 
 FIBERS = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))
@@ -291,10 +294,9 @@ def fourth_intersection(C, D, shared):
     the elimination leaves no single point.
     """
     field = C.field
-    res = resultant(C, D, 2)
-    if res.is_zero():
+    form = resultant(C, D)
+    if all(c.is_zero() for c in form):
         raise GeometryError("conics share a component")
-    form = poly3_to_binary_form(res, (0, 1))
     for P in shared:
         u0, v0 = P.coords[0], P.coords[1]
         if not (u0.is_zero() and v0.is_zero()):
@@ -476,23 +478,32 @@ def branch_quintic(field, a):
             + e * (-16 * a6 - 8) * Z**5)
 
 
+def conic_matrix(c):
+    """(det N, adj N) of N = [[2a, b, c], [b, 2d, e], [c, e, 2f]], the
+    integral symmetric matrix of the conic a x^2 + b xy + c xz + d y^2 +
+    e yz + f z^2, its coefficients `c` in `monomials_of_degree(2)` order.
+
+    N is twice the conic's symmetric matrix M, so det N = 8 det M: the conic
+    is a line pair iff det N = 0 (char != 2; in characteristic 2 det N
+    vanishes identically).  A line g is tangent to it iff g^T adj(N) g = 0,
+    its tangential equation (Salmon, *A Treatise on Conic Sections*): for
+    points A, B spanning g = A x B, the binary form C(uA + vB) has
+    discriminant -g^T adj(N) g.  Plain + - * only, so it runs on elements
+    and on the ints of `Field.pack_vectors` alike: det N has 3 factors with
+    multipliers totalling 16, and g^T adj(N) g has 4 with a total of 33.
+    """
+    a, b, c, d, e, f = c
+    m01, m02, m12 = c * e - 2 * b * f, b * e - 2 * c * d, b * c - 2 * a * e
+    adj = ((4 * d * f - e * e, m01, m02), (m01, 4 * a * f - c * c, m12),
+           (m02, m12, 4 * a * d - b * b))
+    return 2 * a * adj[0][0] + b * m01 + c * m02, adj
+
+
 def conic_is_line_pair(C):
-    """Exact degeneracy test via the symmetric matrix determinant (char != 2)."""
-    field = C.field
-    if field.characteristic == 2:
+    """Exact degeneracy test: det N = 0 (`conic_matrix`), char != 2."""
+    if C.field.characteristic == 2:
         raise GeometryError("determinant test needs characteristic != 2")
-    half = field.from_int(2).inverse()
-
-    def coeff(i, j, k):
-        return C.terms.get((i, j, k), field.zero())
-
-    m = [[coeff(2, 0, 0), half * coeff(1, 1, 0), half * coeff(1, 0, 1)],
-         [half * coeff(1, 1, 0), coeff(0, 2, 0), half * coeff(0, 1, 1)],
-         [half * coeff(1, 0, 1), half * coeff(0, 1, 1), coeff(0, 0, 2)]]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return det.is_zero()
+    return conic_matrix(C.coefficients())[0].is_zero()
 
 
 def degenerate_configuration():

@@ -88,7 +88,7 @@ class Field:
         `ELEMENTS` for Q(e) and Q(e)(a), one for every field and degree."""
         return ELEMENTS
 
-    def pack_vectors(self, degree, vectors, terms=1):
+    def pack_vectors(self, degree, vectors, terms):
         """(form, packed, scales): `vectors` packed for the zero tests of
         values that are sums, with int multipliers whose absolute values
         total at most `terms`, of products of at most `degree` of their

@@ -4,12 +4,14 @@ constants, and the binary incidence code in characteristic 2.
 Censuses are taken from exact geometry.  Every pairwise intersection
 must be a known candidate point, except where a line meets a conic:
 their points off the candidates are counted by Bezout, certified simple
-by a discriminant test or by transversality at a shared candidate, and
-private by the census's own counts (they may be irrational; only their
-count enters the census).  Values and gradients at the candidates are
-dot products with `plane.hasse_rows`, taken in one pass per candidate
-set, which every arrangement on that set reads, on the ints of
-`Field.pack_vectors` over Q(e) and Q(e)(a).
+by the conic's tangential equation (`chilean.conic_matrix`) or by
+transversality at a shared candidate, and private by the census's own
+counts (they may be irrational; only their count enters the census).
+Values and gradients at the candidates are dot products with
+`plane.hasse_rows`, taken in one pass per candidate set, which every
+arrangement on that set reads; these, the members' degeneracy and the
+tangential equation are zero tests on the ints of `Field.pack_vectors`
+over Q(e) and Q(e)(a).
 
 The five reference arrangements are built on a `chilean.Configuration`,
 which `geometric_census` and `reference_report` take; each census is
@@ -25,8 +27,8 @@ from fractions import Fraction
 from operator import mul
 
 from .field import QQ_EPS, GFext
-from .plane import ProjPoint, cross, hasse_rows, incidence_rows, line_basis
-from .chilean import Configuration, conic_is_line_pair
+from .plane import ProjPoint, cross, hasse_rows, incidence_rows
+from .chilean import Configuration, conic_matrix
 from .published import PAPER, check
 
 
@@ -55,17 +57,6 @@ class ArrangementCombinatorics:
         return True
 
 
-def _assert_smooth_members(curves):
-    for k, C in enumerate(curves):
-        if C.degree == 1:
-            continue
-        if C.degree == 2:
-            if C.field.characteristic != 2 and conic_is_line_pair(C):
-                raise ArrangementError(f"curve {k} is a degenerate conic")
-            continue
-        raise ArrangementError("only lines and conics are supported")
-
-
 def _deciding_coordinates(P):
     """(u, v): gradients g_1, g_2 of forms through P have g_1 x g_2 = 0
     iff g_1[u] g_2[v] = g_1[v] g_2[u].  Both are orthogonal to P (Euler's
@@ -85,21 +76,24 @@ def extract_combinatorics(points, curves):
     product of its nonzero coefficients with the alpha = 0 row, and its
     gradient, for the transversality check at every candidate on two or
     more members, with the order-1 rows: only the two gradient components
-    that decide g_1 x g_2 = 0 are read (`_deciding_coordinates`).  All
-    of these are zero tests on the ints of one `Field.pack_vectors` of
-    the members and candidates: over Q(e) and Q(e)(a) a nonzero integer
-    polynomial with coefficients below 2^(K-1) does not vanish at a = 2^K,
-    and K is set from the products of two gradient components, the
-    largest values tested, each gradient component a sum over the
-    monomials with binomials up to the member degree as multipliers.
+    that decide g_1 x g_2 = 0 are read (`_deciding_coordinates`).  A conic
+    member is no line pair: det N != 0 for its matrix N of
+    `chilean.conic_matrix`, a test skipped in characteristic 2, where det N
+    vanishes identically.  All of these are zero tests on the ints of one
+    `Field.pack_vectors` of the members and candidates: over Q(e) and
+    Q(e)(a) a nonzero integer polynomial with coefficients below 2^(K-1)
+    does not vanish at a = 2^K, and K is set from the products of two
+    gradient components, the largest values tested, each gradient
+    component a sum over the monomials with binomials up to the member
+    degree as multipliers.
 
     A line k and a conic j that share s candidates meet at 2 - s anonymous
-    points.  These are simple: for s = 0 the restriction of the conic to
-    the line has a nonzero discriminant, and for s = 1 a double root at
-    the shared candidate would be a tangency there, which the
-    transversality check rejects.  They are no candidates, and each is
-    private (on no third member), which the `accounted` Bezout check
-    proves.  Take an anonymous point R of k and j.
+    points.  These are simple: for s = 0 the line g is not tangent to the
+    conic, g^T adj(N) g != 0 (the tangential equation, on the same ints),
+    and for s = 1 a double root at the shared candidate would be a
+    tangency there, which the transversality check rejects.  They are no
+    candidates, and each is private (on no third member), which the
+    `accounted` Bezout check proves.  Take an anonymous point R of k and j.
     - If R lay on a conic j2, the two conics would meet at R and so in at
       most three candidates, and the check raises.
     - If R lay on a line j2 != k, the one point of k and j2 would be R,
@@ -108,17 +102,26 @@ def extract_combinatorics(points, curves):
     """
     if not curves:
         raise ArrangementError("empty arrangement")
+    if any(C.degree not in (1, 2) for C in curves):
+        raise ArrangementError("only lines and conics are supported")
     field = curves[0].field
-    _assert_smooth_members(curves)
     candidates = list(dict.fromkeys(points))
     # a gradient component is a sum over the monomials with binomials up to
-    # the degree d, and the tangency test subtracts two products of them
+    # the degree d, and the tangency test subtracts two products of them;
+    # det N (3 factors, multipliers totalling 16) and g^T adj(N) g (4, 33)
+    # fit in that for d = 2
     d = max(C.degree for C in curves)
     grad = (d + 1) * (d + 2) // 2 * d
     form, packed, _ = field.pack_vectors(
         2 * (d + 1), [C.coefficients() for C in curves] + [P.rep for P in candidates],
         2 * grad * grad)
     coefficients, is_zero = packed[:len(curves)], form.is_zero
+    conics = {k: conic_matrix(c) for k, c in enumerate(coefficients)
+              if curves[k].degree == 2}
+    if field.characteristic != 2:  # where det N vanishes identically
+        for k, (det, _) in conics.items():
+            if is_zero(det):
+                raise ArrangementError(f"curve {k} is a degenerate conic")
     degrees = {C.degree for C in curves}
     accounted = [[0] * len(curves) for _ in curves]
     incidences = []
@@ -143,20 +146,18 @@ def extract_combinatorics(points, curves):
         incidences.append(through)
 
     anonymous = {}
-    for k, L in enumerate(curves):
-        if L.degree != 1:
+    for k, g in enumerate(coefficients):
+        if curves[k].degree != 1:
             continue
-        A, B = line_basis(field, L.coefficients())
-        for j, C in enumerate(curves):
+        for j, (_, adj) in conics.items():
             lo, hi = sorted((k, j))
             shared = accounted[lo][hi]
-            if C.degree != 2 or shared >= 2:
+            if shared >= 2:
                 continue
-            if shared == 0:
-                binary = C.restrict_to_line(A.rep, B.rep)
-                if (binary[1] * binary[1] - 4 * binary[0] * binary[2]).is_zero():
-                    raise ArrangementError(
-                        f"line {k} is tangent to curve {j} off the candidates")
+            if shared == 0 and is_zero(sum(x * sum(map(mul, row, g))  # g^T adj(N) g
+                                           for x, row in zip(g, adj))):
+                raise ArrangementError(
+                    f"line {k} is tangent to curve {j} off the candidates")
             anonymous[lo, hi] = 2 - shared
             accounted[lo][hi] = 2
 

@@ -18,9 +18,10 @@ values to elements, ``Poly3.evaluate`` is its one-point call, and
 ``incidence_rows`` reads their zeros.
 
 The module also provides restriction of a form to a parametrized line,
-the closed-form resultant of two conics and exact division of binary
-forms by linear factors -- the primitives behind intersection-point
-extraction -- and ``hasse_rows``, in the same form, the one way local
+the closed-form resultant of two conics with respect to z, a binary form
+in x and y, and exact division of binary forms by linear factors -- the
+primitives behind the node search of ``chilean.fourth_intersection`` --
+and ``hasse_rows``, in the same form, the one way local
 data at a point is read: values, gradients, multiplicity conditions and
 tangent cones are dot products of ``Poly3.coefficients`` with its rows.
 """
@@ -483,18 +484,6 @@ def are_collinear(points):
     return all(form.is_zero(sum(map(mul, line, r))) for r in rest)
 
 
-def line_basis(field, g):
-    """Two independent points spanning the line g0 x + g1 y + g2 z = 0."""
-    zero, one = field.zero(), field.one()
-    if not g[0].is_zero():
-        A, B = (-g[1], g[0], zero), (-g[2], zero, g[0])
-    elif not g[1].is_zero():
-        A, B = (one, zero, zero), (zero, -g[2], g[1])
-    else:
-        A, B = (one, zero, zero), (zero, one, zero)
-    return ProjPoint(field, A), ProjPoint(field, B)
-
-
 # ---------------------------------------------------------------------------
 # binary forms: dense lists [c_0..c_d] meaning sum c_i U^i V^(d-i)
 
@@ -531,63 +520,35 @@ def bf_divide_linear(form, root, field):
     return q
 
 
-def poly_in_var(P, var):
-    """Rewrite P as a list of Poly3 coefficients of powers of variable `var`.
+def resultant(P, Q):
+    """Resultant of two forms with respect to z, as the dense binary form
+    [c_0..c_d] in x and y, c_i the coefficient of x^i y^(d-i).
 
-    Entry j is the coefficient of (x_var)^j, itself a Poly3 in the other
-    two variables (with exponent 0 in position var).
+    It is the Sylvester determinant at the actual degrees in z, in closed
+    form for the pairs the nodes of two conics meet, (1, 1), (2, 1) and
+    (2, 2); GeometryError for any other.  An identically zero resultant
+    signals a common component.
     """
-    F = P.field
-    if P.is_zero():
-        return []
-    out = [dict() for _ in range(P.degree + 1)]
-    for exp, c in P.terms.items():
-        j = exp[var]
-        rest = list(exp)
-        rest[var] = 0
-        out[j][tuple(rest)] = c
-    polys = [Poly3(F, P.degree - j, terms) for j, terms in enumerate(out)]
-    while polys and polys[-1].is_zero():
-        polys.pop()
-    return polys
+    def in_z(F):  # entry j: the coefficient of z^j, a form in x and y
+        terms = [{} for _ in range(F.degree + 1)]
+        for (i, j, k), c in F.terms.items():
+            terms[k][i, j, 0] = c
+        out = [Poly3(F.field, F.degree - k, t) for k, t in enumerate(terms)]
+        while out and out[-1].is_zero():
+            out.pop()
+        return out
 
-
-def resultant(P, Q, var):
-    """Resultant of two forms with respect to one variable.
-
-    Returns a Poly3 in the remaining two variables: the Sylvester
-    determinant at the actual degrees in `var`, in closed form for the
-    pairs the nodes of two conics meet, (1, 1), (2, 1) and (2, 2);
-    GeometryError for any other.  An identically zero resultant signals a
-    common component.
-    """
-    p = poly_in_var(P, var)
-    q = poly_in_var(Q, var)
+    p, q = in_z(P), in_z(Q)
     m, n = len(p) - 1, len(q) - 1
     if (m, n) == (1, 1):
-        return p[1] * q[0] - p[0] * q[1]
-    if (m, n) == (2, 1):
-        return q[1] * (q[1] * p[0] - q[0] * p[1]) + q[0] * q[0] * p[2]
-    if (m, n) != (2, 2):
+        res = p[1] * q[0] - p[0] * q[1]
+    elif (m, n) == (2, 1):
+        res = q[1] * (q[1] * p[0] - q[0] * p[1]) + q[0] * q[0] * p[2]
+    elif (m, n) == (2, 2):
+        c20, c21, c10 = (p[2] * q[0] - p[0] * q[2], p[2] * q[1] - p[1] * q[2],
+                         p[1] * q[0] - p[0] * q[1])
+        res = c20 * c20 - c21 * c10
+    else:
         raise GeometryError(f"no closed-form resultant for degrees ({m}, {n})")
-    c20, c21, c10 = (p[2] * q[0] - p[0] * q[2], p[2] * q[1] - p[1] * q[2],
-                     p[1] * q[0] - p[0] * q[1])
-    return c20 * c20 - c21 * c10
-
-
-def poly3_to_binary_form(P, var_pair):
-    """Read a Poly3 supported on two variables as a dense binary form.
-
-    var_pair = (u, v) gives the variable indices; returns [c_0..c_d] with
-    c_i the coefficient of u^i v^(d-i).
-    """
-    F = P.field
-    u, v = var_pair
-    d = P.degree
-    out = [F.zero()] * (d + 1)
-    for exp, c in P.terms.items():
-        rest = [exp[k] for k in range(3) if k not in var_pair]
-        if any(rest):
-            raise GeometryError("form involves the eliminated variable")
-        out[exp[u]] = c
-    return out
+    zero = P.field.zero()
+    return [res.terms.get((i, res.degree - i, 0), zero) for i in range(res.degree + 1)]

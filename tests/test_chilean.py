@@ -1,16 +1,20 @@
 import json
+import random
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
 from halphen.cubic import flex_line_incidence, hesse_flexes, hesse_singular_fibers
-from halphen.field import GF, QQ_EPS, GFext, to_text
-from halphen.plane import (GeometryError, Poly3, ProjPoint, gens, incidence_rows,
-                           plane_points)
+from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, to_text
+from halphen.linalg import kernel_basis
+from halphen.plane import (GeometryError, Poly3, ProjPoint, cross, gens,
+                           incidence_rows, monomials_of_degree, plane_points)
 from halphen.chilean import (Configuration, VerificationError,
                              _local_multiplicity, branch_quintic,
                              build_chilean, check_good_parameter,
-                             conic_equations, conic_is_line_pair, cross_ratio,
+                             conic_equations, conic_is_line_pair, conic_matrix,
+                             cross_ratio,
                              cross_ratio_probe, degenerate_configuration,
                              degenerate_pencil, export_configuration,
                              fiber_nodes, fiber_product_lambdas,
@@ -18,7 +22,8 @@ from halphen.chilean import (Configuration, VerificationError,
                              pencil_membership, singular_census,
                              special_members, symmetry_group,
                              verify_symmetries, base_points)
-from test_plane import gradient
+from oracles import line_basis
+from test_plane import _random_scalar, gradient
 
 INFINITY = "infinity"  # the cross-ratio oracle's point at infinity
 
@@ -555,3 +560,80 @@ def test_specialized_build_matches_symbolic(symbolic_data):
     for sym_c, spec_c in zip(symbolic_data.conics, spec.conics):
         image = sym_c.specialize(F, eps_image=F.eps(), a_image=a)
         assert image == spec_c
+
+
+def _tangential(adj, g):
+    """g^T adj g, by plain + and *."""
+    return sum(x * sum(map(mul, row, g)) for x, row in zip(g, adj))
+
+
+@pytest.mark.parametrize("field", [GF(13), QQ_EPS, QQ_EPS_A],
+                         ids=["GF(13)", "Q(e)", "Q(e)(a)"])
+def test_conic_matrix_zero_tests_match_the_oracles(field):
+    # det N = 0 against a singular point (a kernel of the gradient's
+    # coefficient rows), and g^T adj(N) g = 0 against the discriminant of
+    # the conic restricted to the line, on elements and on the ints of
+    # pack_vectors sized as conic_matrix states: det N 3 factors with
+    # multipliers totalling 16, g^T adj(N) g 4 factors totalling 33
+    rng = random.Random(41)
+    X, Y, Z = gens(field)
+
+    def line():
+        while True:
+            g = [_random_scalar(field, rng) for _ in range(3)]
+            if any(not c.is_zero() for c in g):
+                return g
+
+    def linear(g):
+        return X * g[0] + Y * g[1] + Z * g[2]
+
+    seen = {(kind, zero): 0 for kind in ("pair", "tangent") for zero in (True, False)}
+    for _ in range(12):
+        smooth = Poly3(field, 2, {e: _random_scalar(field, rng)
+                                  for e in monomials_of_degree(2)})
+        P = [_random_scalar(field, rng) for _ in range(2)] + [field.one()]
+        smooth = smooth - Z * Z * smooth.evaluate(ProjPoint(field, P))  # through P
+        g1, g2 = line(), line()
+        node = cross(g1, g2)  # the pair's singular point, or 0 for a double line
+        for C in (smooth, linear(g1) * linear(g2)):
+            c = C.coefficients()
+            det, adj = conic_matrix(c)
+            rows = [D.coefficients() for D in gradient(C)]
+            is_pair = bool(kernel_basis(rows, field))
+            assert conic_is_line_pair(C) == det.is_zero() == is_pair
+            form, (packed,), _ = field.pack_vectors(3, [c], 16)
+            assert form.is_zero(conic_matrix(packed)[0]) == is_pair
+            seen["pair", is_pair] += 1
+            if C is smooth:  # the tangent at P, where C is smooth
+                tangents = [] if is_pair else [[D.evaluate(ProjPoint(field, P))
+                                                for D in gradient(C)]]
+            else:  # a line through the node
+                tangents = [cross(node, line())] * any(not x.is_zero() for x in node)
+            for g in [line(), line()] + tangents:
+                A, B = line_basis(field, g)
+                b = C.restrict_to_line(A.rep, B.rep)
+                touches = (b[1] * b[1] - 4 * b[0] * b[2]).is_zero()
+                assert _tangential(adj, g).is_zero() == touches
+                form, (pc, pg), _ = field.pack_vectors(4, [c, g], 33)
+                assert form.is_zero(_tangential(conic_matrix(pc)[1], pg)) == touches
+                seen["tangent", touches] += 1
+    assert min(seen.values()) >= 4, seen
+
+
+def test_conic_matrix_identities():
+    # disc C(uA + vB) = -g^T adj(N) g with g = A x B, and det N = 8 det M
+    sympy = pytest.importorskip("sympy")
+    c = sympy.symbols("a b c d e f")
+    A, B = sympy.symbols("A0:3"), sympy.symbols("B0:3")
+    u, v = sympy.symbols("u v")
+    M = sympy.Matrix([[c[0], c[1] / 2, c[2] / 2], [c[1] / 2, c[3], c[4] / 2],
+                      [c[2] / 2, c[4] / 2, c[5]]])
+    det, adj = conic_matrix(c)
+    assert sympy.expand(det - 8 * M.det()) == 0
+    assert sympy.expand(sympy.Matrix(adj) - (2 * M).adjugate()) == sympy.zeros(3)
+    x = [u * a + v * b for a, b in zip(A, B)]
+    restricted = sympy.Poly(sum(ci * x[0] ** m[0] * x[1] ** m[1] * x[2] ** m[2]
+                                for ci, m in zip(c, monomials_of_degree(2))), u, v)
+    b2, b1, b0 = (restricted.coeff_monomial(m) for m in (u**2, u * v, v**2))
+    g = [A[1] * B[2] - A[2] * B[1], A[2] * B[0] - A[0] * B[2], A[0] * B[1] - A[1] * B[0]]
+    assert sympy.expand(b1 * b1 - 4 * b0 * b2 + _tangential(adj, g)) == 0

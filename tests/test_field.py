@@ -515,7 +515,17 @@ def _assert_canonical(x):
     assert x.d > 0 and math.gcd(x.n0, x.n1, x.d) == 1
 
 
-_any_fraction = st.fractions(max_denominator=10**6)
+# n/d with 1 <= d <= 10^6: the values of st.fractions(max_denominator=10**6),
+# drawn as int pairs
+_any_numerator, _any_denominator = st.integers(), st.integers(1, 10**6)
+
+
+@st.composite
+def _any_fractions(draw):
+    return Fraction(draw(_any_numerator), draw(_any_denominator))
+
+
+_any_fraction = _any_fractions()
 
 
 @st.composite

@@ -87,6 +87,13 @@ OUTPUTS = [
     (["code"], "code.txt"),
     (["invariants"], "invariants.txt"),
     (["enumerate", "minus1", "--format", "csv"], "enumerate_minus1.csv"),
+    # three non-default ledgers; the seed moves no number the ledger prints
+    (["verify", "all", "--prime", "19", "--a", "5", "--no-timing", "--format", "json"],
+     "verify_all_prime19_a5_no_timing.json"),
+    (["verify", "all", "--d-max", "13", "--no-timing", "--format", "json"],
+     "verify_all_d_max13_no_timing.json"),
+    (["verify", "all", "--seed", "7", "--no-timing", "--format", "json"],
+     "verify_all_no_timing.json"),
 ]
 
 

@@ -6,18 +6,17 @@ import pytest
 from operator import mul
 
 from halphen import chilean, invariants
-from halphen.field import GF, QQ_EPS
+from halphen.field import GF, QQ_EPS, GFext
 from halphen.plane import (ProjPoint, bf_divide_linear, cross, gens,
-                           hasse_rows, line_basis, plane_points)
+                           hasse_rows, plane_points)
 from halphen.invariants import (ArrangementCombinatorics, ArrangementError,
-                                _assert_smooth_members, char2_code,
-                                extract_combinatorics, geometric_census,
+                                char2_code, extract_combinatorics, geometric_census,
                                 harbourne, harbourne_report, log_chern,
                                 log_chern_slope,
                                 published_arrangement, reference_report,
                                 weight_enumerator_string)
 from halphen.published import PAPER
-from test_plane import coordinates_on_line
+from oracles import coordinates_on_line, line_basis
 
 PUBLISHED_TN = PAPER["log Chern numbers"]["censuses"]
 PUBLISHED_VALUES = PAPER["log Chern numbers"]["values"]
@@ -113,6 +112,17 @@ def test_reports_are_copies_of_the_kept_censuses(configuration):
         geometric_census("A4", configuration)
 
 
+def assert_smooth_members(curves):
+    """Oracle: every member is a line or a conic that is no line pair
+    (the determinant test of `chilean.conic_is_line_pair`, char != 2)."""
+    for k, C in enumerate(curves):
+        if C.degree not in (1, 2):
+            raise ArrangementError("only lines and conics are supported")
+        if (C.degree == 2 and C.field.characteristic != 2
+                and chilean.conic_is_line_pair(C)):
+            raise ArrangementError(f"curve {k} is a degenerate conic")
+
+
 def _bf_share_root(p, q, field):
     """Oracle: whether two binary forms of degree <= 2 share a projective
     root, by the closed resultant formulas (formal degrees, so a common
@@ -159,7 +169,7 @@ def census_by_restriction(points, curves):
     and divides out each shared candidate, raising on a residual root of
     two lines or a repeated residual root of a line and a conic."""
     field = curves[0].field
-    _assert_smooth_members(curves)
+    assert_smooth_members(curves)
     candidates = []
     for P in points:
         if P not in candidates:
@@ -239,6 +249,8 @@ def _failing_arrangements():
         # y = z passes through that residual point (1:1:1) of x = z and C1
         "residual on a line": (four[1:2], [X - Z, C1, Y - Z],
                                "curves 0 and 2: 0 of 1 intersections"),
+        "degenerate member": (four, [C1, X * Y], "curve 1 is a degenerate conic"),
+        "cubic member": (four, [C1, X**3 - Y * Z**2], "only lines and conics are supported"),
     }
 
 
@@ -272,6 +284,16 @@ def test_small_censuses_match_the_restriction_oracle(case):
     assert extract_combinatorics(points, curves).t_counts == t_counts
     assert census_by_restriction(points, curves).t_counts == t_counts
     assert shared_residual_roots(points, curves) == []
+
+
+def test_the_census_skips_the_degeneracy_test_in_characteristic_2():
+    # det N vanishes identically there; x^2 + yz is smooth, and x = 0 meets
+    # it at (0:1:0) and (0:0:1), neither a candidate
+    F = GFext(2, 2)
+    X, Y, Z = gens(F)
+    conic = X**2 + Y * Z
+    assert chilean.conic_matrix(conic.coefficients())[0].is_zero()
+    assert extract_combinatorics([], [conic, X]).t_counts == {2: 2}
 
 
 class _Recorded:
@@ -369,7 +391,7 @@ def test_census_consistency_guard():
 
 def census_by_scan(curves):
     """Full-plane census over a finite field, certified by Bezout."""
-    _assert_smooth_members(curves)
+    assert_smooth_members(curves)
     t_counts = {}
     for P in plane_points(curves[0].field):
         n = sum(1 for C in curves if C.evaluate(P).is_zero())
@@ -444,7 +466,7 @@ def test_the_census_form_is_sized_for_products_of_two_gradients(reference_calls,
     from halphen.field import Field
     sizes, original = [], Field.pack_vectors
 
-    def spy(self, degree, vectors, terms=1):
+    def spy(self, degree, vectors, terms):
         sizes.append((degree, terms))
         return original(self, degree, vectors, terms)
     monkeypatch.setattr(Field, "pack_vectors", spy)

@@ -10,8 +10,10 @@ from halphen.field import GF, QQ_EPS, QQ_EPS_A, GFext, MixedContextError
 from halphen.linalg import kernel_basis
 from halphen.plane import (GeometryError, Poly3, ProjPoint, are_collinear,
                            bf_divide_linear, cross, gens, hasse_rows, incidence_rows,
-                           line_basis, line_through, monomials_of_degree, plane_points,
-                           poly3_to_binary_form, poly_in_var, resultant, values_at)
+                           line_through, monomials_of_degree, plane_points, resultant,
+                           values_at)
+from oracles import (binary_form, coordinates_on_line, line_basis, move_into_z,
+                     poly_in_var)
 
 
 def test_evaluate_at_flex():
@@ -184,18 +186,6 @@ def gradient(C):
     return [partial(C, var) for var in range(3)]
 
 
-def coordinates_on_line(P, A, B):
-    """Oracle helper: (u, v) with P = u*A + v*B projectively, for P on the
-    line AB."""
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        det = A.coords[i] * B.coords[j] - A.coords[j] * B.coords[i]
-        if not det.is_zero():
-            u = P.coords[i] * B.coords[j] - P.coords[j] * B.coords[i]
-            v = A.coords[i] * P.coords[j] - A.coords[j] * P.coords[i]
-            return (u, v)
-    raise GeometryError("degenerate line basis")
-
-
 def test_coordinates_on_line_span_the_point():
     F = GF(13)
     for g in ((1, 2, 3), (0, 1, 5), (0, 0, 1)):
@@ -313,8 +303,7 @@ def test_resultant_divide_exact_exposes_fourth_root():
     X, Y, Z = gens(A)
     C1 = X * Y - a * Z**2
     C2 = X * Z - a * Y**2
-    res = resultant(C1, C2, 2)
-    form = poly3_to_binary_form(res, (0, 1))
+    form = resultant(C1, C2)
     known = [(a, A.one()), (e * a, e * e), (e * e * a, e)]
     for root in known:
         form = bf_divide_linear(form, root, A)
@@ -328,8 +317,9 @@ def test_resultant_divide_exact_exposes_fourth_root():
 def test_resultant_of_shared_component_vanishes():
     F = QQ_EPS
     X, Y, Z = gens(F)
-    L = X + Y
-    assert resultant(L * X, L * Y, 0).is_zero()  # degrees (2, 1) in x
+    L = Y + Z
+    form = resultant(L * Z, L * X)  # degrees (2, 1) in z
+    assert len(form) == 5 and all(c.is_zero() for c in form)
 
 
 def cofactor_det(mat):
@@ -377,7 +367,8 @@ def _form_of_degree_in(F, rng, total, var, deg):
 def test_resultant_matches_the_sylvester_determinant(field):
     # the closed forms against the cofactor expansion, with the sign, at
     # the pairs of degrees in the eliminated variable that the nodes of two
-    # conics meet; every other pair a conic or a line has raises
+    # conics meet; every other pair a conic or a line has raises.  Each
+    # variable in turn is eliminated, moved into z
     rng = random.Random(5)
     pairs = [(0, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)]
     nonzero = 0
@@ -386,15 +377,18 @@ def test_resultant_matches_the_sylvester_determinant(field):
         for m, n in pairs:
             P = _form_of_degree_in(field, rng, max(m, rng.randint(0, 2)), var, m)
             Q = _form_of_degree_in(field, rng, max(n, rng.randint(0, 2)), var, n)
+            Pz, Qz = move_into_z(P, var), move_into_z(Q, var)
             if (m, n) not in ((1, 1), (2, 1), (2, 2)):
                 with pytest.raises(GeometryError):
-                    resultant(P, Q, var)
+                    resultant(Pz, Qz)
                 continue
-            got, want = resultant(P, Q, var), sylvester_resultant(P, Q, var)
-            assert got.terms == want.terms
+            got, want = resultant(Pz, Qz), sylvester_resultant(P, Q, var)
             degree = P.degree * n + Q.degree * m - m * n
-            assert got.is_zero() or got.degree == want.degree == degree
-            nonzero += not got.is_zero()
+            assert len(got) == degree + 1
+            assert want.is_zero() == all(c.is_zero() for c in got)
+            assert want.is_zero() or (want.degree == degree
+                                      and got == binary_form(want, var))
+            nonzero += not want.is_zero()
     assert nonzero >= 10
 
 
@@ -404,8 +398,9 @@ def test_resultant_refuses_a_cubic():
     cubic = X**3 + Y * Z**2
     for P, Q in ((cubic, conic), (conic, cubic), (cubic, Z)):
         with pytest.raises(GeometryError):
-            resultant(P, Q, 0)
-    assert resultant(cubic, conic, 1) == sylvester_resultant(cubic, conic, 1)
+            resultant(move_into_z(P, 0), move_into_z(Q, 0))
+    assert (resultant(move_into_z(cubic, 1), move_into_z(conic, 1))
+            == binary_form(sylvester_resultant(cubic, conic, 1), 1))
 
 
 def ordinary_derivative_rows(point, degree, r):
@@ -622,7 +617,7 @@ def test_the_bound_keeps_a_minus_a_power_of_two_nonzero():
     a, e = QQ_EPS_A.gen(), QQ_EPS_A.eps()
     for m in (1, 5, 31, 64):
         for x in (a - 2**m, e * a - 2**m * e, a**3 - 2**m * a, 2**m - e):
-            form, ((v,),), scales = QQ_EPS_A.pack_vectors(1, [[x]])
+            form, ((v,),), scales = QQ_EPS_A.pack_vectors(1, [[x]], 1)
             height = 2**m + 1
             assert 2 ** (form.K - 1) > 2 * height and form.L > form.K
             assert not form.is_zero(v) and form.element(v) == x and scales == [1]
@@ -630,7 +625,7 @@ def test_the_bound_keeps_a_minus_a_power_of_two_nonzero():
         assert not form.is_zero(u * w) and form.element(u * w) == a**2 - 4**m
         assert form.is_zero(u * w - w * u)
         q = QQ_EPS.from_int(2**m) - QQ_EPS.eps()
-        form, ((v,),), _ = QQ_EPS.pack_vectors(1, [[q]])
+        form, ((v,),), _ = QQ_EPS.pack_vectors(1, [[q]], 1)
         assert form.L > m + 1 and not form.is_zero(v) and form.element(v) == q
 
 

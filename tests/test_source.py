@@ -213,16 +213,22 @@ def test_local_data_is_read_from_hasse_rows_only():
     assert methods & {"partial", "gradient"} == set()
 
 
-def test_census_restricts_lines_only_to_conics():
-    """The arrangement census counts a line's points off the candidates by
-    Bezout: it restricts a line only to a conic it shares no candidate
-    with, divides out no root, and needs no coordinates on the line."""
-    forbidden = {"bf_divide_linear", "coordinates_on_line"}
+def test_census_restricts_no_line_and_the_node_search_eliminates_z():
+    """The arrangement census decides a conic's degeneracy and a line's
+    tangency to it by `chilean.conic_matrix`, on the ints it packed: it
+    restricts no form to a line, builds no line basis and divides out no
+    root.  `plane` keeps one z-only `resultant` of two forms, which reads
+    its forms in z itself and returns the binary form in x and y."""
+    forbidden = {"restrict_to_line", "line_basis", "bf_divide_linear",
+                 "coordinates_on_line"}
     assert _module_names("invariants.py") & forbidden == set()
-    assert "restrict_to_line" in _module_names("invariants.py")
-    defined = {node.name for node in ast.parse((SRC / "plane.py").read_text()).body
+    assert "conic_matrix" in _module_names("invariants.py")
+    tree = ast.parse((SRC / "plane.py").read_text())
+    defined = {node.name: node for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert "coordinates_on_line" not in defined
+    assert defined.keys() & {"line_basis", "poly_in_var", "poly3_to_binary_form",
+                             "coordinates_on_line"} == set()
+    assert [a.arg for a in defined["resultant"].args.args] == ["P", "Q"]
 
 
 def test_torsion_questions_share_one_group_and_skip_hopeless_primes():
